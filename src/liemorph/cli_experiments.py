@@ -509,7 +509,7 @@ def _run_nudging(config, truth, obs, report):
     )
     history = []
     for k in range(config.nudging_steps):
-        u = morph_velocity(state, targets, config.morph) * config.nudging_strength
+        u = morph_velocity(state, targets) * config.nudging_strength
         state = ab3_step(
             state, history, config.model,
             tendency_fn=lambda s, p: nudged_tendency(s, p, u), step=k,

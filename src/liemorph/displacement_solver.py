@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
-from .forms import DiffForm, DisplacementField, h1_norm, lie_derivative
-from .spectral_core import ScalarField, _deriv, _inverse_helmholtz_values
+from .forms import DiffForm, DisplacementField, _h1_norm_hat, h1_norm, lie_derivative
+from .spectral_core import ScalarField, _deriv, _deriv_hat, _inverse_helmholtz_values
 
 __all__ = [
     "SolverParams",
@@ -31,6 +31,9 @@ __all__ = [
 # combined displacement is H1-normalized, so the choice is unobservable
 # downstream; we keep the literal 2 and test the invariance.
 PREFACTOR = 2.0
+
+# default H1-norm threshold below which a displacement counts as zero
+_TOL_NORM_PER_AREA = 1e-14
 
 
 @dataclass
@@ -99,11 +102,52 @@ def displacement_from_2forms(theta1, theta2, params=None):
     if theta1.grid != theta2.grid:
         raise ValueError("forms on mismatched grids")
     g = theta1.grid
-    w = _weight_values(params, g)
-    t2 = theta2.components[0].values
-    d = theta1.components[0].values - t2
-    f = w * t2
-    return _solve_helmholtz_pair(f * _deriv(d, g, 0), f * _deriv(d, g, 1), g, params)
+    t1, t2 = theta1.components[0].values, theta2.components[0].values
+    uh = _displacement_2form_hat(np.fft.rfft2(t1), t2, np.fft.rfft2(t2), g, params)
+    return DisplacementField(
+        *(ScalarField(g, np.fft.irfft2(c, s=g.shape)) for c in uh)
+    )
+
+
+def _displacement_2form_hat(t1h, t2, t2h, grid, params):
+    # stacked spectra of displacement_from_2forms from theta1's spectrum
+    # and theta2's values and spectrum
+    dh = t1h - t2h
+    f = _weight_values(params, grid) * t2
+    forcing = np.stack([np.fft.rfft2(f * _deriv_hat(dh, grid, axis)) for axis in (0, 1)])
+    return PREFACTOR * forcing / (params.a0 + params.a1 * grid._k2_r)
+
+
+def _combined_displacement_hat(pairs, grid, params=None):
+    """Stacked spectra of the combined displacement toward 2-form targets.
+
+    The Fourier-space equivalent of `combine_displacements` over
+    `displacement_from_2forms(theta1, theta2)` for each pair, with the H1
+    norms taken by Parseval.
+
+    Args:
+        pairs: (theta1 spectrum, theta2 values, theta2 spectrum) per
+            observable, rfft2 layout.
+    """
+    params = params or SolverParams()
+    fields = [_displacement_2form_hat(*p, grid, params) for p in pairs]
+    mean = _normalized_mean(
+        fields, [_h1_norm_hat(u, grid) for u in fields], _TOL_NORM_PER_AREA * grid.area
+    )
+    if mean is None:
+        return np.zeros((2,) + grid._k2_r.shape, dtype=complex)
+    return mean
+
+
+def _normalized_mean(fields, norms, tol_norm):
+    # (1/m) sum u_i / n_i over the m fields with n_i >= tol_norm; None if m = 0
+    kept = [u * (1.0 / n) for u, n in zip(fields, norms) if n >= tol_norm]
+    if not kept:
+        return None
+    acc = kept[0]
+    for u in kept[1:]:
+        acc = acc + u
+    return acc * (1.0 / len(kept))
 
 
 def combine_displacements(fields, tol_norm=None):
@@ -122,18 +166,9 @@ def combine_displacements(fields, tol_norm=None):
         if u.grid != grid:
             raise ValueError("displacements on mismatched grids")
     if tol_norm is None:
-        tol_norm = 1e-14 * grid.area
-    kept = []
-    for u in fields:
-        n = h1_norm(u)
-        if n >= tol_norm:
-            kept.append(u * (1.0 / n))
-    if not kept:
-        return DisplacementField.zeros(grid)
-    acc = kept[0]
-    for u in kept[1:]:
-        acc = acc + u
-    return acc * (1.0 / len(kept))
+        tol_norm = _TOL_NORM_PER_AREA * grid.area
+    mean = _normalized_mean(fields, [h1_norm(u) for u in fields], tol_norm)
+    return DisplacementField.zeros(grid) if mean is None else mean
 
 
 def _lie_adjoint(theta, phi):

@@ -13,8 +13,8 @@ from .spectral_core import (
     ScalarField,
     _check_finite,
     _deriv,
+    _deriv_hat,
     curl_2d,
-    divergence,
     domain_integral,
     gradient,
 )
@@ -203,11 +203,53 @@ def form_inner_integral(alpha, beta):
 
 
 def h1_norm(u):
-    """sqrt of integral(|u|^2 + curl(u)^2 + div(u)^2), mean-value quadrature."""
-    w = curl_2d(u).values
-    d = divergence(u).values
-    dens = u.u1.values**2 + u.u2.values**2 + w**2 + d**2
-    return float(np.sqrt(domain_integral(ScalarField(u.grid, dens))))
+    """sqrt of integral(|u|^2 + curl(u)^2 + div(u)^2), mean-value quadrature.
+
+    Evaluated by Parseval from the two spectra, which equals the quadrature
+    of the spectral curl and divergence up to rounding.
+    """
+    uh = np.stack([np.fft.rfft2(u.u1.values), np.fft.rfft2(u.u2.values)])
+    return _h1_norm_hat(uh, u.grid)
+
+
+def _h1_norm_hat(uh, grid):
+    # h1_norm of the displacement whose two rfft2 spectra are stacked in uh
+    ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
+    dens = 0.0
+    for c in (uh[0], uh[1], ikx * uh[1] - iky * uh[0], ikx * uh[0] + iky * uh[1]):
+        dens = dens + (c.real**2 + c.imag**2)
+    n = grid.nx * grid.ny
+    return float(np.sqrt(grid.area * (dens.sum(axis=0) @ grid._parseval_w) / n**2))
+
+
+def _advect_hat(fh, u, grid):
+    # spectrum of u . grad f, i.e. L_u of the 0-form f with spectrum fh
+    return np.fft.rfft2(u[0] * _deriv_hat(fh, grid, 0) + u[1] * _deriv_hat(fh, grid, 1))
+
+
+def _transport_hat(vals, spec, u, uh, grid):
+    """rfft2 spectra of -L_u theta for the four TSW prognostic tensors.
+
+    h is a 2-form (-div(h u)), Theta a 0-form and v = (v1, v2) a 1-form,
+    with the component formulas of `lie_derivative`.  vals are the values
+    of (h, Theta, v1, v2) and spec their spectra (spec[0] is not read);
+    u and uh are the displacement's two components and their spectra.
+    """
+    h, _, a1, a2 = vals
+    u1, u2 = u
+    ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
+    u1x, u1y = _deriv_hat(uh[0], grid, 0), _deriv_hat(uh[0], grid, 1)
+    u2x, u2y = _deriv_hat(uh[1], grid, 0), _deriv_hat(uh[1], grid, 1)
+    a1x, a1y = _deriv_hat(spec[2], grid, 0), _deriv_hat(spec[2], grid, 1)
+    a2x, a2y = _deriv_hat(spec[3], grid, 0), _deriv_hat(spec[3], grid, 1)
+    b1 = u1 * a1x + u2 * a1y + a1 * u1x + a2 * u2x
+    b2 = u1 * a2x + u2 * a2y + a1 * u1y + a2 * u2y
+    return np.stack([
+        -(ikx * np.fft.rfft2(h * u1) + iky * np.fft.rfft2(h * u2)),
+        -_advect_hat(spec[1], u, grid),
+        -np.fft.rfft2(b1),
+        -np.fft.rfft2(b2),
+    ])
 
 
 class AnalyticMap:

@@ -13,10 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .displacement_solver import combine_displacements, displacement_from_2forms
-from .forms import DiffForm, DisplacementField, lie_derivative, vector_to_oneform
-from .spectral_core import ScalarField, domain_integral, hou_li_filter
+from .displacement_solver import _combined_displacement_hat
+from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
+from .spectral_core import ScalarField
 from .tsw_model import AB_COEFFS, InstabilityError, TSWState, vorticity_of
+
+# Not called here: perfbench/tracing.py wraps these at this module's
+# attributes, which are kept so that its spans still resolve.
+from .displacement_solver import combine_displacements, displacement_from_2forms  # noqa: F401
+from .forms import lie_derivative  # noqa: F401
+from .spectral_core import hou_li_filter  # noqa: F401
 
 __all__ = [
     "MorphParams",
@@ -111,99 +117,157 @@ class MorphTrace:
                 writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def _mse(a, b):
+    return float(np.mean((a - b) ** 2))
+
+
 def field_mse(a, b):
     """Mean of squared pointwise differences."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
-    return float(np.mean((a.values - b.values) ** 2))
+    return _mse(a.values, b.values)
+
+
+def _totals(vals, omega, area):
+    # domain integrals by the mean-value quadrature, as domain_integral
+    return {
+        "mass": float(vals[0].mean()) * area,
+        "vorticity": float(omega.mean()) * area,
+        "buoyancy_integral": float(vals[1].mean()) * area,
+    }
 
 
 def conserved_totals(state):
     """Domain integrals of mass, vorticity and buoyancy."""
-    return {
-        "mass": domain_integral(state.h),
-        "vorticity": domain_integral(vorticity_of(state)),
-        "buoyancy_integral": domain_integral(state.theta),
-    }
+    vals = (state.h.values, state.theta.values)
+    return _totals(vals, vorticity_of(state).values, state.grid.area)
 
 
-def _state_observable(state, name):
-    if name == "h":
-        return state.h
-    return vorticity_of(state)
+# The spectral kernel.  A state is held as its values `vals` (4, nx, ny)
+# and their rfft2 spectra `spec` (4, nx, ny//2+1), in the order h, Theta,
+# v1, v2; a displacement as its values `u` (2, nx, ny) and spectra `uh`.
 
 
-def morph_velocity(state, targets, params=None, solver_params=None):
+def _rfft_all(vals):
+    return np.stack([np.fft.rfft2(v) for v in vals])
+
+
+def _irfft_all(spec, grid):
+    return np.stack([np.fft.irfft2(s, s=grid.shape) for s in spec])
+
+
+def _vorticity(spec, grid):
+    # (values, spectrum) of omega = dv2/dx - dv1/dy
+    wh = grid._ikx_odd[:, None] * spec[3] - grid._iky_odd[None, :] * spec[2]
+    return np.fft.irfft2(wh, s=grid.shape), wh
+
+
+def _target_spectra(targets, grid):
+    # (name, values, spectrum) of each target
+    out = []
+    for pair in targets:
+        t = pair.target.components[0]
+        if t.grid != grid:
+            raise ValueError("grid mismatch")
+        out.append((pair.name, t.values, np.fft.rfft2(t.values)))
+    return out
+
+
+def _velocity(observed, vals, spec, omega, grid, solver_params):
+    """(u, uh) of the combined displacement toward the observed targets.
+
+    observed holds (name, target values, target spectrum); omega is the
+    state's (values, spectrum) vorticity.  The displacement solves and H1
+    norms stay in Fourier space; only u itself is transformed back.
+    """
+    if not observed:
+        raise ValueError("morph_velocity needs at least one observable")
+    obs = {"h": (vals[0], spec[0]), "omega": omega}
+    uh = _combined_displacement_hat(
+        [(th, *obs[name]) for name, _, th in observed], grid, solver_params
+    )
+    return _irfft_all(uh, grid), uh
+
+
+def _naive_transport_hat(vals, spec, u, uh, grid):
+    # every field dragged as a 0-form: d(theta)/ds = -u . grad(theta)
+    return np.stack([-_advect_hat(s, u, grid) for s in spec])
+
+
+def _step(vals, spec, u, uh, history, params, naive, step, grid):
+    """One Adams-Bashforth epsilon-step of d(theta)/ds = -L_u theta.
+
+    The tendencies, their AB sum and the Hou-Li filter are all applied to
+    spectra; each field is transformed back once.  `history` keeps the
+    spectral tendencies, newest last.  Returns the new (vals, spec).
+    """
+    transport = _naive_transport_hat if naive else _transport_hat
+    history.append(transport(vals, spec, u, uh, grid))
+    del history[: -params.ab_order]
+    coeffs = AB_COEFFS[len(history)]
+    inc = sum(c * t for c, t in zip(coeffs, reversed(history)))
+    spec = (spec + params.epsilon * inc) * grid.hou_li(params.filter_a)
+    vals = _irfft_all(spec, grid)
+    if not np.all(np.isfinite(vals)):
+        raise InstabilityError("non-finite field during morph", step=step)
+    if vals[0].min() <= 0 or vals[1].min() <= 0:
+        raise InstabilityError(
+            f"positivity lost during morph: min h={vals[0].min():.4g}, "
+            f"min Theta={vals[1].min():.4g}",
+            step=step,
+        )
+    return vals, spec
+
+
+def _fields(state):
+    return np.stack([f.values for f in state.fields()])
+
+
+def _state(vals, grid, time):
+    return TSWState(*(ScalarField(grid, v) for v in vals), time=time)
+
+
+def morph_velocity(state, targets, solver_params=None):
     """Combined displacement toward the targets for the current state.
 
     Each observable contributes one closed-form 2-form solve (h directly,
     omega via the vorticity diagnostic); the fields are then H1-normalized
     and averaged.
     """
-    targets = list(targets)
-    if not targets:
-        raise ValueError("morph_velocity needs at least one observable")
-    fields = []
-    for pair in targets:
-        theta2 = DiffForm.from_scalar(2, _state_observable(state, pair.name))
-        fields.append(displacement_from_2forms(pair.target, theta2, solver_params))
-    return combine_displacements(fields)
-
-
-def _morph_tendency(state, u):
-    # physically consistent assignment: h 2-form, Theta 0-form, v 1-form
-    lh = lie_derivative(DiffForm.from_scalar(2, state.h), u)
-    lth = lie_derivative(DiffForm.from_scalar(0, state.theta), u)
-    lv = lie_derivative(vector_to_oneform(DisplacementField(state.v1, state.v2)), u)
-    return (
-        -lh.components[0].values,
-        -lth.components[0].values,
-        -lv.components[0].values,
-        -lv.components[1].values,
-    )
-
-
-def _naive_tendency(state, u):
-    # every field dragged as a 0-form: d(theta)/ds = -u . grad(theta)
-    out = []
-    for fld in state.fields():
-        l0 = lie_derivative(DiffForm.from_scalar(0, fld), u)
-        out.append(-l0.components[0].values)
-    return tuple(out)
-
-
-def _ab_step(state, u, history, params, tendency_fn, step=None):
-    history.append(tendency_fn(state, u))
-    del history[: -params.ab_order]
-    coeffs = AB_COEFFS[len(history)]
     g = state.grid
-    new = []
-    for i, fld in enumerate(state.fields()):
-        inc = sum(c * t[i] for c, t in zip(coeffs, reversed(history)))
-        vals = fld.values + params.epsilon * inc
-        if not np.all(np.isfinite(vals)):
-            raise InstabilityError("non-finite field during morph", step=step)
-        new.append(hou_li_filter(ScalarField(g, vals), a=params.filter_a))
-    return TSWState(*new, time=state.time)
+    observed = _target_spectra(targets, g)
+    vals = _fields(state)
+    spec = _rfft_all(vals)
+    u, _ = _velocity(observed, vals, spec, _vorticity(spec, g), g, solver_params)
+    return DisplacementField(ScalarField(g, u[0]), ScalarField(g, u[1]))
+
+
+def _typed_step(state, u, params, history, step, naive):
+    if u.grid != state.grid:
+        raise ValueError("displacement grid mismatch")
+    g = state.grid
+    vals = _fields(state)
+    uv = np.stack([u.u1.values, u.u2.values])
+    history = [] if history is None else history
+    vals, _ = _step(vals, _rfft_all(vals), uv, _rfft_all(uv), history, params, naive, step, g)
+    return _state(vals, g, state.time)
 
 
 def morph_step(state, u, params, history=None, step=None):
     """One epsilon-step of d(theta)/ds = -L_u theta for all prognostic tensors.
 
     Adams-Bashforth in virtual time up to params.ab_order with lower-order
-    bootstrap (pass the same `history` list across calls); Hou-Li filter
-    (a = 36 by default) on every field afterwards.
+    bootstrap (pass the same `history` list across calls; its entries are
+    opaque); Hou-Li filter (a = 36 by default) on every field afterwards.
+    Raises InstabilityError when a field turns non-finite or h or Theta
+    non-positive.
     """
-    if history is None:
-        history = []
-    return _ab_step(state, u, history, params, _morph_tendency, step=step)
+    return _typed_step(state, u, params, history, step, naive=False)
 
 
 def naive_morph_step(state, u, params, history=None, step=None):
     """The composition comparator: every field transported as a 0-form."""
-    if history is None:
-        history = []
-    return _ab_step(state, u, history, params, _naive_tendency, step=step)
+    return _typed_step(state, u, params, history, step, naive=True)
 
 
 def run_morph(state, targets, params, solver_params=None, naive=False):
@@ -215,33 +279,36 @@ def run_morph(state, targets, params, solver_params=None, naive=False):
     unless u is divergence-free).  With early_stop_patience set, stops once
     every observed MSE has increased for that many consecutive steps.
 
+    The loop runs on spectra: each field is transformed once per step, and
+    the vorticity is computed once per state for the velocity and the
+    trace.
+
     Returns:
         (final state, MorphTrace); the trace has one row per executed step
         plus the initial row.
     """
-    targets = list(targets)
+    g = state.grid
+    observed = _target_spectra(targets, g)
+    vals = _fields(state)
+    spec = _rfft_all(vals)
     trace = MorphTrace()
 
-    def mses(st):
-        out = {}
-        for pair in targets:
-            out[pair.name] = field_mse(
-                _state_observable(st, pair.name), pair.target.components[0]
-            )
-        return out
+    def record(k, vals, spec):
+        omega = _vorticity(spec, g)
+        obs = {"h": vals[0], "omega": omega[0]}
+        mses = {name: _mse(obs[name], t) for name, t, _ in observed}
+        trace.record(k, mses.get("h", float("nan")), mses.get("omega", float("nan")),
+                     _totals(vals, omega[0], g.area))
+        return omega, mses
 
-    cur = mses(state)
-    trace.record(0, cur.get("h", float("nan")), cur.get("omega", float("nan")),
-                 conserved_totals(state))
+    omega, cur = record(0, vals, spec)
     history = []
     worse_streak = 0
-    step_fn = _naive_tendency if naive else _morph_tendency
     for k in range(params.n_steps):
-        u = morph_velocity(state, targets, params, solver_params)
-        state = _ab_step(state, u, history, params, step_fn, step=k)
-        prev, cur = cur, mses(state)
-        trace.record(k + 1, cur.get("h", float("nan")), cur.get("omega", float("nan")),
-                     conserved_totals(state))
+        u, uh = _velocity(observed, vals, spec, omega, g, solver_params)
+        vals, spec = _step(vals, spec, u, uh, history, params, naive, k, g)
+        prev = cur
+        omega, cur = record(k + 1, vals, spec)
         if params.early_stop_patience is not None:
             if all(cur[n] > prev[n] for n in cur):
                 worse_streak += 1
@@ -249,4 +316,4 @@ def run_morph(state, targets, params, solver_params=None, naive=False):
                 worse_streak = 0
             if worse_streak >= params.early_stop_patience:
                 break
-    return state, trace
+    return _state(vals, g, state.time), trace

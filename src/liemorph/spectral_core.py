@@ -56,6 +56,11 @@ class GridSpec:
         self._ikx_odd[nx // 2] = 0.0
         self._iky_odd = 1j * self._ky_r
         self._iky_odd[-1] = 0.0
+        # Parseval weights of the rfft2 columns: the ky = 0 and Nyquist
+        # columns hold one mode each, every other column a conjugate pair
+        self._parseval_w = np.full(ny // 2 + 1, 2.0)
+        self._parseval_w[[0, -1]] = 1.0
+        self._hou_li = {}
 
     @property
     def shape(self):
@@ -64,6 +69,15 @@ class GridSpec:
     @property
     def area(self):
         return self.lx * self.ly
+
+    def hou_li(self, a):
+        """hou_li_multiplier(self, a), computed once per exponent, read-only."""
+        mult = self._hou_li.get(a)
+        if mult is None:
+            mult = hou_li_multiplier(self, a)
+            mult.flags.writeable = False
+            self._hou_li[a] = mult
+        return mult
 
     def xy(self):
         """Cell-center coordinate arrays X, Y of shape (nx, ny)."""
@@ -83,6 +97,11 @@ class GridSpec:
 
     def __hash__(self):
         return hash((self.nx, self.ny, self.lx, self.ly))
+
+    def __reduce__(self):
+        # rebuilt from its extents, so caches start empty (and read-only)
+        # in the receiving process
+        return (GridSpec, (self.nx, self.ny, self.lx, self.ly))
 
     def __repr__(self):
         return f"GridSpec(nx={self.nx}, ny={self.ny}, lx={self.lx}, ly={self.ly})"
@@ -159,14 +178,14 @@ def _check_finite(values, what):
         raise ValueError(f"non-finite values in {what}")
 
 
+def _deriv_hat(fh, grid, axis):
+    # d/dx or d/dy of the field with rfft2 spectrum fh, Nyquist zeroed
+    ik = grid._ikx_odd[:, None] if axis == 0 else grid._iky_odd[None, :]
+    return np.fft.irfft2(fh * ik, s=grid.shape)
+
+
 def _deriv(values, grid, axis):
-    # d/dx or d/dy by i*k multiplication, Nyquist zeroed
-    fh = np.fft.rfft2(values)
-    if axis == 0:
-        fh *= grid._ikx_odd[:, None]
-    else:
-        fh *= grid._iky_odd[None, :]
-    return np.fft.irfft2(fh, s=values.shape)
+    return _deriv_hat(np.fft.rfft2(values), grid, axis)
 
 
 def gradient(f):
@@ -224,7 +243,7 @@ def hou_li_filter(f, a):
     """Apply the Hou-Li filter (model steps use a = 12, morphing a = 36)."""
     _check_finite(f.values, "hou_li_filter input")
     fh = np.fft.rfft2(f.values)
-    fh *= hou_li_multiplier(f.grid, a)
+    fh *= f.grid.hou_li(a)
     return ScalarField(f.grid, np.fft.irfft2(fh, s=f.values.shape))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .forms import DisplacementField, lie_derivative, vector_to_oneform, DiffForm
+from .forms import DisplacementField, _transport_hat
 from .spectral_core import ScalarField, _deriv, curl_2d, hou_li_filter
 
 __all__ = [
@@ -194,16 +194,16 @@ def nudged_tendency(state, params, u):
     """
     if u.grid != state.grid:
         raise ValueError("displacement grid mismatch")
+    g = state.grid
     base = tendency(state, params)
-    lh = lie_derivative(DiffForm.from_scalar(2, state.h), u)
-    lth = lie_derivative(DiffForm.from_scalar(0, state.theta), u)
-    lv = lie_derivative(vector_to_oneform(DisplacementField(state.v1, state.v2)), u)
-    return TSWTendency(
-        base.dh - lh.components[0].values,
-        base.dtheta - lth.components[0].values,
-        base.dv1 - lv.components[0].values,
-        base.dv2 - lv.components[1].values,
+    vals = [f.values for f in state.fields()]
+    uv = (u.u1.values, u.u2.values)
+    spec = [np.fft.rfft2(a) for a in vals]
+    uh = [np.fft.rfft2(a) for a in uv]
+    dh, dth, dv1, dv2 = (
+        np.fft.irfft2(t, s=g.shape) for t in _transport_hat(vals, spec, uv, uh, g)
     )
+    return TSWTendency(base.dh + dh, base.dtheta + dth, base.dv1 + dv1, base.dv2 + dv2)
 
 
 def _ab_combine(history, dt):

@@ -25,3 +25,23 @@ def grid16():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def count_ffts(monkeypatch):
+    """Call it to start counting numpy.fft.rfft2 and irfft2 calls; it
+    returns the dict of counts, which the rest of the test updates."""
+
+    def start():
+        counts = {"rfft2": 0, "irfft2": 0}
+        for name in counts:
+            fn = getattr(np.fft, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return counts
+
+    return start

@@ -33,7 +33,7 @@ from liemorph import (
 )
 from liemorph.forms import form_inner_integral, periodic_interpolate
 
-from oracles import random_band_limited, shear_map_x
+from oracles import quadrature_h1_norm, random_band_limited, shear_map_x
 
 TWO_PI = 2.0 * np.pi
 
@@ -284,6 +284,20 @@ class TestH1Norm:
         )
         expected = np.sqrt((g.lx * g.ly / 2.0) * (1.0 + k**2))
         assert h1_norm(u) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("nyquist", [False, True])
+    def test_parseval_matches_quadrature(self, grid_small, nyquist):
+        """The Parseval evaluation equals the quadrature of the spectral
+        curl and divergence, also with content in the Nyquist rows and
+        columns (which the odd derivatives drop)."""
+        g = grid_small
+        vals = [random_band_limited(g, s, modes=4) for s in (61, 62)]
+        if nyquist:
+            i, j = np.indices(g.shape)
+            vals[0] = vals[0] + 0.7 * (-1.0) ** i + 0.3 * (-1.0) ** (i + j)
+            vals[1] = vals[1] - 0.5 * (-1.0) ** j
+        u = DisplacementField(ScalarField(g, vals[0]), ScalarField(g, vals[1]))
+        assert h1_norm(u) == pytest.approx(quadrature_h1_norm(u), rel=1e-13)
 
 
 class TestAnalyticMap:

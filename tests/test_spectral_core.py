@@ -5,6 +5,8 @@ against the dense differentiation matrices in oracles.py, which never
 touch an FFT.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,17 @@ class TestHouLi:
             hou_li_multiplier(grid_small, 0.0)
         with pytest.raises(ValueError):
             hou_li_filter(ScalarField.zeros(grid_small), -1.0)
+
+    def test_grid_caches_read_only_multiplier(self, grid_small):
+        grid_small.hou_li(12.0)
+        copied = pickle.loads(pickle.dumps(grid_small))
+        for g in (grid_small, copied):
+            for a in (12.0, 36.0):
+                cached = g.hou_li(a)
+                assert np.array_equal(cached, hou_li_multiplier(g, a))
+                assert g.hou_li(a) is cached
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 0.5
 
     def test_damps_highest_mode(self, grid_small):
         delta = np.zeros(grid_small.shape)

@@ -177,6 +177,12 @@ class TestNudgedTendency:
 
 
 class TestTimeStepping:
+    def test_ab3_step_fft_count(self, grid_km, params, count_ffts):
+        state = double_vortex_ic(VortexIC(), grid_km, params)
+        counts = count_ffts()
+        ab3_step(state, [], params)
+        assert (counts["rfft2"], counts["irfft2"]) == (16, 16)
+
     def test_rest_is_exact_fixed_point(self, grid_km, params):
         out = integrate(TSWState.rest(grid_km, params), 100, params)
         assert np.max(np.abs(out.h.values - params.h0)) == 0.0
