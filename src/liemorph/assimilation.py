@@ -3,9 +3,12 @@
 Observations are the truth's h and vorticity spectrally projected to a
 coarse grid, taken error-free but assigned the prescribed variances
 r = 0.01 * mean(obs^2).  The analysis is a stochastic perturbed-observation
-EnKF computed on the coarse grid with the gain formed from ensemble
-cross-covariances in observation space (the full state covariance is never
-assembled); increments are refined spectrally back to the fine grid.
+EnKF computed on the coarse grid; increments are refined spectrally back to
+the fine grid.  The gain is formed in ensemble space (Evensen 2003; Hunt et
+al. 2007): a thin SVD of the R^-1/2-scaled d x Ne observation anomalies
+gives Ne x d weights W with K = Z_anom W, so the analysis costs
+O((n + d) Ne^2) time and O((n + d) Ne) memory for n state and d observed
+values, and no n x d or d x d matrix is ever formed.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -115,17 +118,31 @@ def generate_ensemble(
     return Ensemble(members, rng_seed=seed)
 
 
+def _gain_weights(y_anom, r_diag):
+    """Ne x d weights W of the gain K = z_anom @ W, in ensemble space.
+
+    With S = R^-1/2 y_anom / sqrt(Ne-1) = U diag(s) V^T (thin SVD),
+    K = C_zy (C_yy + R)^-1 = z_anom V diag(s / (1 + s^2)) U^T R^-1/2
+    / sqrt(Ne-1).  s / (1 + s^2) stays exact for huge s (tiny R), where an
+    eigendecomposition of S^T S would lose the small eigenvalues.  R must
+    be positive definite.
+    """
+    scale = 1.0 / (np.sqrt(r_diag) * np.sqrt(y_anom.shape[1] - 1))
+    u, s, vt = np.linalg.svd(y_anom * scale[:, None], full_matrices=False)
+    return (vt.T * (s / (1.0 + s * s))) @ (u.T * scale)
+
+
 def kalman_gain(z_anom, y_anom, r_diag):
     """K = C_zy (C_yy + R)^-1 from anomaly matrices.
 
     z_anom is n x Ne, y_anom is d x Ne (means already removed), r_diag the
-    diagonal of R.  Covariances use the 1/(Ne-1) estimator; only the d x d
-    observation-space matrix is ever formed.
+    positive diagonal of R.  Covariances use the 1/(Ne-1) estimator.  The
+    gain is computed in ensemble space (see _gain_weights) in
+    O((n + d) Ne^2) time; only the returned n x d matrix is of that size.
     """
-    ne = z_anom.shape[1]
-    c_yy = y_anom @ y_anom.T / (ne - 1) + np.diag(r_diag)
-    c_zy = z_anom @ y_anom.T / (ne - 1)
-    return np.linalg.solve(c_yy.T, c_zy.T).T
+    if np.any(r_diag <= 0):
+        raise ValueError("observation variances must be positive")
+    return z_anom @ _gain_weights(y_anom, r_diag)
 
 
 def _member_obs_vector(state, coarse):
@@ -164,13 +181,13 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
     y_anom = y - y.mean(axis=1, keepdims=True)
 
     r_diag = np.concatenate([np.full(nc, obs.r_h), np.full(nc, obs.r_omega)])
-    gain = kalman_gain(z_anom, y_anom, r_diag)
+    weights = _gain_weights(y_anom, r_diag)
 
     y_obs = np.concatenate([obs.h_obs.values.ravel(), obs.omega_obs.values.ravel()])
     rng = np.random.default_rng(obs_noise_seed)
     noise = rng.normal(0.0, 1.0, size=(2 * nc, ne)) * np.sqrt(r_diag)[:, None]
     innovations = y_obs[:, None] + noise - y
-    dz = gain @ innovations
+    dz = z_anom @ (weights @ innovations)
 
     new_members = []
     for i, member in enumerate(ensemble.members):

@@ -4,6 +4,8 @@ The analysis step is replicated end to end against the explicit joint
 covariance oracle, including the perturbed-observation noise draw.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,28 @@ class TestKalmanGain:
         ref = explicit_covariance_gain(z, y, r_diag)
         assert np.max(np.abs(lib - ref)) <= 1e-10 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("ne, duplicate", [(20, False), (6, True)])
+    def test_ensemble_space_gain_matches_oracle(self, ne, duplicate):
+        """More members than observations (Ne = 20 > d = 8), and a
+        rank-deficient ensemble with two identical members."""
+        rng = np.random.default_rng(321)
+        z = rng.normal(size=(20, ne))
+        y = rng.normal(size=(8, ne))
+        if duplicate:
+            z[:, 1], y[:, 1] = z[:, 0], y[:, 0]
+        r_diag = np.linspace(0.5, 2.0, 8)
+        lib = kalman_gain(
+            z - z.mean(axis=1, keepdims=True), y - y.mean(axis=1, keepdims=True), r_diag
+        )
+        ref = explicit_covariance_gain(z, y, r_diag)
+        assert np.max(np.abs(lib - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_rejects_nonpositive_variance(self):
+        """The ensemble-space form needs R^-1/2, so R must be positive."""
+        anom = np.array([[3.0, -1.0, -1.0, -1.0]])
+        with pytest.raises(ValueError, match="positive"):
+            kalman_gain(anom, anom, np.array([0.0]))
+
 
 class TestEnkfAnalysis:
     def test_rejects_zero_variance(self, params, ensemble):
@@ -262,6 +286,23 @@ class TestEnkfAnalysis:
         )
         with pytest.raises(InstabilityError, match="analysis member"):
             enkf_analysis(ensemble, bad, obs_noise_seed=5)
+
+    def test_paper_grid_analysis_allocates_no_gain_matrix(self):
+        """At 256^2 / 64^2 the state vector has n = 16384 values and the
+        observation vector d = 8192, so an n x d gain alone is 1.07 GB.
+        The ensemble-space analysis of 2 members stays under 64 MB."""
+        fine = GridSpec(256, 256, 5000.0, 5000.0)
+        coarse = GridSpec(64, 64, 5000.0, 5000.0)
+        params = ModelParams(dt=0.25)
+        ens = generate_ensemble(VortexIC(), fine, 2, seed=3, spinup_steps=2, params=params)
+        obs = observe(double_vortex_ic(VortexIC(ox=0.12, oy=0.08), fine, params), coarse)
+        tracemalloc.start()
+        try:
+            enkf_analysis(ens, obs, obs_noise_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestMorphEnsemble:

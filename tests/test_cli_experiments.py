@@ -104,6 +104,24 @@ class TestValidateConfig:
                          "workers", "r_scale", "output_dir"):
             assert fragment in text
 
+    def test_rejects_unstable_courant_number(self):
+        """A 256^2 grid left at dt = 1 has Courant number 1.59 and used to
+        run until InstabilityError at step 38; the presets give 0.40."""
+        for name in ("desk", "paper"):
+            validate_config(preset_config(name))
+        raw = preset_config("paper")
+        raw["model"]["dt"] = 1.0
+        raw["workers"] = 0
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        assert len(exc.value.errors) == 2
+        courant = [e for e in exc.value.errors if "Courant" in e]
+        assert len(courant) == 1
+        assert "1.59" in courant[0] and "largest stable dt is 0.4522" in courant[0]
+        raw["model"]["dt"] = 0.45
+        raw["workers"] = 1
+        validate_config(raw)
+
     def test_coarse_grid_must_divide_fine(self):
         raw = small_raw()
         raw["grid"]["coarse_nx"] = 12
@@ -307,8 +325,10 @@ class TestCommandLine:
         assert (tmp_path / "out" / "manifest.json").exists()
 
     def test_run_instability_exits_3(self, tmp_path, capsys):
+        # a 20x height anomaly drives h negative in the first truth step,
+        # at a dt that passes the Courant check
         raw = small_raw(pipeline="plain-enkf")
-        raw["model"]["dt"] = 1e5
+        raw["ic"]["amplitude"] = 20.0
         cfg = self.write_config(tmp_path, raw)
         assert main(["run", cfg]) == 3
         assert "numerical instability" in capsys.readouterr().err
