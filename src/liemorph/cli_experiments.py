@@ -46,7 +46,6 @@ from .tsw_model import (
     ab3_step,
     double_vortex_ic,
     integrate,
-    nudged_tendency,
     vorticity_of,
 )
 
@@ -516,10 +515,7 @@ def _run_nudging(config, truth, obs, report):
     history = []
     for k in range(config.nudging_steps):
         u = morph_velocity(state, targets) * config.nudging_strength
-        state = ab3_step(
-            state, history, config.model,
-            tendency_fn=lambda s, p: nudged_tendency(s, p, u), step=k,
-        )
+        state = ab3_step(state, history, config.model, u=u, step=k)
         trace.record(
             k + 1,
             field_mse(state.h, targets[0].target.components[0]),

@@ -16,7 +16,8 @@ import numpy as np
 from .displacement_solver import _combined_displacement_hat
 from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
 from .spectral_core import ScalarField
-from .tsw_model import AB_COEFFS, InstabilityError, TSWState, vorticity_of
+from .tsw_model import AB_COEFFS, _ab_advance, _fields, _irfft_all, _rfft_all, _state
+from .tsw_model import vorticity_of
 
 # Not called here: perfbench/tracing.py wraps these at this module's
 # attributes, which are kept so that its spans still resolve.
@@ -143,17 +144,9 @@ def conserved_totals(state):
     return _totals(vals, vorticity_of(state).values, state.grid.area)
 
 
-# The spectral kernel.  A state is held as its values `vals` (4, nx, ny)
-# and their rfft2 spectra `spec` (4, nx, ny//2+1), in the order h, Theta,
-# v1, v2; a displacement as its values `u` (2, nx, ny) and spectra `uh`.
-
-
-def _rfft_all(vals):
-    return np.stack([np.fft.rfft2(v) for v in vals])
-
-
-def _irfft_all(spec, grid):
-    return np.stack([np.fft.irfft2(s, s=grid.shape) for s in spec])
+# The spectral kernel works on tsw_model's (vals, spec) state arrays; a
+# displacement is held as its values `u` (2, nx, ny) and spectra `uh`.
+_MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
 
 
 def _vorticity(spec, grid):
@@ -195,36 +188,12 @@ def _naive_transport_hat(vals, spec, u, uh, grid):
 
 
 def _step(vals, spec, u, uh, history, params, naive, step, grid):
-    """One Adams-Bashforth epsilon-step of d(theta)/ds = -L_u theta.
-
-    The tendencies, their AB sum and the Hou-Li filter are all applied to
-    spectra; each field is transformed back once.  `history` keeps the
-    spectral tendencies, newest last.  Returns the new (vals, spec).
-    """
+    """One AB epsilon-step of d(theta)/ds = -L_u theta; the new (vals, spec)."""
     transport = _naive_transport_hat if naive else _transport_hat
-    history.append(transport(vals, spec, u, uh, grid))
-    del history[: -params.ab_order]
-    coeffs = AB_COEFFS[len(history)]
-    inc = sum(c * t for c, t in zip(coeffs, reversed(history)))
-    spec = (spec + params.epsilon * inc) * grid.hou_li(params.filter_a)
-    vals = _irfft_all(spec, grid)
-    if not np.all(np.isfinite(vals)):
-        raise InstabilityError("non-finite field during morph", step=step)
-    if vals[0].min() <= 0 or vals[1].min() <= 0:
-        raise InstabilityError(
-            f"positivity lost during morph: min h={vals[0].min():.4g}, "
-            f"min Theta={vals[1].min():.4g}",
-            step=step,
-        )
-    return vals, spec
-
-
-def _fields(state):
-    return np.stack([f.values for f in state.fields()])
-
-
-def _state(vals, grid, time):
-    return TSWState(*(ScalarField(grid, v) for v in vals), time=time)
+    return _ab_advance(
+        spec, transport(vals, spec, u, uh, grid), history, params.ab_order,
+        params.epsilon, params.filter_a, grid, step, _MORPH_ERRORS,
+    )
 
 
 def morph_velocity(state, targets, solver_params=None):

@@ -8,15 +8,20 @@ Prognostic fields h (height), Theta (buoyancy), v1, v2 (velocity) obey
 
 in km / 100 s units.  Time stepping is Adams-Bashforth up to order 3 with a
 lower-order bootstrap, followed by the Hou-Li filter (a = 12) on every
-prognostic field.
+prognostic field.  The step runs in Fourier space (8 FFT pairs per step) and
+shares `_ab_advance` with the morph; the AB history holds opaque spectra.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .forms import DisplacementField, _transport_hat
-from .spectral_core import ScalarField, _deriv, curl_2d, hou_li_filter
+from .spectral_core import ScalarField, _deriv, _deriv_hat, curl_2d
+
+# Not called here: perfbench/tracing.py wraps it at this module's
+# attribute, which is kept so that its span still resolves.
+from .spectral_core import hou_li_filter  # noqa: F401
 
 __all__ = [
     "InstabilityError",
@@ -158,31 +163,96 @@ class TSWTendency:
     dv2: np.ndarray
 
 
+# The spectral kernel.  A state is held as its values `vals` (4, nx, ny)
+# and their rfft2 spectra `spec` (4, nx, ny//2+1), in the order h, Theta,
+# v1, v2; a tendency is a spectrum of the same shape.
+_MODEL_ERRORS = ("non-finite field after AB step", "positivity lost")
+
+
+def _rfft_all(vals):
+    return np.stack([np.fft.rfft2(v) for v in vals])
+
+
+def _irfft_all(spec, grid):
+    return np.stack([np.fft.irfft2(s, s=grid.shape) for s in spec])
+
+
+def _fields(state):
+    return np.stack([f.values for f in state.fields()])
+
+
+def _state(vals, grid, time):
+    return TSWState(*(ScalarField(grid, v) for v in vals), time=time)
+
+
+def _tendency_hat(vals, spec, params, grid):
+    """rfft2 spectra (4, nx, ny//2+1) of the tendencies of (h, Theta, v1, v2).
+
+    The pseudo-spectral transform method: derivatives are taken on the
+    state spectra, products on grid values, and each product is transformed
+    once (6 irfft2 + 6 rfft2); -div(h v) and -grad(h Theta) are spectral.
+    """
+    h, th, v1, v2 = vals
+    ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
+    thx, thy, v1x, v1y, v2x, v2y = (_deriv_hat(s, grid, a) for s in spec[1:] for a in (0, 1))
+    hth_hat = np.fft.rfft2(h * th)
+    dth = -(v1 * thx + v2 * thy) - params.kappa * (h * th - params.h0 * params.theta0)
+    dv1 = -(v1 * v1x + v2 * v1y) + params.f * v2 + 0.5 * h * thx
+    dv2 = -(v1 * v2x + v2 * v2y) - params.f * v1 + 0.5 * h * thy
+    del thx, thy, v1x, v1y, v2x, v2y  # freed before the transforms: a lower peak
+    return np.stack([
+        -(ikx * np.fft.rfft2(h * v1) + iky * np.fft.rfft2(h * v2)),
+        np.fft.rfft2(dth),
+        np.fft.rfft2(dv1) - ikx * hth_hat,
+        np.fft.rfft2(dv2) - iky * hth_hat,
+    ])
+
+
+def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors):
+    """One Adams-Bashforth step on spectra, shared by the model and the morph.
+
+    Appends `tend` to `history` (newest last, at most `order` kept, so
+    repeated calls bootstrap the order), advances `spec` by `size` times the
+    AB sum, applies the Hou-Li multiplier `filter_a` and transforms each
+    field back once.  Raises InstabilityError at `step`, with the message
+    prefixes `errors`, when a field turns non-finite or h or Theta
+    non-positive.  Returns the new (vals, spec).
+    """
+    history.append(tend)
+    del history[:-order]
+    coeffs = AB_COEFFS[len(history)]
+    # (spec + size * AB sum) * multiplier, in place to keep one temporary
+    new = sum(c * t for c, t in zip(coeffs, reversed(history)))
+    new *= size
+    new += spec
+    new *= grid.hou_li(filter_a)
+    vals = _irfft_all(new, grid)
+    nonfinite, positivity = errors
+    if not np.all(np.isfinite(vals)):
+        raise InstabilityError(nonfinite, step=step)
+    if vals[0].min() <= 0 or vals[1].min() <= 0:
+        raise InstabilityError(f"{positivity}: min h={vals[0].min():.4g}, "
+                               f"min Theta={vals[1].min():.4g}", step=step)
+    return vals, new
+
+
+def _state_tendency(state, params, u):
+    # (spec, tendency spectra) of a typed state, nudged along u if given
+    g = state.grid
+    if u is not None and u.grid != g:
+        raise ValueError("displacement grid mismatch")
+    vals = _fields(state)
+    spec = _rfft_all(vals)
+    tend = _tendency_hat(vals, spec, params, g)
+    if u is not None:
+        uv = np.stack([u.u1.values, u.u2.values])
+        tend += _transport_hat(vals, spec, uv, _rfft_all(uv), g)
+    return spec, tend
+
+
 def tendency(state, params):
     """Instantaneous tendencies of (h, Theta, v1, v2), spectral derivatives."""
-    g = state.grid
-    h, th = state.h.values, state.theta.values
-    v1, v2 = state.v1.values, state.v2.values
-
-    dh = -(_deriv(h * v1, g, 0) + _deriv(h * v2, g, 1))
-
-    dth = -(v1 * _deriv(th, g, 0) + v2 * _deriv(th, g, 1))
-    dth -= params.kappa * (h * th - params.h0 * params.theta0)
-
-    hth = h * th
-    dv1 = (
-        -(v1 * _deriv(v1, g, 0) + v2 * _deriv(v1, g, 1))
-        + params.f * v2
-        - _deriv(hth, g, 0)
-        + 0.5 * h * _deriv(th, g, 0)
-    )
-    dv2 = (
-        -(v1 * _deriv(v2, g, 0) + v2 * _deriv(v2, g, 1))
-        - params.f * v1
-        - _deriv(hth, g, 1)
-        + 0.5 * h * _deriv(th, g, 1)
-    )
-    return TSWTendency(dh, dth, dv1, dv2)
+    return TSWTendency(*_irfft_all(_state_tendency(state, params, None)[1], state.grid))
 
 
 def nudged_tendency(state, params, u):
@@ -192,75 +262,45 @@ def nudged_tendency(state, params, u):
     sign matches the morph update theta <- theta - eps * L_u theta, so the
     nudging drags the state along u.
     """
-    if u.grid != state.grid:
-        raise ValueError("displacement grid mismatch")
-    g = state.grid
-    base = tendency(state, params)
-    vals = [f.values for f in state.fields()]
-    uv = (u.u1.values, u.u2.values)
-    spec = [np.fft.rfft2(a) for a in vals]
-    uh = [np.fft.rfft2(a) for a in uv]
-    dh, dth, dv1, dv2 = (
-        np.fft.irfft2(t, s=g.shape) for t in _transport_hat(vals, spec, uv, uh, g)
-    )
-    return TSWTendency(base.dh + dh, base.dtheta + dth, base.dv1 + dv1, base.dv2 + dv2)
+    return TSWTendency(*_irfft_all(_state_tendency(state, params, u)[1], state.grid))
 
 
-def _ab_combine(history, dt):
-    """Weighted Adams-Bashforth sum of the stored tendencies (newest last)."""
-    coeffs = AB_COEFFS[len(history)]
-    parts = zip(coeffs, reversed(history))
-    c0, t0 = next(parts)
-    acc = [c0 * arr for arr in (t0.dh, t0.dtheta, t0.dv1, t0.dv2)]
-    for c, t in parts:
-        acc[0] += c * t.dh
-        acc[1] += c * t.dtheta
-        acc[2] += c * t.dv1
-        acc[3] += c * t.dv2
-    return [dt * a for a in acc]
-
-
-def ab3_step(state, history, params, tendency_fn=tendency, step=None):
+def ab3_step(state, history, params, u=None, step=None):
     """Advance one dt by Adams-Bashforth (order = len(history)+1, capped at 3).
 
-    `history` holds previous TSWTendency records, oldest first; it is
-    updated in place (current tendency appended, stale entries dropped), so
-    repeated calls bootstrap AB1 -> AB2 -> AB3.  The Hou-Li filter (a = 12)
-    is applied to every prognostic field after the update.
+    `history` holds the previous tendencies as opaque spectra, oldest
+    first; it is updated in place (current tendency appended, stale entries
+    dropped), so repeated calls bootstrap AB1 -> AB2 -> AB3.  With a
+    DisplacementField `u` the step follows nudged_tendency.  The Hou-Li
+    filter (a = 12) is applied to every prognostic field after the update.
     """
-    history.append(tendency_fn(state, params))
-    del history[:-3]
-    inc = _ab_combine(history, params.dt)
     g = state.grid
-    new = []
-    for fld, d in zip(state.fields(), inc):
-        vals = fld.values + d
-        if not np.all(np.isfinite(vals)):
-            raise InstabilityError("non-finite field after AB step", step=step)
-        new.append(hou_li_filter(ScalarField(g, vals), a=12))
-    h, th = new[0], new[1]
-    if h.values.min() <= 0 or th.values.min() <= 0:
-        raise InstabilityError(
-            f"positivity lost: min h={h.values.min():.4g}, "
-            f"min Theta={th.values.min():.4g}",
-            step=step,
-        )
-    return TSWState(*new, time=state.time + params.dt)
+    spec, tend = _state_tendency(state, params, u)
+    vals, _ = _ab_advance(spec, tend, history, 3, params.dt, 12, g, step, _MODEL_ERRORS)
+    return _state(vals, g, state.time + params.dt)
 
 
-def integrate(state, n_steps, params, tendency_fn=tendency, monitor=None):
-    """Run n_steps of ab3_step from a fresh tendency history.
+def integrate(state, n_steps, params, monitor=None):
+    """Run n_steps of the ab3_step scheme from a fresh tendency history.
+
+    The loop runs on spectra: 6 rfft2 + 10 irfft2 per step.
 
     Args:
         monitor: optional callback (step, state) invoked after each step;
             receives the positivity diagnostics via state.min_diagnostics().
     """
+    g = state.grid
+    vals = _fields(state)
+    spec = _rfft_all(vals)
+    time = state.time
     history = []
     for k in range(n_steps):
-        state = ab3_step(state, history, params, tendency_fn=tendency_fn, step=k)
+        tend = _tendency_hat(vals, spec, params, g)
+        vals, spec = _ab_advance(spec, tend, history, 3, params.dt, 12, g, k, _MODEL_ERRORS)
+        time = time + params.dt
         if monitor is not None:
-            monitor(k, state)
-    return state
+            monitor(k, _state(vals, g, time))
+    return _state(vals, g, time)
 
 
 def _wrapped_gauss(x, y, cx, cy, radius, lx, ly):
@@ -307,8 +347,3 @@ def double_vortex_ic(ic, grid, params):
 def vorticity_of(state):
     """Vorticity omega = dv2/dx - dv1/dy."""
     return curl_2d(DisplacementField(state.v1, state.v2))
-
-
-def perturbed_ic(base, ox, oy):
-    """A copy of `base` with the center offsets replaced."""
-    return replace(base, ox=float(ox), oy=float(oy))

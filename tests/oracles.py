@@ -270,19 +270,22 @@ def composed_morph_velocity(state, targets):
     return acc * (1.0 / len(kept))
 
 
+def composed_transport(state, u):
+    """-L_u of the TSW tensors (h 2-form, Theta 0-form, v 1-form) from
+    `lie_derivative` on typed forms, as four value arrays."""
+    from liemorph import DiffForm, DisplacementField, lie_derivative, vector_to_oneform
+
+    lh = lie_derivative(DiffForm.from_scalar(2, state.h), u)
+    lth = lie_derivative(DiffForm.from_scalar(0, state.theta), u)
+    lv = lie_derivative(vector_to_oneform(DisplacementField(state.v1, state.v2)), u)
+    return [-c.values for c in lh.components + lth.components + lv.components]
+
+
 def composed_morph_step(state, u, params, history, naive=False):
     """One morph step composed from `lie_derivative` on typed forms: the
     tensor triple (h 2-form, Theta 0-form, v 1-form) or, with naive, four
     0-forms; Adams-Bashforth on the values; `hou_li_filter` per field."""
-    from liemorph import (
-        DiffForm,
-        DisplacementField,
-        ScalarField,
-        TSWState,
-        hou_li_filter,
-        lie_derivative,
-        vector_to_oneform,
-    )
+    from liemorph import DiffForm, ScalarField, TSWState, hou_li_filter, lie_derivative
     from liemorph.tsw_model import AB_COEFFS
 
     if naive:
@@ -291,10 +294,7 @@ def composed_morph_step(state, u, params, history, naive=False):
             for f in state.fields()
         ]
     else:
-        lh = lie_derivative(DiffForm.from_scalar(2, state.h), u)
-        lth = lie_derivative(DiffForm.from_scalar(0, state.theta), u)
-        lv = lie_derivative(vector_to_oneform(DisplacementField(state.v1, state.v2)), u)
-        tend = [-c.values for c in lh.components + lth.components + lv.components]
+        tend = composed_transport(state, u)
     history.append(tend)
     del history[: -params.ab_order]
     coeffs = AB_COEFFS[len(history)]
@@ -312,4 +312,57 @@ def composed_run_morph(state, targets, params, naive=False):
     for _ in range(params.n_steps):
         u = composed_morph_velocity(state, targets)
         state = composed_morph_step(state, u, params, history, naive=naive)
+    return state
+
+
+def composed_tendency(state, params):
+    """The TSW tendencies of (h, Theta, v1, v2) as value arrays, each
+    derivative taken by its own `gradient` on grid values."""
+    from liemorph import ScalarField, gradient
+
+    g = state.grid
+    h, th, v1, v2 = (f.values for f in state.fields())
+
+    def grad(a):
+        return [c.values for c in gradient(ScalarField(g, a))]
+
+    hv1x, _ = grad(h * v1)
+    _, hv2y = grad(h * v2)
+    thx, thy = grad(th)
+    v1x, v1y = grad(v1)
+    v2x, v2y = grad(v2)
+    hthx, hthy = grad(h * th)
+    dh = -(hv1x + hv2y)
+    dth = -(v1 * thx + v2 * thy) - params.kappa * (h * th - params.h0 * params.theta0)
+    dv1 = -(v1 * v1x + v2 * v1y) + params.f * v2 - hthx + 0.5 * h * thx
+    dv2 = -(v1 * v2x + v2 * v2y) - params.f * v1 - hthy + 0.5 * h * thy
+    return [dh, dth, dv1, dv2]
+
+
+def composed_ab3_step(state, history, params, u=None):
+    """One model step composed on typed fields: `composed_tendency` (plus
+    `composed_transport` along u), Adams-Bashforth up to order 3 on the
+    values, `hou_li_filter(a=12)` per field."""
+    from liemorph import ScalarField, TSWState, hou_li_filter
+    from liemorph.tsw_model import AB_COEFFS
+
+    tend = composed_tendency(state, params)
+    if u is not None:
+        tend = [a + b for a, b in zip(tend, composed_transport(state, u))]
+    history.append(tend)
+    del history[:-3]
+    coeffs = AB_COEFFS[len(history)]
+    new = []
+    for i, fld in enumerate(state.fields()):
+        inc = sum(c * t[i] for c, t in zip(coeffs, reversed(history)))
+        vals = fld.values + params.dt * inc
+        new.append(hou_li_filter(ScalarField(state.grid, vals), a=12))
+    return TSWState(*new, time=state.time + params.dt)
+
+
+def composed_integrate(state, n_steps, params, u=None):
+    """n_steps of composed_ab3_step from a fresh history."""
+    history = []
+    for _ in range(n_steps):
+        state = composed_ab3_step(state, history, params, u)
     return state
