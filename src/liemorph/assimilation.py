@@ -9,17 +9,31 @@ al. 2007): a thin SVD of the R^-1/2-scaled d x Ne observation anomalies
 gives Ne x d weights W with K = Z_anom W, so the analysis costs
 O((n + d) Ne^2) time and O((n + d) Ne) memory for n state and d observed
 values, and no n x d or d x d matrix is ever formed.
+
+Both per-member stages, the spin-up and the morph, run members in batches:
+contiguous runs of members that advance in lockstep through the spectral
+kernels (`tsw_model._integrate_batch`, `morph_engine._run_morph_batch`),
+one FFT call per field for the whole batch.  A batch runs in-process with
+workers = 1 and as one pool job otherwise; results do not depend on the
+batching.  When a batch fails, the error names the lowest-index member
+that failed at the batch's first failing step, where serial code named
+the first failing member.
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .morph_engine import ObservablePair, run_morph
+from .morph_engine import ObservablePair, _run_morph_batch
 from .forms import DiffForm
 from .spectral_core import GridSpec, ScalarField, coarsen, refine
-from .tsw_model import InstabilityError, TSWState, double_vortex_ic, integrate, vorticity_of
+from .tsw_model import InstabilityError, TSWState, _integrate_batch, double_vortex_ic, vorticity_of
+
+# Not called here: perfbench/tracing.py wraps it at this module's
+# attribute, which is kept so that its span still resolves.
+from .morph_engine import run_morph  # noqa: F401
 
 __all__ = [
     "ObsSet",
@@ -87,6 +101,43 @@ def draw_center_offsets(rng, ne, mean=0.1, std=0.1):
     return rng.normal(mean, std, size=(ne, 2))
 
 
+# Largest batched field, in bytes: a batch holds at most this many bytes
+# per (B, nx, ny) float64 field.  Measured on 2 vCPUs (numpy 2.4.6), in ms
+# per member-step at B = 1 / 2 / 4 / 8: at 64^2 the morph took 3.03 / 2.15 /
+# 1.98 / 1.92 and the model 1.34 / 1.20 / 0.93 / 1.07, as members share the
+# per-call overhead; at 128^2 the morph took 8.58 / 8.95 / 9.02 / 9.63 and
+# the model 4.21 / 4.12 / 4.29 / 4.76; at 256^2 (B = 1 / 2 / 4) the morph
+# took 38.0 / 38.8 / 39.7 and the model 17.4 / 19.1 / 20.6, as larger
+# batches fall out of cache.  So 8 members batch at 64^2, 2 at 128^2
+# (within 4% of B = 1) and 1, the per-member kernel, at 256^2 and above.
+_BATCH_BYTES = 2**18
+
+
+def _batch_size(ne, workers, grid):
+    # at most ceil(ne / workers), so that every worker gets a batch
+    return min(math.ceil(ne / workers), max(1, _BATCH_BYTES // (8 * grid.nx * grid.ny)))
+
+
+def _run_batches(job, batches, workers):
+    """job(batch) for each batch, flattened into one list in member order;
+    in-process with workers = 1, else one pool job per batch."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(job, batches))
+    else:
+        results = [job(b) for b in batches]
+    return [r for batch in results for r in batch]
+
+
+def _spin_up(args):
+    ics, start, grid, spinup_steps, params = args
+    states = [double_vortex_ic(ic, grid, params) for ic in ics]
+    try:
+        return _integrate_batch(states, spinup_steps, params)
+    except InstabilityError as err:
+        raise InstabilityError(f"member {start + err.member} spin-up failed: {err}") from err
+
+
 def generate_ensemble(
     base_ic,
     grid,
@@ -96,26 +147,25 @@ def generate_ensemble(
     params,
     perturb_mean=0.1,
     perturb_std=0.1,
+    workers=1,
 ):
     """Spin up ne members from center-perturbed initial conditions.
 
     (ox, oy) are drawn from N(perturb_mean, perturb_std^2) with a seeded
-    generator, so identical seeds give bit-identical ensembles.
+    generator, so identical seeds give bit-identical ensembles.  Members
+    spin up in batches (see the module docstring); workers > 1 runs the
+    batches in separate processes with identical results.
     """
     if ne < 2:
         raise ValueError("need at least 2 members")
     rng = np.random.default_rng(seed)
     offsets = draw_center_offsets(rng, ne, perturb_mean, perturb_std)
-    members = []
-    for i, (ox, oy) in enumerate(offsets):
-        ic = replace(base_ic, ox=float(ox), oy=float(oy))
-        state = double_vortex_ic(ic, grid, params)
-        try:
-            state = integrate(state, spinup_steps, params)
-        except InstabilityError as err:
-            raise InstabilityError(f"member {i} spin-up failed: {err}") from err
-        members.append(state)
-    return Ensemble(members, rng_seed=seed)
+    ics = [replace(base_ic, ox=float(ox), oy=float(oy)) for ox, oy in offsets]
+    size = _batch_size(ne, workers, grid)
+    batches = [
+        (ics[i : i + size], i, grid, spinup_steps, params) for i in range(0, ne, size)
+    ]
+    return Ensemble(_run_batches(_spin_up, batches, workers), rng_seed=seed)
 
 
 def _gain_weights(y_anom, r_diag):
@@ -209,12 +259,12 @@ def _targets_from_obs(obs, fine):
     ]
 
 
-def _morph_member(args):
-    member, targets, morph_params, solver_params, naive, index = args
+def _morph(args):
+    members, start, targets, morph_params, solver_params, naive = args
     try:
-        return run_morph(member, targets, morph_params, solver_params, naive=naive)
+        return _run_morph_batch(members, targets, morph_params, solver_params, naive)
     except InstabilityError as err:
-        raise InstabilityError(f"morph of member {index}: {err}") from err
+        raise InstabilityError(f"morph of member {start + err.member}: {err}") from err
 
 
 def morph_ensemble(
@@ -222,20 +272,19 @@ def morph_ensemble(
 ):
     """Morph every member toward the observations (step 2-3 of the pipeline).
 
-    Member morphs are independent; workers > 1 runs them in separate
-    processes with identical results.  Returns the morphed ensemble and the
-    per-member traces.
+    Member morphs are independent and run in batches (see the module
+    docstring); each member's state and trace equal its own `run_morph`.
+    workers > 1 runs the batches in separate processes with identical
+    results.  Returns the morphed ensemble and the per-member traces.
     """
     targets = _targets_from_obs(obs, ensemble.grid)
-    jobs = [
-        (m, targets, morph_params, solver_params, naive, i)
-        for i, m in enumerate(ensemble.members)
+    members = ensemble.members
+    size = _batch_size(len(members), workers, ensemble.grid)
+    batches = [
+        (members[i : i + size], i, targets, morph_params, solver_params, naive)
+        for i in range(0, len(members), size)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_morph_member, jobs))
-    else:
-        results = [_morph_member(j) for j in jobs]
+    results = _run_batches(_morph, batches, workers)
     morphed = Ensemble([st for st, _ in results], rng_seed=ensemble.rng_seed)
     traces = [tr for _, tr in results]
     return morphed, traces

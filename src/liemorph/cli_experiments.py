@@ -240,6 +240,17 @@ def validate_config(raw):
         except (ValueError, TypeError) as err:
             errors.append(f"ic: {err}")
 
+    if grid is not None and model is not None and ic is not None:
+        # peak geostrophic speed of a Gaussian height bump, taken analytically:
+        # |grad(eta)| peaks at amplitude / (radius * sqrt(e))
+        vmax = model.theta0 / model.f * abs(ic.amplitude) / (ic.radius * np.sqrt(np.e))
+        advective = vmax * np.pi / min(grid.dx, grid.dy) * model.dt
+        if advective > AB3_COURANT_MAX:
+            errors.append(
+                f"ic.amplitude: advective Courant number max|v|*k_max*dt = "
+                f"{advective:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}"
+            )
+
     truth_steps = spinup_steps = 0
     hz = raw.get("horizons", {})
     if not isinstance(hz, dict):
@@ -458,6 +469,7 @@ def run_experiment(config):
         config.ic, config.grid, config.ensemble_size, config.seed,
         config.spinup_steps, config.model,
         perturb_mean=config.perturb_mean, perturb_std=config.perturb_std,
+        workers=config.workers,
     )
     _stage_outputs("prior", ensemble.members, truth, report)
 

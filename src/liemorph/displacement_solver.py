@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .forms import DiffForm, DisplacementField, _h1_norm_hat, h1_norm, lie_derivative
 from .spectral_core import ScalarField, _deriv, _deriv_hat, _inverse_helmholtz_values
@@ -123,7 +122,8 @@ def _combined_displacement_hat(pairs, grid, params=None):
 
     The Fourier-space equivalent of `combine_displacements` over
     `displacement_from_2forms(theta1, theta2)` for each pair, with the H1
-    norms taken by Parseval.
+    norms taken by Parseval; theta2 may carry a member axis, and each
+    member is normalized and averaged on its own.
 
     Args:
         pairs: (theta1 spectrum, theta2 values, theta2 spectrum) per
@@ -131,23 +131,27 @@ def _combined_displacement_hat(pairs, grid, params=None):
     """
     params = params or SolverParams()
     fields = [_displacement_2form_hat(*p, grid, params) for p in pairs]
-    mean = _normalized_mean(
+    return _normalized_mean(
         fields, [_h1_norm_hat(u, grid) for u in fields], _TOL_NORM_PER_AREA * grid.area
     )
-    if mean is None:
-        return np.zeros((2,) + grid._k2_r.shape, dtype=complex)
-    return mean
 
 
 def _normalized_mean(fields, norms, tol_norm):
-    # (1/m) sum u_i / n_i over the m fields with n_i >= tol_norm; None if m = 0
-    kept = [u * (1.0 / n) for u, n in zip(fields, norms) if n >= tol_norm]
-    if not kept:
-        return None
-    acc = kept[0]
-    for u in kept[1:]:
-        acc = acc + u
-    return acc * (1.0 / len(kept))
+    """(1/m) sum u_i / n_i over the m fields with n_i >= tol_norm, per member.
+
+    fields are stacked (2, ..., nx, ny) arrays and norms hold one value per
+    member; a member with m = 0 gets zeros.  Each member sees the serial
+    order of operations: u * (1/n), a sequential sum, then * (1/m).
+    """
+    acc = np.zeros_like(fields[0])
+    count = np.zeros(np.shape(norms[0]))
+    for u, n in zip(fields, norms):
+        kept = n >= tol_norm
+        term = u * (1.0 / np.where(kept, n, 1.0))[..., None, None]
+        np.copyto(acc, term, where=(kept & (count == 0))[..., None, None])
+        np.add(acc, term, out=acc, where=(kept & (count > 0))[..., None, None])
+        count += kept
+    return acc * (1.0 / np.maximum(count, 1.0))[..., None, None]
 
 
 def combine_displacements(fields, tol_norm=None):
@@ -167,8 +171,12 @@ def combine_displacements(fields, tol_norm=None):
             raise ValueError("displacements on mismatched grids")
     if tol_norm is None:
         tol_norm = _TOL_NORM_PER_AREA * grid.area
-    mean = _normalized_mean(fields, [h1_norm(u) for u in fields], tol_norm)
-    return DisplacementField.zeros(grid) if mean is None else mean
+    mean = _normalized_mean(
+        [np.stack([u.u1.values, u.u2.values]) for u in fields],
+        [np.float64(h1_norm(u)) for u in fields],
+        tol_norm,
+    )
+    return DisplacementField(ScalarField(grid, mean[0]), ScalarField(grid, mean[1]))
 
 
 def _lie_adjoint(theta, phi):
@@ -234,6 +242,10 @@ def generalized_optical_flow(theta, theta_t, params=None, callback=None):
         callback: optional function of the current stacked iterate, handed
             through to the CG loop (used for objective monitoring).
     """
+    # imported here: the pipeline never runs CG, and scipy.sparse costs
+    # start-up time and memory
+    from scipy.sparse.linalg import LinearOperator, cg
+
     params = params or SolverParams()
     if theta.grid != theta_t.grid or theta.degree != theta_t.degree:
         raise ValueError("forms must share grid and degree")

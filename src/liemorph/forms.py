@@ -7,7 +7,6 @@ vector fields are the identity on components; `vector_to_oneform` and
 """
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .spectral_core import (
     ScalarField,
@@ -209,17 +208,22 @@ def h1_norm(u):
     of the spectral curl and divergence up to rounding.
     """
     uh = np.stack([np.fft.rfft2(u.u1.values), np.fft.rfft2(u.u2.values)])
-    return _h1_norm_hat(uh, u.grid)
+    return float(_h1_norm_hat(uh, u.grid))
 
 
 def _h1_norm_hat(uh, grid):
-    # h1_norm of the displacement whose two rfft2 spectra are stacked in uh
+    # h1_norm of each displacement whose two rfft2 spectra are stacked in
+    # uh (2, ..., nx, ny//2+1): an array with one norm per member
     ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
     dens = 0.0
     for c in (uh[0], uh[1], ikx * uh[1] - iky * uh[0], ikx * uh[0] + iky * uh[1]):
         dens = dens + (c.real**2 + c.imag**2)
+    rows = dens.sum(axis=-2)
+    # one dot per member: a batched (B, nk) @ (nk,) rounds differently
+    w = grid._parseval_w
+    dots = np.array([r @ w for r in rows.reshape(-1, w.size)]).reshape(rows.shape[:-1])
     n = grid.nx * grid.ny
-    return float(np.sqrt(grid.area * (dens.sum(axis=0) @ grid._parseval_w) / n**2))
+    return np.sqrt(grid.area * dots / n**2)
 
 
 def _advect_hat(fh, u, grid):
@@ -318,6 +322,10 @@ def translation_map(tx, ty):
 
 def periodic_interpolate(f, xq, yq):
     """Evaluate a ScalarField at off-grid points by periodic bicubic splines."""
+    # imported here: the pipeline never interpolates, and scipy.ndimage
+    # costs start-up time and memory
+    from scipy.ndimage import map_coordinates
+
     g = f.grid
     coords = np.stack([np.asarray(xq) / g.dx, np.asarray(yq) / g.dy])
     return map_coordinates(f.values, coords, order=3, mode="grid-wrap")

@@ -6,6 +6,12 @@ theta_Theta = Theta (0-form), theta_v = v1 dx1 + v2 dx2 (1-form, chosen so
 vorticity is conserved).  The naive comparator transports all four fields
 as 0-forms.  The displacement map itself is never materialized; each step
 applies one epsilon-increment of the transport.
+
+The kernel carries a member axis: `_run_morph_batch` morphs a batch of
+states toward the same targets in lockstep, with the FFT calls of one
+member per step, and `run_morph` is its batch of one.  A batch reports
+the first failing step across its members (serial code would report the
+first failing member).
 """
 
 import csv
@@ -16,8 +22,16 @@ import numpy as np
 from .displacement_solver import _combined_displacement_hat
 from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
 from .spectral_core import ScalarField
-from .tsw_model import AB_COEFFS, _ab_advance, _fields, _irfft_all, _rfft_all, _state
-from .tsw_model import vorticity_of
+from .tsw_model import (
+    AB_COEFFS,
+    InstabilityError,
+    _ab_advance,
+    _fields,
+    _irfft_all,
+    _rfft_all,
+    _state,
+    vorticity_of,
+)
 
 # Not called here: perfbench/tracing.py wraps these at this module's
 # attributes, which are kept so that its spans still resolve.
@@ -119,33 +133,37 @@ class MorphTrace:
 
 
 def _mse(a, b):
-    return float(np.mean((a - b) ** 2))
+    # per member; the mean over the last two axes equals np.mean per member
+    return np.mean((a - b) ** 2, axis=(-2, -1))
 
 
 def field_mse(a, b):
     """Mean of squared pointwise differences."""
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
-    return _mse(a.values, b.values)
+    return float(_mse(a.values, b.values))
 
 
 def _totals(vals, omega, area):
-    # domain integrals by the mean-value quadrature, as domain_integral
+    # domain integrals by the mean-value quadrature, as domain_integral;
+    # one value per member
     return {
-        "mass": float(vals[0].mean()) * area,
-        "vorticity": float(omega.mean()) * area,
-        "buoyancy_integral": float(vals[1].mean()) * area,
+        "mass": vals[0].mean(axis=(-2, -1)) * area,
+        "vorticity": omega.mean(axis=(-2, -1)) * area,
+        "buoyancy_integral": vals[1].mean(axis=(-2, -1)) * area,
     }
 
 
 def conserved_totals(state):
     """Domain integrals of mass, vorticity and buoyancy."""
     vals = (state.h.values, state.theta.values)
-    return _totals(vals, vorticity_of(state).values, state.grid.area)
+    totals = _totals(vals, vorticity_of(state).values, state.grid.area)
+    return {name: float(v) for name, v in totals.items()}
 
 
-# The spectral kernel works on tsw_model's (vals, spec) state arrays; a
-# displacement is held as its values `u` (2, nx, ny) and spectra `uh`.
+# The spectral kernel works on tsw_model's (vals, spec) state arrays, with
+# or without a member axis; a displacement is held as its values `u`
+# (2, nx, ny), or (2, B, nx, ny), and spectra `uh`.
 _MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
 
 
@@ -171,7 +189,8 @@ def _velocity(observed, vals, spec, omega, grid, solver_params):
 
     observed holds (name, target values, target spectrum); omega is the
     state's (values, spectrum) vorticity.  The displacement solves and H1
-    norms stay in Fourier space; only u itself is transformed back.
+    norms stay in Fourier space, per member; only u itself is transformed
+    back.
     """
     if not observed:
         raise ValueError("morph_velocity needs at least one observable")
@@ -250,39 +269,74 @@ def run_morph(state, targets, params, solver_params=None, naive=False):
 
     The loop runs on spectra: each field is transformed once per step, and
     the vorticity is computed once per state for the velocity and the
-    trace.
+    trace.  It is `_run_morph_batch` with a batch of one.
 
     Returns:
         (final state, MorphTrace); the trace has one row per executed step
         plus the initial row.
     """
-    g = state.grid
-    observed = _target_spectra(targets, g)
-    vals = _fields(state)
-    spec = _rfft_all(vals)
-    trace = MorphTrace()
+    return _run_morph_batch([state], targets, params, solver_params, naive)[0]
 
-    def record(k, vals, spec):
+
+def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
+    """run_morph for states on one grid, advanced in lockstep; a list of
+    (final state, MorphTrace) in the order of `states`.
+
+    The members share every FFT call, so a step makes as many as one
+    member's, and each member's state and trace equal its own `run_morph`
+    bit for bit.  A member whose early-stop streak runs out leaves the
+    batch: its values, spectra and AB history are sliced off the member
+    axis.  An InstabilityError names the first failing step across the
+    batch; its `member` is the lowest failing index in `states`.
+    """
+    g = states[0].grid
+    observed = _target_spectra(targets, g)
+    vals = np.stack([_fields(s) for s in states], axis=1)
+    spec = _rfft_all(vals)
+    active = np.arange(len(states))
+    traces = [MorphTrace() for _ in states]
+    finals = [None] * len(states)
+
+    def record(k, vals, spec, active):
         omega = _vorticity(spec, g)
         obs = {"h": vals[0], "omega": omega[0]}
         mses = {name: _mse(obs[name], t) for name, t, _ in observed}
-        trace.record(k, mses.get("h", float("nan")), mses.get("omega", float("nan")),
-                     _totals(vals, omega[0], g.area))
+        totals = _totals(vals, omega[0], g.area)
+        nan = np.full(len(active), np.nan)
+        for j, i in enumerate(active):
+            traces[i].record(k, float(mses.get("h", nan)[j]), float(mses.get("omega", nan)[j]),
+                             {name: float(v[j]) for name, v in totals.items()})
         return omega, mses
 
-    omega, cur = record(0, vals, spec)
+    def finish(vals, members):
+        for j, i in enumerate(members):
+            finals[i] = _state(vals[:, j], g, states[i].time)
+
+    omega, cur = record(0, vals, spec, active)
     history = []
-    worse_streak = 0
+    worse_streak = np.zeros(len(states), dtype=int)
     for k in range(params.n_steps):
         u, uh = _velocity(observed, vals, spec, omega, g, solver_params)
-        vals, spec = _step(vals, spec, u, uh, history, params, naive, k, g)
+        try:
+            vals, spec = _step(vals, spec, u, uh, history, params, naive, k, g)
+        except InstabilityError as err:
+            err.member = int(active[err.member])
+            raise
         prev = cur
-        omega, cur = record(k + 1, vals, spec)
+        omega, cur = record(k + 1, vals, spec, active)
         if params.early_stop_patience is not None:
-            if all(cur[n] > prev[n] for n in cur):
-                worse_streak += 1
-            else:
-                worse_streak = 0
-            if worse_streak >= params.early_stop_patience:
-                break
-    return _state(vals, g, state.time), trace
+            worse = np.logical_and.reduce([cur[n] > prev[n] for n in cur])
+            worse_streak = np.where(worse, worse_streak + 1, 0)
+            done = worse_streak >= params.early_stop_patience
+            if done.any():
+                finish(vals[:, done], active[done])
+                keep = ~done
+                active, worse_streak = active[keep], worse_streak[keep]
+                vals, spec = vals[:, keep], spec[:, keep]
+                history[:] = [t[:, keep] for t in history]
+                omega = tuple(w[keep] for w in omega)
+                cur = {n: v[keep] for n, v in cur.items()}
+                if not active.size:
+                    break
+    finish(vals, active)
+    return list(zip(finals, traces))

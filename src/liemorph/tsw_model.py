@@ -10,6 +10,9 @@ in km / 100 s units.  Time stepping is Adams-Bashforth up to order 3 with a
 lower-order bootstrap, followed by the Hou-Li filter (a = 12) on every
 prognostic field.  The step runs in Fourier space (8 FFT pairs per step) and
 shares `_ab_advance` with the morph; the AB history holds opaque spectra.
+The kernel carries a member axis: `_integrate_batch` advances a batch of
+states in lockstep with the same 8 FFT calls per step, and `integrate` is
+its batch of one.
 """
 
 from dataclasses import dataclass
@@ -55,11 +58,16 @@ AB_COEFFS = {
 
 
 class InstabilityError(RuntimeError):
-    """A time step produced non-finite or non-positive prognostic fields."""
+    """A time step produced non-finite or non-positive prognostic fields.
 
-    def __init__(self, message, step=None):
+    `step` is the failing step and, in a batched kernel, `member` the
+    lowest failing index in the batch.
+    """
+
+    def __init__(self, message, step=None, member=None):
         super().__init__(message if step is None else f"step {step}: {message}")
         self.step = step
+        self.member = member
 
 
 @dataclass
@@ -165,7 +173,10 @@ class TSWTendency:
 
 # The spectral kernel.  A state is held as its values `vals` (4, nx, ny)
 # and their rfft2 spectra `spec` (4, nx, ny//2+1), in the order h, Theta,
-# v1, v2; a tendency is a spectrum of the same shape.
+# v1, v2; a tendency is a spectrum of the same shape.  A batch of members
+# adds a member axis after the field axis, vals (4, B, nx, ny): the
+# arithmetic broadcasts over it, each FFT call transforms one field of all
+# members, and reductions run over the last two axes only.
 _MODEL_ERRORS = ("non-finite field after AB step", "positivity lost")
 
 
@@ -216,7 +227,8 @@ def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors):
     AB sum, applies the Hou-Li multiplier `filter_a` and transforms each
     field back once.  Raises InstabilityError at `step`, with the message
     prefixes `errors`, when a field turns non-finite or h or Theta
-    non-positive.  Returns the new (vals, spec).
+    non-positive; with a member axis it names the lowest failing member.
+    Returns the new (vals, spec).
     """
     history.append(tend)
     del history[:-order]
@@ -227,12 +239,17 @@ def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors):
     new += spec
     new *= grid.hou_li(filter_a)
     vals = _irfft_all(new, grid)
-    nonfinite, positivity = errors
-    if not np.all(np.isfinite(vals)):
-        raise InstabilityError(nonfinite, step=step)
-    if vals[0].min() <= 0 or vals[1].min() <= 0:
-        raise InstabilityError(f"{positivity}: min h={vals[0].min():.4g}, "
-                               f"min Theta={vals[1].min():.4g}", step=step)
+    # per member; the lowest failing member is reported, with its own minima
+    finite = np.isfinite(vals).all(axis=(0, -2, -1))
+    hmin, thmin = vals[0].min(axis=(-2, -1)), vals[1].min(axis=(-2, -1))
+    failed = ~finite | (hmin <= 0) | (thmin <= 0)
+    if failed.any():
+        b = int(np.flatnonzero(failed)[0])
+        nonfinite, positivity = errors
+        if not finite.flat[b]:
+            raise InstabilityError(nonfinite, step=step, member=b)
+        raise InstabilityError(f"{positivity}: min h={hmin.flat[b]:.4g}, "
+                               f"min Theta={thmin.flat[b]:.4g}", step=step, member=b)
     return vals, new
 
 
@@ -283,24 +300,38 @@ def ab3_step(state, history, params, u=None, step=None):
 def integrate(state, n_steps, params, monitor=None):
     """Run n_steps of the ab3_step scheme from a fresh tendency history.
 
-    The loop runs on spectra: 6 rfft2 + 10 irfft2 per step.
+    The loop runs on spectra: 6 rfft2 + 10 irfft2 per step.  It is
+    `_integrate_batch` with a batch of one.
 
     Args:
         monitor: optional callback (step, state) invoked after each step;
             receives the positivity diagnostics via state.min_diagnostics().
     """
-    g = state.grid
-    vals = _fields(state)
+    each = None if monitor is None else (lambda k, states: monitor(k, states[0]))
+    return _integrate_batch([state], n_steps, params, each)[0]
+
+
+def _integrate_batch(states, n_steps, params, monitor=None):
+    """integrate for states on one grid, advanced in lockstep; a list.
+
+    The members share every FFT call, so a step makes 6 rfft2 + 10 irfft2
+    whatever their number, and each member's result equals its own
+    `integrate` bit for bit.  An InstabilityError names the first failing
+    step across the batch; its `member` is the lowest failing index in
+    `states`.  monitor(step, states) is invoked after each step.
+    """
+    g = states[0].grid
+    vals = np.stack([_fields(s) for s in states], axis=1)
     spec = _rfft_all(vals)
-    time = state.time
+    times = np.array([s.time for s in states])
     history = []
     for k in range(n_steps):
         tend = _tendency_hat(vals, spec, params, g)
         vals, spec = _ab_advance(spec, tend, history, 3, params.dt, 12, g, k, _MODEL_ERRORS)
-        time = time + params.dt
+        times = times + params.dt
         if monitor is not None:
-            monitor(k, _state(vals, g, time))
-    return _state(vals, g, time)
+            monitor(k, [_state(vals[:, b], g, t) for b, t in enumerate(times)])
+    return [_state(vals[:, b], g, t) for b, t in enumerate(times)]
 
 
 def _wrapped_gauss(x, y, cx, cy, radius, lx, ly):

@@ -23,18 +23,24 @@ from liemorph import (
     double_vortex_ic,
     enkf_analysis,
     generate_ensemble,
+    integrate,
     kalman_gain,
     morphed_enkf,
     observe,
     refine,
+    run_morph,
     vorticity_of,
 )
 from liemorph.assimilation import (
     Ensemble,
     ObsSet,
+    _batch_size,
+    _spin_up,
+    _targets_from_obs,
     draw_center_offsets,
     morph_ensemble,
 )
+from liemorph.tsw_model import _integrate_batch
 from oracles import explicit_covariance_gain, random_band_limited
 
 TWO_PI = 2.0 * np.pi
@@ -386,3 +392,85 @@ class TestEnsembleContainer:
     def test_len_and_grid(self, ensemble):
         assert len(ensemble) == 8
         assert ensemble.grid == FINE
+
+
+def assert_same_state(a, b):
+    assert a.time == b.time
+    for fa, fb in zip(a.fields(), b.fields()):
+        assert np.array_equal(fa.values, fb.values)
+
+
+class TestMemberBatches:
+    """Batched spin-up and morph equal the per-member kernels bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spinup_equals_per_member_integrate(self, params, workers):
+        """8 members at 64^2 run as one batch of 8, or two of 4 on 2 workers."""
+        ens = generate_ensemble(VortexIC(), FINE, 8, seed=1234, spinup_steps=20,
+                                params=params, workers=workers)
+        offsets = draw_center_offsets(np.random.default_rng(1234), 8)
+        for member, (ox, oy) in zip(ens.members, offsets):
+            ic = VortexIC(ox=float(ox), oy=float(oy))
+            assert_same_state(member, integrate(double_vortex_ic(ic, FINE, params), 20, params))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_morph_equals_per_member_run_morph(self, ensemble, truth, naive, workers):
+        obs = observe(truth, COARSE)
+        mp = MorphParams(epsilon=10.0, n_steps=10)
+        morphed, traces = morph_ensemble(ensemble, obs, mp, naive=naive, workers=workers)
+        targets = _targets_from_obs(obs, FINE)
+        for member, got, trace in zip(ensemble.members, morphed.members, traces):
+            ref, ref_trace = run_morph(member, targets, mp, naive=naive)
+            assert_same_state(got, ref)
+            assert trace.rows == ref_trace.rows
+
+    def test_early_stopped_members_leave_the_batch(self, ensemble, truth):
+        """An overshooting epsilon stops the members at different steps;
+        each one's state and trace still equal its own run_morph."""
+        obs = observe(truth, COARSE)
+        mp = MorphParams(epsilon=300.0, n_steps=40, early_stop_patience=2)
+        morphed, traces = morph_ensemble(ensemble, obs, mp)
+        assert len({len(t) for t in traces}) > 1
+        assert max(len(t) for t in traces) < 41
+        targets = _targets_from_obs(obs, FINE)
+        for member, got, trace in zip(ensemble.members, morphed.members, traces):
+            ref, ref_trace = run_morph(member, targets, mp)
+            assert_same_state(got, ref)
+            assert trace.rows == ref_trace.rows
+
+    def test_morph_error_names_the_failing_member(self, ensemble, truth):
+        """Of three members only member 1 loses positivity within 4 steps
+        (at step 3); the error is the one its own run_morph raises."""
+        obs = observe(truth, COARSE)
+        mp = MorphParams(epsilon=3000.0, n_steps=4)
+        with pytest.raises(InstabilityError) as alone:
+            run_morph(ensemble.members[1], _targets_from_obs(obs, FINE), mp)
+        assert alone.value.step == 3
+        with pytest.raises(InstabilityError) as exc:
+            morph_ensemble(Ensemble(ensemble.members[:3], rng_seed=0), obs, mp)
+        assert str(exc.value) == f"morph of member 1: {alone.value}"
+
+    def test_spinup_error_names_the_failing_member(self, params):
+        """A 30x anomaly in the middle of a batch fails at its own step,
+        with its own minima; the job adds the batch's first member index."""
+        ics = [VortexIC(), VortexIC(amplitude=3.0), VortexIC(ox=0.2)]
+        states = [double_vortex_ic(ic, FINE, params) for ic in ics]
+        with pytest.raises(InstabilityError) as alone:
+            integrate(states[1], 50, params)
+        with pytest.raises(InstabilityError) as batch:
+            _integrate_batch(states, 50, params)
+        assert (batch.value.member, batch.value.step) == (1, alone.value.step)
+        assert str(batch.value) == str(alone.value)
+        with pytest.raises(InstabilityError) as job:
+            _spin_up((ics, 4, FINE, 50, params))
+        assert str(job.value) == f"member 5 spin-up failed: {alone.value}"
+
+    def test_batch_size_rule(self):
+        """One batched field stays within 256 KiB, and no worker is idle."""
+        grids = {n: GridSpec(n, n, 5000.0, 5000.0) for n in (32, 64, 128, 256, 512)}
+        assert [_batch_size(20, 1, grids[n]) for n in (64, 128, 256, 512)] == [8, 2, 1, 1]
+        assert _batch_size(8, 2, grids[64]) == 4
+        assert _batch_size(3, 2, grids[64]) == 2
+        assert _batch_size(20, 1, grids[32]) == 20
+        assert _batch_size(2, 2, grids[256]) == 1

@@ -7,6 +7,8 @@ validated here, not executed.
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +122,22 @@ class TestValidateConfig:
         assert "1.59" in courant[0] and "largest stable dt is 0.4522" in courant[0]
         raw["model"]["dt"] = 0.45
         raw["workers"] = 1
+        validate_config(raw)
+
+    def test_rejects_advective_courant_number(self):
+        """A 20x height anomaly on the 32^2 grid passes the gravity-wave
+        check but its peak geostrophic speed gives an advective Courant
+        number of ~6.0; it used to die at truth step 1 with min h = -66.
+        The presets give 0.06."""
+        raw = small_raw()
+        raw["ic"]["amplitude"] = 20.0
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        assert exc.value.errors == [
+            "ic.amplitude: advective Courant number max|v|*k_max*dt = 5.98 "
+            "exceeds the AB3 bound 0.72"
+        ]
+        raw["ic"]["amplitude"] = 0.1
         validate_config(raw)
 
     def test_coarse_grid_must_divide_fine(self):
@@ -288,6 +306,22 @@ class TestCommandLine:
         assert main(["validate", path]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_validate_imports_no_scipy(self, tmp_path):
+        """scipy is imported only by the solvers the pipeline never calls
+        (CG optical flow, spline pushforward), so set-up skips its cost."""
+        path = self.write_config(tmp_path, small_raw())
+        code = (
+            "import sys, liemorph\n"
+            "from liemorph.cli_experiments import main\n"
+            f"assert main(['validate', {path!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.splitlines()[-1] == "[]"
+
     def test_validate_reports_each_error_with_exit_2(self, tmp_path, capsys):
         raw = small_raw()
         raw["pipeline"] = "teleport"
@@ -325,13 +359,16 @@ class TestCommandLine:
         assert (tmp_path / "out" / "manifest.json").exists()
 
     def test_run_instability_exits_3(self, tmp_path, capsys):
-        # a 20x height anomaly drives h negative in the first truth step,
-        # at a dt that passes the Courant check
-        raw = small_raw(pipeline="plain-enkf")
-        raw["ic"]["amplitude"] = 20.0
+        # an epsilon of 1e4 overshoots the morph until h turns negative,
+        # in a config that passes every pre-flight check
+        raw = small_raw(pipeline="morph-only")
+        raw["morph"]["epsilon"] = 1e4
+        raw["morph"]["n_steps"] = 20
         cfg = self.write_config(tmp_path, raw)
-        assert main(["run", cfg]) == 3
-        assert "numerical instability" in capsys.readouterr().err
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical instability" in err
+        assert "morph of member 0: step 4: positivity lost during morph" in err
 
     def test_worker_env_cap_applies(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LIEMORPH_MAX_WORKERS", "1")

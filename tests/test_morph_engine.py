@@ -31,7 +31,7 @@ from liemorph import (
     run_morph,
     vorticity_of,
 )
-from liemorph.morph_engine import MorphTrace
+from liemorph.morph_engine import MorphTrace, _run_morph_batch
 from oracles import composed_run_morph, random_band_limited
 
 TWO_PI = 2.0 * np.pi
@@ -306,6 +306,22 @@ class TestSpectralKernel:
         run_morph(member, targets, MorphParams(epsilon=10.0, n_steps=10), naive=naive)
         assert (counts["rfft2"], counts["irfft2"]) == expected
         assert sum(expected) / 2 / 10 <= 16
+
+    @pytest.mark.parametrize("naive, expected", [(False, (15, 22)), (True, (14, 20))])
+    def test_batch_fft_count_equals_one_member(
+        self, grid_km, params, count_ffts, naive, expected
+    ):
+        """A batch of 8 shares every call: one morph step makes the FFT
+        calls of a batch of one (set-up included)."""
+        member, targets = vortex_morph_case(grid_km, params)
+        states = [member] + [
+            double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(7)
+        ]
+        counts = count_ffts()
+        for batch in (states[:1], states):
+            _run_morph_batch(batch, targets, MorphParams(epsilon=10.0, n_steps=1), naive=naive)
+            assert (counts["rfft2"], counts["irfft2"]) == expected
+            counts.update(rfft2=0, irfft2=0)
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_matches_composed_reference(self, grid_km, params, naive):

@@ -25,7 +25,7 @@ from liemorph import (
     nudged_tendency,
     vorticity_of,
 )
-from liemorph.tsw_model import AB_COEFFS, ab3_step, tendency
+from liemorph.tsw_model import AB_COEFFS, _integrate_batch, ab3_step, tendency
 from oracles import composed_integrate, random_band_limited
 
 TWO_PI = 2.0 * np.pi
@@ -191,6 +191,16 @@ class TestSpectralKernel:
         counts = count_ffts()
         integrate(state, 5, params)
         assert (counts["rfft2"], counts["irfft2"]) == (4 + 6 * 5, 10 * 5)
+
+    def test_batch_fft_count_equals_one_member(self, grid_km, params, count_ffts):
+        """A batch of 8 shares every call: one model step makes the
+        4 + 6 rfft2 and 10 irfft2 of a batch of one."""
+        states = [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(8)]
+        counts = count_ffts()
+        for batch in (states[:1], states):
+            _integrate_batch(batch, 1, params)
+            assert (counts["rfft2"], counts["irfft2"]) == (10, 10)
+            counts.update(rfft2=0, irfft2=0)
 
     def test_nudged_ab3_step_fft_count(self, grid_km, params, count_ffts):
         """The plain step's 10 + 10, 2 rfft2 of u and the tensor
