@@ -8,9 +8,13 @@ A JSON config (versioned schema) selects one pipeline:
     morph-only          per-member morph, no analysis
     nudging-run         one member integrated with the displacement nudge
 
+`validate_config` reads the config by one table of keys and kinds,
+`SCHEMA`; the parameter classes it builds check their own ranges.
+
 Outputs are raw float64 field dumps with JSON sidecars, CSV metrics, PGM
 renders and a hashed manifest; identical configs and seeds reproduce the
-manifest bit for bit.
+manifest bit for bit.  A run is written beside its output directory and
+renamed into place, replacing only an empty directory or an earlier run.
 """
 
 import argparse
@@ -25,6 +29,7 @@ import numpy as np
 
 from .assimilation import (
     _targets_from_obs,
+    draw_center_offsets,
     enkf_analysis,
     generate_ensemble,
     morph_ensemble,
@@ -33,6 +38,8 @@ from .assimilation import (
 from .morph_engine import (
     MorphParams,
     MorphTrace,
+    _mse,
+    _totals,
     conserved_totals,
     field_mse,
     morph_velocity,
@@ -41,8 +48,8 @@ from .spectral_core import GridSpec, ScalarField
 from .tsw_model import (
     InstabilityError,
     ModelParams,
-    TSWState,
     VortexIC,
+    _state,
     ab3_step,
     double_vortex_ic,
     integrate,
@@ -126,6 +133,65 @@ PRESET_NOTES = {
 }
 
 
+def _is_num(v):
+    return type(v) is int or type(v) is float and bool(np.isfinite(v))
+
+
+# A kind is (what a value must be, its test); `type(v) is int` keeps out
+# JSON's true and false.  Ranges are checked by the classes built from a
+# section, and the other ranges here.
+INT = ("an integer", lambda v: type(v) is int)
+NUM = ("a finite number", _is_num)
+COUNT = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+SPAN = ("a nonnegative number", lambda v: _is_num(v) and v >= 0)
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+SECTIONS = ("grid", "model", "ic", "horizons", "ensemble", "morph", "nudging", "observation")
+# The keys of the config ("") and of each section with their kinds, and
+# after the kind the default of a key that may be left out.
+SCHEMA = {
+    "": {
+        "schema_version": (f"{SCHEMA_VERSION}", lambda v: type(v) is int and v == SCHEMA_VERSION),
+        "name": ("a string", lambda v: isinstance(v, str), "experiment"),
+        "pipeline": (f"one of {', '.join(PIPELINES)}", lambda v: v in PIPELINES),
+        **dict.fromkeys(SECTIONS, OBJECT), "nudging": (*OBJECT, {}), "observation": (*OBJECT, {}),
+        "output_dir": ("a nonempty string", lambda v: isinstance(v, str) and v != ""),
+        "workers": ("a positive integer", lambda v: type(v) is int and v >= 1, 1),
+    },
+    "grid": {"nx": INT, "ny": INT, "lx": NUM, "ly": NUM, "coarse_nx": INT, "coarse_ny": INT},
+    "model": {"f": NUM, "kappa": NUM, "h0": NUM, "theta0": NUM, "dt": NUM},
+    "ic": {"amplitude": NUM, "radius": NUM, "separation": NUM, "theta_amplitude": NUM,
+           "perturb_mean": NUM, "perturb_std": SPAN},
+    "horizons": {"truth_steps": (*COUNT, None), "truth_time": (*SPAN, None),
+                 "spinup_steps": (*COUNT, None), "spinup_time": (*SPAN, None)},
+    "ensemble": {"size": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
+                 "seed": INT, "obs_noise_seed": INT},
+    "morph": {"epsilon": NUM, "n_steps": INT, "filter_a": NUM, "ab_order": INT,
+              "early_stop_patience": ("an integer or null",
+                                      lambda v: v is None or type(v) is int, None)},
+    "nudging": {"steps": (*COUNT, 0), "strength": (*NUM, 1.0)},
+    "observation": {"r_scale": ("a positive number", lambda v: _is_num(v) and v > 0, 1.0)},
+}
+
+
+def _read(section, name, errors):
+    """The keys of one config section that have their SCHEMA kind, with
+    defaults for those left out; a bad or missing key adds an error."""
+    prefix = f"{name}." if name else ""
+    errors += [f"unknown key {prefix}{key}" for key in section if key not in SCHEMA[name]]
+    values = {}
+    for key, (what, ok, *default) in SCHEMA[name].items():
+        if key not in section:
+            if default:
+                values[key] = default[0]
+            else:
+                errors.append(f"missing key {prefix}{key}")
+        elif ok(section[key]):
+            values[key] = section[key]
+        else:
+            errors.append(f"{prefix}{key} must be {what}")
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment configuration."""
@@ -152,64 +218,33 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-def _steps_from_horizon(section, key, dt, errors):
-    steps_key, time_key = f"{key}_steps", f"{key}_time"
-    has_steps, has_time = steps_key in section, time_key in section
-    if has_steps == has_time:
-        errors.append(f"horizons: give exactly one of {steps_key} or {time_key}")
-        return 0
-    if has_steps:
-        n = section[steps_key]
-        if not isinstance(n, int) or n < 0:
-            errors.append(f"horizons.{steps_key} must be a nonnegative integer")
-            return 0
-        return n
-    t = section[time_key]
-    if not isinstance(t, (int, float)) or t < 0:
-        errors.append(f"horizons.{time_key} must be a nonnegative number")
-        return 0
-    return int(round(t / dt))
-
-
-def _require(section, name, keys, errors):
-    if not isinstance(section, dict):
-        errors.append(f"{name} must be an object")
-        return False
-    missing = [k for k in keys if k not in section]
-    if missing:
-        errors.append(f"{name} missing keys: {', '.join(missing)}")
-    return not missing
-
-
 def validate_config(raw):
     """Build an ExperimentConfig, collecting every error before failing."""
-    errors = []
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        errors.append(f"schema_version must be {SCHEMA_VERSION}")
-    pipeline = raw.get("pipeline")
-    if pipeline not in PIPELINES:
-        errors.append(f"pipeline must be one of {', '.join(PIPELINES)}")
+    errors = []
+    top = _read(raw, "", errors)
+    # a section that is missing or not an object was reported by the top level
+    g, m, i, hz, e, mo, nu, ob = (
+        _read(top[name], name, errors) if name in top else {} for name in SECTIONS)
 
-    grid = coarse = None
-    g = raw.get("grid", {})
-    if _require(g, "grid", ("nx", "ny", "lx", "ly", "coarse_nx", "coarse_ny"), errors):
-        try:
-            grid = GridSpec(g["nx"], g["ny"], g["lx"], g["ly"])
-            coarse = GridSpec(g["coarse_nx"], g["coarse_ny"], g["lx"], g["ly"])
-            if grid.nx % coarse.nx or grid.ny % coarse.ny:
-                errors.append("grid: coarse resolutions must divide fine resolutions")
-        except (ValueError, TypeError) as err:
-            errors.append(f"grid: {err}")
+    def build(name, section, make):
+        # the section's object, once each of its keys has its kind
+        if section.keys() == SCHEMA[name].keys():
+            try:
+                return make(section)
+            except ValueError as err:
+                errors.append(f"{name}: {err}")
+        return None
 
-    model = None
-    m = raw.get("model", {})
-    if _require(m, "model", ("f", "kappa", "h0", "theta0", "dt"), errors):
-        try:
-            model = ModelParams(**m)
-        except (ValueError, TypeError) as err:
-            errors.append(f"model: {err}")
+    grid, coarse = build("grid", g, lambda s: (
+        GridSpec(s["nx"], s["ny"], s["lx"], s["ly"]),
+        GridSpec(s["coarse_nx"], s["coarse_ny"], s["lx"], s["ly"]))) or (None, None)
+    if grid is not None and (grid.nx % coarse.nx or grid.ny % coarse.ny):
+        errors.append("grid: coarse resolutions must divide fine resolutions")
+    model = build("model", m, lambda s: ModelParams(**s))
+    ic = build("ic", i, lambda s: VortexIC(**{k: v for k, v in s.items() if "perturb" not in k}))
+    morph = build("morph", mo, lambda s: MorphParams(**s))
 
     if grid is not None and model is not None:
         # fastest model mode: a gravity wave at the grid Nyquist wavenumber
@@ -220,121 +255,35 @@ def validate_config(raw):
                 f"{rate * model.dt:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}; "
                 f"the largest stable dt is {AB3_COURANT_MAX / rate:.4g}"
             )
+        if ic is not None:
+            # peak geostrophic speed of a Gaussian height bump, taken
+            # analytically: |grad(eta)| peaks at amplitude / (radius * sqrt(e))
+            vmax = model.theta0 / model.f * abs(ic.amplitude) / (ic.radius * np.sqrt(np.e))
+            advective = vmax * np.pi / min(grid.dx, grid.dy) * model.dt
+            if advective > AB3_COURANT_MAX:
+                errors.append(
+                    f"ic.amplitude: advective Courant number max|v|*k_max*dt = "
+                    f"{advective:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}"
+                )
 
-    ic = None
-    perturb_mean = perturb_std = 0.0
-    i = raw.get("ic", {})
-    if _require(i, "ic", ("amplitude", "radius", "separation", "theta_amplitude",
-                          "perturb_mean", "perturb_std"), errors):
-        try:
-            ic = VortexIC(
-                amplitude=i["amplitude"],
-                radius=i["radius"],
-                separation=i["separation"],
-                theta_amplitude=i["theta_amplitude"],
-            )
-            perturb_mean = float(i["perturb_mean"])
-            perturb_std = float(i["perturb_std"])
-            if perturb_std < 0:
-                errors.append("ic.perturb_std must be nonnegative")
-        except (ValueError, TypeError) as err:
-            errors.append(f"ic: {err}")
-
-    if grid is not None and model is not None and ic is not None:
-        # peak geostrophic speed of a Gaussian height bump, taken analytically:
-        # |grad(eta)| peaks at amplitude / (radius * sqrt(e))
-        vmax = model.theta0 / model.f * abs(ic.amplitude) / (ic.radius * np.sqrt(np.e))
-        advective = vmax * np.pi / min(grid.dx, grid.dy) * model.dt
-        if advective > AB3_COURANT_MAX:
-            errors.append(
-                f"ic.amplitude: advective Courant number max|v|*k_max*dt = "
-                f"{advective:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}"
-            )
-
-    truth_steps = spinup_steps = 0
-    hz = raw.get("horizons", {})
-    if not isinstance(hz, dict):
-        errors.append("horizons must be an object")
-    elif model is not None:
-        truth_steps = _steps_from_horizon(hz, "truth", model.dt, errors)
-        spinup_steps = _steps_from_horizon(hz, "spinup", model.dt, errors)
-
-    ensemble_size = seed = obs_noise_seed = 0
-    e = raw.get("ensemble", {})
-    if _require(e, "ensemble", ("size", "seed", "obs_noise_seed"), errors):
-        ensemble_size = e["size"]
-        seed, obs_noise_seed = e["seed"], e["obs_noise_seed"]
-        if not isinstance(ensemble_size, int) or ensemble_size < 2:
-            errors.append("ensemble.size must be an integer >= 2")
-        for key in ("seed", "obs_noise_seed"):
-            if not isinstance(e[key], int):
-                errors.append(f"ensemble.{key} must be an integer")
-
-    morph = None
-    mo = raw.get("morph", {})
-    if _require(mo, "morph", ("epsilon", "n_steps", "filter_a", "ab_order"), errors):
-        try:
-            morph = MorphParams(
-                epsilon=mo["epsilon"],
-                n_steps=mo["n_steps"],
-                filter_a=mo["filter_a"],
-                ab_order=mo["ab_order"],
-                early_stop_patience=mo.get("early_stop_patience"),
-            )
-        except (ValueError, TypeError) as err:
-            errors.append(f"morph: {err}")
-
-    nudging_steps, nudging_strength = 0, 1.0
-    nu = raw.get("nudging", {"steps": 0, "strength": 1.0})
-    if not isinstance(nu, dict):
-        errors.append("nudging must be an object")
-    else:
-        nudging_steps = nu.get("steps", 0)
-        nudging_strength = nu.get("strength", 1.0)
-        if not isinstance(nudging_steps, int) or nudging_steps < 0:
-            errors.append("nudging.steps must be a nonnegative integer")
-        if not isinstance(nudging_strength, (int, float)):
-            errors.append("nudging.strength must be a number")
-
-    r_scale = 1.0
-    ob = raw.get("observation", {})
-    if not isinstance(ob, dict):
-        errors.append("observation must be an object")
-    else:
-        r_scale = ob.get("r_scale", 1.0)
-        if not isinstance(r_scale, (int, float)) or r_scale <= 0:
-            errors.append("observation.r_scale must be a positive number")
-
-    output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        errors.append("output_dir must be a nonempty string")
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        errors.append("workers must be a positive integer")
+    steps = {}
+    given = top.get("horizons", {})
+    for key in ("truth", "spinup"):
+        n, t = hz.get(f"{key}_steps"), hz.get(f"{key}_time")
+        if hz and (f"{key}_steps" in given) == (f"{key}_time" in given):
+            errors.append(f"horizons: give exactly one of {key}_steps or {key}_time")
+        elif model is not None and (n, t) != (None, None):
+            steps[key] = n if t is None else int(round(t / model.dt))
 
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(
-        name=raw.get("name", "experiment"),
-        pipeline=pipeline,
-        grid=grid,
-        coarse=coarse,
-        model=model,
-        ic=ic,
-        perturb_mean=perturb_mean,
-        perturb_std=perturb_std,
-        truth_steps=truth_steps,
-        spinup_steps=spinup_steps,
-        ensemble_size=ensemble_size,
-        seed=seed,
-        obs_noise_seed=obs_noise_seed,
-        morph=morph,
-        nudging_steps=nudging_steps,
-        nudging_strength=nudging_strength,
-        r_scale=float(r_scale),
-        output_dir=output_dir,
-        workers=workers,
-        raw=raw,
+        name=top["name"], pipeline=top["pipeline"], grid=grid, coarse=coarse, model=model,
+        ic=ic, perturb_mean=i["perturb_mean"], perturb_std=i["perturb_std"],
+        truth_steps=steps["truth"], spinup_steps=steps["spinup"], ensemble_size=e["size"],
+        seed=e["seed"], obs_noise_seed=e["obs_noise_seed"], morph=morph,
+        nudging_steps=nu["steps"], nudging_strength=nu["strength"],
+        r_scale=float(ob["r_scale"]), output_dir=top["output_dir"], workers=top["workers"], raw=raw,
     )
 
 
@@ -381,56 +330,16 @@ class ExperimentReport:
         raise KeyError((stage, variable, kind))
 
 
-def _state_dumps(state, stage, member=None):
-    named = [("h", state.h), ("theta", state.theta), ("v1", state.v1),
-             ("v2", state.v2), ("omega", vorticity_of(state))]
-    return [FieldDump(name, stage, member, fld) for name, fld in named]
+FIELD_NAMES = ("h", "theta", "v1", "v2", "omega")
 
 
-def _ensemble_mean(members):
-    grid = members[0].grid
-    out = []
-    for k in range(4):
-        acc = np.zeros(grid.shape)
-        for m in members:
-            acc += m.fields()[k].values
-        out.append(ScalarField(grid, acc / len(members)))
-    # every member has h, Theta > 0, so their mean passes TSWState's checks
-    return TSWState(*out, time=members[0].time)
+def _with_vorticity(state):
+    """The ScalarFields h, Theta, v1, v2 and the vorticity omega of a state."""
+    return (*state.fields(), vorticity_of(state))
 
 
-def _mse_rows(stage, members, truth, rows):
-    """MSE of the ensemble-mean field and member-mean MSE, per variable."""
-    truth_named = [("h", truth.h), ("theta", truth.theta), ("v1", truth.v1),
-                   ("v2", truth.v2), ("omega", vorticity_of(truth))]
-    mean_state = _ensemble_mean(members)
-    for idx, (name, tf) in enumerate(truth_named):
-        member_fields = [
-            m.fields()[idx] if idx < 4 else vorticity_of(m) for m in members
-        ]
-        per_member = [field_mse(f, tf) for f in member_fields]
-        rows.append((stage, name, "member_mean_mse", float(np.mean(per_member))))
-        mean_field = mean_state.fields()[idx] if idx < 4 else vorticity_of(mean_state)
-        rows.append((stage, name, "mean_field_mse", field_mse(mean_field, tf)))
-    v_mm = 0.5 * (rows_val(rows, stage, "v1", "member_mean_mse")
-                  + rows_val(rows, stage, "v2", "member_mean_mse"))
-    rows.append((stage, "v", "member_mean_mse", v_mm))
-    v_mf = 0.5 * (rows_val(rows, stage, "v1", "mean_field_mse")
-                  + rows_val(rows, stage, "v2", "mean_field_mse"))
-    rows.append((stage, "v", "mean_field_mse", v_mf))
-
-
-def rows_val(rows, stage, variable, kind):
-    for s, v, k, val in rows:
-        if (s, v, k) == (stage, variable, kind):
-            return val
-    raise KeyError((stage, variable, kind))
-
-
-def _totals_rows(stage, members, rows):
-    for i, m in enumerate(members):
-        t = conserved_totals(m)
-        rows.append((stage, i, t["mass"], t["vorticity"], t["buoyancy_integral"]))
+def _dumps(stage, member, fields):
+    return [FieldDump(name, stage, member, f) for name, f in zip(FIELD_NAMES, fields)]
 
 
 def run_experiment(config):
@@ -438,30 +347,22 @@ def run_experiment(config):
     t_start = time.perf_counter()
     report = ExperimentReport(config=config.raw)
 
-    truth_ic = VortexIC(
-        ox=0.0, oy=0.0, amplitude=config.ic.amplitude, radius=config.ic.radius,
-        separation=config.ic.separation, theta_amplitude=config.ic.theta_amplitude,
-    )
     try:
-        truth = integrate(
-            double_vortex_ic(truth_ic, config.grid, config.model),
-            config.truth_steps, config.model,
-        )
+        truth = integrate(double_vortex_ic(config.ic, config.grid, config.model),
+                          config.truth_steps, config.model)
     except InstabilityError as err:
         raise InstabilityError(f"truth run: {err}") from err
-    report.fields += _state_dumps(truth, "truth")
+    truth_fields = _with_vorticity(truth)
+    report.fields += _dumps("truth", None, truth_fields)
 
     obs = observe(truth, config.coarse)
-    if config.r_scale != 1.0:
-        obs = dc_replace(obs, r_h=obs.r_h * config.r_scale,
-                         r_omega=obs.r_omega * config.r_scale)
-    report.fields.append(FieldDump("h_obs", "obs", None, obs.h_obs))
-    report.fields.append(FieldDump("omega_obs", "obs", None, obs.omega_obs))
-    report.metrics_rows.append(("obs", "h", "r", obs.r_h))
-    report.metrics_rows.append(("obs", "omega", "r", obs.r_omega))
+    obs = dc_replace(obs, r_h=obs.r_h * config.r_scale, r_omega=obs.r_omega * config.r_scale)
+    report.fields += [FieldDump("h_obs", "obs", None, obs.h_obs),
+                      FieldDump("omega_obs", "obs", None, obs.omega_obs)]
+    report.metrics_rows += [("obs", "h", "r", obs.r_h), ("obs", "omega", "r", obs.r_omega)]
 
     if config.pipeline == "nudging-run":
-        _run_nudging(config, truth, obs, report)
+        _run_nudging(config, truth_fields, obs, report)
         report.runtime_seconds = time.perf_counter() - t_start
         return report
 
@@ -471,9 +372,8 @@ def run_experiment(config):
         perturb_mean=config.perturb_mean, perturb_std=config.perturb_std,
         workers=config.workers,
     )
-    _stage_outputs("prior", ensemble.members, truth, report)
+    _stage_outputs("prior", ensemble.members, truth_fields, report)
 
-    traces = []
     if config.pipeline == "plain-enkf":
         analysis = enkf_analysis(ensemble, obs, config.obs_noise_seed)
     else:
@@ -482,74 +382,97 @@ def run_experiment(config):
             naive=(config.pipeline == "naive-morphed-enkf"),
             workers=config.workers,
         )
+        report.traces = list(enumerate(traces))
         if config.pipeline == "morph-only":
             analysis = morphed
         else:
-            _stage_outputs("morphed", morphed.members, truth, report)
+            _stage_outputs("morphed", morphed.members, truth_fields, report)
             analysis = enkf_analysis(morphed, obs, config.obs_noise_seed)
 
-    report.traces = list(enumerate(traces))
-    _stage_outputs("posterior", analysis.members, truth, report)
+    _stage_outputs("posterior", analysis.members, truth_fields, report)
     report.runtime_seconds = time.perf_counter() - t_start
     return report
 
 
 def _stage_outputs(stage, members, truth, report):
-    for i, m in enumerate(members):
-        report.fields += _state_dumps(m, stage, member=i)
-    report.fields += _state_dumps(_ensemble_mean(members), stage + "_mean")
-    _mse_rows(stage, members, truth, report.metrics_rows)
-    _totals_rows(stage, members, report.totals_rows)
+    """Dumps, MSE rows and conserved totals of one stage's members, with
+    dumps of an ensemble's mean state; truth is _with_vorticity(truth)."""
+    fields = [_with_vorticity(m) for m in members]
+    for i, member_fields in enumerate(fields):
+        report.fields += _dumps(stage, i, member_fields)
+    # (B, 5, nx, ny), freed on return: the dumps keep the members' own fields
+    vals = np.array([[f.values for f in member_fields] for member_fields in fields])
+    # every member has h, Theta > 0, so their mean passes TSWState's checks
+    mean = _with_vorticity(_state(vals[:, :4].mean(axis=0), members[0].grid, members[0].time))
+    if len(members) > 1:
+        report.fields += _dumps(stage + "_mean", None, mean)
+    truth_vals = np.array([f.values for f in truth])
+    # each field's B member MSEs as one contiguous row, so their mean sums
+    # in the same order as np.mean of a list
+    member_mean = [float(row.mean()) for row in np.ascontiguousarray(_mse(vals, truth_vals).T)]
+    mean_field = [float(x) for x in _mse(np.array([f.values for f in mean]), truth_vals)]
+    for mses in (member_mean, mean_field):
+        mses.append(0.5 * (mses[2] + mses[3]))  # v, from v1 and v2
+    for name, mm, mf in zip(FIELD_NAMES + ("v",), member_mean, mean_field):
+        report.metrics_rows += [(stage, name, "member_mean_mse", mm),
+                                (stage, name, "mean_field_mse", mf)]
+    totals = _totals(vals.swapaxes(0, 1), vals[:, 4], members[0].grid.area)
+    report.totals_rows += [(stage, i, *map(float, t)) for i, t in enumerate(zip(*totals.values()))]
 
 
 def _run_nudging(config, truth, obs, report):
     rng = np.random.default_rng(config.seed)
-    from .assimilation import draw_center_offsets
-
     ox, oy = draw_center_offsets(rng, 1, config.perturb_mean, config.perturb_std)[0]
-    ic = VortexIC(
-        ox=float(ox), oy=float(oy), amplitude=config.ic.amplitude,
-        radius=config.ic.radius, separation=config.ic.separation,
-        theta_amplitude=config.ic.theta_amplitude,
-    )
-    state = integrate(
-        double_vortex_ic(ic, config.grid, config.model),
-        config.spinup_steps, config.model,
-    )
+    ic = dc_replace(config.ic, ox=float(ox), oy=float(oy))
+    state = integrate(double_vortex_ic(ic, config.grid, config.model), config.spinup_steps,
+                      config.model)
     targets = _targets_from_obs(obs, config.grid)
+    h_obs, omega_obs = (t.target.components[0] for t in targets)
     trace = MorphTrace()
-    trace.record(
-        0,
-        field_mse(state.h, targets[0].target.components[0]),
-        field_mse(vorticity_of(state), targets[1].target.components[0]),
-        conserved_totals(state),
-    )
+
+    def record(k, state):
+        trace.record(k, field_mse(state.h, h_obs), field_mse(vorticity_of(state), omega_obs),
+                     conserved_totals(state))
+
+    record(0, state)
     history = []
     for k in range(config.nudging_steps):
         u = morph_velocity(state, targets) * config.nudging_strength
         state = ab3_step(state, history, config.model, u=u, step=k)
-        trace.record(
-            k + 1,
-            field_mse(state.h, targets[0].target.components[0]),
-            field_mse(vorticity_of(state), targets[1].target.components[0]),
-            conserved_totals(state),
-        )
+        record(k + 1, state)
     report.traces = [(0, trace)]
-    report.fields += _state_dumps(state, "nudged", member=0)
-    _mse_rows("nudged", [state], truth, report.metrics_rows)
-    _totals_rows("nudged", [state], report.totals_rows)
+    _stage_outputs("nudged", [state], truth, report)
 
 
-def _write_pgm(path, values):
+def _pgm(values):
+    """An 8-bit PGM quicklook of a field, its value range in a comment."""
     lo, hi = float(values.min()), float(values.max())
     img = values.T  # image x across, y down
     if hi > lo:
         data = np.round((img - lo) / (hi - lo) * 255.0).astype(np.uint8)
     else:
         data = np.zeros(img.shape, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n# min={lo!r} max={hi!r}\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(data.tobytes(order="C"))
+    header = f"P5\n# min={lo!r} max={hi!r}\n{img.shape[1]} {img.shape[0]}\n255\n"
+    return header.encode() + data.tobytes(order="C")
+
+
+def _csv(header, rows):
+    lines = [",".join(repr(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
+    return "\n".join([header, *lines, ""]).encode()
+
+
+def _check_out_dir(out_dir):
+    """Refuse an existing out_dir unless it is empty or its manifest.json lists it all."""
+    try:
+        with open(os.path.join(out_dir, "manifest.json")) as fh:
+            listed = {"manifest.json", *(e["path"] for e in json.load(fh)["files"])}
+    except (OSError, ValueError, KeyError, TypeError):
+        listed = set()
+    foreign = any(os.path.relpath(os.path.join(path, name), out_dir) not in listed
+                  for path, _, names in os.walk(out_dir) for name in names)
+    if foreign or os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise ConfigError([f"output_dir {out_dir} exists and is neither an empty directory "
+                           f"nor an earlier run; remove it or choose another --out"])
 
 
 def emit_outputs(report, out_dir):
@@ -557,67 +480,51 @@ def emit_outputs(report, out_dir):
 
     Returns the list of relative paths written (manifest last).  Volatile
     values (wall-clock runtime) are deliberately excluded so reruns with
-    identical seeds produce identical manifests.
+    identical seeds produce identical manifests.  The files are written
+    beside out_dir and renamed to it, replacing what _check_out_dir allows.
     """
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+    import tempfile
 
-    def emit(relpath, data):
-        path = os.path.join(out_dir, relpath)
-        os.makedirs(os.path.dirname(path) or out_dir, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(data)
-        written.append(relpath)
-
-    for dump in report.fields:
-        g = dump.field.grid
-        tag = f"_m{dump.member:02d}" if dump.member is not None else ""
-        base = f"fields/{dump.stage}_{dump.name}{tag}"
-        emit(base + ".f64", dump.field.values.astype("<f8").tobytes(order="C"))
-        sidecar = {
-            "name": dump.name, "nx": g.nx, "ny": g.ny, "lx": g.lx, "ly": g.ly,
-            "stage": dump.stage, "member": dump.member,
-        }
-        emit(base + ".json", json.dumps(sidecar, sort_keys=True, indent=2).encode())
-        pgm_path = os.path.join(out_dir, base + ".pgm")
-        _write_pgm(pgm_path, dump.field.values)
-        written.append(base + ".pgm")
-
-    if report.metrics_rows:
-        lines = ["stage,variable,kind,value"]
-        for s, v, k, val in report.metrics_rows:
-            lines.append(f"{s},{v},{k},{val!r}")
-        emit("metrics.csv", ("\n".join(lines) + "\n").encode())
-
-    if report.totals_rows:
-        lines = ["stage,member,mass,vorticity_total,buoyancy_integral"]
-        for s, m, mass, vort, buoy in report.totals_rows:
-            lines.append(f"{s},{m},{mass!r},{vort!r},{buoy!r}")
-        emit("conserved_totals.csv", ("\n".join(lines) + "\n").encode())
-
-    for member, trace in report.traces:
-        rel = f"traces/morph_m{member:02d}.csv"
-        path = os.path.join(out_dir, rel)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        trace.to_csv(path)
-        written.append(rel)
-
-    if report.config:
-        emit("config.json", json.dumps(report.config, sort_keys=True, indent=2).encode())
-
+    _check_out_dir(out_dir)
+    out_dir = os.path.abspath(out_dir)  # "." cannot be renamed, its absolute path can
+    os.makedirs(os.path.dirname(out_dir), exist_ok=True)
     entries = []
-    for rel in sorted(written):
-        path = os.path.join(out_dir, rel)
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        entries.append({
-            "path": rel, "bytes": len(blob),
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        })
-    manifest = {"schema_version": SCHEMA_VERSION, "files": entries}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-    return written + ["manifest.json"]
+    with tempfile.TemporaryDirectory(prefix=".liemorph-", dir=os.path.dirname(out_dir)) as work:
+        staging = os.path.join(work, "run")
+
+        def emit(rel, blob):
+            path = os.path.join(staging, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            entries.append({"path": rel, "bytes": len(blob),
+                            "sha256": hashlib.sha256(blob).hexdigest()})
+
+        for dump in report.fields:
+            g = dump.field.grid
+            tag = f"_m{dump.member:02d}" if dump.member is not None else ""
+            base = f"fields/{dump.stage}_{dump.name}{tag}"
+            emit(base + ".f64", dump.field.values.astype("<f8").tobytes(order="C"))
+            sidecar = {"name": dump.name, "nx": g.nx, "ny": g.ny, "lx": g.lx, "ly": g.ly,
+                       "stage": dump.stage, "member": dump.member}
+            emit(base + ".json", json.dumps(sidecar, sort_keys=True, indent=2).encode())
+            emit(base + ".pgm", _pgm(dump.field.values))
+        if report.metrics_rows:
+            emit("metrics.csv", _csv("stage,variable,kind,value", report.metrics_rows))
+        if report.totals_rows:
+            emit("conserved_totals.csv", _csv(
+                "stage,member,mass,vorticity_total,buoyancy_integral", report.totals_rows))
+        for member, trace in report.traces:
+            emit(f"traces/morph_m{member:02d}.csv", trace.csv_bytes())
+        if report.config:
+            emit("config.json", json.dumps(report.config, sort_keys=True, indent=2).encode())
+        manifest = {"schema_version": SCHEMA_VERSION,
+                    "files": sorted(entries, key=lambda entry: entry["path"])}
+        emit("manifest.json", json.dumps(manifest, sort_keys=True, indent=2).encode())
+        if os.path.lexists(out_dir):
+            os.rename(out_dir, os.path.join(work, "old"))
+        os.rename(staging, out_dir)
+    return [entry["path"] for entry in entries]
 
 
 def _apply_overrides(raw, args):
@@ -648,6 +555,7 @@ def _cmd_run(args):
     raw = _apply_overrides(raw, args)
     config = validate_config(raw)
     config.workers = _effective_workers(config.workers)
+    _check_out_dir(config.output_dir)
     report = run_experiment(config)
     files = emit_outputs(report, config.output_dir)
     print(f"pipeline {config.pipeline} finished in {report.runtime_seconds:.1f} s")

@@ -15,6 +15,7 @@ first failing member).
 """
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,17 @@ class MorphParams:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 0:
+            raise ValueError("n_steps must be a nonnegative integer")
+        if not 0 < self.filter_a < np.inf:
+            raise ValueError("filter_a must be positive and finite")
         if self.ab_order not in AB_COEFFS:
             raise ValueError(f"ab_order must be one of {sorted(AB_COEFFS)}")
+        patience = self.early_stop_patience
+        if patience is not None and not (isinstance(patience, (int, np.integer)) and patience >= 1):
+            raise ValueError("early_stop_patience must be None or an integer >= 1")
 
 
 @dataclass
@@ -124,12 +130,18 @@ class MorphTrace:
         i = self.COLUMNS.index(name)
         return [row[i] for row in self.rows]
 
+    def csv_bytes(self):
+        """The trace as CSV, with csv.writer's \\r\\n line endings."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(self.COLUMNS)
+        for row in self.rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        return buf.getvalue().encode()
+
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.COLUMNS)
-            for row in self.rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        with open(path, "wb") as fh:
+            fh.write(self.csv_bytes())
 
 
 def _mse(a, b):

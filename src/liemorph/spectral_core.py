@@ -35,8 +35,8 @@ class GridSpec:
         nx, ny = int(nx), int(ny)
         if nx < 4 or ny < 4 or nx % 2 or ny % 2:
             raise ValueError(f"grid counts must be even and >= 4, got {nx} x {ny}")
-        if lx <= 0 or ly <= 0:
-            raise ValueError(f"physical extents must be positive, got {lx} x {ly}")
+        if not (0 < lx < np.inf and 0 < ly < np.inf):
+            raise ValueError(f"physical extents must be positive and finite, got {lx} x {ly}")
         self.nx = nx
         self.ny = ny
         self.lx = float(lx)

@@ -87,10 +87,14 @@ class ModelParams:
     dt: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.f, self.kappa, self.h0, self.theta0, self.dt])):
+            raise ValueError("f, kappa, h0, theta0 and dt must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.h0 <= 0 or self.theta0 <= 0:
             raise ValueError("h0 and theta0 must be positive")
+        if self.f == 0:
+            raise ValueError("f must be nonzero: the initial velocity is Theta0/f * grad(eta)")
 
 
 @dataclass

@@ -13,7 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from liemorph import GridSpec, ScalarField, coarsen
+import liemorph
+from liemorph import GridSpec, ModelParams, MorphParams, ScalarField, coarsen
+from liemorph import cli_experiments
 from liemorph.cli_experiments import (
     ConfigError,
     ExperimentReport,
@@ -154,6 +156,104 @@ class TestValidateConfig:
     def test_non_dict_config_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(["not", "a", "config"])
+
+
+def with_value(path, value):
+    """small_raw() with the dotted key path set to value."""
+    raw = small_raw()
+    *sections, key = path.split(".")
+    node = raw
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return raw
+
+
+# Each of these used to validate, and some then failed at run time:
+# n_steps 3.5 with a TypeError, r_scale NaN with a LinAlgError, dt NaN with
+# exit 3; a NaN or infinite truth_time crashed validate_config itself.
+MALFORMED = [
+    ("workers", True),
+    ("ensemble.seed", True),
+    ("grid.nx", "32"),
+    ("grid.nx", 32.7),
+    ("morph.n_steps", 3.5),
+    ("morph.ab_order", 5.0),
+    ("model.dt", float("nan")),
+    ("morph.epsilon", float("nan")),
+    ("morph.epsilon", float("inf")),
+    ("observation.r_scale", float("nan")),
+    ("morph.early_stop_pateince", 3),
+    ("obsevation", {"r_scale": 2.0}),
+    ("horizons.truth_time", float("nan")),
+    ("horizons.truth_time", float("inf")),
+]
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("path,value", MALFORMED)
+    def test_validate_exits_2_naming_the_key(self, tmp_path, capsys, path, value):
+        cfg = tmp_path / "config.json"
+        raw = with_value(path, value)
+        if path == "horizons.truth_time":
+            del raw["horizons"]["truth_steps"]
+        cfg.write_text(json.dumps(raw))
+        assert main(["validate", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("config error:") and path in line for line in lines), lines
+
+    def test_errors_in_one_section_are_all_reported(self):
+        raw = small_raw()
+        del raw["ensemble"]["seed"]
+        raw["ensemble"]["size"] = 1
+        raw["morph"]["n_steps"] = 3.5
+        raw["morph"]["filter_a"] = "wide"
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        assert exc.value.errors == [
+            "ensemble.size must be an integer >= 2",
+            "missing key ensemble.seed",
+            "morph.n_steps must be an integer",
+            "morph.filter_a must be a finite number",
+        ]
+
+
+class TestParameterRanges:
+    """The parameter classes check their own ranges, and validate_config
+    reports what they reject as errors."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"f": 0.0}, {"dt": float("nan")}, {"kappa": float("inf")}, {"h0": float("nan")},
+    ])
+    def test_model_params_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"filter_a": 0.0}, {"filter_a": -1.0}, {"early_stop_patience": 0},
+        {"early_stop_patience": -1}, {"n_steps": 3.5}, {"epsilon": float("inf")},
+    ])
+    def test_morph_params_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            MorphParams(**kwargs)
+
+    def test_morph_params_accepts_patience_one(self):
+        assert MorphParams(early_stop_patience=1).early_stop_patience == 1
+
+    @pytest.mark.parametrize("path,value,message", [
+        # f = 0 used to raise ZeroDivisionError out of validate_config
+        ("model.f", 0.0, "model: f must be nonzero"),
+        # filter_a <= 0 used to fail at the first morph step, after spin-up
+        ("morph.filter_a", 0.0, "morph: filter_a must be positive"),
+        # patience < 1 used to stop every member after one step, exit 0
+        ("morph.early_stop_patience", 0, "morph: early_stop_patience must be"),
+        ("morph.early_stop_patience", -1, "morph: early_stop_patience must be"),
+    ])
+    def test_validate_exits_2(self, tmp_path, capsys, path, value, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(with_value(path, value)))
+        assert main(["validate", str(cfg)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -382,3 +482,108 @@ class TestCommandLine:
         cfg = self.write_config(tmp_path, small_raw(pipeline="plain-enkf"))
         assert main(["run", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+
+class TestOutputDirectory:
+    """A run is written beside --out and renamed into place; it replaces
+    only an empty directory or an earlier run."""
+
+    def run(self, tmp_path, pipeline, out):
+        cfg = tmp_path / f"{pipeline}.json"
+        cfg.write_text(json.dumps(small_raw(pipeline=pipeline)))
+        return main(["run", str(cfg), "--out", str(out)])
+
+    @staticmethod
+    def present(out):
+        return sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+
+    @staticmethod
+    def listed(out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        return sorted([e["path"] for e in manifest["files"]] + ["manifest.json"])
+
+    def test_rerun_replaces_the_earlier_run(self, tmp_path, capsys):
+        """A plain-enkf run into the directory of a morphed-enkf run used
+        to leave the morphed_* dumps and traces/ there, unlisted."""
+        out = tmp_path / "out"
+        assert self.run(tmp_path, "morphed-enkf", out) == 0
+        assert any(p.startswith("traces/") for p in self.present(out))
+        assert self.run(tmp_path, "plain-enkf", out) == 0
+        assert self.present(out) == self.listed(out)
+        assert not any("morphed" in p or p.startswith("traces/") for p in self.present(out))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "morphed-enkf.json", "out", "plain-enkf.json"]
+
+    def test_refuses_a_foreign_directory_before_any_compute(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+
+        def no_compute(config):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(cli_experiments, "run_experiment", no_compute)
+        assert self.run(tmp_path, "plain-enkf", out) == 2
+        assert "config error: output_dir" in capsys.readouterr().err
+        assert self.present(out) == ["notes.txt"]
+        report = ExperimentReport(metrics_rows=[("obs", "h", "r", 0.5)])
+        with pytest.raises(ConfigError):
+            emit_outputs(report, out)
+        assert self.present(out) == ["notes.txt"]
+
+    def test_refuses_a_run_with_an_unlisted_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        emit_outputs(ExperimentReport(metrics_rows=[("obs", "h", "r", 0.5)]), out)
+        (out / "fields").mkdir()
+        (out / "fields" / "extra.f64").write_bytes(b"")
+        assert self.run(tmp_path, "plain-enkf", out) == 2
+        assert self.present(out) == ["fields/extra.f64", "manifest.json", "metrics.csv"]
+
+    def test_writes_into_an_empty_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self.run(tmp_path, "plain-enkf", out) == 0
+        assert self.present(out) == self.listed(out)
+
+    def test_a_failed_emit_keeps_the_earlier_run(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        emit_outputs(ExperimentReport(metrics_rows=[("obs", "h", "r", 0.5)]), out)
+        before = {p: (out / p).read_bytes() for p in self.present(out)}
+
+        def broken(values):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli_experiments, "_pgm", broken)
+        g = GridSpec(4, 4, 1.0, 1.0)
+        report = ExperimentReport(fields=[FieldDump("h", "truth", None, ScalarField.zeros(g))])
+        with pytest.raises(OSError, match="disk full"):
+            emit_outputs(report, out)
+        assert {p: (out / p).read_bytes() for p in self.present(out)} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+class TestBenchmarkHooks:
+    """perfbench/tracing.py wraps the pipeline's stage calls by module
+    attribute; a rename or an inlined call would leave a span unrecorded."""
+
+    @pytest.mark.parametrize("pipeline", ["plain-enkf", "morphed-enkf"])
+    def test_every_stage_span_is_recorded(self, tmp_path, monkeypatch, capsys, pipeline):
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        monkeypatch.syspath_prepend(perfbench)
+        import tracing
+
+        for module, attr, _ in tracing.STAGES:
+            # registers the original, which monkeypatch puts back afterwards
+            target = getattr(liemorph, module)
+            monkeypatch.setattr(target, attr, getattr(target, attr))
+        tracer = tracing.Tracer()
+        tracing.instrument(tracer, liemorph, layers=False)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(small_raw(pipeline=pipeline)))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        recorded = {span["name"] for span in tracer.summary()["spans"]}
+        expected = {name for _, _, name in tracing.STAGES}
+        if pipeline == "plain-enkf":
+            expected.discard("assimilation.morph_ensemble")
+        assert recorded == expected
