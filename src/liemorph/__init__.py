@@ -51,7 +51,6 @@ from .tsw_model import (
     ab3_step,
     double_vortex_ic,
     integrate,
-    nudged_tendency,
     tendency,
     vorticity_of,
 )
@@ -64,6 +63,7 @@ from .morph_engine import (
     morph_step,
     morph_velocity,
     naive_morph_step,
+    nudge,
     run_morph,
 )
 from .assimilation import (

@@ -35,22 +35,13 @@ from .assimilation import (
     morph_ensemble,
     observe,
 )
-from .morph_engine import (
-    MorphParams,
-    MorphTrace,
-    _mse,
-    _totals,
-    conserved_totals,
-    field_mse,
-    morph_velocity,
-)
+from .morph_engine import MorphParams, _mse, _totals, nudge
 from .spectral_core import GridSpec, ScalarField
 from .tsw_model import (
     InstabilityError,
     ModelParams,
     VortexIC,
     _state,
-    ab3_step,
     double_vortex_ic,
     integrate,
     vorticity_of,
@@ -134,7 +125,8 @@ PRESET_NOTES = {
 
 
 def _is_num(v):
-    return type(v) is int or type(v) is float and bool(np.isfinite(v))
+    # false for nan, inf and an integer beyond the float range
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 # A kind is (what a value must be, its test); `type(v) is int` keeps out
@@ -159,7 +151,8 @@ SCHEMA = {
     },
     "grid": {"nx": INT, "ny": INT, "lx": NUM, "ly": NUM, "coarse_nx": INT, "coarse_ny": INT},
     "model": {"f": NUM, "kappa": NUM, "h0": NUM, "theta0": NUM, "dt": NUM},
-    "ic": {"amplitude": NUM, "radius": NUM, "separation": NUM, "theta_amplitude": NUM,
+    # a nonnegative amplitude keeps h and Theta of the vortex IC positive
+    "ic": {"amplitude": SPAN, "radius": NUM, "separation": NUM, "theta_amplitude": SPAN,
            "perturb_mean": NUM, "perturb_std": SPAN},
     "horizons": {"truth_steps": (*COUNT, None), "truth_time": (*SPAN, None),
                  "spinup_steps": (*COUNT, None), "spinup_time": (*SPAN, None)},
@@ -258,7 +251,7 @@ def validate_config(raw):
         if ic is not None:
             # peak geostrophic speed of a Gaussian height bump, taken
             # analytically: |grad(eta)| peaks at amplitude / (radius * sqrt(e))
-            vmax = model.theta0 / model.f * abs(ic.amplitude) / (ic.radius * np.sqrt(np.e))
+            vmax = model.theta0 / model.f * ic.amplitude / (ic.radius * np.sqrt(np.e))
             advective = vmax * np.pi / min(grid.dx, grid.dy) * model.dt
             if advective > AB3_COURANT_MAX:
                 errors.append(
@@ -272,6 +265,9 @@ def validate_config(raw):
         n, t = hz.get(f"{key}_steps"), hz.get(f"{key}_time")
         if hz and (f"{key}_steps" in given) == (f"{key}_time" in given):
             errors.append(f"horizons: give exactly one of {key}_steps or {key}_time")
+        elif model is not None and t is not None and not np.isfinite(t / model.dt):
+            errors.append(f"horizons.{key}_time: {key}_time / model.dt overflows; "
+                          f"give a shorter horizon or a larger dt")
         elif model is not None and (n, t) != (None, None):
             steps[key] = n if t is None else int(round(t / model.dt))
 
@@ -426,20 +422,8 @@ def _run_nudging(config, truth, obs, report):
     ic = dc_replace(config.ic, ox=float(ox), oy=float(oy))
     state = integrate(double_vortex_ic(ic, config.grid, config.model), config.spinup_steps,
                       config.model)
-    targets = _targets_from_obs(obs, config.grid)
-    h_obs, omega_obs = (t.target.components[0] for t in targets)
-    trace = MorphTrace()
-
-    def record(k, state):
-        trace.record(k, field_mse(state.h, h_obs), field_mse(vorticity_of(state), omega_obs),
-                     conserved_totals(state))
-
-    record(0, state)
-    history = []
-    for k in range(config.nudging_steps):
-        u = morph_velocity(state, targets) * config.nudging_strength
-        state = ab3_step(state, history, config.model, u=u, step=k)
-        record(k + 1, state)
+    state, trace = nudge(state, _targets_from_obs(obs, config.grid), config.model,
+                         config.nudging_strength, config.nudging_steps)
     report.traces = [(0, trace)]
     _stage_outputs("nudged", [state], truth, report)
 
@@ -528,8 +512,9 @@ def emit_outputs(report, out_dir):
 
 
 def _apply_overrides(raw, args):
-    if args.seed is not None and isinstance(raw, dict):
-        raw.setdefault("ensemble", {})
+    # a section that is not an object is left for validate_config to report
+    if args.seed is not None and isinstance(raw, dict) and isinstance(
+            raw.setdefault("ensemble", {}), dict):
         raw["ensemble"]["seed"] = args.seed
         raw["ensemble"]["obs_noise_seed"] = args.seed + 1
     if args.workers is not None and isinstance(raw, dict):

@@ -12,6 +12,9 @@ states toward the same targets in lockstep, with the FFT calls of one
 member per step, and `run_morph` is its batch of one.  A batch reports
 the first failing step across its members (serial code would report the
 first failing member).
+
+`nudge` adds the same transport, times a strength, to the model tendency
+and runs on the same spectra and trace recorder.
 """
 
 import csv
@@ -24,6 +27,7 @@ from .displacement_solver import _combined_displacement_hat
 from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
 from .spectral_core import ScalarField
 from .tsw_model import (
+    _MODEL_ERRORS,
     AB_COEFFS,
     InstabilityError,
     _ab_advance,
@@ -31,6 +35,7 @@ from .tsw_model import (
     _irfft_all,
     _rfft_all,
     _state,
+    _tendency_hat,
     vorticity_of,
 )
 
@@ -48,6 +53,7 @@ __all__ = [
     "morph_step",
     "naive_morph_step",
     "run_morph",
+    "nudge",
     "conserved_totals",
     "field_mse",
 ]
@@ -213,6 +219,20 @@ def _velocity(observed, vals, spec, omega, grid, solver_params):
     return _irfft_all(uh, grid), uh
 
 
+def _record(traces, k, vals, spec, observed, grid):
+    """Record row k in the trace of each member on vals' member axis;
+    (omega, the per-member MSE of each observed name)."""
+    omega = _vorticity(spec, grid)
+    obs = {"h": vals[0], "omega": omega[0]}
+    mses = {name: _mse(obs[name], t) for name, t, _ in observed}
+    totals = _totals(vals, omega[0], grid.area)
+    nan = np.full(len(traces), np.nan)
+    for j, trace in enumerate(traces):
+        trace.record(k, float(mses.get("h", nan)[j]), float(mses.get("omega", nan)[j]),
+                     {name: float(v[j]) for name, v in totals.items()})
+    return omega, mses
+
+
 def _naive_transport_hat(vals, spec, u, uh, grid):
     # every field dragged as a 0-form: d(theta)/ds = -u . grad(theta)
     return np.stack([-_advect_hat(s, u, grid) for s in spec])
@@ -309,22 +329,11 @@ def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
     traces = [MorphTrace() for _ in states]
     finals = [None] * len(states)
 
-    def record(k, vals, spec, active):
-        omega = _vorticity(spec, g)
-        obs = {"h": vals[0], "omega": omega[0]}
-        mses = {name: _mse(obs[name], t) for name, t, _ in observed}
-        totals = _totals(vals, omega[0], g.area)
-        nan = np.full(len(active), np.nan)
-        for j, i in enumerate(active):
-            traces[i].record(k, float(mses.get("h", nan)[j]), float(mses.get("omega", nan)[j]),
-                             {name: float(v[j]) for name, v in totals.items()})
-        return omega, mses
-
     def finish(vals, members):
         for j, i in enumerate(members):
             finals[i] = _state(vals[:, j], g, states[i].time)
 
-    omega, cur = record(0, vals, spec, active)
+    omega, cur = _record(traces, 0, vals, spec, observed, g)
     history = []
     worse_streak = np.zeros(len(states), dtype=int)
     for k in range(params.n_steps):
@@ -335,7 +344,7 @@ def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
             err.member = int(active[err.member])
             raise
         prev = cur
-        omega, cur = record(k + 1, vals, spec, active)
+        omega, cur = _record([traces[i] for i in active], k + 1, vals, spec, observed, g)
         if params.early_stop_patience is not None:
             worse = np.logical_and.reduce([cur[n] > prev[n] for n in cur])
             worse_streak = np.where(worse, worse_streak + 1, 0)
@@ -352,3 +361,28 @@ def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
                     break
     finish(vals, active)
     return list(zip(finals, traces))
+
+
+def nudge(state, targets, model, strength, n_steps):
+    """Integrate the model n_steps, nudged along the morph velocity.
+
+    Each step adds strength times the morph's -L_u transport (the tensor
+    types of morph_step) to the model tendency and takes ab3_step's update,
+    on spectra as in `run_morph`; strength = 0 is `integrate` bit for bit.
+    Returns (final state, MorphTrace), a trace row per step plus the first.
+    """
+    g = state.grid
+    observed = _target_spectra(targets, g)
+    vals = _fields(state)[:, None]  # a batch of one, as integrate's
+    spec = _rfft_all(vals)
+    trace = MorphTrace()
+    time = state.time
+    omega, _ = _record([trace], 0, vals, spec, observed, g)
+    history = []
+    for k in range(n_steps):
+        u, uh = _velocity(observed, vals, spec, omega, g, None)
+        tend = _tendency_hat(vals, spec, model, g) + strength * _transport_hat(vals, spec, u, uh, g)
+        vals, spec = _ab_advance(spec, tend, history, 3, model.dt, 12, g, k, _MODEL_ERRORS)
+        time = time + model.dt
+        omega, _ = _record([trace], k + 1, vals, spec, observed, g)
+    return _state(vals[:, 0], g, time), trace

@@ -12,14 +12,15 @@ prognostic field.  The step runs in Fourier space (8 FFT pairs per step) and
 shares `_ab_advance` with the morph; the AB history holds opaque spectra.
 The kernel carries a member axis: `_integrate_batch` advances a batch of
 states in lockstep with the same 8 FFT calls per step, and `integrate` is
-its batch of one.
+its batch of one.  The nudged model, this tendency plus the morph's tensor
+transport, is `morph_engine.nudge`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import DisplacementField, _transport_hat
+from .forms import DisplacementField
 from .spectral_core import ScalarField, _deriv, _deriv_hat, curl_2d
 
 # Not called here: perfbench/tracing.py wraps it at this module's
@@ -33,7 +34,6 @@ __all__ = [
     "TSWState",
     "TSWTendency",
     "tendency",
-    "nudged_tendency",
     "ab3_step",
     "integrate",
     "double_vortex_ic",
@@ -257,46 +257,25 @@ def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors):
     return vals, new
 
 
-def _state_tendency(state, params, u):
-    # (spec, tendency spectra) of a typed state, nudged along u if given
-    g = state.grid
-    if u is not None and u.grid != g:
-        raise ValueError("displacement grid mismatch")
-    vals = _fields(state)
-    spec = _rfft_all(vals)
-    tend = _tendency_hat(vals, spec, params, g)
-    if u is not None:
-        uv = np.stack([u.u1.values, u.u2.values])
-        tend += _transport_hat(vals, spec, uv, _rfft_all(uv), g)
-    return spec, tend
-
-
 def tendency(state, params):
     """Instantaneous tendencies of (h, Theta, v1, v2), spectral derivatives."""
-    return TSWTendency(*_irfft_all(_state_tendency(state, params, None)[1], state.grid))
+    vals = _fields(state)
+    tend = _tendency_hat(vals, _rfft_all(vals), params, state.grid)
+    return TSWTendency(*_irfft_all(tend, state.grid))
 
 
-def nudged_tendency(state, params, u):
-    """Model tendency plus the -L_u transport of each prognostic tensor.
-
-    h is transported as a 2-form, Theta as a 0-form and v as a 1-form; the
-    sign matches the morph update theta <- theta - eps * L_u theta, so the
-    nudging drags the state along u.
-    """
-    return TSWTendency(*_irfft_all(_state_tendency(state, params, u)[1], state.grid))
-
-
-def ab3_step(state, history, params, u=None, step=None):
+def ab3_step(state, history, params, step=None):
     """Advance one dt by Adams-Bashforth (order = len(history)+1, capped at 3).
 
     `history` holds the previous tendencies as opaque spectra, oldest
     first; it is updated in place (current tendency appended, stale entries
-    dropped), so repeated calls bootstrap AB1 -> AB2 -> AB3.  With a
-    DisplacementField `u` the step follows nudged_tendency.  The Hou-Li
+    dropped), so repeated calls bootstrap AB1 -> AB2 -> AB3.  The Hou-Li
     filter (a = 12) is applied to every prognostic field after the update.
     """
     g = state.grid
-    spec, tend = _state_tendency(state, params, u)
+    vals = _fields(state)
+    spec = _rfft_all(vals)
+    tend = _tendency_hat(vals, spec, params, g)
     vals, _ = _ab_advance(spec, tend, history, 3, params.dt, 12, g, step, _MODEL_ERRORS)
     return _state(vals, g, state.time + params.dt)
 

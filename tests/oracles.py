@@ -359,10 +359,3 @@ def composed_ab3_step(state, history, params, u=None):
         new.append(hou_li_filter(ScalarField(state.grid, vals), a=12))
     return TSWState(*new, time=state.time + params.dt)
 
-
-def composed_integrate(state, n_steps, params, u=None):
-    """n_steps of composed_ab3_step from a fresh history."""
-    history = []
-    for _ in range(n_steps):
-        state = composed_ab3_step(state, history, params, u)
-    return state

@@ -377,13 +377,14 @@ class TestEmitOutputs:
             assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
 
     def test_rerun_manifest_is_byte_identical(self, tmp_path):
-        raw = small_raw(pipeline="morphed-enkf")
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        emit_outputs(run_experiment(validate_config(raw)), a_dir)
-        emit_outputs(run_experiment(validate_config(raw)), b_dir)
-        assert (a_dir / "manifest.json").read_bytes() == (
-            b_dir / "manifest.json"
-        ).read_bytes()
+        for pipeline in ("morphed-enkf", "nudging-run"):
+            raw = small_raw(pipeline=pipeline)
+            a_dir, b_dir = tmp_path / pipeline / "a", tmp_path / pipeline / "b"
+            emit_outputs(run_experiment(validate_config(raw)), a_dir)
+            emit_outputs(run_experiment(validate_config(raw)), b_dir)
+            assert (a_dir / "manifest.json").read_bytes() == (
+                b_dir / "manifest.json"
+            ).read_bytes()
 
 
 class TestCommandLine:
@@ -457,6 +458,26 @@ class TestCommandLine:
         assert saved["workers"] == 2
         assert saved["output_dir"] == out_dir
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("path,value", [
+        ("ic.amplitude", -1.1),
+        ("ic.theta_amplitude", -30.0),
+        ("horizons.truth_time", 1e308),
+        ("ensemble", []),
+    ])
+    def test_run_rejects_before_compute(self, tmp_path, capsys, path, value):
+        # each used to end in a traceback and exit 1: the IC construction
+        # raised ValueError, t / dt overflowed and --seed indexed the list
+        raw = with_value(path, value)
+        if path == "horizons.truth_time":
+            del raw["horizons"]["truth_steps"]
+            raw["model"]["dt"] = 0.25
+        cfg = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--seed", "3", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("config error:") and path in line for line in lines), lines
+        assert not out.exists()
 
     def test_run_instability_exits_3(self, tmp_path, capsys):
         # an epsilon of 1e4 overshoots the morph until h turns negative,
@@ -567,12 +588,17 @@ class TestBenchmarkHooks:
     """perfbench/tracing.py wraps the pipeline's stage calls by module
     attribute; a rename or an inlined call would leave a span unrecorded."""
 
-    @pytest.mark.parametrize("pipeline", ["plain-enkf", "morphed-enkf"])
-    def test_every_stage_span_is_recorded(self, tmp_path, monkeypatch, capsys, pipeline):
+    @pytest.fixture
+    def tracing(self, monkeypatch):
         perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
         monkeypatch.syspath_prepend(perfbench)
         import tracing
 
+        return tracing
+
+    @pytest.mark.parametrize("pipeline", ["plain-enkf", "morphed-enkf", "nudging-run"])
+    def test_every_stage_span_is_recorded(self, tmp_path, monkeypatch, capsys, tracing,
+                                          pipeline):
         for module, attr, _ in tracing.STAGES:
             # registers the original, which monkeypatch puts back afterwards
             target = getattr(liemorph, module)
@@ -584,6 +610,14 @@ class TestBenchmarkHooks:
         assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
         recorded = {span["name"] for span in tracer.summary()["spans"]}
         expected = {name for _, _, name in tracing.STAGES}
-        if pipeline == "plain-enkf":
+        if pipeline != "morphed-enkf":
             expected.discard("assimilation.morph_ensemble")
+        if pipeline == "nudging-run":
+            expected -= {"assimilation.generate_ensemble", "assimilation.enkf_analysis"}
         assert recorded == expected
+
+    def test_every_layer_name_resolves(self, tracing):
+        """--trace 1 wraps each LAYERS entry by name; a deleted name would
+        break the traced run."""
+        for module, attr, _ in tracing.LAYERS:
+            assert hasattr(getattr(liemorph, module), attr), f"{module}.{attr}"

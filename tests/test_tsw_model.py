@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from liemorph import (
+    DiffForm,
     DisplacementField,
     GridSpec,
     InstabilityError,
     ModelParams,
+    ObservablePair,
     ScalarField,
     TSWState,
     VortexIC,
@@ -22,11 +24,22 @@ from liemorph import (
     double_vortex_ic,
     field_mse,
     integrate,
-    nudged_tendency,
+    nudge,
     vorticity_of,
 )
-from liemorph.tsw_model import AB_COEFFS, _integrate_batch, ab3_step, tendency
-from oracles import composed_integrate, random_band_limited
+from liemorph.forms import _transport_hat
+from liemorph.tsw_model import (
+    AB_COEFFS,
+    TSWTendency,
+    _fields,
+    _integrate_batch,
+    _irfft_all,
+    _rfft_all,
+    _tendency_hat,
+    ab3_step,
+    tendency,
+)
+from oracles import composed_ab3_step, composed_morph_velocity, random_band_limited
 
 TWO_PI = 2.0 * np.pi
 
@@ -120,6 +133,26 @@ class TestVorticity:
         assert np.max(np.abs(om.values)) == 0.0
 
 
+def nudged_tendency(state, params, u):
+    """The tendency `nudge` advances at unit strength along a fixed u: the
+    kernel's model tendency plus its tensor transport, as values."""
+    g = state.grid
+    vals = _fields(state)
+    spec = _rfft_all(vals)
+    uv = np.stack([u.u1.values, u.u2.values])
+    tend = _tendency_hat(vals, spec, params, g) + _transport_hat(vals, spec, uv, _rfft_all(uv), g)
+    return TSWTendency(*_irfft_all(tend, g))
+
+
+def vortex_targets(grid, params):
+    """h and omega targets of the unshifted double vortex."""
+    truth = double_vortex_ic(VortexIC(), grid, params)
+    return [
+        ObservablePair("h", DiffForm.from_scalar(2, truth.h)),
+        ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
+    ]
+
+
 class TestNudgedTendency:
     def test_zero_displacement_matches_plain_tendency(self, grid_km, params):
         state = rest_plus(
@@ -172,16 +205,7 @@ class TestNudgedTendency:
     def test_rejects_mismatched_grid(self, grid_km, params):
         other = GridSpec(32, 32, 5000.0, 5000.0)
         with pytest.raises(ValueError):
-            nudged_tendency(
-                TSWState.rest(grid_km, params), params, DisplacementField.zeros(other)
-            )
-
-
-def band_limited_displacement(grid, amplitude, seed):
-    return DisplacementField(
-        ScalarField(grid, amplitude * random_band_limited(grid, seed)),
-        ScalarField(grid, amplitude * random_band_limited(grid, seed + 1)),
-    )
+            nudge(TSWState.rest(grid_km, params), vortex_targets(other, params), params, 1.0, 1)
 
 
 class TestSpectralKernel:
@@ -202,29 +226,48 @@ class TestSpectralKernel:
             assert (counts["rfft2"], counts["irfft2"]) == (10, 10)
             counts.update(rfft2=0, irfft2=0)
 
-    def test_nudged_ab3_step_fft_count(self, grid_km, params, count_ffts):
-        """The plain step's 10 + 10, 2 rfft2 of u and the tensor
-        transport's 5 rfft2 + 10 irfft2."""
-        state = double_vortex_ic(VortexIC(), grid_km, params)
-        u = band_limited_displacement(grid_km, 5.0, 104)
+    def test_nudge_fft_count(self, grid_km, params, count_ffts):
+        """Per step, with h and omega targets: the model tendency's 6 rfft2 +
+        6 irfft2 and the morph step's 9 + 21 (velocity solve, tensor
+        transport, AB update, trace vorticity), 15 + 27 in all; plus 6 rfft2
+        of the state and targets and one vorticity irfft2 at the start."""
+        state = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid_km, params)
+        targets = vortex_targets(grid_km, params)
         counts = count_ffts()
-        ab3_step(state, [], params, u=u)
-        assert (counts["rfft2"], counts["irfft2"]) == (17, 20)
+        nudge(state, targets, params, 1.0, 5)
+        assert (counts["rfft2"], counts["irfft2"]) == (6 + 15 * 5, 1 + 27 * 5)
+
+    def test_zero_strength_nudge_equals_integrate(self, grid_km, params):
+        state = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid_km, params)
+        got, trace = nudge(state, vortex_targets(grid_km, params), params, 0.0, 10)
+        ref = integrate(state, 10, params)
+        assert got.time == ref.time and len(trace) == 11
+        for a, b in zip(got.fields(), ref.fields()):
+            assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("path", ["integrate", "ab3_step", "nudged"])
     def test_matches_composed_reference(self, grid_km, params, path):
         """The kernel agrees with the typed composition (per-derivative
-        tendency, lie_derivative transport, Adams-Bashforth on values,
-        hou_li_filter per field) to 1e-12 per field over 10 steps."""
+        tendency, lie_derivative transport, physical-space morph velocity,
+        Adams-Bashforth on values, hou_li_filter per field) to 1e-12 per
+        field over 10 steps.  The nudge strength moves the fields ~0.1 km per
+        step, so the transport is well above the tolerance."""
         state = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid_km, params)
-        u = band_limited_displacement(grid_km, 5.0, 104) if path == "nudged" else None
+        targets, strength = vortex_targets(grid_km, params), 100.0
         if path == "integrate":
             got = integrate(state, 10, params)
-        else:
+        elif path == "ab3_step":
             got, history = state, []
             for k in range(10):
-                got = ab3_step(got, history, params, u=u, step=k)
-        ref = composed_integrate(state, 10, params, u)
+                got = ab3_step(got, history, params, step=k)
+        else:
+            got, _ = nudge(state, targets, params, strength, 10)
+            plain = integrate(state, 10, params)
+            assert np.max(np.abs(got.h.values - plain.h.values)) > 1e-6
+        ref, history = state, []
+        for _ in range(10):
+            u = composed_morph_velocity(ref, targets) * strength if path == "nudged" else None
+            ref = composed_ab3_step(ref, history, params, u)
         assert got.time == ref.time
         for a, b in zip(got.fields(), ref.fields()):
             scale = np.max(np.abs(b.values))
