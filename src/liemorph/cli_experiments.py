@@ -71,6 +71,11 @@ PIPELINES = (
 MAX_WORKERS_ENV = "LIEMORPH_MAX_WORKERS"
 # AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72.
 AB3_COURANT_MAX = 0.72
+# Ceilings on the counts a run loops over or allocates, far above the
+# paper preset's (11000 truth steps, 10000 morph steps, 20 members): a
+# value beyond them would run for days or exhaust memory.
+MAX_STEPS = 10**6
+MAX_MEMBERS = 1000
 
 
 class ConfigError(ValueError):
@@ -131,7 +136,7 @@ def _is_num(v):
 
 # A kind is (what a value must be, its test); `type(v) is int` keeps out
 # JSON's true and false.  Ranges are checked by the classes built from a
-# section, and the other ranges here.
+# section, and the other ranges here; CEILINGS caps the counts.
 INT = ("an integer", lambda v: type(v) is int)
 NUM = ("a finite number", _is_num)
 COUNT = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
@@ -164,6 +169,12 @@ SCHEMA = {
     "nudging": {"steps": (*COUNT, 0), "strength": (*NUM, 1.0)},
     "observation": {"r_scale": ("a positive number", lambda v: _is_num(v) and v > 0, 1.0)},
 }
+# The largest value of each count that has its kind in SCHEMA.
+CEILINGS = {
+    **dict.fromkeys(("horizons.truth_steps", "horizons.spinup_steps", "morph.n_steps",
+                     "nudging.steps"), MAX_STEPS),
+    "ensemble.size": MAX_MEMBERS,
+}
 
 
 def _read(section, name, errors):
@@ -178,10 +189,12 @@ def _read(section, name, errors):
                 values[key] = default[0]
             else:
                 errors.append(f"missing key {prefix}{key}")
-        elif ok(section[key]):
-            values[key] = section[key]
-        else:
+        elif not ok(section[key]):
             errors.append(f"{prefix}{key} must be {what}")
+        elif prefix + key in CEILINGS and section[key] > CEILINGS[prefix + key]:
+            errors.append(f"{prefix}{key} must be at most {CEILINGS[prefix + key]}")
+        else:
+            values[key] = section[key]
     return values
 
 
@@ -265,9 +278,9 @@ def validate_config(raw):
         n, t = hz.get(f"{key}_steps"), hz.get(f"{key}_time")
         if hz and (f"{key}_steps" in given) == (f"{key}_time" in given):
             errors.append(f"horizons: give exactly one of {key}_steps or {key}_time")
-        elif model is not None and t is not None and not np.isfinite(t / model.dt):
-            errors.append(f"horizons.{key}_time: {key}_time / model.dt overflows; "
-                          f"give a shorter horizon or a larger dt")
+        elif model is not None and t is not None and not t / model.dt <= MAX_STEPS:
+            errors.append(f"horizons.{key}_time: {key}_time / model.dt exceeds {MAX_STEPS} "
+                          f"steps; give a shorter horizon or a larger dt")
         elif model is not None and (n, t) != (None, None):
             steps[key] = n if t is None else int(round(t / model.dt))
 

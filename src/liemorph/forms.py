@@ -213,11 +213,10 @@ def h1_norm(u):
 
 def _h1_norm_hat(uh, grid):
     # h1_norm of each displacement whose two rfft2 spectra are stacked in
-    # uh (2, ..., nx, ny//2+1): an array with one norm per member
-    ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
-    dens = 0.0
-    for c in (uh[0], uh[1], ikx * uh[1] - iky * uh[0], ikx * uh[0] + iky * uh[1]):
-        dens = dens + (c.real**2 + c.imag**2)
+    # uh (2, ..., nx, ny//2+1): an array with one norm per member.  With
+    # purely imaginary odd derivatives, |curl|^2 + |div|^2 of a mode is
+    # k_odd^2 (|u1|^2 + |u2|^2), so the density is one weight times |u|^2.
+    dens = grid.h1_weight() * (uh[0].real**2 + uh[0].imag**2 + uh[1].real**2 + uh[1].imag**2)
     rows = dens.sum(axis=-2)
     # one dot per member: a batched (B, nk) @ (nk,) rounds differently
     w = grid._parseval_w
@@ -226,33 +225,38 @@ def _h1_norm_hat(uh, grid):
     return np.sqrt(grid.area * dots / n**2)
 
 
-def _advect_hat(fh, u, grid):
-    # spectrum of u . grad f, i.e. L_u of the 0-form f with spectrum fh
-    return np.fft.rfft2(u[0] * _deriv_hat(fh, grid, 0) + u[1] * _deriv_hat(fh, grid, 1))
+def _advect_hat(fh, u, grid, grad=None):
+    # spectrum of u . grad f, i.e. L_u of the 0-form f with spectrum fh;
+    # grad, when given, holds the values of grad f
+    fx, fy = (_deriv_hat(fh, grid, a) for a in (0, 1)) if grad is None else grad
+    return np.fft.rfft2(u[0] * fx + u[1] * fy)
 
 
-def _transport_hat(vals, spec, u, uh, grid):
+def _transport_hat(vals, spec, omega, u, grid, grad_th=None):
     """rfft2 spectra of -L_u theta for the four TSW prognostic tensors.
 
-    h is a 2-form (-div(h u)), Theta a 0-form and v = (v1, v2) a 1-form,
-    with the component formulas of `lie_derivative`.  vals are the values
-    of (h, Theta, v1, v2) and spec their spectra (spec[0] is not read);
-    u and uh are the displacement's two components and their spectra.
+    h is a 2-form (-div(h u)), Theta a 0-form (-u . grad Theta) and
+    v = (v1, v2) a 1-form, transported by Cartan's formula
+    L_u v = d(i_u v) + i_u dv:
+
+        -L_u v = -grad(u . v) + omega (u2, -u1),  omega = curl v,
+
+    so the curl of the v-rows is the 2-form transport -div(omega u) of the
+    vorticity, and a step needs no derivative of u or v.  vals are the
+    values of (h, Theta, v1, v2) and spec their spectra (spec[0] is not
+    read), omega the values of curl v and u the displacement's two
+    components; grad_th, when given, holds the values of grad Theta.
+    6 rfft2, plus 2 irfft2 without grad_th.
     """
-    h, _, a1, a2 = vals
+    h, _, v1, v2 = vals
     u1, u2 = u
     ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
-    u1x, u1y = _deriv_hat(uh[0], grid, 0), _deriv_hat(uh[0], grid, 1)
-    u2x, u2y = _deriv_hat(uh[1], grid, 0), _deriv_hat(uh[1], grid, 1)
-    a1x, a1y = _deriv_hat(spec[2], grid, 0), _deriv_hat(spec[2], grid, 1)
-    a2x, a2y = _deriv_hat(spec[3], grid, 0), _deriv_hat(spec[3], grid, 1)
-    b1 = u1 * a1x + u2 * a1y + a1 * u1x + a2 * u2x
-    b2 = u1 * a2x + u2 * a2y + a1 * u1y + a2 * u2y
+    uv_hat = np.fft.rfft2(u1 * v1 + u2 * v2)
     return np.stack([
         -(ikx * np.fft.rfft2(h * u1) + iky * np.fft.rfft2(h * u2)),
-        -_advect_hat(spec[1], u, grid),
-        -np.fft.rfft2(b1),
-        -np.fft.rfft2(b2),
+        -_advect_hat(spec[1], u, grid, grad_th),
+        np.fft.rfft2(omega * u2) - ikx * uv_hat,
+        -(np.fft.rfft2(omega * u1) + iky * uv_hat),
     ])
 
 

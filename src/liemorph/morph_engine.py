@@ -32,10 +32,12 @@ from .tsw_model import (
     InstabilityError,
     _ab_advance,
     _fields,
+    _grad_theta,
     _irfft_all,
     _rfft_all,
     _state,
     _tendency_hat,
+    _vorticity,
     vorticity_of,
 )
 
@@ -181,14 +183,10 @@ def conserved_totals(state):
 
 # The spectral kernel works on tsw_model's (vals, spec) state arrays, with
 # or without a member axis; a displacement is held as its values `u`
-# (2, nx, ny), or (2, B, nx, ny), and spectra `uh`.
+# (2, nx, ny), or (2, B, nx, ny).  The vorticity is computed once per
+# state, by `_record`, and shared by the velocity, the v-transport and the
+# trace.
 _MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
-
-
-def _vorticity(spec, grid):
-    # (values, spectrum) of omega = dv2/dx - dv1/dy
-    wh = grid._ikx_odd[:, None] * spec[3] - grid._iky_odd[None, :] * spec[2]
-    return np.fft.irfft2(wh, s=grid.shape), wh
 
 
 def _target_spectra(targets, grid):
@@ -203,7 +201,7 @@ def _target_spectra(targets, grid):
 
 
 def _velocity(observed, vals, spec, omega, grid, solver_params):
-    """(u, uh) of the combined displacement toward the observed targets.
+    """Values u of the combined displacement toward the observed targets.
 
     observed holds (name, target values, target spectrum); omega is the
     state's (values, spectrum) vorticity.  The displacement solves and H1
@@ -216,7 +214,7 @@ def _velocity(observed, vals, spec, omega, grid, solver_params):
     uh = _combined_displacement_hat(
         [(th, *obs[name]) for name, _, th in observed], grid, solver_params
     )
-    return _irfft_all(uh, grid), uh
+    return _irfft_all(uh, grid)
 
 
 def _record(traces, k, vals, spec, observed, grid):
@@ -233,18 +231,18 @@ def _record(traces, k, vals, spec, observed, grid):
     return omega, mses
 
 
-def _naive_transport_hat(vals, spec, u, uh, grid):
-    # every field dragged as a 0-form: d(theta)/ds = -u . grad(theta)
-    return np.stack([-_advect_hat(s, u, grid) for s in spec])
+def _step(vals, spec, omega, u, history, params, naive, step, grid):
+    """One AB epsilon-step of d(theta)/ds = -L_u theta; the new (vals, spec).
 
-
-def _step(vals, spec, u, uh, history, params, naive, step, grid):
-    """One AB epsilon-step of d(theta)/ds = -L_u theta; the new (vals, spec)."""
-    transport = _naive_transport_hat if naive else _transport_hat
-    return _ab_advance(
-        spec, transport(vals, spec, u, uh, grid), history, params.ab_order,
-        params.epsilon, params.filter_a, grid, step, _MORPH_ERRORS,
-    )
+    omega holds the values of the state's vorticity; the naive comparator
+    drags every field as a 0-form, d(theta)/ds = -u . grad(theta).
+    """
+    if naive:
+        tend = np.stack([-_advect_hat(s, u, grid) for s in spec])
+    else:
+        tend = _transport_hat(vals, spec, omega, u, grid)
+    return _ab_advance(spec, tend, history, params.ab_order, params.epsilon,
+                       params.filter_a, grid, step, _MORPH_ERRORS)
 
 
 def morph_velocity(state, targets, solver_params=None):
@@ -258,7 +256,7 @@ def morph_velocity(state, targets, solver_params=None):
     observed = _target_spectra(targets, g)
     vals = _fields(state)
     spec = _rfft_all(vals)
-    u, _ = _velocity(observed, vals, spec, _vorticity(spec, g), g, solver_params)
+    u = _velocity(observed, vals, spec, _vorticity(spec, g), g, solver_params)
     return DisplacementField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
@@ -267,9 +265,11 @@ def _typed_step(state, u, params, history, step, naive):
         raise ValueError("displacement grid mismatch")
     g = state.grid
     vals = _fields(state)
+    spec = _rfft_all(vals)
+    omega, _ = _vorticity(spec, g)
     uv = np.stack([u.u1.values, u.u2.values])
     history = [] if history is None else history
-    vals, _ = _step(vals, _rfft_all(vals), uv, _rfft_all(uv), history, params, naive, step, g)
+    vals, _ = _step(vals, spec, omega, uv, history, params, naive, step, g)
     return _state(vals, g, state.time)
 
 
@@ -337,9 +337,9 @@ def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
     history = []
     worse_streak = np.zeros(len(states), dtype=int)
     for k in range(params.n_steps):
-        u, uh = _velocity(observed, vals, spec, omega, g, solver_params)
+        u = _velocity(observed, vals, spec, omega, g, solver_params)
         try:
-            vals, spec = _step(vals, spec, u, uh, history, params, naive, k, g)
+            vals, spec = _step(vals, spec, omega[0], u, history, params, naive, k, g)
         except InstabilityError as err:
             err.member = int(active[err.member])
             raise
@@ -369,7 +369,10 @@ def nudge(state, targets, model, strength, n_steps):
     Each step adds strength times the morph's -L_u transport (the tensor
     types of morph_step) to the model tendency and takes ab3_step's update,
     on spectra as in `run_morph`; strength = 0 is `integrate` bit for bit.
-    Returns (final state, MorphTrace), a trace row per step plus the first.
+    The tendency and the transport share the trace's vorticity and one
+    grad(Theta): a step makes 16 rfft2 + 13 irfft2 with h and omega
+    targets.  Returns (final state, MorphTrace), a trace row per step plus
+    the first.
     """
     g = state.grid
     observed = _target_spectra(targets, g)
@@ -380,8 +383,10 @@ def nudge(state, targets, model, strength, n_steps):
     omega, _ = _record([trace], 0, vals, spec, observed, g)
     history = []
     for k in range(n_steps):
-        u, uh = _velocity(observed, vals, spec, omega, g, None)
-        tend = _tendency_hat(vals, spec, model, g) + strength * _transport_hat(vals, spec, u, uh, g)
+        u = _velocity(observed, vals, spec, omega, g, None)
+        w, grad_th = omega[0], _grad_theta(spec, g)
+        tend = _tendency_hat(vals, spec, model, g, w, grad_th)
+        tend += strength * _transport_hat(vals, spec, w, u, g, grad_th)
         vals, spec = _ab_advance(spec, tend, history, 3, model.dt, 12, g, k, _MODEL_ERRORS)
         time = time + model.dt
         omega, _ = _record([trace], k + 1, vals, spec, observed, g)

@@ -61,6 +61,7 @@ class GridSpec:
         self._parseval_w = np.full(ny // 2 + 1, 2.0)
         self._parseval_w[[0, -1]] = 1.0
         self._hou_li = {}
+        self._h1_weight = None
 
     @property
     def shape(self):
@@ -78,6 +79,15 @@ class GridSpec:
             mult.flags.writeable = False
             self._hou_li[a] = mult
         return mult
+
+    def h1_weight(self):
+        """1 + |k|^2 of the odd derivatives, the H1 weight of each rfft2
+        mode; computed once, read-only."""
+        if self._h1_weight is None:
+            w = 1.0 + (self._ikx_odd.imag[:, None] ** 2 + self._iky_odd.imag[None, :] ** 2)
+            w.flags.writeable = False
+            self._h1_weight = w
+        return self._h1_weight
 
     def xy(self):
         """Cell-center coordinate arrays X, Y of shape (nx, ny)."""

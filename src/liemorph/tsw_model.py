@@ -8,12 +8,15 @@ Prognostic fields h (height), Theta (buoyancy), v1, v2 (velocity) obey
 
 in km / 100 s units.  Time stepping is Adams-Bashforth up to order 3 with a
 lower-order bootstrap, followed by the Hou-Li filter (a = 12) on every
-prognostic field.  The step runs in Fourier space (8 FFT pairs per step) and
-shares `_ab_advance` with the morph; the AB history holds opaque spectra.
-The kernel carries a member axis: `_integrate_batch` advances a batch of
-states in lockstep with the same 8 FFT calls per step, and `integrate` is
-its batch of one.  The nudged model, this tendency plus the morph's tensor
-transport, is `morph_engine.nudge`.
+prognostic field.  The momentum is evaluated in vector-invariant form,
+(v . grad) v + f zhat x v = grad(|v|^2 / 2) + (omega + f) zhat x v, which
+needs the vorticity omega but no derivative of v.  The step runs in
+Fourier space (6 rfft2 + 7 irfft2 per step) and shares `_ab_advance` with
+the morph; the AB history holds opaque spectra.  The kernel carries a
+member axis: `_integrate_batch` advances a batch of states in lockstep
+with the same 13 FFT calls per step, and `integrate` is its batch of one.
+The nudged model, this tendency plus the morph's tensor transport, is
+`morph_engine.nudge`.
 """
 
 from dataclasses import dataclass
@@ -200,26 +203,48 @@ def _state(vals, grid, time):
     return TSWState(*(ScalarField(grid, v) for v in vals), time=time)
 
 
-def _tendency_hat(vals, spec, params, grid):
+def _vorticity(spec, grid):
+    # (values, spectrum) of omega = dv2/dx - dv1/dy
+    wh = grid._ikx_odd[:, None] * spec[3] - grid._iky_odd[None, :] * spec[2]
+    return np.fft.irfft2(wh, s=grid.shape), wh
+
+
+def _grad_theta(spec, grid):
+    # values of dTheta/dx and dTheta/dy
+    return tuple(_deriv_hat(spec[1], grid, a) for a in (0, 1))
+
+
+def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None):
     """rfft2 spectra (4, nx, ny//2+1) of the tendencies of (h, Theta, v1, v2).
 
     The pseudo-spectral transform method: derivatives are taken on the
     state spectra, products on grid values, and each product is transformed
-    once (6 irfft2 + 6 rfft2); -div(h v) and -grad(h Theta) are spectral.
+    once; -div(h v) and the pressure gradient are spectral.  The momentum
+    is in vector-invariant form (Sadourny 1975),
+
+        (v . grad) v + f zhat x v = grad(|v|^2 / 2) + (omega + f) zhat x v,
+
+    so it needs only the vorticity omega, not the four derivatives of v:
+    dv = -grad(h Theta + |v|^2 / 2) + (omega + f) (v2, -v1) + (h/2) grad(Theta).
+    A call makes 6 rfft2 + 3 irfft2 (omega, grad Theta); a caller that
+    holds omega or grad(Theta) as values passes them in and saves those.
     """
     h, th, v1, v2 = vals
     ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
-    thx, thy, v1x, v1y, v2x, v2y = (_deriv_hat(s, grid, a) for s in spec[1:] for a in (0, 1))
-    hth_hat = np.fft.rfft2(h * th)
+    if omega is None:
+        omega, _ = _vorticity(spec, grid)
+    thx, thy = _grad_theta(spec, grid) if grad_th is None else grad_th
+    p_hat = np.fft.rfft2(h * th + 0.5 * (v1 * v1 + v2 * v2))
     dth = -(v1 * thx + v2 * thy) - params.kappa * (h * th - params.h0 * params.theta0)
-    dv1 = -(v1 * v1x + v2 * v1y) + params.f * v2 + 0.5 * h * thx
-    dv2 = -(v1 * v2x + v2 * v2y) - params.f * v1 + 0.5 * h * thy
-    del thx, thy, v1x, v1y, v2x, v2y  # freed before the transforms: a lower peak
+    q = omega + params.f
+    dv1 = q * v2 + 0.5 * h * thx
+    dv2 = 0.5 * h * thy - q * v1
+    del omega, thx, thy, q  # freed before the transforms: a lower peak
     return np.stack([
         -(ikx * np.fft.rfft2(h * v1) + iky * np.fft.rfft2(h * v2)),
         np.fft.rfft2(dth),
-        np.fft.rfft2(dv1) - ikx * hth_hat,
-        np.fft.rfft2(dv2) - iky * hth_hat,
+        np.fft.rfft2(dv1) - ikx * p_hat,
+        np.fft.rfft2(dv2) - iky * p_hat,
     ])
 
 
@@ -283,8 +308,9 @@ def ab3_step(state, history, params, step=None):
 def integrate(state, n_steps, params, monitor=None):
     """Run n_steps of the ab3_step scheme from a fresh tendency history.
 
-    The loop runs on spectra: 6 rfft2 + 10 irfft2 per step.  It is
-    `_integrate_batch` with a batch of one.
+    The loop runs on spectra: 6 rfft2 + 7 irfft2 per step (the vorticity
+    and grad(Theta) back, six products forward, each field back once).  It
+    is `_integrate_batch` with a batch of one.
 
     Args:
         monitor: optional callback (step, state) invoked after each step;
@@ -297,7 +323,7 @@ def integrate(state, n_steps, params, monitor=None):
 def _integrate_batch(states, n_steps, params, monitor=None):
     """integrate for states on one grid, advanced in lockstep; a list.
 
-    The members share every FFT call, so a step makes 6 rfft2 + 10 irfft2
+    The members share every FFT call, so a step makes 6 rfft2 + 7 irfft2
     whatever their number, and each member's result equals its own
     `integrate` bit for bit.  An InstabilityError names the first failing
     step across the batch; its `member` is the lowest failing index in

@@ -459,19 +459,25 @@ class TestCommandLine:
         assert saved["output_dir"] == out_dir
         assert (tmp_path / "out" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("path,value", [
-        ("ic.amplitude", -1.1),
-        ("ic.theta_amplitude", -30.0),
-        ("horizons.truth_time", 1e308),
-        ("ensemble", []),
+    @pytest.mark.parametrize("path,value,dt", [
+        pytest.param("ic.amplitude", -1.1, 1.0, id="ic.amplitude--1.1"),
+        pytest.param("ic.theta_amplitude", -30.0, 1.0, id="ic.theta_amplitude--30.0"),
+        pytest.param("horizons.truth_time", 1e308, 0.25, id="horizons.truth_time-1e+308"),
+        pytest.param("ensemble", [], 1.0, id="ensemble-value3"),
+        pytest.param("horizons.truth_time", 1e308, 1.0, id="horizons.truth_time-1e+308-dt1"),
+        pytest.param("morph.n_steps", 10**18, 1.0, id="morph.n_steps-1e18"),
+        pytest.param("nudging.steps", 10**18, 1.0, id="nudging.steps-1e18"),
+        pytest.param("ensemble.size", 10**9, 1.0, id="ensemble.size-1e9"),
     ])
-    def test_run_rejects_before_compute(self, tmp_path, capsys, path, value):
-        # each used to end in a traceback and exit 1: the IC construction
-        # raised ValueError, t / dt overflowed and --seed indexed the list
+    def test_run_rejects_before_compute(self, tmp_path, capsys, path, value, dt):
+        # the first four used to end in a traceback and exit 1: the IC
+        # construction raised ValueError, t / dt overflowed and --seed
+        # indexed the list; the last four validated, and the run would
+        # have integrated for ever or run out of memory
         raw = with_value(path, value)
+        raw["model"]["dt"] = dt
         if path == "horizons.truth_time":
             del raw["horizons"]["truth_steps"]
-            raw["model"]["dt"] = 0.25
         cfg = self.write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["run", cfg, "--seed", "3", "--out", str(out)]) == 2

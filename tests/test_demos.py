@@ -1,0 +1,34 @@
+"""Smoke tests of the demos: each runs as a script and still prints what
+the README says it shows."""
+
+import os
+import re
+import subprocess
+import sys
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_demo(name):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+def test_morph_two_bumps_tensor_keeps_mass_naive_leaks():
+    out = run_demo("morph_two_bumps.py")
+    drift = dict(re.findall(r"^(tensor|naive): .*relative mass drift (\S+)$", out, re.M))
+    assert drift.keys() == {"tensor", "naive"}, out
+    assert float(drift["tensor"]) <= 1e-12
+    assert float(drift["naive"]) > 1e-9
+
+
+def test_pushforward_orders_are_two():
+    out = run_demo("pushforward_orders.py")
+    # rows "eps  gap  order"; the first row of each case has no order
+    orders = re.findall(r"^\s+\S+\s+\S+\s+(\d\.\d{3})$", out, re.M)
+    assert len(orders) == 6, out
+    assert orders == ["2.000"] * 6

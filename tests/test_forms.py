@@ -31,7 +31,7 @@ from liemorph import (
     translation_map,
     vector_to_oneform,
 )
-from liemorph.forms import form_inner_integral, periodic_interpolate
+from liemorph.forms import _transport_hat, form_inner_integral, periodic_interpolate
 
 from oracles import quadrature_h1_norm, random_band_limited, shear_map_x
 
@@ -176,6 +176,48 @@ class TestLieDerivative:
                 assert np.allclose(lc.values, alpha * ra.values + rv.values, atol=1e-12)
 
 
+def transport_case(grid, values):
+    """(vals, spec, omega, u) of the morph kernel for the stacked values of
+    (h, Theta, v1, v2, u1, u2); omega = curl v by the odd derivatives."""
+    vals, u = values[:4], values[4:]
+    spec = np.stack([np.fft.rfft2(v) for v in vals])
+    wh = grid._ikx_odd[:, None] * spec[3] - grid._iky_odd[None, :] * spec[2]
+    return vals, spec, np.fft.irfft2(wh, s=grid.shape), u
+
+
+class TestTransportKernel:
+    """`_transport_hat`, the morph's -L_u on the TSW tensors, with v
+    transported by Cartan's formula."""
+
+    def test_vorticity_transport_is_conservative(self, grid64, rng):
+        """The curl of the v-rows is the 2-form transport -div(omega u),
+        exactly up to rounding, also for fields with content up to the
+        grid scale."""
+        g = grid64
+        vals, spec, omega, u = transport_case(g, rng.standard_normal((6, *g.shape)))
+        t = _transport_hat(vals, spec, omega, u, g)
+        ikx, iky = g._ikx_odd[:, None], g._iky_odd[None, :]
+        curl = ikx * t[3] - iky * t[2]
+        ref = -(ikx * np.fft.rfft2(omega * u[0]) + iky * np.fft.rfft2(omega * u[1]))
+        assert np.max(np.abs(curl - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_matches_lie_derivative_on_band_limited_fields(self, grid64):
+        """Without aliasing, the Cartan form of the v-rows and the other
+        rows equal -lie_derivative of each tensor to rounding."""
+        g = grid64
+        values = np.stack([random_band_limited(g, s) for s in range(6)])
+        vals, spec, omega, u = transport_case(g, values)
+        got = [np.fft.irfft2(t, s=g.shape) for t in _transport_hat(vals, spec, omega, u, g)]
+        disp = DisplacementField(ScalarField(g, u[0]), ScalarField(g, u[1]))
+        fields = [ScalarField(g, v) for v in vals]
+        ref = [lie_derivative(DiffForm.from_scalar(2, fields[0]), disp),
+               lie_derivative(DiffForm.from_scalar(0, fields[1]), disp),
+               lie_derivative(DiffForm(1, fields[2:]), disp)]
+        ref = [-c.values for form in ref for c in form.components]
+        for a, b in zip(got, ref):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 class TestExteriorCalculus:
     def test_d_of_function_is_gradient(self, grid_small):
         f = random_form(grid_small, 0, 10)
@@ -265,6 +307,10 @@ class TestExteriorCalculus:
 class TestH1Norm:
     def test_zero_field(self, grid_small):
         assert h1_norm(DisplacementField.zeros(grid_small)) == 0.0
+
+    def test_weight_is_read_only(self, grid_small):
+        with pytest.raises(ValueError):
+            grid_small.h1_weight()[0, 0] = 0.0
 
     def test_constant_field(self, grid_small):
         c = -2.5
