@@ -13,15 +13,17 @@ values, and no n x d or d x d matrix is ever formed.
 Both per-member stages, the spin-up and the morph, run members in batches:
 contiguous runs of members that advance in lockstep through the spectral
 kernels (`tsw_model._integrate_batch`, `morph_engine._run_morph_batch`),
-one FFT call per field for the whole batch.  A batch runs in-process with
-workers = 1 and as one pool job otherwise; results do not depend on the
-batching.  When a batch fails, the error names the lowest-index member
-that failed at the batch's first failing step, where serial code named
-the first failing member.
+one FFT call per field for the whole batch.  With workers = 1 the batches
+run one after another in the calling thread, otherwise on a pool of
+threads in the calling process; results do not depend on the batching.
+When a batch fails, the error names the lowest-index member that failed
+at the batch's first failing step, where serial code named the first
+failing member, and is chained to the kernel's own error.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,24 +120,52 @@ def _batch_size(ne, workers, grid):
     return min(math.ceil(ne / workers), max(1, _BATCH_BYTES // (8 * grid.nx * grid.ny)))
 
 
-def _run_batches(job, batches, workers):
-    """job(batch) for each batch, flattened into one list in member order;
-    in-process with workers = 1, else one pool job per batch."""
+def _run_batches(kernel, items, grid, workers, failure):
+    """kernel(batch, stop) for each batch of items, flattened into one list
+    in member order.
+
+    With workers = 1 the batches run in the calling thread, otherwise on
+    min(workers, batch count) threads.  The kernels spend their time in
+    numpy FFTs and ufuncs, which release the GIL at these array sizes, so
+    threads run batches in parallel without a second interpreter.  Batches
+    share no mutable state; the lazily filled GridSpec caches they share
+    are deterministic and read-only.  An InstabilityError of batch member
+    j is re-raised as failure.format(start + j, error), chained to it.
+
+    Only the main thread receives an interrupt, and the pool waits for its
+    threads, so the event `stop` is set once the results are in or an
+    error ends the wait: the kernels still running then end at their next
+    step, not at their last, with a CancelledError that no one reads.
+    """
+    size = _batch_size(len(items), workers, grid)
+    stop = threading.Event()
+
+    def job(start):
+        try:
+            return kernel(items[start : start + size], stop)
+        except InstabilityError as err:
+            raise InstabilityError(failure.format(start + err.member, err)) from err
+
+    starts = range(0, len(items), size)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, batches))
+        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+            try:
+                results = list(pool.map(job, starts))
+            finally:
+                stop.set()
     else:
-        results = [job(b) for b in batches]
+        results = [job(s) for s in starts]
     return [r for batch in results for r in batch]
 
 
-def _spin_up(args):
-    ics, start, grid, spinup_steps, params = args
-    states = [double_vortex_ic(ic, grid, params) for ic in ics]
-    try:
-        return _integrate_batch(states, spinup_steps, params)
-    except InstabilityError as err:
-        raise InstabilityError(f"member {start + err.member} spin-up failed: {err}") from err
+def _spin_up(ics, grid, spinup_steps, params, workers):
+    """Spin up one member from each initial condition, in batches."""
+
+    def kernel(batch, stop):
+        states = [double_vortex_ic(ic, grid, params) for ic in batch]
+        return _integrate_batch(states, spinup_steps, params, stop=stop)
+
+    return _run_batches(kernel, ics, grid, workers, "member {} spin-up failed: {}")
 
 
 def generate_ensemble(
@@ -154,18 +184,14 @@ def generate_ensemble(
     (ox, oy) are drawn from N(perturb_mean, perturb_std^2) with a seeded
     generator, so identical seeds give bit-identical ensembles.  Members
     spin up in batches (see the module docstring); workers > 1 runs the
-    batches in separate processes with identical results.
+    batches on up to that many threads with identical results.
     """
     if ne < 2:
         raise ValueError("need at least 2 members")
     rng = np.random.default_rng(seed)
     offsets = draw_center_offsets(rng, ne, perturb_mean, perturb_std)
     ics = [replace(base_ic, ox=float(ox), oy=float(oy)) for ox, oy in offsets]
-    size = _batch_size(ne, workers, grid)
-    batches = [
-        (ics[i : i + size], i, grid, spinup_steps, params) for i in range(0, ne, size)
-    ]
-    return Ensemble(_run_batches(_spin_up, batches, workers), rng_seed=seed)
+    return Ensemble(_spin_up(ics, grid, spinup_steps, params, workers), rng_seed=seed)
 
 
 def _gain_weights(y_anom, r_diag):
@@ -259,14 +285,6 @@ def _targets_from_obs(obs, fine):
     ]
 
 
-def _morph(args):
-    members, start, targets, morph_params, solver_params, naive = args
-    try:
-        return _run_morph_batch(members, targets, morph_params, solver_params, naive)
-    except InstabilityError as err:
-        raise InstabilityError(f"morph of member {start + err.member}: {err}") from err
-
-
 def morph_ensemble(
     ensemble, obs, morph_params, solver_params=None, naive=False, workers=1
 ):
@@ -274,17 +292,15 @@ def morph_ensemble(
 
     Member morphs are independent and run in batches (see the module
     docstring); each member's state and trace equal its own `run_morph`.
-    workers > 1 runs the batches in separate processes with identical
+    workers > 1 runs the batches on up to that many threads with identical
     results.  Returns the morphed ensemble and the per-member traces.
     """
     targets = _targets_from_obs(obs, ensemble.grid)
-    members = ensemble.members
-    size = _batch_size(len(members), workers, ensemble.grid)
-    batches = [
-        (members[i : i + size], i, targets, morph_params, solver_params, naive)
-        for i in range(0, len(members), size)
-    ]
-    results = _run_batches(_morph, batches, workers)
+    results = _run_batches(
+        lambda batch, stop: _run_morph_batch(
+            batch, targets, morph_params, solver_params, naive, stop),
+        ensemble.members, ensemble.grid, workers, "morph of member {}: {}",
+    )
     morphed = Ensemble([st for st, _ in results], rng_seed=ensemble.rng_seed)
     traces = [tr for _, tr in results]
     return morphed, traces

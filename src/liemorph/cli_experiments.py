@@ -169,11 +169,13 @@ SCHEMA = {
     "nudging": {"steps": (*COUNT, 0), "strength": (*NUM, 1.0)},
     "observation": {"r_scale": ("a positive number", lambda v: _is_num(v) and v > 0, 1.0)},
 }
-# The largest value of each count that has its kind in SCHEMA.
+# The largest value of each count that has its kind in SCHEMA; no run has
+# more batches, so more threads, than members.
 CEILINGS = {
     **dict.fromkeys(("horizons.truth_steps", "horizons.spinup_steps", "morph.n_steps",
                      "nudging.steps"), MAX_STEPS),
     "ensemble.size": MAX_MEMBERS,
+    "workers": MAX_MEMBERS,
 }
 
 

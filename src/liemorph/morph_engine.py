@@ -19,6 +19,7 @@ and runs on the same spectra and trace recorder.
 
 import csv
 import io
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,7 +311,7 @@ def run_morph(state, targets, params, solver_params=None, naive=False):
     return _run_morph_batch([state], targets, params, solver_params, naive)[0]
 
 
-def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
+def _run_morph_batch(states, targets, params, solver_params=None, naive=False, stop=None):
     """run_morph for states on one grid, advanced in lockstep; a list of
     (final state, MorphTrace) in the order of `states`.
 
@@ -319,7 +320,8 @@ def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
     bit for bit.  A member whose early-stop streak runs out leaves the
     batch: its values, spectra and AB history are sliced off the member
     axis.  An InstabilityError names the first failing step across the
-    batch; its `member` is the lowest failing index in `states`.
+    batch; its `member` is the lowest failing index in `states`.  Once the
+    threading.Event `stop` is set, the next step raises CancelledError.
     """
     g = states[0].grid
     observed = _target_spectra(targets, g)
@@ -337,6 +339,8 @@ def _run_morph_batch(states, targets, params, solver_params=None, naive=False):
     history = []
     worse_streak = np.zeros(len(states), dtype=int)
     for k in range(params.n_steps):
+        if stop is not None and stop.is_set():
+            raise CancelledError
         u = _velocity(observed, vals, spec, omega, g, solver_params)
         try:
             vals, spec = _step(vals, spec, omega[0], u, history, params, naive, k, g)

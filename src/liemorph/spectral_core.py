@@ -71,6 +71,9 @@ class GridSpec:
     def area(self):
         return self.lx * self.ly
 
+    # Threads may race to fill a cache; the race is benign, as each
+    # computes the same deterministic read-only array and one attribute or
+    # dict assignment runs under the GIL.
     def hou_li(self, a):
         """hou_li_multiplier(self, a), computed once per exponent, read-only."""
         mult = self._hou_li.get(a)
@@ -109,8 +112,8 @@ class GridSpec:
         return hash((self.nx, self.ny, self.lx, self.ly))
 
     def __reduce__(self):
-        # rebuilt from its extents, so caches start empty (and read-only)
-        # in the receiving process
+        # rebuilt from its extents, so a pickled or copied grid carries no
+        # caches (the pipeline itself pickles nothing)
         return (GridSpec, (self.nx, self.ny, self.lx, self.ly))
 
     def __repr__(self):

@@ -19,6 +19,7 @@ The nudged model, this tendency plus the morph's tensor transport, is
 `morph_engine.nudge`.
 """
 
+from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,14 +321,15 @@ def integrate(state, n_steps, params, monitor=None):
     return _integrate_batch([state], n_steps, params, each)[0]
 
 
-def _integrate_batch(states, n_steps, params, monitor=None):
+def _integrate_batch(states, n_steps, params, monitor=None, stop=None):
     """integrate for states on one grid, advanced in lockstep; a list.
 
     The members share every FFT call, so a step makes 6 rfft2 + 7 irfft2
     whatever their number, and each member's result equals its own
     `integrate` bit for bit.  An InstabilityError names the first failing
     step across the batch; its `member` is the lowest failing index in
-    `states`.  monitor(step, states) is invoked after each step.
+    `states`.  monitor(step, states) is invoked after each step.  Once the
+    threading.Event `stop` is set, the next step raises CancelledError.
     """
     g = states[0].grid
     vals = np.stack([_fields(s) for s in states], axis=1)
@@ -335,6 +337,8 @@ def _integrate_batch(states, n_steps, params, monitor=None):
     times = np.array([s.time for s in states])
     history = []
     for k in range(n_steps):
+        if stop is not None and stop.is_set():
+            raise CancelledError
         tend = _tendency_hat(vals, spec, params, g)
         vals, spec = _ab_advance(spec, tend, history, 3, params.dt, 12, g, k, _MODEL_ERRORS)
         times = times + params.dt

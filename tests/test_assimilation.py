@@ -4,11 +4,15 @@ The analysis step is replicated end to end against the explicit joint
 covariance oracle, including the perturbed-observation noise draw.
 """
 
+import os
+import threading
 import tracemalloc
+from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
 
+from liemorph import assimilation
 from liemorph import (
     DisplacementField,
     GridSpec,
@@ -35,11 +39,13 @@ from liemorph.assimilation import (
     Ensemble,
     ObsSet,
     _batch_size,
+    _run_batches,
     _spin_up,
     _targets_from_obs,
     draw_center_offsets,
     morph_ensemble,
 )
+from liemorph.morph_engine import _run_morph_batch
 from liemorph.tsw_model import _integrate_batch
 from oracles import explicit_covariance_gain, random_band_limited
 
@@ -439,21 +445,29 @@ class TestMemberBatches:
             assert_same_state(got, ref)
             assert trace.rows == ref_trace.rows
 
-    def test_morph_error_names_the_failing_member(self, ensemble, truth):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_morph_error_names_the_failing_member(self, ensemble, truth, workers):
         """Of three members only member 1 loses positivity within 4 steps
-        (at step 3); the error is the one its own run_morph raises."""
+        (at step 3); the error is the one its own run_morph raises, and
+        that error, with its step, is the cause."""
         obs = observe(truth, COARSE)
         mp = MorphParams(epsilon=3000.0, n_steps=4)
         with pytest.raises(InstabilityError) as alone:
             run_morph(ensemble.members[1], _targets_from_obs(obs, FINE), mp)
         assert alone.value.step == 3
         with pytest.raises(InstabilityError) as exc:
-            morph_ensemble(Ensemble(ensemble.members[:3], rng_seed=0), obs, mp)
+            morph_ensemble(Ensemble(ensemble.members[:3], rng_seed=0), obs, mp,
+                           workers=workers)
         assert str(exc.value) == f"morph of member 1: {alone.value}"
+        cause = exc.value.__cause__
+        assert isinstance(cause, InstabilityError)
+        assert (cause.step, str(cause)) == (3, str(alone.value))
 
-    def test_spinup_error_names_the_failing_member(self, params):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spinup_error_names_the_failing_member(self, params, workers):
         """A 30x anomaly in the middle of a batch fails at its own step,
-        with its own minima; the job adds the batch's first member index."""
+        with its own minima; the error adds the batch's first member index
+        (4 on 2 workers, where members 4 to 6 are the second batch)."""
         ics = [VortexIC(), VortexIC(amplitude=3.0), VortexIC(ox=0.2)]
         states = [double_vortex_ic(ic, FINE, params) for ic in ics]
         with pytest.raises(InstabilityError) as alone:
@@ -463,8 +477,81 @@ class TestMemberBatches:
         assert (batch.value.member, batch.value.step) == (1, alone.value.step)
         assert str(batch.value) == str(alone.value)
         with pytest.raises(InstabilityError) as job:
-            _spin_up((ics, 4, FINE, 50, params))
+            _spin_up([VortexIC()] * 4 + ics, FINE, 50, params, workers)
         assert str(job.value) == f"member 5 spin-up failed: {alone.value}"
+        cause = job.value.__cause__
+        assert isinstance(cause, InstabilityError)
+        assert (cause.step, str(cause)) == (alone.value.step, str(alone.value))
+
+    def test_parallel_batches_stay_in_the_calling_process(
+        self, ensemble, truth, params, monkeypatch
+    ):
+        pids = []
+        for name in ("_integrate_batch", "_run_morph_batch"):
+            kernel = getattr(assimilation, name)
+
+            def recorded(*args, _kernel=kernel, **kwargs):
+                pids.append(os.getpid())
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(assimilation, name, recorded)
+        generate_ensemble(VortexIC(), FINE, 4, seed=1, spinup_steps=2, params=params,
+                          workers=2)
+        morph_ensemble(ensemble, observe(truth, COARSE), MorphParams(epsilon=10.0, n_steps=2),
+                       workers=2)
+        # two batches per stage
+        assert len(pids) == 4 and set(pids) == {os.getpid()}
+
+    def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
+        asked = []
+
+        class Inline:
+            """Records the pool size and runs the jobs in the calling thread."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(assimilation, "ThreadPoolExecutor", Inline)
+        out = _run_batches(lambda batch, stop: [2 * x for x in batch], [0, 1, 2], FINE,
+                           10**9, "member {}: {}")
+        assert out == [0, 2, 4]
+        assert asked == [3]
+
+    def test_set_stop_ends_the_kernels_before_a_step(self, ensemble, truth, params):
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(CancelledError):
+            _integrate_batch(ensemble.members[:2], 2, params, stop=stop)
+        targets = _targets_from_obs(observe(truth, COARSE), FINE)
+        with pytest.raises(CancelledError):
+            _run_morph_batch(ensemble.members[:2], targets,
+                             MorphParams(epsilon=10.0, n_steps=2), stop=stop)
+
+    def test_first_error_stops_the_running_batches(self):
+        """Member 0 fails while the batch of member 1 runs; that batch sees
+        the stop event at once, not after its 30 s timeout."""
+        started, seen = threading.Event(), []
+
+        def kernel(batch, stop):
+            if batch == [0]:
+                started.wait(timeout=30)
+                raise InstabilityError("blown up", step=1, member=0)
+            started.set()
+            seen.append(stop.wait(timeout=30))
+            raise CancelledError
+
+        with pytest.raises(InstabilityError, match="member 0: step 1: blown up"):
+            _run_batches(kernel, [0, 1], FINE, 2, "member {}: {}")
+        assert seen == [True]
 
     def test_batch_size_rule(self):
         """One batched field stays within 256 KiB, and no worker is idle."""

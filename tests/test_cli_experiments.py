@@ -171,9 +171,11 @@ def with_value(path, value):
 
 # Each of these used to validate, and some then failed at run time:
 # n_steps 3.5 with a TypeError, r_scale NaN with a LinAlgError, dt NaN with
-# exit 3; a NaN or infinite truth_time crashed validate_config itself.
+# exit 3; a NaN or infinite truth_time crashed validate_config itself; a
+# billion workers asked a process pool for a billion processes.
 MALFORMED = [
     ("workers", True),
+    ("workers", 10**9),
     ("ensemble.seed", True),
     ("grid.nx", "32"),
     ("grid.nx", 32.7),
@@ -416,6 +418,21 @@ class TestCommandLine:
             "from liemorph.cli_experiments import main\n"
             f"assert main(['validate', {path!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.splitlines()[-1] == "[]"
+
+    def test_validate_imports_no_multiprocessing(self, tmp_path):
+        """Parallel batches run on threads, so no process pool is loaded."""
+        path = self.write_config(tmp_path, small_raw())
+        code = (
+            "import sys, liemorph\n"
+            "from liemorph.cli_experiments import main\n"
+            f"assert main(['validate', {path!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if 'multiprocessing' in m.split('.')[0]))\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ, PYTHONPATH=src)

@@ -6,6 +6,8 @@ touch an FFT.
 """
 
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -273,6 +275,34 @@ class TestHouLi:
                 assert g.hou_li(a) is cached
                 with pytest.raises(ValueError):
                     cached[0, 0] = 0.5
+
+    def test_grid_caches_fill_safely_from_threads(self):
+        """More threads than cores race to fill a fresh grid's caches; every
+        one reads the same read-only values."""
+        grid = GridSpec(64, 64, 5000.0, 5000.0)
+        got = []
+
+        def read():
+            for _ in range(20):
+                got.append((grid.hou_li(36.0), grid.h1_weight()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 160
+        fresh = GridSpec(64, 64, 5000.0, 5000.0)
+        for mult, weight in got:
+            assert not mult.flags.writeable and not weight.flags.writeable
+            assert np.array_equal(mult, fresh.hou_li(36.0))
+            assert np.array_equal(weight, fresh.h1_weight())
 
     def test_damps_highest_mode(self, grid_small):
         delta = np.zeros(grid_small.shape)
