@@ -147,6 +147,7 @@ def _run_batches(kernel, items, grid, workers, failure):
             raise InstabilityError(failure.format(start + err.member, err)) from err
 
     starts = range(0, len(items), size)
+    # workers = 1 stays serial: a pool thread raised desk peak_rss_mb 55.6 -> 60.6 MB
     if workers > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             try:
@@ -221,13 +222,6 @@ def kalman_gain(z_anom, y_anom, r_diag):
     return z_anom @ _gain_weights(y_anom, r_diag)
 
 
-def _member_obs_vector(state, coarse):
-    # predicted observations, computed exactly as observe() does
-    h = coarsen(state.h, coarse).values.ravel()
-    w = coarsen(vorticity_of(state), coarse).values.ravel()
-    return np.concatenate([h, w])
-
-
 def _member_state_vector(state, coarse):
     return np.concatenate(
         [coarsen(f, coarse).values.ravel() for f in state.fields()]
@@ -252,7 +246,11 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
     nc = coarse.nx * coarse.ny
 
     z = np.stack([_member_state_vector(m, coarse) for m in ensemble.members], axis=1)
-    y = np.stack([_member_obs_vector(m, coarse) for m in ensemble.members], axis=1)
+    # predicted observations, computed as observe() does; the h rows are
+    # z's, which coarsen h already
+    w = np.stack([coarsen(vorticity_of(m), coarse).values.ravel() for m in ensemble.members],
+                 axis=1)
+    y = np.concatenate([z[:nc], w])
     z_anom = z - z.mean(axis=1, keepdims=True)
     y_anom = y - y.mean(axis=1, keepdims=True)
 
@@ -285,9 +283,7 @@ def _targets_from_obs(obs, fine):
     ]
 
 
-def morph_ensemble(
-    ensemble, obs, morph_params, solver_params=None, naive=False, workers=1
-):
+def morph_ensemble(ensemble, obs, morph_params, naive=False, workers=1):
     """Morph every member toward the observations (step 2-3 of the pipeline).
 
     Member morphs are independent and run in batches (see the module
@@ -297,8 +293,7 @@ def morph_ensemble(
     """
     targets = _targets_from_obs(obs, ensemble.grid)
     results = _run_batches(
-        lambda batch, stop: _run_morph_batch(
-            batch, targets, morph_params, solver_params, naive, stop),
+        lambda batch, stop: _run_morph_batch(batch, targets, morph_params, naive, stop),
         ensemble.members, ensemble.grid, workers, "morph of member {}: {}",
     )
     morphed = Ensemble([st for st, _ in results], rng_seed=ensemble.rng_seed)
@@ -306,21 +301,11 @@ def morph_ensemble(
     return morphed, traces
 
 
-def morphed_enkf(
-    ensemble,
-    obs,
-    morph_params,
-    obs_noise_seed,
-    solver_params=None,
-    naive=False,
-    workers=1,
-):
+def morphed_enkf(ensemble, obs, morph_params, obs_noise_seed, naive=False, workers=1):
     """Morph every member toward the observations, then run the plain EnKF.
 
     Returns the analysis ensemble and the per-member morph traces.
     """
-    morphed, traces = morph_ensemble(
-        ensemble, obs, morph_params, solver_params, naive=naive, workers=workers
-    )
+    morphed, traces = morph_ensemble(ensemble, obs, morph_params, naive=naive, workers=workers)
     analysis = enkf_analysis(morphed, obs, obs_noise_seed)
     return analysis, traces

@@ -68,9 +68,12 @@ PIPELINES = (
     "morph-only",
     "nudging-run",
 )
-MAX_WORKERS_ENV = "LIEMORPH_MAX_WORKERS"
-# AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72.
+# AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72, and on
+# the negative real axis down to lambda dt = -6/11.
 AB3_COURANT_MAX = 0.72
+AB3_DECAY_MAX = 6 / 11
+# A horizon time is a whole number of steps up to this relative error.
+STEP_RTOL = 1e-9
 # Ceilings on the counts a run loops over or allocates, far above the
 # paper preset's (11000 truth steps, 10000 morph steps, 20 members): a
 # value beyond them would run for days or exhaust memory.
@@ -155,7 +158,8 @@ SCHEMA = {
         "workers": ("a positive integer", lambda v: type(v) is int and v >= 1, 1),
     },
     "grid": {"nx": INT, "ny": INT, "lx": NUM, "ly": NUM, "coarse_nx": INT, "coarse_ny": INT},
-    "model": {"f": NUM, "kappa": NUM, "h0": NUM, "theta0": NUM, "dt": NUM},
+    # a negative kappa drives Theta away from Theta0 until it turns negative
+    "model": {"f": NUM, "kappa": SPAN, "h0": NUM, "theta0": NUM, "dt": NUM},
     # a nonnegative amplitude keeps h and Theta of the vortex IC positive
     "ic": {"amplitude": SPAN, "radius": NUM, "separation": NUM, "theta_amplitude": SPAN,
            "perturb_mean": NUM, "perturb_std": SPAN},
@@ -166,7 +170,8 @@ SCHEMA = {
     "morph": {"epsilon": NUM, "n_steps": INT, "filter_a": NUM, "ab_order": INT,
               "early_stop_patience": ("an integer or null",
                                       lambda v: v is None or type(v) is int, None)},
-    "nudging": {"steps": (*COUNT, 0), "strength": (*NUM, 1.0)},
+    # a negative strength pushes the member away from the observations
+    "nudging": {"steps": (*COUNT, 0), "strength": (*SPAN, 1.0)},
     "observation": {"r_scale": ("a positive number", lambda v: _is_num(v) and v > 0, 1.0)},
 }
 # The largest value of each count that has its kind in SCHEMA; no run has
@@ -177,6 +182,12 @@ CEILINGS = {
     "ensemble.size": MAX_MEMBERS,
     "workers": MAX_MEMBERS,
 }
+
+
+def _floor4(x):
+    # positive x rounded down to 4 significant digits, a limit that passes
+    scale = 10.0 ** (np.floor(np.log10(x)) - 3)
+    return np.floor(x / scale) * scale
 
 
 def _read(section, name, errors):
@@ -273,18 +284,33 @@ def validate_config(raw):
                     f"ic.amplitude: advective Courant number max|v|*k_max*dt = "
                     f"{advective:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}"
                 )
+    if model is not None and ic is not None:
+        # the Theta relaxation decays at rate kappa*h, and h peaks near
+        # h0 + amplitude
+        reach = (model.h0 + ic.amplitude) * model.dt
+        if model.kappa * reach > AB3_DECAY_MAX:
+            errors.append(
+                f"model.kappa: relaxation number kappa*(h0 + ic.amplitude)*dt = "
+                f"{model.kappa * reach:.3g} exceeds the AB3 bound 6/11; the largest "
+                f"stable kappa is {_floor4(AB3_DECAY_MAX / reach):.4g}"
+            )
 
     steps = {}
     given = top.get("horizons", {})
     for key in ("truth", "spinup"):
         n, t = hz.get(f"{key}_steps"), hz.get(f"{key}_time")
+        r = t / model.dt if model is not None and t is not None else None
         if hz and (f"{key}_steps" in given) == (f"{key}_time" in given):
             errors.append(f"horizons: give exactly one of {key}_steps or {key}_time")
-        elif model is not None and t is not None and not t / model.dt <= MAX_STEPS:
+        elif r is not None and not r <= MAX_STEPS:
             errors.append(f"horizons.{key}_time: {key}_time / model.dt exceeds {MAX_STEPS} "
                           f"steps; give a shorter horizon or a larger dt")
+        elif r is not None and abs(r - round(r)) > STEP_RTOL * r:
+            errors.append(f"horizons.{key}_time: {t} is not a whole number of model.dt = "
+                          f"{model.dt} steps; the nearest valid times are "
+                          f"{np.floor(r) * model.dt:.10g} and {np.ceil(r) * model.dt:.10g}")
         elif model is not None and (n, t) != (None, None):
-            steps[key] = n if t is None else int(round(t / model.dt))
+            steps[key] = n if r is None else round(r)
 
     if errors:
         raise ConfigError(errors)
@@ -539,22 +565,10 @@ def _apply_overrides(raw, args):
     return raw
 
 
-def _effective_workers(requested):
-    cap = os.environ.get(MAX_WORKERS_ENV)
-    if cap is None:
-        return requested
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise ConfigError([f"{MAX_WORKERS_ENV} must be an integer, got {cap!r}"])
-    return max(1, min(requested, cap))
-
-
 def _cmd_run(args):
     raw = load_config(args.config) if not args.preset else preset_config(args.config)
     raw = _apply_overrides(raw, args)
     config = validate_config(raw)
-    config.workers = _effective_workers(config.workers)
     _check_out_dir(config.output_dir)
     report = run_experiment(config)
     files = emit_outputs(report, config.output_dir)
@@ -589,7 +603,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="liemorph",
         description="Morphed-EnKF twin experiments on the thermal shallow water equations",
-        epilog=f"Set {MAX_WORKERS_ENV} to cap the worker count regardless of --workers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

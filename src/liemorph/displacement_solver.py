@@ -117,7 +117,7 @@ def _displacement_2form_hat(t1h, t2, t2h, grid, params):
     return PREFACTOR * forcing / (params.a0 + params.a1 * grid._k2_r)
 
 
-def _combined_displacement_hat(pairs, grid, params=None):
+def _combined_displacement_hat(pairs, grid):
     """Stacked spectra of the combined displacement toward 2-form targets.
 
     The Fourier-space equivalent of `combine_displacements` over
@@ -129,7 +129,7 @@ def _combined_displacement_hat(pairs, grid, params=None):
         pairs: (theta1 spectrum, theta2 values, theta2 spectrum) per
             observable, rfft2 layout.
     """
-    params = params or SolverParams()
+    params = SolverParams()
     fields = [_displacement_2form_hat(*p, grid, params) for p in pairs]
     return _normalized_mean(
         fields, [_h1_norm_hat(u, grid) for u in fields], _TOL_NORM_PER_AREA * grid.area
@@ -226,7 +226,7 @@ def _laplacian(values, grid):
     return np.fft.irfft2(fh, s=values.shape)
 
 
-def generalized_optical_flow(theta, theta_t, params=None, callback=None):
+def generalized_optical_flow(theta, theta_t, params=None):
     """Minimize int W|theta_t + L_u theta|^2 + a0|u|^2 + a1(|du|^2 + |delta u|^2).
 
     The data term is the transport residual: a field advected by u changes
@@ -237,10 +237,6 @@ def generalized_optical_flow(theta, theta_t, params=None, callback=None):
     Hodge Laplacian of the flat 1-form, which is -Lap componentwise.
     Non-convergence is reported as a warning with the final residual; the
     returned field is the last iterate either way.
-
-    Args:
-        callback: optional function of the current stacked iterate, handed
-            through to the CG loop (used for objective monitoring).
     """
     # imported here: the pipeline never runs CG, and scipy.sparse costs
     # start-up time and memory
@@ -275,14 +271,7 @@ def generalized_optical_flow(theta, theta_t, params=None, callback=None):
     if not np.any(b):
         return DisplacementField.zeros(g)
     op = LinearOperator((2 * n, 2 * n), matvec=apply_normal)
-    sol, info = cg(
-        op,
-        b,
-        rtol=params.cg_tol,
-        atol=0.0,
-        maxiter=params.cg_max_iter,
-        callback=callback,
-    )
+    sol, info = cg(op, b, rtol=params.cg_tol, atol=0.0, maxiter=params.cg_max_iter)
     if info > 0:
         res = np.linalg.norm(b - apply_normal(sol)) / np.linalg.norm(b)
         warnings.warn(

@@ -91,12 +91,6 @@ class DisplacementField:
     def zeros(cls, grid):
         return cls(ScalarField.zeros(grid), ScalarField.zeros(grid))
 
-    @classmethod
-    def from_functions(cls, grid, f1, f2):
-        return cls(
-            ScalarField.from_function(grid, f1), ScalarField.from_function(grid, f2)
-        )
-
     def __add__(self, other):
         return DisplacementField(self.u1 + other.u1, self.u2 + other.u2)
 

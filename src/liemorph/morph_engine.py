@@ -201,7 +201,7 @@ def _target_spectra(targets, grid):
     return out
 
 
-def _velocity(observed, vals, spec, omega, grid, solver_params):
+def _velocity(observed, vals, spec, omega, grid):
     """Values u of the combined displacement toward the observed targets.
 
     observed holds (name, target values, target spectrum); omega is the
@@ -212,9 +212,7 @@ def _velocity(observed, vals, spec, omega, grid, solver_params):
     if not observed:
         raise ValueError("morph_velocity needs at least one observable")
     obs = {"h": (vals[0], spec[0]), "omega": omega}
-    uh = _combined_displacement_hat(
-        [(th, *obs[name]) for name, _, th in observed], grid, solver_params
-    )
+    uh = _combined_displacement_hat([(th, *obs[name]) for name, _, th in observed], grid)
     return _irfft_all(uh, grid)
 
 
@@ -246,7 +244,7 @@ def _step(vals, spec, omega, u, history, params, naive, step, grid):
                        params.filter_a, grid, step, _MORPH_ERRORS)
 
 
-def morph_velocity(state, targets, solver_params=None):
+def morph_velocity(state, targets):
     """Combined displacement toward the targets for the current state.
 
     Each observable contributes one closed-form 2-form solve (h directly,
@@ -257,7 +255,7 @@ def morph_velocity(state, targets, solver_params=None):
     observed = _target_spectra(targets, g)
     vals = _fields(state)
     spec = _rfft_all(vals)
-    u = _velocity(observed, vals, spec, _vorticity(spec, g), g, solver_params)
+    u = _velocity(observed, vals, spec, _vorticity(spec, g), g)
     return DisplacementField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
@@ -291,7 +289,7 @@ def naive_morph_step(state, u, params, history=None, step=None):
     return _typed_step(state, u, params, history, step, naive=True)
 
 
-def run_morph(state, targets, params, solver_params=None, naive=False):
+def run_morph(state, targets, params, naive=False):
     """Iterate morph_velocity + morph_step n_steps times.
 
     Records per-step MSE of each observable against its target plus the
@@ -308,10 +306,10 @@ def run_morph(state, targets, params, solver_params=None, naive=False):
         (final state, MorphTrace); the trace has one row per executed step
         plus the initial row.
     """
-    return _run_morph_batch([state], targets, params, solver_params, naive)[0]
+    return _run_morph_batch([state], targets, params, naive)[0]
 
 
-def _run_morph_batch(states, targets, params, solver_params=None, naive=False, stop=None):
+def _run_morph_batch(states, targets, params, naive=False, stop=None):
     """run_morph for states on one grid, advanced in lockstep; a list of
     (final state, MorphTrace) in the order of `states`.
 
@@ -341,7 +339,7 @@ def _run_morph_batch(states, targets, params, solver_params=None, naive=False, s
     for k in range(params.n_steps):
         if stop is not None and stop.is_set():
             raise CancelledError
-        u = _velocity(observed, vals, spec, omega, g, solver_params)
+        u = _velocity(observed, vals, spec, omega, g)
         try:
             vals, spec = _step(vals, spec, omega[0], u, history, params, naive, k, g)
         except InstabilityError as err:
@@ -387,7 +385,7 @@ def nudge(state, targets, model, strength, n_steps):
     omega, _ = _record([trace], 0, vals, spec, observed, g)
     history = []
     for k in range(n_steps):
-        u = _velocity(observed, vals, spec, omega, g, None)
+        u = _velocity(observed, vals, spec, omega, g)
         w, grad_th = omega[0], _grad_theta(spec, g)
         tend = _tendency_hat(vals, spec, model, g, w, grad_th)
         tend += strength * _transport_hat(vals, spec, w, u, g, grad_th)

@@ -162,7 +162,7 @@ class TSWState:
         )
 
     def min_diagnostics(self):
-        """Positivity monitor: (min h, min Theta)."""
+        """Positivity diagnostics: (min h, min Theta)."""
         return float(self.h.values.min()), float(self.theta.values.min())
 
     def __repr__(self):
@@ -306,30 +306,25 @@ def ab3_step(state, history, params, step=None):
     return _state(vals, g, state.time + params.dt)
 
 
-def integrate(state, n_steps, params, monitor=None):
+def integrate(state, n_steps, params):
     """Run n_steps of the ab3_step scheme from a fresh tendency history.
 
     The loop runs on spectra: 6 rfft2 + 7 irfft2 per step (the vorticity
     and grad(Theta) back, six products forward, each field back once).  It
     is `_integrate_batch` with a batch of one.
-
-    Args:
-        monitor: optional callback (step, state) invoked after each step;
-            receives the positivity diagnostics via state.min_diagnostics().
     """
-    each = None if monitor is None else (lambda k, states: monitor(k, states[0]))
-    return _integrate_batch([state], n_steps, params, each)[0]
+    return _integrate_batch([state], n_steps, params)[0]
 
 
-def _integrate_batch(states, n_steps, params, monitor=None, stop=None):
+def _integrate_batch(states, n_steps, params, stop=None):
     """integrate for states on one grid, advanced in lockstep; a list.
 
     The members share every FFT call, so a step makes 6 rfft2 + 7 irfft2
     whatever their number, and each member's result equals its own
     `integrate` bit for bit.  An InstabilityError names the first failing
     step across the batch; its `member` is the lowest failing index in
-    `states`.  monitor(step, states) is invoked after each step.  Once the
-    threading.Event `stop` is set, the next step raises CancelledError.
+    `states`.  Once the threading.Event `stop` is set, the next step raises
+    CancelledError.
     """
     g = states[0].grid
     vals = np.stack([_fields(s) for s in states], axis=1)
@@ -342,8 +337,6 @@ def _integrate_batch(states, n_steps, params, monitor=None, stop=None):
         tend = _tendency_hat(vals, spec, params, g)
         vals, spec = _ab_advance(spec, tend, history, 3, params.dt, 12, g, k, _MODEL_ERRORS)
         times = times + params.dt
-        if monitor is not None:
-            monitor(k, [_state(vals[:, b], g, t) for b, t in enumerate(times)])
     return [_state(vals[:, b], g, t) for b, t in enumerate(times)]
 
 

@@ -216,6 +216,20 @@ class TestEnkfAnalysis:
             worst = max(worst, np.max(np.abs(va - vb)) / np.max(np.abs(vb)))
         assert worst <= 1e-6
 
+    def test_coarsens_each_field_once_per_member(self, monkeypatch, ensemble, truth):
+        # four state fields and the vorticity; the h observation reuses the
+        # coarse h of the state vector
+        obs = observe(truth, COARSE)
+        calls = []
+
+        def counted(field, coarse):
+            calls.append(field)
+            return coarsen(field, coarse)
+
+        monkeypatch.setattr(assimilation, "coarsen", counted)
+        enkf_analysis(ensemble, obs, obs_noise_seed=3)
+        assert len(calls) == 5 * len(ensemble)
+
     def test_identical_members_stay_exactly_put(self, params, truth):
         member = band_limited_member(FINE, params, 211)
         ens = Ensemble([member, member.copy()], rng_seed=0)

@@ -26,6 +26,7 @@ from liemorph.cli_experiments import (
     run_experiment,
     validate_config,
 )
+from liemorph.tsw_model import AB_COEFFS
 from oracles import random_band_limited
 
 
@@ -124,6 +125,12 @@ class TestValidateConfig:
         assert "1.59" in courant[0] and "largest stable dt is 0.4522" in courant[0]
         raw["model"]["dt"] = 0.45
         raw["workers"] = 1
+        # the paper horizons are no whole number of 0.45 steps
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        assert [e.split(":")[0] for e in exc.value.errors] == [
+            "horizons.truth_time", "horizons.spinup_time"]
+        raw["horizons"] = {"truth_steps": 6111, "spinup_steps": 4444}
         validate_config(raw)
 
     def test_rejects_advective_courant_number(self):
@@ -241,6 +248,63 @@ class TestParameterRanges:
 
     def test_morph_params_accepts_patience_one(self):
         assert MorphParams(early_stop_patience=1).early_stop_patience == 1
+
+    @staticmethod
+    def ab3_amplification(z):
+        # largest root modulus of rho(xi) - z sigma(xi) for AB3's
+        # xi^3 = xi^2 + z (c0 xi^2 + c1 xi + c2)
+        c = AB_COEFFS[3]
+        return max(abs(np.roots([1.0, -1.0 - z * c[0], -z * c[1], -z * c[2]])))
+
+    def test_ab3_bounds_lie_in_the_stability_region(self):
+        assert self.ab3_amplification(1j * cli_experiments.AB3_COURANT_MAX) <= 1 + 1e-12
+        assert self.ab3_amplification(-cli_experiments.AB3_DECAY_MAX) <= 1 + 1e-12
+        # and the real-axis bound is the edge of the region
+        assert self.ab3_amplification(-1.01 * cli_experiments.AB3_DECAY_MAX) > 1
+
+    def test_zero_nudging_strength_validates(self):
+        assert validate_config(with_value("nudging.strength", 0)).nudging_strength == 0
+
+    def test_negative_kappa_is_reported(self):
+        # a negative kappa validated and lost positivity at step 132
+        with pytest.raises(ConfigError) as exc:
+            validate_config(with_value("model.kappa", -0.05))
+        assert exc.value.errors == ["model.kappa must be a nonnegative number"]
+
+    def test_kappa_bound_names_a_kappa_that_passes(self):
+        # kappa*(h0 + amplitude)*dt = 0.55 on small_raw, above 6/11
+        with pytest.raises(ConfigError) as exc:
+            validate_config(with_value("model.kappa", 0.5))
+        (error,) = exc.value.errors
+        assert error.startswith("model.kappa:") and "0.55" in error
+        largest = float(error.rsplit(" ", 1)[1])
+        assert 0.99 * 6 / 11 / 1.1 < largest <= 6 / 11 / 1.1
+        assert validate_config(with_value("model.kappa", largest)).model.kappa == largest
+
+    @pytest.mark.parametrize("dt,key,time,nearest", [
+        (1.0, "truth", 0.4, "0 and 1"),
+        (1.0, "spinup", 200.6, "200 and 201"),
+        (0.25, "truth", 2750.1, "2750 and 2750.25"),
+    ])
+    def test_horizon_time_must_be_whole_steps(self, dt, key, time, nearest):
+        # these used to round silently: 0.4 to no truth steps at all
+        raw = small_raw()
+        raw["model"]["dt"] = dt
+        raw["horizons"] = {"truth_steps": 5, "spinup_steps": 0}
+        del raw["horizons"][f"{key}_steps"]
+        raw["horizons"][f"{key}_time"] = time
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        (error,) = exc.value.errors
+        assert error.startswith(f"horizons.{key}_time:") and error.endswith(nearest)
+
+    @pytest.mark.parametrize("dt,time,steps", [(0.1, 1.0, 10), (0.25, 2750.0, 11000),
+                                               (0.25, 20.0, 80), (1.0, 0.0, 0)])
+    def test_horizon_time_within_rounding_passes(self, dt, time, steps):
+        raw = small_raw()
+        raw["model"]["dt"] = dt
+        raw["horizons"] = {"truth_time": time, "spinup_steps": 0}
+        assert validate_config(raw).truth_steps == steps
 
     @pytest.mark.parametrize("path,value,message", [
         # f = 0 used to raise ZeroDivisionError out of validate_config
@@ -485,12 +549,17 @@ class TestCommandLine:
         pytest.param("morph.n_steps", 10**18, 1.0, id="morph.n_steps-1e18"),
         pytest.param("nudging.steps", 10**18, 1.0, id="nudging.steps-1e18"),
         pytest.param("ensemble.size", 10**9, 1.0, id="ensemble.size-1e9"),
+        pytest.param("model.kappa", 0.5, 1.0, id="model.kappa-0.5"),
+        pytest.param("horizons.truth_time", 0.4, 1.0, id="horizons.truth_time-0.4"),
+        pytest.param("nudging.strength", -5.0, 1.0, id="nudging.strength--5.0"),
     ])
     def test_run_rejects_before_compute(self, tmp_path, capsys, path, value, dt):
         # the first four used to end in a traceback and exit 1: the IC
         # construction raised ValueError, t / dt overflowed and --seed
-        # indexed the list; the last four validated, and the run would
-        # have integrated for ever or run out of memory
+        # indexed the list; the next four validated, and the run would
+        # have integrated for ever or run out of memory; of the last
+        # three, kappa 0.5 lost positivity at step 164 (exit 3), and
+        # truth_time 0.4 (0 truth steps) and strength -5 ran to exit 0
         raw = with_value(path, value)
         raw["model"]["dt"] = dt
         if path == "horizons.truth_time":
@@ -513,19 +582,6 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "numerical instability" in err
         assert "morph of member 0: step 4: positivity lost during morph" in err
-
-    def test_worker_env_cap_applies(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LIEMORPH_MAX_WORKERS", "1")
-        raw = small_raw(pipeline="morphed-enkf", workers=8)
-        cfg = self.write_config(tmp_path, raw)
-        out_dir = str(tmp_path / "capped")
-        assert main(["run", cfg, "--out", out_dir]) == 0
-
-    def test_worker_env_cap_must_be_integer(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("LIEMORPH_MAX_WORKERS", "many")
-        cfg = self.write_config(tmp_path, small_raw(pipeline="plain-enkf"))
-        assert main(["run", cfg, "--out", str(tmp_path / "x")]) == 2
-        assert "must be an integer" in capsys.readouterr().err
 
 
 class TestOutputDirectory:

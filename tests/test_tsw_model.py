@@ -352,17 +352,6 @@ class TestTimeStepping:
         for fa, fb in zip(a.fields(), b.fields()):
             assert np.array_equal(fa.values, fb.values)
 
-    def test_monitor_sees_every_step(self, grid_km, params):
-        seen = []
-        integrate(
-            TSWState.rest(grid_km, params),
-            5,
-            params,
-            monitor=lambda k, s: seen.append((k, s.time)),
-        )
-        assert [k for k, _ in seen] == [0, 1, 2, 3, 4]
-        assert [t for _, t in seen] == pytest.approx([1.0, 2.0, 3.0, 4.0, 5.0])
-
     def test_history_caps_at_three(self, grid_km, params):
         state = TSWState.rest(grid_km, params)
         history = []
