@@ -62,7 +62,6 @@ from .morph_engine import (
     field_mse,
     morph_step,
     morph_velocity,
-    naive_morph_step,
     nudge,
     run_morph,
 )
@@ -72,7 +71,6 @@ from .assimilation import (
     enkf_analysis,
     generate_ensemble,
     kalman_gain,
-    morphed_enkf,
     observe,
 )
 

@@ -45,7 +45,6 @@ __all__ = [
     "draw_center_offsets",
     "kalman_gain",
     "enkf_analysis",
-    "morphed_enkf",
 ]
 
 
@@ -169,6 +168,13 @@ def _spin_up(ics, grid, spinup_steps, params, workers):
     return _run_batches(kernel, ics, grid, workers, "member {} spin-up failed: {}")
 
 
+def _member_ics(base_ic, ne, seed, perturb_mean, perturb_std):
+    """base_ic with the seeded center offsets (ox, oy) of members 0..ne-1."""
+    rng = np.random.default_rng(seed)
+    offsets = draw_center_offsets(rng, ne, perturb_mean, perturb_std)
+    return [replace(base_ic, ox=float(ox), oy=float(oy)) for ox, oy in offsets]
+
+
 def generate_ensemble(
     base_ic,
     grid,
@@ -189,9 +195,7 @@ def generate_ensemble(
     """
     if ne < 2:
         raise ValueError("need at least 2 members")
-    rng = np.random.default_rng(seed)
-    offsets = draw_center_offsets(rng, ne, perturb_mean, perturb_std)
-    ics = [replace(base_ic, ox=float(ox), oy=float(oy)) for ox, oy in offsets]
+    ics = _member_ics(base_ic, ne, seed, perturb_mean, perturb_std)
     return Ensemble(_spin_up(ics, grid, spinup_steps, params, workers), rng_seed=seed)
 
 
@@ -289,7 +293,8 @@ def morph_ensemble(ensemble, obs, morph_params, naive=False, workers=1):
     Member morphs are independent and run in batches (see the module
     docstring); each member's state and trace equal its own `run_morph`.
     workers > 1 runs the batches on up to that many threads with identical
-    results.  Returns the morphed ensemble and the per-member traces.
+    results.  Returns the morphed ensemble, which the morphed EnKF passes
+    to `enkf_analysis`, and the per-member traces.
     """
     targets = _targets_from_obs(obs, ensemble.grid)
     results = _run_batches(
@@ -300,12 +305,3 @@ def morph_ensemble(ensemble, obs, morph_params, naive=False, workers=1):
     traces = [tr for _, tr in results]
     return morphed, traces
 
-
-def morphed_enkf(ensemble, obs, morph_params, obs_noise_seed, naive=False, workers=1):
-    """Morph every member toward the observations, then run the plain EnKF.
-
-    Returns the analysis ensemble and the per-member morph traces.
-    """
-    morphed, traces = morph_ensemble(ensemble, obs, morph_params, naive=naive, workers=workers)
-    analysis = enkf_analysis(morphed, obs, obs_noise_seed)
-    return analysis, traces

@@ -5,7 +5,6 @@ A JSON config (versioned schema) selects one pipeline:
     plain-enkf          observe, spin up, one EnKF analysis
     morphed-enkf        per-member morph toward the observations, then EnKF
     naive-morphed-enkf  same, but every field transported as a 0-form
-    morph-only          per-member morph, no analysis
     nudging-run         one member integrated with the displacement nudge
 
 `validate_config` reads the config by one table of keys and kinds,
@@ -28,8 +27,9 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .assimilation import (
+    _member_ics,
+    _spin_up,
     _targets_from_obs,
-    draw_center_offsets,
     enkf_analysis,
     generate_ensemble,
     morph_ensemble,
@@ -65,7 +65,6 @@ PIPELINES = (
     "plain-enkf",
     "morphed-enkf",
     "naive-morphed-enkf",
-    "morph-only",
     "nudging-run",
 )
 # AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72, and on
@@ -75,10 +74,11 @@ AB3_DECAY_MAX = 6 / 11
 # A horizon time is a whole number of steps up to this relative error.
 STEP_RTOL = 1e-9
 # Ceilings on the counts a run loops over or allocates, far above the
-# paper preset's (11000 truth steps, 10000 morph steps, 20 members): a
-# value beyond them would run for days or exhaust memory.
+# paper preset's (11000 truth steps, 10000 morph steps, 20 members, a 256
+# x 256 grid): a value beyond them would run for days or exhaust memory.
 MAX_STEPS = 10**6
 MAX_MEMBERS = 1000
+MAX_GRID = 4096
 
 
 class ConfigError(ValueError):
@@ -99,7 +99,7 @@ PRESETS = {
         "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 1.0},
         "ic": {"amplitude": 0.1, "radius": 400.0, "separation": 1250.0,
                "theta_amplitude": 0.05, "perturb_mean": 0.1, "perturb_std": 0.1},
-        "horizons": {"truth_steps": 220, "spinup_steps": 200},
+        "horizons": {"truth_time": 220.0, "spinup_time": 200.0},
         "ensemble": {"size": 8, "seed": 1234, "obs_noise_seed": 5678},
         "morph": {"epsilon": 10.0, "n_steps": 500, "filter_a": 36.0,
                   "ab_order": 5, "early_stop_patience": None},
@@ -163,10 +163,10 @@ SCHEMA = {
     # a nonnegative amplitude keeps h and Theta of the vortex IC positive
     "ic": {"amplitude": SPAN, "radius": NUM, "separation": NUM, "theta_amplitude": SPAN,
            "perturb_mean": NUM, "perturb_std": SPAN},
-    "horizons": {"truth_steps": (*COUNT, None), "truth_time": (*SPAN, None),
-                 "spinup_steps": (*COUNT, None), "spinup_time": (*SPAN, None)},
+    "horizons": {"truth_time": SPAN, "spinup_time": SPAN},
+    # numpy's default_rng takes only nonnegative seeds
     "ensemble": {"size": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
-                 "seed": INT, "obs_noise_seed": INT},
+                 "seed": COUNT, "obs_noise_seed": COUNT},
     "morph": {"epsilon": NUM, "n_steps": INT, "filter_a": NUM, "ab_order": INT,
               "early_stop_patience": ("an integer or null",
                                       lambda v: v is None or type(v) is int, None)},
@@ -177,8 +177,8 @@ SCHEMA = {
 # The largest value of each count that has its kind in SCHEMA; no run has
 # more batches, so more threads, than members.
 CEILINGS = {
-    **dict.fromkeys(("horizons.truth_steps", "horizons.spinup_steps", "morph.n_steps",
-                     "nudging.steps"), MAX_STEPS),
+    **dict.fromkeys(("morph.n_steps", "nudging.steps"), MAX_STEPS),
+    **dict.fromkeys(("grid.nx", "grid.ny", "grid.coarse_nx", "grid.coarse_ny"), MAX_GRID),
     "ensemble.size": MAX_MEMBERS,
     "workers": MAX_MEMBERS,
 }
@@ -223,8 +223,8 @@ class ExperimentConfig:
     ic: VortexIC
     perturb_mean: float
     perturb_std: float
-    truth_steps: int
-    spinup_steps: int
+    truth_steps: int  # horizons.truth_time / model.dt
+    spinup_steps: int  # horizons.spinup_time / model.dt
     ensemble_size: int
     seed: int
     obs_noise_seed: int
@@ -276,8 +276,9 @@ def validate_config(raw):
             )
         if ic is not None:
             # peak geostrophic speed of a Gaussian height bump, taken
-            # analytically: |grad(eta)| peaks at amplitude / (radius * sqrt(e))
-            vmax = model.theta0 / model.f * ic.amplitude / (ic.radius * np.sqrt(np.e))
+            # analytically: |grad(eta)| peaks at amplitude / (radius * sqrt(e));
+            # the sign of f only turns the flow around
+            vmax = model.theta0 / abs(model.f) * ic.amplitude / (ic.radius * np.sqrt(np.e))
             advective = vmax * np.pi / min(grid.dx, grid.dy) * model.dt
             if advective > AB3_COURANT_MAX:
                 errors.append(
@@ -296,21 +297,20 @@ def validate_config(raw):
             )
 
     steps = {}
-    given = top.get("horizons", {})
     for key in ("truth", "spinup"):
-        n, t = hz.get(f"{key}_steps"), hz.get(f"{key}_time")
-        r = t / model.dt if model is not None and t is not None else None
-        if hz and (f"{key}_steps" in given) == (f"{key}_time" in given):
-            errors.append(f"horizons: give exactly one of {key}_steps or {key}_time")
-        elif r is not None and not r <= MAX_STEPS:
+        t = hz.get(f"{key}_time")
+        if model is None or t is None:
+            continue
+        r = t / model.dt
+        if not r <= MAX_STEPS:
             errors.append(f"horizons.{key}_time: {key}_time / model.dt exceeds {MAX_STEPS} "
                           f"steps; give a shorter horizon or a larger dt")
-        elif r is not None and abs(r - round(r)) > STEP_RTOL * r:
+        elif abs(r - round(r)) > STEP_RTOL * r:
             errors.append(f"horizons.{key}_time: {t} is not a whole number of model.dt = "
                           f"{model.dt} steps; the nearest valid times are "
                           f"{np.floor(r) * model.dt:.10g} and {np.ceil(r) * model.dt:.10g}")
-        elif model is not None and (n, t) != (None, None):
-            steps[key] = n if r is None else round(r)
+        else:
+            steps[key] = round(r)
 
     if errors:
         raise ConfigError(errors)
@@ -420,11 +420,8 @@ def run_experiment(config):
             workers=config.workers,
         )
         report.traces = list(enumerate(traces))
-        if config.pipeline == "morph-only":
-            analysis = morphed
-        else:
-            _stage_outputs("morphed", morphed.members, truth_fields, report)
-            analysis = enkf_analysis(morphed, obs, config.obs_noise_seed)
+        _stage_outputs("morphed", morphed.members, truth_fields, report)
+        analysis = enkf_analysis(morphed, obs, config.obs_noise_seed)
 
     _stage_outputs("posterior", analysis.members, truth_fields, report)
     report.runtime_seconds = time.perf_counter() - t_start
@@ -458,11 +455,9 @@ def _stage_outputs(stage, members, truth, report):
 
 
 def _run_nudging(config, truth, obs, report):
-    rng = np.random.default_rng(config.seed)
-    ox, oy = draw_center_offsets(rng, 1, config.perturb_mean, config.perturb_std)[0]
-    ic = dc_replace(config.ic, ox=float(ox), oy=float(oy))
-    state = integrate(double_vortex_ic(ic, config.grid, config.model), config.spinup_steps,
-                      config.model)
+    """Member 0 of the ensemble, spun up and nudged toward the observations."""
+    ics = _member_ics(config.ic, 1, config.seed, config.perturb_mean, config.perturb_std)
+    (state,) = _spin_up(ics, config.grid, config.spinup_steps, config.model, workers=1)
     state, trace = nudge(state, _targets_from_obs(obs, config.grid), config.model,
                          config.nudging_strength, config.nudging_steps)
     report.traces = [(0, trace)]

@@ -14,7 +14,7 @@ the first failing step across its members (serial code would report the
 first failing member).
 
 `nudge` adds the same transport, times a strength, to the model tendency
-and runs on the same spectra and trace recorder.
+and runs through the same batch loop.
 """
 
 import csv
@@ -54,7 +54,6 @@ __all__ = [
     "MorphTrace",
     "morph_velocity",
     "morph_step",
-    "naive_morph_step",
     "run_morph",
     "nudge",
     "conserved_totals",
@@ -230,18 +229,24 @@ def _record(traces, k, vals, spec, observed, grid):
     return omega, mses
 
 
-def _step(vals, spec, omega, u, history, params, naive, step, grid):
+def _step(vals, spec, omega, u, history, params, naive, step, grid, drift=None):
     """One AB epsilon-step of d(theta)/ds = -L_u theta; the new (vals, spec).
 
     omega holds the values of the state's vorticity; the naive comparator
-    drags every field as a 0-form, d(theta)/ds = -u . grad(theta).
+    drags every field as a 0-form, d(theta)/ds = -u . grad(theta).  A drift
+    (model, strength) adds the model tendency: see `nudge`.
     """
-    if naive:
+    if drift is not None:
+        model, strength = drift
+        grad_th = _grad_theta(spec, grid)
+        tend = _tendency_hat(vals, spec, model, grid, omega, grad_th)
+        tend += strength * _transport_hat(vals, spec, omega, u, grid, grad_th)
+    elif naive:
         tend = np.stack([-_advect_hat(s, u, grid) for s in spec])
     else:
         tend = _transport_hat(vals, spec, omega, u, grid)
-    return _ab_advance(spec, tend, history, params.ab_order, params.epsilon,
-                       params.filter_a, grid, step, _MORPH_ERRORS)
+    return _ab_advance(spec, tend, history, params.ab_order, params.epsilon, params.filter_a,
+                       grid, step, _MORPH_ERRORS if drift is None else _MODEL_ERRORS)
 
 
 def morph_velocity(state, targets):
@@ -259,7 +264,16 @@ def morph_velocity(state, targets):
     return DisplacementField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
-def _typed_step(state, u, params, history, step, naive):
+def morph_step(state, u, params, history=None, step=None, naive=False):
+    """One epsilon-step of d(theta)/ds = -L_u theta for all prognostic tensors.
+
+    Adams-Bashforth in virtual time up to params.ab_order with lower-order
+    bootstrap (pass the same `history` list across calls; its entries are
+    opaque); Hou-Li filter (a = 36 by default) on every field afterwards.
+    naive = True is the composition comparator: every field transported as
+    a 0-form.  Raises InstabilityError when a field turns non-finite or h
+    or Theta non-positive.
+    """
     if u.grid != state.grid:
         raise ValueError("displacement grid mismatch")
     g = state.grid
@@ -270,23 +284,6 @@ def _typed_step(state, u, params, history, step, naive):
     history = [] if history is None else history
     vals, _ = _step(vals, spec, omega, uv, history, params, naive, step, g)
     return _state(vals, g, state.time)
-
-
-def morph_step(state, u, params, history=None, step=None):
-    """One epsilon-step of d(theta)/ds = -L_u theta for all prognostic tensors.
-
-    Adams-Bashforth in virtual time up to params.ab_order with lower-order
-    bootstrap (pass the same `history` list across calls; its entries are
-    opaque); Hou-Li filter (a = 36 by default) on every field afterwards.
-    Raises InstabilityError when a field turns non-finite or h or Theta
-    non-positive.
-    """
-    return _typed_step(state, u, params, history, step, naive=False)
-
-
-def naive_morph_step(state, u, params, history=None, step=None):
-    """The composition comparator: every field transported as a 0-form."""
-    return _typed_step(state, u, params, history, step, naive=True)
 
 
 def run_morph(state, targets, params, naive=False):
@@ -309,7 +306,7 @@ def run_morph(state, targets, params, naive=False):
     return _run_morph_batch([state], targets, params, naive)[0]
 
 
-def _run_morph_batch(states, targets, params, naive=False, stop=None):
+def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None):
     """run_morph for states on one grid, advanced in lockstep; a list of
     (final state, MorphTrace) in the order of `states`.
 
@@ -320,18 +317,21 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None):
     axis.  An InstabilityError names the first failing step across the
     batch; its `member` is the lowest failing index in `states`.  Once the
     threading.Event `stop` is set, the next step raises CancelledError.
+    With drift = (model, strength) each step is `nudge`'s model step (see
+    `_step`), and member time advances by model.dt per step.
     """
     g = states[0].grid
     observed = _target_spectra(targets, g)
     vals = np.stack([_fields(s) for s in states], axis=1)
     spec = _rfft_all(vals)
     active = np.arange(len(states))
+    times = np.array([s.time for s in states])
     traces = [MorphTrace() for _ in states]
     finals = [None] * len(states)
 
     def finish(vals, members):
         for j, i in enumerate(members):
-            finals[i] = _state(vals[:, j], g, states[i].time)
+            finals[i] = _state(vals[:, j], g, times[i])
 
     omega, cur = _record(traces, 0, vals, spec, observed, g)
     history = []
@@ -341,10 +341,12 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None):
             raise CancelledError
         u = _velocity(observed, vals, spec, omega, g)
         try:
-            vals, spec = _step(vals, spec, omega[0], u, history, params, naive, k, g)
+            vals, spec = _step(vals, spec, omega[0], u, history, params, naive, k, g, drift)
         except InstabilityError as err:
             err.member = int(active[err.member])
             raise
+        if drift is not None:
+            times[active] += drift[0].dt
         prev = cur
         omega, cur = _record([traces[i] for i in active], k + 1, vals, spec, observed, g)
         if params.early_stop_patience is not None:
@@ -370,26 +372,11 @@ def nudge(state, targets, model, strength, n_steps):
 
     Each step adds strength times the morph's -L_u transport (the tensor
     types of morph_step) to the model tendency and takes ab3_step's update,
-    on spectra as in `run_morph`; strength = 0 is `integrate` bit for bit.
-    The tendency and the transport share the trace's vorticity and one
-    grad(Theta): a step makes 16 rfft2 + 13 irfft2 with h and omega
-    targets.  Returns (final state, MorphTrace), a trace row per step plus
-    the first.
+    through `_run_morph_batch` as a batch of one; strength = 0 is
+    `integrate` bit for bit.  The tendency and the transport share the
+    trace's vorticity and one grad(Theta): a step makes 16 rfft2 + 13
+    irfft2 with h and omega targets.  Returns (final state, MorphTrace), a
+    trace row per step plus the first.
     """
-    g = state.grid
-    observed = _target_spectra(targets, g)
-    vals = _fields(state)[:, None]  # a batch of one, as integrate's
-    spec = _rfft_all(vals)
-    trace = MorphTrace()
-    time = state.time
-    omega, _ = _record([trace], 0, vals, spec, observed, g)
-    history = []
-    for k in range(n_steps):
-        u = _velocity(observed, vals, spec, omega, g)
-        w, grad_th = omega[0], _grad_theta(spec, g)
-        tend = _tendency_hat(vals, spec, model, g, w, grad_th)
-        tend += strength * _transport_hat(vals, spec, w, u, g, grad_th)
-        vals, spec = _ab_advance(spec, tend, history, 3, model.dt, 12, g, k, _MODEL_ERRORS)
-        time = time + model.dt
-        omega, _ = _record([trace], k + 1, vals, spec, observed, g)
-    return _state(vals[:, 0], g, time), trace
+    params = MorphParams(epsilon=model.dt, n_steps=n_steps, filter_a=12.0, ab_order=3)
+    return _run_morph_batch([state], targets, params, drift=(model, strength))[0]

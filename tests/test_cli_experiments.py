@@ -40,7 +40,7 @@ def small_raw(pipeline="morphed-enkf", **extra):
         "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 1.0},
         "ic": {"amplitude": 0.1, "radius": 400.0, "separation": 1250.0,
                "theta_amplitude": 0.05, "perturb_mean": 0.1, "perturb_std": 0.1},
-        "horizons": {"truth_steps": 5, "spinup_steps": 3},
+        "horizons": {"truth_time": 5.0, "spinup_time": 3.0},
         "ensemble": {"size": 4, "seed": 42, "obs_noise_seed": 43},
         "morph": {"epsilon": 10.0, "n_steps": 3, "filter_a": 36.0, "ab_order": 5},
         "nudging": {"steps": 5, "strength": 1.0},
@@ -87,12 +87,6 @@ class TestValidateConfig:
         assert config.truth_steps == 5
         assert config.spinup_steps == 2
 
-    def test_horizons_reject_both_forms(self):
-        raw = small_raw()
-        raw["horizons"] = {"truth_steps": 5, "truth_time": 5.0, "spinup_steps": 0}
-        with pytest.raises(ConfigError, match="exactly one"):
-            validate_config(raw)
-
     def test_collects_every_error(self):
         raw = small_raw()
         raw["schema_version"] = 99
@@ -130,8 +124,9 @@ class TestValidateConfig:
             validate_config(raw)
         assert [e.split(":")[0] for e in exc.value.errors] == [
             "horizons.truth_time", "horizons.spinup_time"]
-        raw["horizons"] = {"truth_steps": 6111, "spinup_steps": 4444}
-        validate_config(raw)
+        raw["horizons"] = {"truth_time": 2749.95, "spinup_time": 1999.8}
+        config = validate_config(raw)
+        assert (config.truth_steps, config.spinup_steps) == (6111, 4444)
 
     def test_rejects_advective_courant_number(self):
         """A 20x height anomaly on the 32^2 grid passes the gravity-wave
@@ -179,7 +174,10 @@ def with_value(path, value):
 # Each of these used to validate, and some then failed at run time:
 # n_steps 3.5 with a TypeError, r_scale NaN with a LinAlgError, dt NaN with
 # exit 3; a NaN or infinite truth_time crashed validate_config itself; a
-# billion workers asked a process pool for a billion processes.
+# billion workers asked a process pool for a billion processes; a negative
+# seed raised ValueError in default_rng after the truth run; a grid count
+# of 10^6 allocated its GridSpec before the divisibility check and, with
+# both counts that large, died with a MemoryError.
 MALFORMED = [
     ("workers", True),
     ("workers", 10**9),
@@ -196,6 +194,10 @@ MALFORMED = [
     ("obsevation", {"r_scale": 2.0}),
     ("horizons.truth_time", float("nan")),
     ("horizons.truth_time", float("inf")),
+    ("ensemble.seed", -2),
+    ("ensemble.obs_noise_seed", -1),
+    ("grid.nx", 10**6),
+    ("grid.coarse_nx", 10**6),
 ]
 
 
@@ -203,10 +205,7 @@ class TestMalformedValues:
     @pytest.mark.parametrize("path,value", MALFORMED)
     def test_validate_exits_2_naming_the_key(self, tmp_path, capsys, path, value):
         cfg = tmp_path / "config.json"
-        raw = with_value(path, value)
-        if path == "horizons.truth_time":
-            del raw["horizons"]["truth_steps"]
-        cfg.write_text(json.dumps(raw))
+        cfg.write_text(json.dumps(with_value(path, value)))
         assert main(["validate", str(cfg)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert any(line.startswith("config error:") and path in line for line in lines), lines
@@ -290,9 +289,7 @@ class TestParameterRanges:
         # these used to round silently: 0.4 to no truth steps at all
         raw = small_raw()
         raw["model"]["dt"] = dt
-        raw["horizons"] = {"truth_steps": 5, "spinup_steps": 0}
-        del raw["horizons"][f"{key}_steps"]
-        raw["horizons"][f"{key}_time"] = time
+        raw["horizons"] = {"truth_time": 5 * dt, "spinup_time": 0.0, f"{key}_time": time}
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
         (error,) = exc.value.errors
@@ -303,7 +300,7 @@ class TestParameterRanges:
     def test_horizon_time_within_rounding_passes(self, dt, time, steps):
         raw = small_raw()
         raw["model"]["dt"] = dt
-        raw["horizons"] = {"truth_time": time, "spinup_steps": 0}
+        raw["horizons"] = {"truth_time": time, "spinup_time": 0.0}
         assert validate_config(raw).truth_steps == steps
 
     @pytest.mark.parametrize("path,value,message", [
@@ -324,19 +321,20 @@ class TestParameterRanges:
 
 class TestRunExperiment:
     def test_morph_only_with_zero_steps_is_identity(self):
-        """The degenerate pipeline: no morph steps means the posterior is
-        the prior, field for field and metric for metric."""
-        raw = small_raw(pipeline="morph-only")
+        """The morph alone, morphed-enkf's morphed stage, is the identity
+        with no morph steps: it equals the prior, field for field and
+        metric for metric."""
+        raw = small_raw()
         raw["morph"]["n_steps"] = 0
         report = run_experiment(validate_config(raw))
         prior = member_fields(report, "prior")
-        post = member_fields(report, "posterior")
-        assert set(prior) == set(post)
+        morphed = member_fields(report, "morphed")
+        assert set(prior) == set(morphed)
         for key in prior:
-            assert np.array_equal(prior[key].values, post[key].values)
+            assert np.array_equal(prior[key].values, morphed[key].values)
         for variable in ("h", "theta", "omega"):
             assert report.metric("prior", variable, "member_mean_mse") == (
-                report.metric("posterior", variable, "member_mean_mse")
+                report.metric("morphed", variable, "member_mean_mse")
             )
         assert all(len(trace) == 1 for _, trace in report.traces)
 
@@ -452,6 +450,19 @@ class TestEmitOutputs:
                 b_dir / "manifest.json"
             ).read_bytes()
 
+    @pytest.mark.parametrize("pipeline", cli_experiments.PIPELINES)
+    def test_workers_leave_every_output_unchanged(self, tmp_path, pipeline):
+        """Batches on two threads write what one thread writes: the
+        manifests agree on every file but the recorded config.json."""
+        listed = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            raw = small_raw(pipeline=pipeline, workers=workers)
+            emit_outputs(run_experiment(validate_config(raw)), out)
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            listed.append([entry for entry in files if entry["path"] != "config.json"])
+        assert listed[0] == listed[1] and len(listed[0]) > 1
+
 
 class TestCommandLine:
     def write_config(self, tmp_path, raw):
@@ -562,8 +573,6 @@ class TestCommandLine:
         # truth_time 0.4 (0 truth steps) and strength -5 ran to exit 0
         raw = with_value(path, value)
         raw["model"]["dt"] = dt
-        if path == "horizons.truth_time":
-            del raw["horizons"]["truth_steps"]
         cfg = self.write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["run", cfg, "--seed", "3", "--out", str(out)]) == 2
@@ -571,10 +580,33 @@ class TestCommandLine:
         assert any(line.startswith("config error:") and path in line for line in lines), lines
         assert not out.exists()
 
+    def test_negative_seed_override_exits_2_before_compute(self, tmp_path, capsys):
+        # --seed -2 used to fail in default_rng after the truth run, exit 1
+        cfg = self.write_config(tmp_path, small_raw(pipeline="plain-enkf"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--seed", "-2", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config error: ensemble.seed must be a nonnegative integer",
+                         "config error: ensemble.obs_noise_seed must be a nonnegative integer"]
+        assert not out.exists()
+
+    def test_negative_f_exits_2_before_compute(self, tmp_path, capsys):
+        # f = -0.01 with amplitude 3 (advective number 0.9) used to
+        # validate and run; on desk, amplitude 2 lost positivity at truth
+        # step 22, exit 3
+        raw = with_value("model.f", -0.01)
+        raw["ic"]["amplitude"] = 3.0
+        cfg = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ic.amplitude: advective Courant number")
+        assert not out.exists()
+
     def test_run_instability_exits_3(self, tmp_path, capsys):
         # an epsilon of 1e4 overshoots the morph until h turns negative,
         # in a config that passes every pre-flight check
-        raw = small_raw(pipeline="morph-only")
+        raw = small_raw()
         raw["morph"]["epsilon"] = 1e4
         raw["morph"]["n_steps"] = 20
         cfg = self.write_config(tmp_path, raw)

@@ -5,10 +5,14 @@ stepper is checked by self-convergence against a finer-dt reference, and
 the spectral kernel against the typed composition in oracles.py.
 """
 
+import threading
+from concurrent.futures import CancelledError
+
 import numpy as np
 import pytest
 
 from liemorph import (
+    MorphParams,
     DiffForm,
     DisplacementField,
     GridSpec,
@@ -28,6 +32,7 @@ from liemorph import (
     vorticity_of,
 )
 from liemorph.forms import _transport_hat
+from liemorph.morph_engine import _run_morph_batch
 from liemorph.tsw_model import (
     AB_COEFFS,
     TSWTendency,
@@ -245,6 +250,26 @@ class TestSpectralKernel:
         counts = count_ffts()
         nudge(state, targets, params, 1.0, 5)
         assert (counts["rfft2"], counts["irfft2"]) == (6 + 16 * 5, 1 + 13 * 5)
+
+    def test_nudge_batch_equals_single_nudges(self, grid_km, params):
+        """A drift batch of 3 in `_run_morph_batch` advances each member as
+        its own `nudge` call does, bit for bit, time and trace included;
+        once `stop` is set it ends before a step."""
+        states = [double_vortex_ic(VortexIC(ox=0.3 * i, oy=-0.2), grid_km, params)
+                  for i in range(3)]
+        targets, strength = vortex_targets(grid_km, params), 100.0
+        mp = MorphParams(epsilon=params.dt, n_steps=4, filter_a=12.0, ab_order=3)
+        batch = _run_morph_batch(states, targets, mp, drift=(params, strength))
+        for state, (got, trace) in zip(states, batch):
+            ref, ref_trace = nudge(state, targets, params, strength, 4)
+            assert got.time == ref.time == 4 * params.dt
+            for a, b in zip(got.fields(), ref.fields()):
+                assert np.array_equal(a.values, b.values)
+            assert trace.rows == ref_trace.rows and len(trace) == 5
+        stop = threading.Event()
+        stop.set()
+        with pytest.raises(CancelledError):
+            _run_morph_batch(states, targets, mp, stop=stop, drift=(params, strength))
 
     def test_vector_invariant_tendency_matches_composed(self, grid_km, params):
         """On a band-limited state, where no product aliases, the
