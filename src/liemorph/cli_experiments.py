@@ -68,13 +68,15 @@ PIPELINES = (
     "nudging-run",
 )
 # AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72, and on
-# the negative real axis down to lambda dt = -6/11.
+# the negative real axis down to lambda dt = -6/11.  The model step
+# propagates the rest-state gravity waves exactly, so these bound only
+# what its AB3 remainder carries.
 AB3_COURANT_MAX = 0.72
 AB3_DECAY_MAX = 6 / 11
 # A horizon time is a whole number of steps up to this relative error.
 STEP_RTOL = 1e-9
 # Ceilings on the counts a run loops over or allocates, far above the
-# paper preset's (11000 truth steps, 10000 morph steps, 20 members, a 256
+# paper preset's (2200 truth steps, 10000 morph steps, 20 members, a 256
 # x 256 grid): a value beyond them would run for days or exhaust memory.
 MAX_STEPS = 10**6
 MAX_MEMBERS = 1000
@@ -96,14 +98,14 @@ PRESETS = {
         "pipeline": "morphed-enkf",
         "grid": {"nx": 64, "ny": 64, "lx": 5000.0, "ly": 5000.0,
                  "coarse_nx": 16, "coarse_ny": 16},
-        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 1.0},
+        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 5.0},
         "ic": {"amplitude": 0.1, "radius": 400.0, "separation": 1250.0,
                "theta_amplitude": 0.05, "perturb_mean": 0.1, "perturb_std": 0.1},
         "horizons": {"truth_time": 220.0, "spinup_time": 200.0},
         "ensemble": {"size": 8, "seed": 1234, "obs_noise_seed": 5678},
         "morph": {"epsilon": 10.0, "n_steps": 500, "filter_a": 36.0,
                   "ab_order": 5, "early_stop_patience": None},
-        "nudging": {"steps": 50, "strength": 1.0},
+        "nudging": {"steps": 10, "strength": 1.0},
         "output_dir": "runs/desk",
         "workers": 1,
     },
@@ -113,14 +115,14 @@ PRESETS = {
         "pipeline": "morphed-enkf",
         "grid": {"nx": 256, "ny": 256, "lx": 5000.0, "ly": 5000.0,
                  "coarse_nx": 64, "coarse_ny": 64},
-        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 0.25},
+        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 1.25},
         "ic": {"amplitude": 0.1, "radius": 400.0, "separation": 1250.0,
                "theta_amplitude": 0.05, "perturb_mean": 0.1, "perturb_std": 0.1},
         "horizons": {"truth_time": 2750.0, "spinup_time": 2000.0},
         "ensemble": {"size": 20, "seed": 1234, "obs_noise_seed": 5678},
         "morph": {"epsilon": 0.000033, "n_steps": 10000, "filter_a": 36.0,
                   "ab_order": 5, "early_stop_patience": None},
-        "nudging": {"steps": 200, "strength": 1.0},
+        "nudging": {"steps": 40, "strength": 1.0},
         "output_dir": "runs/paper",
         "workers": 1,
     },
@@ -265,26 +267,23 @@ def validate_config(raw):
     ic = build("ic", i, lambda s: VortexIC(**{k: v for k, v in s.items() if "perturb" not in k}))
     morph = build("morph", mo, lambda s: MorphParams(**s))
 
-    if grid is not None and model is not None:
-        # fastest model mode: a gravity wave at the grid Nyquist wavenumber
-        rate = np.sqrt(model.h0 * model.theta0) * np.pi / min(grid.dx, grid.dy)
+    if grid is not None and model is not None and ic is not None:
+        # The step carries the gravity waves about the rest state exactly;
+        # its AB3 remainder moves at most the peak flow speed plus the rise
+        # of the gravity wave speed sqrt(h Theta) over the rest state's at
+        # the vortex peak.  |grad(eta)| of a Gaussian bump peaks at
+        # amplitude / (radius * sqrt(e)), and the geostrophic speed with it;
+        # the sign of f only turns the flow around.
+        vmax = model.theta0 / abs(model.f) * ic.amplitude / (ic.radius * np.sqrt(np.e))
+        rest = np.sqrt(model.h0 * model.theta0)
+        peak = np.sqrt((model.h0 + ic.amplitude) * model.theta0 * (1.0 + ic.theta_amplitude))
+        rate = (vmax + peak - rest) * np.pi / min(grid.dx, grid.dy)
         if rate * model.dt > AB3_COURANT_MAX:
             errors.append(
-                f"model.dt: Courant number sqrt(h0*theta0)*k_max*dt = "
+                f"model.dt: remainder Courant number (max|v| + dc)*k_max*dt = "
                 f"{rate * model.dt:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}; "
-                f"the largest stable dt is {AB3_COURANT_MAX / rate:.4g}"
+                f"the largest stable dt is {_floor4(AB3_COURANT_MAX / rate):.4g}"
             )
-        if ic is not None:
-            # peak geostrophic speed of a Gaussian height bump, taken
-            # analytically: |grad(eta)| peaks at amplitude / (radius * sqrt(e));
-            # the sign of f only turns the flow around
-            vmax = model.theta0 / abs(model.f) * ic.amplitude / (ic.radius * np.sqrt(np.e))
-            advective = vmax * np.pi / min(grid.dx, grid.dy) * model.dt
-            if advective > AB3_COURANT_MAX:
-                errors.append(
-                    f"ic.amplitude: advective Courant number max|v|*k_max*dt = "
-                    f"{advective:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}"
-                )
     if model is not None and ic is not None:
         # the Theta relaxation decays at rate kappa*h, and h peaks near
         # h0 + amplitude

@@ -241,12 +241,14 @@ def _step(vals, spec, omega, u, history, params, naive, step, grid, drift=None):
         grad_th = _grad_theta(spec, grid)
         tend = _tendency_hat(vals, spec, model, grid, omega, grad_th)
         tend += strength * _transport_hat(vals, spec, omega, u, grid, grad_th)
-    elif naive:
+        return _ab_advance(spec, tend, history, params.ab_order, params.epsilon,
+                           params.filter_a, grid, step, _MODEL_ERRORS, model)
+    if naive:
         tend = np.stack([-_advect_hat(s, u, grid) for s in spec])
     else:
         tend = _transport_hat(vals, spec, omega, u, grid)
     return _ab_advance(spec, tend, history, params.ab_order, params.epsilon, params.filter_a,
-                       grid, step, _MORPH_ERRORS if drift is None else _MODEL_ERRORS)
+                       grid, step, _MORPH_ERRORS)
 
 
 def morph_velocity(state, targets):

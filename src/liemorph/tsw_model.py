@@ -6,19 +6,27 @@ Prognostic fields h (height), Theta (buoyancy), v1, v2 (velocity) obey
     dTheta/dt = -(v . grad) Theta - kappa (h Theta - h0 Theta0)
     dv/dt     = -(v . grad) v - f zhat x v - grad(h Theta) + (h/2) grad(Theta)
 
-in km / 100 s units.  Time stepping is Adams-Bashforth up to order 3 with a
-lower-order bootstrap, followed by the Hou-Li filter (a = 12) on every
-prognostic field.  The momentum is evaluated in vector-invariant form,
-(v . grad) v + f zhat x v = grad(|v|^2 / 2) + (omega + f) zhat x v, which
-needs the vorticity omega but no derivative of v.  The step runs in
-Fourier space (6 rfft2 + 7 irfft2 per step) and shares `_ab_advance` with
-the morph; the AB history holds opaque spectra.  The kernel carries a
+in km / 100 s units.  Time stepping is Lawson's integrating-factor
+Adams-Bashforth up to order 3 with a lower-order bootstrap, followed by
+the Hou-Li filter (a = 12) on every prognostic field.  The inertia-gravity
+waves about the rest state (h0, Theta0, v = 0), linear and per Fourier
+mode a 3 x 3 system in (h, v1, v2), are propagated exactly by exp(L dt);
+only the remainder, advection, the buoyancy terms and the relaxation, goes
+through the AB history.  So the gravity waves, ~7x faster than the flow,
+do not bound dt: the remainder's Courant number does (see
+`cli_experiments.validate_config`).  The momentum is evaluated in
+vector-invariant form, (v . grad) v + f zhat x v = grad(|v|^2 / 2) +
+(omega + f) zhat x v, which needs the vorticity omega but no derivative
+of v.  The step runs in Fourier space (6 rfft2 + 7 irfft2 per step) and
+shares `_ab_advance` with the morph, which has no linear part and takes
+the plain AB step; the AB history holds opaque spectra.  The kernel carries a
 member axis: `_integrate_batch` advances a batch of states in lockstep
 with the same 13 FFT calls per step, and `integrate` is its batch of one.
 The nudged model, this tendency plus the morph's tensor transport, is
 `morph_engine.nudge`.
 """
 
+import functools
 from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
@@ -81,7 +89,9 @@ class ModelParams:
     Defaults are documented stand-ins sized to keep the double vortex
     coherent over the spin-up horizon: h0 = 1 km depth, Theta0 = 98
     km/(100s)^2 (i.e. g), so the gravity wave speed is ~9.9 km per time
-    unit; f matches 1e-4 1/s in the 100 s time unit.
+    unit; f matches 1e-4 1/s in the 100 s time unit.  The step propagates
+    those waves exactly, so dt is bounded by the flow: the desk preset
+    runs dt = 5 on its 64^2 grid.
     """
 
     f: float = 0.01
@@ -249,24 +259,100 @@ def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None):
     ])
 
 
-def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors):
+@functools.lru_cache(maxsize=16)
+def _propagator(grid, f, h0, theta0, dt):
+    """exp(L dt) per rfft2 mode, a read-only (3, 3, nx, ny//2+1) array.
+
+    L is the inertia-gravity operator about the rest state on (h, v1, v2):
+    dh = -h0 div v, dv = -f zhat x v - theta0 grad h, with the odd
+    derivatives.  Its eigenvalues are 0 and +-i omega, omega^2 = f^2 +
+    h0 theta0 |k|^2, so L^3 = -omega^2 L and
+    exp(L dt) = I + (sin(omega dt)/omega) L + ((1 - cos(omega dt))/omega^2) L^2.
+    At k = 0 the h row is (1, 0, 0): the mean of h never moves.
+    """
+    a, b = np.broadcast_arrays(grid._ikx_odd[:, None], grid._iky_odd[None, :])
+    zero, fs = np.zeros(a.shape), np.full(a.shape, f)
+    lin = np.array([[zero, -h0 * a, -h0 * b], [-theta0 * a, zero, fs], [-theta0 * b, -fs, zero]])
+    w = np.sqrt(f * f + h0 * theta0 * (a.imag**2 + b.imag**2))
+    s = np.sin(w * dt) / w
+    c = 2.0 * (np.sin(0.5 * w * dt) / w) ** 2  # (1 - cos(w dt)) / w^2 without cancellation
+    prop = s * lin + c * np.einsum("ikxy,kjxy->ijxy", lin, lin)
+    for i in range(3):
+        prop[i, i] += 1.0
+    prop.flags.writeable = False
+    return prop
+
+
+def _remove_linear(tend, spec, params, grid):
+    # tend -= L spec in place (L of `_propagator`; it does not touch Theta)
+    ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
+    h, _, v1, v2 = spec
+    tend[0] += params.h0 * (ikx * v1 + iky * v2)
+    tend[2] += params.theta0 * ikx * h - params.f * v2
+    tend[3] += params.theta0 * iky * h + params.f * v1
+
+
+def _hermitian(spec, grid):
+    # In place: the ky = 0 and Nyquist columns of an rfft2 spectrum hold
+    # X(-kx) = conj X(kx) for a real field; keep that part only.  irfft2
+    # drops the rest, so nothing but L spec in `_ab_advance` would see it,
+    # and that explicit -L would grow it by AB3 at omega dt far past 0.72.
+    cols = spec[..., [0, -1]]
+    cols += cols[..., -np.arange(grid.nx) % grid.nx, :].conj()
+    cols *= 0.5
+    spec[..., [0, -1]] = cols
+
+
+def _propagate(prop, x):
+    # prop applied to the (h, v1, v2) spectra of x; Theta passes unchanged
+    h, _, v1, v2 = x
+    out = np.empty_like(x)
+    out[1] = x[1]
+    for i, row in zip((0, 2, 3), prop):
+        out[i] = row[0] * h
+        out[i] += row[1] * v1
+        out[i] += row[2] * v2
+    return out
+
+
+def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, model=None):
     """One Adams-Bashforth step on spectra, shared by the model and the morph.
 
     Appends `tend` to `history` (newest last, at most `order` kept, so
     repeated calls bootstrap the order), advances `spec` by `size` times the
     AB sum, applies the Hou-Li multiplier `filter_a` and transforms each
-    field back once.  Raises InstabilityError at `step`, with the message
-    prefixes `errors`, when a field turns non-finite or h or Theta
-    non-positive; with a member axis it names the lowest failing member.
-    Returns the new (vals, spec).
+    field back once.  With the ModelParams `model` the step is Lawson's
+    integrating-factor AB (Cox & Matthews 2002): `tend` loses, in place,
+    its part linear about the rest state, L spec, which the exact
+    propagator E = exp(L size) carries instead,
+
+        spec_new = E [spec + size sum_j c_j E^j N_{n-j}],  N = tend - L spec,
+
+    so the gravity waves do not bound `size`.  Raises InstabilityError at
+    `step`, with the message prefixes `errors`, when a field turns
+    non-finite or h or Theta non-positive; with a member axis it names the
+    lowest failing member.  Returns the new (vals, spec).
     """
+    if model is not None:
+        _remove_linear(tend, spec, model, grid)
     history.append(tend)
     del history[:-order]
     coeffs = AB_COEFFS[len(history)]
+    if model is None:
+        new = sum(c * t for c, t in zip(coeffs, reversed(history)))
+    else:
+        # sum_j c_j E^j N_{n-j} by Horner's rule from the oldest entry
+        prop = _propagator(grid, model.f, model.h0, model.theta0, size)
+        new = coeffs[-1] * history[0]
+        for c, t in zip(coeffs[-2::-1], history[1:]):
+            new = _propagate(prop, new)
+            new += c * t
     # (spec + size * AB sum) * multiplier, in place to keep one temporary
-    new = sum(c * t for c, t in zip(coeffs, reversed(history)))
     new *= size
     new += spec
+    if model is not None:
+        new = _propagate(prop, new)
+        _hermitian(new, grid)
     new *= grid.hou_li(filter_a)
     vals = _irfft_all(new, grid)
     # per member; the lowest failing member is reported, with its own minima
@@ -291,18 +377,23 @@ def tendency(state, params):
 
 
 def ab3_step(state, history, params, step=None):
-    """Advance one dt by Adams-Bashforth (order = len(history)+1, capped at 3).
+    """Advance one dt by integrating-factor Adams-Bashforth (order =
+    len(history)+1, capped at 3).
 
-    `history` holds the previous tendencies as opaque spectra, oldest
-    first; it is updated in place (current tendency appended, stale entries
-    dropped), so repeated calls bootstrap AB1 -> AB2 -> AB3.  The Hou-Li
-    filter (a = 12) is applied to every prognostic field after the update.
+    The rest-state gravity waves are propagated exactly, and the rest of
+    the tendency goes through the AB history (see `_ab_advance`).
+    `history` holds the previous remainders as opaque spectra, oldest
+    first; it is updated in place (current remainder appended, stale
+    entries dropped), so repeated calls bootstrap AB1 -> AB2 -> AB3.  The
+    Hou-Li filter (a = 12) is applied to every prognostic field after the
+    update.
     """
     g = state.grid
     vals = _fields(state)
     spec = _rfft_all(vals)
     tend = _tendency_hat(vals, spec, params, g)
-    vals, _ = _ab_advance(spec, tend, history, 3, params.dt, 12, g, step, _MODEL_ERRORS)
+    vals, _ = _ab_advance(spec, tend, history, 3, params.dt, 12, g, step, _MODEL_ERRORS,
+                          params)
     return _state(vals, g, state.time + params.dt)
 
 
@@ -310,8 +401,9 @@ def integrate(state, n_steps, params):
     """Run n_steps of the ab3_step scheme from a fresh tendency history.
 
     The loop runs on spectra: 6 rfft2 + 7 irfft2 per step (the vorticity
-    and grad(Theta) back, six products forward, each field back once).  It
-    is `_integrate_batch` with a batch of one.
+    and grad(Theta) back, six products forward, each field back once); the
+    wave propagator is a per-mode multiplier, computed once per grid and
+    ModelParams.  It is `_integrate_batch` with a batch of one.
     """
     return _integrate_batch([state], n_steps, params)[0]
 
@@ -335,7 +427,8 @@ def _integrate_batch(states, n_steps, params, stop=None):
         if stop is not None and stop.is_set():
             raise CancelledError
         tend = _tendency_hat(vals, spec, params, g)
-        vals, spec = _ab_advance(spec, tend, history, 3, params.dt, 12, g, k, _MODEL_ERRORS)
+        vals, spec = _ab_advance(spec, tend, history, 3, params.dt, 12, g, k, _MODEL_ERRORS,
+                                 params)
         times = times + params.dt
     return [_state(vals[:, b], g, t) for b, t in enumerate(times)]
 

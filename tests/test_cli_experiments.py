@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 
 import liemorph
-from liemorph import GridSpec, ModelParams, MorphParams, ScalarField, coarsen
+from liemorph import (
+    GridSpec,
+    InstabilityError,
+    ModelParams,
+    MorphParams,
+    ScalarField,
+    coarsen,
+    double_vortex_ic,
+    integrate,
+)
 from liemorph import cli_experiments
 from liemorph.cli_experiments import (
     ConfigError,
@@ -104,42 +113,58 @@ class TestValidateConfig:
             assert fragment in text
 
     def test_rejects_unstable_courant_number(self):
-        """A 256^2 grid left at dt = 1 has Courant number 1.59 and used to
-        run until InstabilityError at step 38; the presets give 0.40."""
+        """The model step carries the rest-state gravity waves exactly, so
+        dt is bounded by its AB3 remainder: the peak flow speed plus the
+        rise of the gravity-wave speed at the vortex peak.  The presets sit
+        at 0.45; the paper preset at dt = 5 gives 1.79.  On the desk grid a
+        run at the bound keeps positivity for 150 steps, and one at twice
+        the bound loses it."""
         for name in ("desk", "paper"):
             validate_config(preset_config(name))
         raw = preset_config("paper")
-        raw["model"]["dt"] = 1.0
+        raw["model"]["dt"] = 5.0
         raw["workers"] = 0
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
         assert len(exc.value.errors) == 2
         courant = [e for e in exc.value.errors if "Courant" in e]
         assert len(courant) == 1
-        assert "1.59" in courant[0] and "largest stable dt is 0.4522" in courant[0]
-        raw["model"]["dt"] = 0.45
+        assert "1.79" in courant[0] and "largest stable dt is 2.011" in courant[0]
+        raw["model"]["dt"] = 2.011
         raw["workers"] = 1
-        # the paper horizons are no whole number of 0.45 steps
+        # the paper horizons are no whole number of 2.011 steps
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
         assert [e.split(":")[0] for e in exc.value.errors] == [
             "horizons.truth_time", "horizons.spinup_time"]
-        raw["horizons"] = {"truth_time": 2749.95, "spinup_time": 1999.8}
+        raw["model"]["dt"] = 2.0
         config = validate_config(raw)
-        assert (config.truth_steps, config.spinup_steps) == (6111, 4444)
+        assert (config.truth_steps, config.spinup_steps) == (1375, 1000)
+
+        raw = preset_config("desk")
+        raw["model"]["dt"] = 20.0
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        largest = float(exc.value.errors[0].rsplit(" ", 1)[1])
+        assert largest == 8.045
+        desk = validate_config(preset_config("desk"))
+        ic = double_vortex_ic(desk.ic, desk.grid, desk.model)
+        integrate(ic, 150, ModelParams(dt=largest))
+        with pytest.raises(InstabilityError):
+            integrate(ic, 150, ModelParams(dt=2 * largest))
 
     def test_rejects_advective_courant_number(self):
-        """A 20x height anomaly on the 32^2 grid passes the gravity-wave
-        check but its peak geostrophic speed gives an advective Courant
-        number of ~6.0; it used to die at truth step 1 with min h = -66.
-        The presets give 0.06."""
+        """A 20x height anomaly on the 32^2 grid: its peak geostrophic speed
+        and the rise of the gravity-wave speed at its peak give a remainder
+        Courant number of 6.7; it used to die at truth step 1 with
+        min h = -66."""
         raw = small_raw()
         raw["ic"]["amplitude"] = 20.0
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
         assert exc.value.errors == [
-            "ic.amplitude: advective Courant number max|v|*k_max*dt = 5.98 "
-            "exceeds the AB3 bound 0.72"
+            "model.dt: remainder Courant number (max|v| + dc)*k_max*dt = 6.71 "
+            "exceeds the AB3 bound 0.72; the largest stable dt is 0.1072"
         ]
         raw["ic"]["amplitude"] = 0.1
         validate_config(raw)
@@ -593,14 +618,15 @@ class TestCommandLine:
     def test_negative_f_exits_2_before_compute(self, tmp_path, capsys):
         # f = -0.01 with amplitude 3 (advective number 0.9) used to
         # validate and run; on desk, amplitude 2 lost positivity at truth
-        # step 22, exit 3
+        # step 22, exit 3.  Its remainder Courant number is 1.11
         raw = with_value("model.f", -0.01)
         raw["ic"]["amplitude"] = 3.0
         cfg = self.write_config(tmp_path, raw)
         out = tmp_path / "out"
         assert main(["run", cfg, "--seed", "3", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ic.amplitude: advective Courant number")
+        assert err.startswith("config error: model.dt: remainder Courant number")
+        assert "*dt = 1.11 " in err
         assert not out.exists()
 
     def test_run_instability_exits_3(self, tmp_path, capsys):

@@ -32,3 +32,13 @@ def test_pushforward_orders_are_two():
     orders = re.findall(r"^\s+\S+\s+\S+\s+(\d\.\d{3})$", out, re.M)
     assert len(orders) == 6, out
     assert orders == ["2.000"] * 6
+
+
+def test_timestep_error_preset_is_a_tenth_of_the_spread():
+    out = run_demo("timestep_error.py")
+    rows = re.findall(r"^\s+(\d+)\s+\S+\s+(\S+)(  \(preset\))?$", out, re.M)
+    assert [m for m, _, _ in rows] == ["1", "2", "4", "5", "8"], out
+    preset = [float(err) for _, err, mark in rows if mark]
+    spread = float(re.search(r"^member 0 against the truth: (\S+)$", out, re.M).group(1))
+    assert len(preset) == 1, out
+    assert preset[0] <= spread / 10

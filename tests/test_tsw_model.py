@@ -39,6 +39,7 @@ from liemorph.tsw_model import (
     _fields,
     _integrate_batch,
     _irfft_all,
+    _propagator,
     _rfft_all,
     _tendency_hat,
     _vorticity,
@@ -49,6 +50,8 @@ from oracles import (
     composed_ab3_step,
     composed_morph_velocity,
     composed_tendency,
+    expm_propagate,
+    expm_wave_table,
     random_band_limited,
 )
 
@@ -325,6 +328,66 @@ class TestSpectralKernel:
             assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
 
 
+def old_gravity_dt(grid, params):
+    """The largest dt of the plain AB3 model step: Courant number
+    sqrt(h0 theta0) k_max dt = 0.72."""
+    return 0.72 / (np.sqrt(params.h0 * params.theta0) * np.pi / min(grid.dx, grid.dy))
+
+
+def raised_cosine_bump(grid, cx, cy):
+    """A bump of height 1 at (cx, cy) with Fourier modes |m| <= 4 only,
+    where the Hou-Li filter is 1 to 1e-9 per step."""
+    x, y = grid.xy()
+    return ((1 + np.cos(TWO_PI * (x - cx) / grid.lx))
+            * (1 + np.cos(TWO_PI * (y - cy) / grid.ly)) / 4) ** 4
+
+
+class TestPropagator:
+    def test_matches_expm_per_mode(self, params):
+        """At 5x the plain-AB3 gravity-wave dt, where omega dt reaches 3.6,
+        the cached closed-form exp(L dt) equals scipy.linalg.expm of
+        `oracles.rest_wave_matrix` at every rfft2 mode to 1e-12."""
+        g = GridSpec(16, 16, 5000.0, 5000.0)
+        dt = 5 * old_gravity_dt(g, params)
+        prop = _propagator(g, params.f, params.h0, params.theta0, dt)
+        assert prop is _propagator(g, params.f, params.h0, params.theta0, dt)
+        assert not prop.flags.writeable
+        table = expm_wave_table(g, params, dt)[:, : g.ny // 2 + 1]
+        got = np.moveaxis(prop, (0, 1), (2, 3))
+        err = np.abs(got - table).max(axis=(2, 3)) / np.abs(table).max(axis=(2, 3))
+        assert err.max() <= 1e-12
+        # the mean of h never moves
+        assert np.array_equal(got[0, 0, 0], [1.0, 0.0, 0.0])
+
+    def test_linear_waves_propagate_exactly(self, grid_km):
+        """A bump of 1e-6 h0 at rest, 10 steps at 20x the plain-AB3
+        gravity-wave dt (omega dt up to 14 per step), ends where exp(L t)
+        of `oracles.expm_wave_table` takes it: within 5e-6 of each field's
+        anomaly amplitude.  What is left is the model's quadratic
+        nonlinearity: the part odd in the amplitude, half the difference
+        of the runs from +-1e-6, agrees to 1e-7.  (Rounding of the
+        h0 Theta0 background in the products puts a floor of ~1e-8
+        under it.)  kappa = 0, since the relaxation is not part of L."""
+        params = ModelParams(kappa=0.0, dt=20 * old_gravity_dt(grid_km, ModelParams()))
+        bump = raised_cosine_bump(grid_km, 2000.0, 2700.0)
+        eps, n = 1e-6, 10
+
+        def run(amp):
+            state = rest_plus(grid_km, params, dh=amp * params.h0 * bump)
+            out = integrate(state, n, params)
+            return [f.values - b for f, b in zip(out.fields(), (params.h0, params.theta0, 0, 0))]
+
+        zero = np.zeros(grid_km.shape)
+        ref = expm_propagate([eps * params.h0 * bump, zero, zero, zero],
+                             expm_wave_table(grid_km, params, n * params.dt))
+        plus, minus = run(eps), run(-eps)
+        assert np.max(np.abs(plus[1])) == 0.0
+        for i in (0, 2, 3):
+            scale = np.max(np.abs(ref[i]))
+            assert np.max(np.abs(plus[i] - ref[i])) <= 5e-6 * scale
+            assert np.max(np.abs((plus[i] - minus[i]) / 2 - ref[i])) <= 1e-7 * scale
+
+
 class TestTimeStepping:
     def test_ab3_step_fft_count(self, grid_km, params, count_ffts):
         """From a typed state: 4 rfft2 of the state, then 3 irfft2 of
@@ -362,6 +425,23 @@ class TestTimeStepping:
         assert 3.2 <= e2 / e1 <= 5.5
         assert 3.2 <= e1 / e05 <= 5.5
 
+    def test_member_is_the_truth_translated(self, grid_km):
+        """A member spun up from the offset (0.3, -0.2) radii at the desk dt
+        equals the truth run shifted spectrally by that offset, to 1e-8 of
+        each field's anomaly amplitude: the step is translation-equivariant
+        up to the aliasing of its products."""
+        params = ModelParams(dt=5.0)
+        ic = VortexIC(ox=0.3, oy=-0.2)
+        member = integrate(double_vortex_ic(ic, grid_km, params), 40, params)
+        truth = integrate(double_vortex_ic(VortexIC(), grid_km, params), 40, params)
+        sx, sy = ic.ox * ic.radius, ic.oy * ic.radius
+        phase = np.exp(-1j * (grid_km.kx[:, None] * sx + grid_km.ky[None, :] * sy))
+        assert member.time == truth.time == 200.0
+        for a, b in zip(member.fields(), truth.fields()):
+            shifted = np.fft.ifft2(np.fft.fft2(b.values) * phase).real
+            scale = np.max(np.abs(shifted - shifted.mean()))
+            assert np.max(np.abs(a.values - shifted)) <= 1e-8 * scale
+
     def test_mass_conserved_over_long_run(self, params):
         g = GridSpec(32, 32, 5000.0, 5000.0)
         base = double_vortex_ic(VortexIC(), g, params)
@@ -369,6 +449,20 @@ class TestTimeStepping:
         out = integrate(base, 1000, params)
         drift = abs(conserved_totals(out)["mass"] - mass0) / abs(mass0)
         assert drift <= 1e-10
+
+    def test_long_run_at_the_preset_step(self):
+        """300 steps of the 32^2 grid at dt = 10, the desk preset's Courant
+        number, keep positivity and mass.  `integrate` passes each step's
+        spectra on without a transform; a rounding-level part of its ky = 0
+        and Nyquist columns that is not Hermitian, invisible to irfft2,
+        grew under the explicit -L of the remainder until it lost
+        positivity at step 128."""
+        g = GridSpec(32, 32, 5000.0, 5000.0)
+        params = ModelParams(dt=10.0)
+        base = double_vortex_ic(VortexIC(), g, params)
+        out = integrate(base, 300, params)
+        mass0 = conserved_totals(base)["mass"]
+        assert abs(conserved_totals(out)["mass"] - mass0) <= 1e-10 * mass0
 
     def test_integration_is_deterministic(self, params):
         g = GridSpec(32, 32, 5000.0, 5000.0)
