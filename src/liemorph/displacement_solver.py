@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DiffForm, DisplacementField, _h1_norm_hat, h1_norm, lie_derivative
-from .spectral_core import ScalarField, _deriv, _deriv_hat, _inverse_helmholtz_values
+from .spectral_core import (
+    ScalarField,
+    _deriv,
+    _deriv_hat,
+    _inverse_helmholtz_values,
+    _irfft2,
+    _scratch,
+)
 
 __all__ = [
     "SolverParams",
@@ -103,55 +110,71 @@ def displacement_from_2forms(theta1, theta2, params=None):
     g = theta1.grid
     t1, t2 = theta1.components[0].values, theta2.components[0].values
     uh = _displacement_2form_hat(np.fft.rfft2(t1), t2, np.fft.rfft2(t2), g, params)
-    return DisplacementField(
-        *(ScalarField(g, np.fft.irfft2(c, s=g.shape)) for c in uh)
-    )
+    return DisplacementField(*(ScalarField(g, _irfft2(c, g.shape)) for c in uh))
 
 
-def _displacement_2form_hat(t1h, t2, t2h, grid, params):
+def _displacement_2form_hat(t1h, t2, t2h, grid, params, out=None, tmp=None):
     # stacked spectra of displacement_from_2forms from theta1's spectrum
-    # and theta2's values and spectrum
-    dh = t1h - t2h
+    # and theta2's values and spectrum, written into `out` when given;
+    # tmp is the scratch of `_scratch`, of which it uses r[0] and c
+    r, c = _scratch(t2.shape) if tmp is None else tmp
+    dh = np.subtract(t1h, t2h, out=c[0])
     f = _weight_values(params, grid) * t2
-    forcing = np.stack([np.fft.rfft2(f * _deriv_hat(dh, grid, axis)) for axis in (0, 1)])
-    return PREFACTOR * forcing / (params.a0 + params.a1 * grid._k2_r)
+    out = np.empty((2, *dh.shape), dtype=complex) if out is None else out
+    for axis in (0, 1):
+        prod = _deriv_hat(dh, grid, axis, r[0], c[1])
+        prod *= f
+        np.fft.rfft2(prod, out=out[axis])
+    # PREFACTOR * forcing / (a0 + a1 k^2), as one real multiplier: numpy's
+    # complex division by a real divisor multiplies by its reciprocal too,
+    # and with a power-of-two PREFACTOR the product rounds the same
+    out *= PREFACTOR / (params.a0 + params.a1 * grid._k2_r)
+    return out
 
 
-def _combined_displacement_hat(pairs, grid):
+def _combined_displacement_hat(pairs, grid, out=None, fields=None, tmp=None, dens=None):
     """Stacked spectra of the combined displacement toward 2-form targets.
 
     The Fourier-space equivalent of `combine_displacements` over
     `displacement_from_2forms(theta1, theta2)` for each pair, with the H1
     norms taken by Parseval; theta2 may carry a member axis, and each
-    member is normalized and averaged on its own.
+    member is normalized and averaged on its own.  The result goes into
+    `out`, each pair's displacement into `fields[i]`, the temporaries into
+    the scratch `tmp` (see `_scratch`) and the H1 densities into `dens`
+    (see `_h1_norm_hat`), each when given.
 
     Args:
         pairs: (theta1 spectrum, theta2 values, theta2 spectrum) per
             observable, rfft2 layout.
     """
     params = SolverParams()
-    fields = [_displacement_2form_hat(*p, grid, params) for p in pairs]
+    fields = [None] * len(pairs) if fields is None else fields
+    fields = [_displacement_2form_hat(*p, grid, params, f, tmp) for p, f in zip(pairs, fields)]
     return _normalized_mean(
-        fields, [_h1_norm_hat(u, grid) for u in fields], _TOL_NORM_PER_AREA * grid.area
+        fields, [_h1_norm_hat(u, grid, dens) for u in fields], _TOL_NORM_PER_AREA * grid.area, out
     )
 
 
-def _normalized_mean(fields, norms, tol_norm):
+def _normalized_mean(fields, norms, tol_norm, out=None):
     """(1/m) sum u_i / n_i over the m fields with n_i >= tol_norm, per member.
 
-    fields are stacked (2, ..., nx, ny) arrays and norms hold one value per
-    member; a member with m = 0 gets zeros.  Each member sees the serial
-    order of operations: u * (1/n), a sequential sum, then * (1/m).
+    fields are stacked (2, ..., nx, ny) arrays, scaled in place by 1 / n_i,
+    and norms hold one value per member; a member with m = 0 gets zeros.
+    Each member sees the serial order of operations: u * (1/n), a
+    sequential sum from zero, then * (1/m).  The mean is written into
+    `out` when given.
     """
-    acc = np.zeros_like(fields[0])
+    acc = np.empty_like(fields[0]) if out is None else out
+    acc.fill(0.0)
     count = np.zeros(np.shape(norms[0]))
     for u, n in zip(fields, norms):
         kept = n >= tol_norm
-        term = u * (1.0 / np.where(kept, n, 1.0))[..., None, None]
-        np.copyto(acc, term, where=(kept & (count == 0))[..., None, None])
-        np.add(acc, term, out=acc, where=(kept & (count > 0))[..., None, None])
+        u *= (1.0 / np.where(kept, n, 1.0))[..., None, None]
+        # a mask costs twice an unmasked add, so none when every member is kept
+        np.add(acc, u, out=acc, where=True if kept.all() else kept[..., None, None])
         count += kept
-    return acc * (1.0 / np.maximum(count, 1.0))[..., None, None]
+    acc *= (1.0 / np.maximum(count, 1.0))[..., None, None]
+    return acc
 
 
 def combine_displacements(fields, tol_norm=None):
@@ -223,7 +246,7 @@ def lie_operator_adjoint(theta, phi):
 def _laplacian(values, grid):
     fh = np.fft.rfft2(values)
     fh *= -grid._k2_r
-    return np.fft.irfft2(fh, s=values.shape)
+    return _irfft2(fh, values.shape)
 
 
 def generalized_optical_flow(theta, theta_t, params=None):

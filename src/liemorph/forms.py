@@ -13,6 +13,7 @@ from .spectral_core import (
     _check_finite,
     _deriv,
     _deriv_hat,
+    _scratch,
     curl_2d,
     domain_integral,
     gradient,
@@ -205,12 +206,17 @@ def h1_norm(u):
     return float(_h1_norm_hat(uh, u.grid))
 
 
-def _h1_norm_hat(uh, grid):
+def _h1_norm_hat(uh, grid, tmp=None):
     # h1_norm of each displacement whose two rfft2 spectra are stacked in
     # uh (2, ..., nx, ny//2+1): an array with one norm per member.  With
     # purely imaginary odd derivatives, |curl|^2 + |div|^2 of a mode is
     # k_odd^2 (|u1|^2 + |u2|^2), so the density is one weight times |u|^2.
-    dens = grid.h1_weight() * (uh[0].real**2 + uh[0].imag**2 + uh[1].real**2 + uh[1].imag**2)
+    # tmp, when given, is a real array of uh's shape for the density.
+    dens, sq = np.empty(uh.shape) if tmp is None else tmp
+    np.square(uh[0].real, out=dens)
+    for part in (uh[0].imag, uh[1].real, uh[1].imag):
+        dens += np.square(part, out=sq)
+    dens *= grid.h1_weight()
     rows = dens.sum(axis=-2)
     # one dot per member: a batched (B, nk) @ (nk,) rounds differently
     w = grid._parseval_w
@@ -219,14 +225,18 @@ def _h1_norm_hat(uh, grid):
     return np.sqrt(grid.area * dots / n**2)
 
 
-def _advect_hat(fh, u, grid, grad=None):
+def _advect_hat(fh, u, grid, grad=None, out=None, tmp=None):
     # spectrum of u . grad f, i.e. L_u of the 0-form f with spectrum fh;
-    # grad, when given, holds the values of grad f
-    fx, fy = (_deriv_hat(fh, grid, a) for a in (0, 1)) if grad is None else grad
-    return np.fft.rfft2(u[0] * fx + u[1] * fy)
+    # grad, when given, holds the values of grad f.  With the scratch tmp
+    # = (r, c) of `_scratch` it uses r and c[1] and writes into `out`.
+    r, c = _scratch(u[0].shape) if tmp is None else tmp
+    fx, fy = (_deriv_hat(fh, grid, a, r[a], c[1]) for a in (0, 1)) if grad is None else grad
+    prod = np.multiply(u[0], fx, out=r[0])
+    prod += np.multiply(u[1], fy, out=r[1])
+    return np.fft.rfft2(prod, out=out)
 
 
-def _transport_hat(vals, spec, omega, u, grid, grad_th=None):
+def _transport_hat(vals, spec, omega, u, grid, grad_th=None, out=None, tmp=None):
     """rfft2 spectra of -L_u theta for the four TSW prognostic tensors.
 
     h is a 2-form (-div(h u)), Theta a 0-form (-u . grad Theta) and
@@ -240,18 +250,30 @@ def _transport_hat(vals, spec, omega, u, grid, grad_th=None):
     values of (h, Theta, v1, v2) and spec their spectra (spec[0] is not
     read), omega the values of curl v and u the displacement's two
     components; grad_th, when given, holds the values of grad Theta.
-    6 rfft2, plus 2 irfft2 without grad_th.
+    6 rfft2, plus 2 irfft2 without grad_th.  The rows are written into
+    `out` and the temporaries into the scratch `tmp` (see `_scratch`) when
+    these are given.
     """
     h, _, v1, v2 = vals
     u1, u2 = u
     ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
-    uv_hat = np.fft.rfft2(u1 * v1 + u2 * v2)
-    return np.stack([
-        -(ikx * np.fft.rfft2(h * u1) + iky * np.fft.rfft2(h * u2)),
-        -_advect_hat(spec[1], u, grid, grad_th),
-        np.fft.rfft2(omega * u2) - ikx * uv_hat,
-        -(np.fft.rfft2(omega * u1) + iky * uv_hat),
-    ])
+    out = np.empty_like(spec) if out is None else out
+    r, c = _scratch(h.shape) if tmp is None else tmp
+    uv = np.multiply(u1, v1, out=r[0])
+    uv += np.multiply(u2, v2, out=r[1])
+    uv_hat = np.fft.rfft2(uv, out=c[0])
+    # -(ikx rfft(h u1) + iky rfft(h u2))
+    dh = np.fft.rfft2(np.multiply(h, u1, out=r[0]), out=out[0])
+    np.multiply(ikx, dh, out=dh)
+    dh += np.multiply(iky, np.fft.rfft2(np.multiply(h, u2, out=r[0]), out=c[1]), out=c[1])
+    np.negative(dh, out=dh)
+    np.negative(_advect_hat(spec[1], u, grid, grad_th, out[1], (r, c)), out=out[1])
+    np.fft.rfft2(np.multiply(omega, u2, out=r[0]), out=out[2])
+    out[2] -= np.multiply(ikx, uv_hat, out=c[1])
+    dv2 = np.fft.rfft2(np.multiply(omega, u1, out=r[0]), out=out[3])
+    dv2 += np.multiply(iky, uv_hat, out=c[1])
+    np.negative(dv2, out=dv2)
+    return out
 
 
 class AnalyticMap:

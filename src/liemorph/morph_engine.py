@@ -13,6 +13,18 @@ member per step, and `run_morph` is its batch of one.  A batch reports
 the first failing step across its members (serial code would report the
 first failing member).
 
+The batch loop runs on one workspace (`_Workspace`): arrays allocated
+once per batch and reused by every step, into which the kernel helpers
+write through their `out=` and scratch arguments.  The AB history is a
+ring buffer of shape (order, 4, B, nx, ny//2+1): each tendency is
+written straight into its slot, and the AB sum is one pass over the
+ring.  Inverse transforms go through `spectral_core._irfft2`, which calls
+np.fft.irfftn, since np.fft.irfft2 ignores `out`.  The typed functions
+call the same helpers without buffers, and those allocate their results.
+Only where results are stored and the order of the AB sum differ from
+a loop on fresh arrays, so each member's result is the same bit for bit
+wherever it sits in the batch.
+
 `nudge` adds the same transport, times a strength, to the model tendency
 and runs through the same batch loop.
 """
@@ -26,12 +38,13 @@ import numpy as np
 
 from .displacement_solver import _combined_displacement_hat
 from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
-from .spectral_core import ScalarField
+from .spectral_core import ScalarField, _scratch
 from .tsw_model import (
     _MODEL_ERRORS,
     AB_COEFFS,
     InstabilityError,
     _ab_advance,
+    _ABRing,
     _fields,
     _grad_theta,
     _irfft_all,
@@ -152,9 +165,11 @@ class MorphTrace:
             fh.write(self.csv_bytes())
 
 
-def _mse(a, b):
-    # per member; the mean over the last two axes equals np.mean per member
-    return np.mean((a - b) ** 2, axis=(-2, -1))
+def _mse(a, b, tmp=None):
+    # per member; the mean over the last two axes equals np.mean per member.
+    # tmp, when given, is an array of a's shape for the squares
+    sq = np.subtract(a, b, out=tmp)
+    return np.mean(np.square(sq, out=sq), axis=(-2, -1))
 
 
 def field_mse(a, b):
@@ -185,8 +200,42 @@ def conserved_totals(state):
 # or without a member axis; a displacement is held as its values `u`
 # (2, nx, ny), or (2, B, nx, ny).  The vorticity is computed once per
 # state, by `_record`, and shared by the velocity, the v-transport and the
-# trace.
+# trace.  Without a workspace each helper allocates its results.
 _MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
+
+
+class _Workspace:
+    """The arrays of one morph batch, allocated once and reused every step.
+
+    vals and spec hold the state (4, B, nx, ny) and its spectra, which
+    each step overwrites.  omega and omega_hat hold the vorticity, u and
+    uh the displacement, forcing the displacement of each observable, dens
+    the H1 densities, (r, c) the kernel's scratch (see
+    `spectral_core._scratch`), and ring the AB history as an (order, 4, B,
+    nx, ny//2+1) ring buffer (see `tsw_model._ABRing`), into whose slot
+    each tendency is written.  Every array ends in the axes (member, x,
+    y), so `keep` slices them all alike.
+    """
+
+    def __init__(self, vals, order, n_observed):
+        self.vals = vals
+        self.spec = _rfft_all(vals)
+        self.omega = np.empty(vals.shape[1:])
+        self.omega_hat = np.empty_like(self.spec[0])
+        self.u = np.empty((2, *vals.shape[1:]))
+        self.uh = np.empty_like(self.spec[:2])
+        self.forcing = np.empty((n_observed, *self.uh.shape), dtype=complex)
+        self.dens = np.empty(self.uh.shape)
+        self.r, self.c = _scratch(vals.shape[1:])
+        self.ring = _ABRing(order, self.spec.shape)
+
+    def keep(self, mask):
+        """Keep the members where `mask` is true, in every array, once; the
+        copies are contiguous, as `tsw_model._ab_sum` needs."""
+        for name, arr in list(vars(self).items()):
+            if isinstance(arr, np.ndarray):
+                setattr(self, name, np.compress(mask, arr, axis=-3))
+        self.ring.buf = np.compress(mask, self.ring.buf, axis=-3)
 
 
 def _target_spectra(targets, grid):
@@ -200,55 +249,66 @@ def _target_spectra(targets, grid):
     return out
 
 
-def _velocity(observed, vals, spec, omega, grid):
+def _velocity(observed, vals, spec, omega, grid, ws=None):
     """Values u of the combined displacement toward the observed targets.
 
     observed holds (name, target values, target spectrum); omega is the
     state's (values, spectrum) vorticity.  The displacement solves and H1
     norms stay in Fourier space, per member; only u itself is transformed
-    back.
+    back.  With the _Workspace ws every array is one of its own.
     """
     if not observed:
         raise ValueError("morph_velocity needs at least one observable")
     obs = {"h": (vals[0], spec[0]), "omega": omega}
-    uh = _combined_displacement_hat([(th, *obs[name]) for name, _, th in observed], grid)
-    return _irfft_all(uh, grid)
+    pairs = [(th, *obs[name]) for name, _, th in observed]
+    if ws is None:
+        return _irfft_all(_combined_displacement_hat(pairs, grid), grid)
+    uh = _combined_displacement_hat(pairs, grid, ws.uh, ws.forcing, (ws.r, ws.c), ws.dens)
+    return _irfft_all(uh, grid, ws.u)
 
 
-def _record(traces, k, vals, spec, observed, grid):
-    """Record row k in the trace of each member on vals' member axis;
-    (omega, the per-member MSE of each observed name)."""
-    omega = _vorticity(spec, grid)
-    obs = {"h": vals[0], "omega": omega[0]}
-    mses = {name: _mse(obs[name], t) for name, t, _ in observed}
-    totals = _totals(vals, omega[0], grid.area)
+def _record(traces, k, observed, grid, ws):
+    """Record row k in the trace of each member of the _Workspace ws, whose
+    omega and omega_hat receive the state's vorticity; the per-member MSE
+    of each observed name."""
+    omega, _ = _vorticity(ws.spec, grid, (ws.omega, ws.omega_hat), ws.c[0])
+    obs = {"h": ws.vals[0], "omega": omega}
+    mses = {name: _mse(obs[name], t, ws.r[0]) for name, t, _ in observed}
+    totals = _totals(ws.vals, omega, grid.area)
     nan = np.full(len(traces), np.nan)
     for j, trace in enumerate(traces):
         trace.record(k, float(mses.get("h", nan)[j]), float(mses.get("omega", nan)[j]),
                      {name: float(v[j]) for name, v in totals.items()})
-    return omega, mses
+    return mses
 
 
-def _step(vals, spec, omega, u, history, params, naive, step, grid, drift=None):
+def _step(vals, spec, omega, u, history, params, naive, step, grid, drift=None, ws=None):
     """One AB epsilon-step of d(theta)/ds = -L_u theta; the new (vals, spec).
 
     omega holds the values of the state's vorticity; the naive comparator
     drags every field as a 0-form, d(theta)/ds = -u . grad(theta).  A drift
-    (model, strength) adds the model tendency: see `nudge`.
+    (model, strength) adds the model tendency: see `nudge`.  With the
+    _Workspace ws, `history` is its ring: the tendency is written into the
+    ring's slot and the new state over ws.vals and ws.spec.
     """
+    tend, tmp, out = (None, None, None) if ws is None else (
+        history.slot(), (ws.r, ws.c), (ws.vals, ws.spec))
     if drift is not None:
         model, strength = drift
         grad_th = _grad_theta(spec, grid)
-        tend = _tendency_hat(vals, spec, model, grid, omega, grad_th)
-        tend += strength * _transport_hat(vals, spec, omega, u, grid, grad_th)
+        tend = _tendency_hat(vals, spec, model, grid, omega, grad_th, tend)
+        tend += strength * _transport_hat(vals, spec, omega, u, grid, grad_th, tmp=tmp)
         return _ab_advance(spec, tend, history, params.ab_order, params.epsilon,
-                           params.filter_a, grid, step, _MODEL_ERRORS, model)
+                           params.filter_a, grid, step, _MODEL_ERRORS, model, out)
     if naive:
-        tend = np.stack([-_advect_hat(s, u, grid) for s in spec])
+        tend = np.empty_like(spec) if tend is None else tend
+        for s, t in zip(spec, tend):
+            _advect_hat(s, u, grid, out=t, tmp=tmp)
+        np.negative(tend, out=tend)
     else:
-        tend = _transport_hat(vals, spec, omega, u, grid)
+        tend = _transport_hat(vals, spec, omega, u, grid, out=tend, tmp=tmp)
     return _ab_advance(spec, tend, history, params.ab_order, params.epsilon, params.filter_a,
-                       grid, step, _MORPH_ERRORS)
+                       grid, step, _MORPH_ERRORS, out=out)
 
 
 def morph_velocity(state, targets):
@@ -324,8 +384,8 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
     """
     g = states[0].grid
     observed = _target_spectra(targets, g)
-    vals = np.stack([_fields(s) for s in states], axis=1)
-    spec = _rfft_all(vals)
+    ws = _Workspace(np.stack([_fields(s) for s in states], axis=1), params.ab_order,
+                    len(observed))
     active = np.arange(len(states))
     times = np.array([s.time for s in states])
     traces = [MorphTrace() for _ in states]
@@ -335,37 +395,34 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
         for j, i in enumerate(members):
             finals[i] = _state(vals[:, j], g, times[i])
 
-    omega, cur = _record(traces, 0, vals, spec, observed, g)
-    history = []
+    cur = _record(traces, 0, observed, g, ws)
     worse_streak = np.zeros(len(states), dtype=int)
     for k in range(params.n_steps):
         if stop is not None and stop.is_set():
             raise CancelledError
-        u = _velocity(observed, vals, spec, omega, g)
+        u = _velocity(observed, ws.vals, ws.spec, (ws.omega, ws.omega_hat), g, ws)
         try:
-            vals, spec = _step(vals, spec, omega[0], u, history, params, naive, k, g, drift)
+            _step(ws.vals, ws.spec, ws.omega, u, ws.ring, params, naive, k, g, drift, ws)
         except InstabilityError as err:
             err.member = int(active[err.member])
             raise
         if drift is not None:
             times[active] += drift[0].dt
         prev = cur
-        omega, cur = _record([traces[i] for i in active], k + 1, vals, spec, observed, g)
+        cur = _record([traces[i] for i in active], k + 1, observed, g, ws)
         if params.early_stop_patience is not None:
             worse = np.logical_and.reduce([cur[n] > prev[n] for n in cur])
             worse_streak = np.where(worse, worse_streak + 1, 0)
             done = worse_streak >= params.early_stop_patience
             if done.any():
-                finish(vals[:, done], active[done])
+                finish(ws.vals[:, done], active[done])
                 keep = ~done
                 active, worse_streak = active[keep], worse_streak[keep]
-                vals, spec = vals[:, keep], spec[:, keep]
-                history[:] = [t[:, keep] for t in history]
-                omega = tuple(w[keep] for w in omega)
                 cur = {n: v[keep] for n, v in cur.items()}
                 if not active.size:
                     break
-    finish(vals, active)
+                ws.keep(keep)
+    finish(ws.vals, active)
     return list(zip(finals, traces))
 
 

@@ -191,10 +191,25 @@ def _check_finite(values, what):
         raise ValueError(f"non-finite values in {what}")
 
 
-def _deriv_hat(fh, grid, axis):
-    # d/dx or d/dy of the field with rfft2 spectrum fh, Nyquist zeroed
+def _irfft2(fh, shape, out=None):
+    # inverse rfft2 over the last two axes, written into `out` when given.
+    # np.fft.irfft2 drops `out` (numpy 2.4 passes out=None on to irfftn),
+    # so every inverse transform calls irfftn.
+    return np.fft.irfftn(fh, shape, axes=(-2, -1), out=out)
+
+
+def _scratch(shape):
+    # temporaries of the kernel helpers for fields of values shape (..., nx,
+    # ny): two real fields and two rfft2 spectra, (r, c)
+    spec_shape = (*shape[:-1], shape[-1] // 2 + 1)
+    return np.empty((2, *shape)), np.empty((2, *spec_shape), dtype=complex)
+
+
+def _deriv_hat(fh, grid, axis, out=None, tmp=None):
+    # d/dx or d/dy of the field with rfft2 spectrum fh, Nyquist zeroed;
+    # tmp, when given, receives fh * ik
     ik = grid._ikx_odd[:, None] if axis == 0 else grid._iky_odd[None, :]
-    return np.fft.irfft2(fh * ik, s=grid.shape)
+    return _irfft2(np.multiply(fh, ik, out=tmp), grid.shape, out)
 
 
 def _deriv(values, grid, axis):
@@ -231,7 +246,7 @@ def _inverse_helmholtz_values(values, grid, a0=1.0, a1=1.0):
     # solve (a0 - a1*Lap) g = f exactly in Fourier space
     fh = np.fft.rfft2(values)
     fh /= a0 + a1 * grid._k2_r
-    return np.fft.irfft2(fh, s=values.shape)
+    return _irfft2(fh, values.shape)
 
 
 def inverse_helmholtz(f):
@@ -257,7 +272,7 @@ def hou_li_filter(f, a):
     _check_finite(f.values, "hou_li_filter input")
     fh = np.fft.rfft2(f.values)
     fh *= f.grid.hou_li(a)
-    return ScalarField(f.grid, np.fft.irfft2(fh, s=f.values.shape))
+    return ScalarField(f.grid, _irfft2(fh, f.values.shape))
 
 
 def _resample_modes(coeffs, n_new, axis):

@@ -24,6 +24,15 @@ member axis: `_integrate_batch` advances a batch of states in lockstep
 with the same 13 FFT calls per step, and `integrate` is its batch of one.
 The nudged model, this tendency plus the morph's tensor transport, is
 `morph_engine.nudge`.
+
+The kernel helpers take `out=` arrays, which the morph's batch loop
+preallocates; without them they allocate, as the model loop and the
+typed functions do.  The morph keeps its AB history in a ring buffer
+(`_ABRing`): one (order, ...) array whose slots the tendencies are
+written into, so the plain AB sum is a single pass, the coefficient
+vector times the slots viewed as an (order, n) float matrix.  Inverse
+transforms call np.fft.irfftn through `spectral_core._irfft2`:
+np.fft.irfft2 drops its `out` argument (numpy 2.4).
 """
 
 import functools
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DisplacementField
-from .spectral_core import ScalarField, _deriv, _deriv_hat, curl_2d
+from .spectral_core import ScalarField, _deriv, _deriv_hat, _irfft2, curl_2d
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -198,12 +207,21 @@ class TSWTendency:
 _MODEL_ERRORS = ("non-finite field after AB step", "positivity lost")
 
 
-def _rfft_all(vals):
-    return np.stack([np.fft.rfft2(v) for v in vals])
+def _rfft_all(vals, out=None):
+    # the spectrum of each field, written into `out` when given
+    if out is None:
+        out = np.empty((*vals.shape[:-1], vals.shape[-1] // 2 + 1), dtype=complex)
+    for v, o in zip(vals, out):
+        np.fft.rfft2(v, out=o)
+    return out
 
 
-def _irfft_all(spec, grid):
-    return np.stack([np.fft.irfft2(s, s=grid.shape) for s in spec])
+def _irfft_all(spec, grid, out=None):
+    # the values of each field, written into `out` when given
+    out = np.empty((*spec.shape[:-2], *grid.shape)) if out is None else out
+    for s, o in zip(spec, out):
+        _irfft2(s, grid.shape, o)
+    return out
 
 
 def _fields(state):
@@ -214,10 +232,13 @@ def _state(vals, grid, time):
     return TSWState(*(ScalarField(grid, v) for v in vals), time=time)
 
 
-def _vorticity(spec, grid):
-    # (values, spectrum) of omega = dv2/dx - dv1/dy
-    wh = grid._ikx_odd[:, None] * spec[3] - grid._iky_odd[None, :] * spec[2]
-    return np.fft.irfft2(wh, s=grid.shape), wh
+def _vorticity(spec, grid, out=None, tmp=None):
+    # (values, spectrum) of omega = dv2/dx - dv1/dy, written into the pair
+    # `out` when given; tmp, when given, is a spectrum-shaped scratch array
+    w, wh = (None, None) if out is None else out
+    wh = np.multiply(grid._ikx_odd[:, None], spec[3], out=wh)
+    wh -= np.multiply(grid._iky_odd[None, :], spec[2], out=tmp)
+    return _irfft2(wh, grid.shape, w), wh
 
 
 def _grad_theta(spec, grid):
@@ -225,7 +246,7 @@ def _grad_theta(spec, grid):
     return tuple(_deriv_hat(spec[1], grid, a) for a in (0, 1))
 
 
-def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None):
+def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None):
     """rfft2 spectra (4, nx, ny//2+1) of the tendencies of (h, Theta, v1, v2).
 
     The pseudo-spectral transform method: derivatives are taken on the
@@ -239,6 +260,7 @@ def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None):
     dv = -grad(h Theta + |v|^2 / 2) + (omega + f) (v2, -v1) + (h/2) grad(Theta).
     A call makes 6 rfft2 + 3 irfft2 (omega, grad Theta); a caller that
     holds omega or grad(Theta) as values passes them in and saves those.
+    The rows are written into `out` when given.
     """
     h, th, v1, v2 = vals
     ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
@@ -251,12 +273,12 @@ def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None):
     dv1 = q * v2 + 0.5 * h * thx
     dv2 = 0.5 * h * thy - q * v1
     del omega, thx, thy, q  # freed before the transforms: a lower peak
-    return np.stack([
-        -(ikx * np.fft.rfft2(h * v1) + iky * np.fft.rfft2(h * v2)),
-        np.fft.rfft2(dth),
-        np.fft.rfft2(dv1) - ikx * p_hat,
-        np.fft.rfft2(dv2) - iky * p_hat,
-    ])
+    out = np.empty_like(spec) if out is None else out
+    out[0] = -(ikx * np.fft.rfft2(h * v1) + iky * np.fft.rfft2(h * v2))
+    np.fft.rfft2(dth, out=out[1])
+    out[2] = np.fft.rfft2(dv1) - ikx * p_hat
+    out[3] = np.fft.rfft2(dv2) - iky * p_hat
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -303,10 +325,11 @@ def _hermitian(spec, grid):
     spec[..., [0, -1]] = cols
 
 
-def _propagate(prop, x):
-    # prop applied to the (h, v1, v2) spectra of x; Theta passes unchanged
+def _propagate(prop, x, out=None):
+    # prop applied to the (h, v1, v2) spectra of x, written into `out`
+    # (not x) when given; Theta passes unchanged
     h, _, v1, v2 = x
-    out = np.empty_like(x)
+    out = np.empty_like(x) if out is None else out
     out[1] = x[1]
     for i, row in zip((0, 2, 3), prop):
         out[i] = row[0] * h
@@ -315,46 +338,110 @@ def _propagate(prop, x):
     return out
 
 
-def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, model=None):
+class _ABRing:
+    """The AB history of a batch loop in one preallocated array.
+
+    buf (order, ...) holds the last `order` tendency spectra.  The caller
+    writes the tendency of step n in place into `slot()`, slot n % order,
+    and `_ab_advance` counts it; so keeping the history copies nothing,
+    and the plain AB sum is one product of a coefficient vector with the
+    filled slots, viewed as rows of one float matrix.
+    """
+
+    def __init__(self, order, shape):
+        self.buf = np.empty((order, *shape), dtype=complex)
+        self.count = 0  # tendencies written
+
+    def slot(self):
+        """The array the next tendency is written into."""
+        return self.buf[self.count % len(self.buf)]
+
+    def push(self):
+        """Count the slot as written; the filled slots' indices, oldest first."""
+        self.count += 1
+        order = len(self.buf)
+        return [n % order for n in range(max(self.count - order, 0), self.count)]
+
+
+def _ab_sum(weights, rows, out):
+    # out = sum_i weights[i] rows[i], in one pass: a vector-matrix product
+    # of the float views.  Each row and `out` must be contiguous, since a
+    # reshape that copied would lose the result.  einsum, not np.dot: the
+    # BLAS product spins OpenBLAS threads, which ran it slower and less
+    # steadily on a loaded 2-vCPU host.
+    mat = rows.view(float).reshape(len(rows), -1, copy=False)
+    np.einsum("i,ij->j", weights, mat, out=out.view(float).reshape(-1, copy=False))
+
+
+def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, model=None,
+                out=None):
     """One Adams-Bashforth step on spectra, shared by the model and the morph.
 
-    Appends `tend` to `history` (newest last, at most `order` kept, so
-    repeated calls bootstrap the order), advances `spec` by `size` times the
-    AB sum, applies the Hou-Li multiplier `filter_a` and transforms each
-    field back once.  With the ModelParams `model` the step is Lawson's
-    integrating-factor AB (Cox & Matthews 2002): `tend` loses, in place,
-    its part linear about the rest state, L spec, which the exact
-    propagator E = exp(L size) carries instead,
+    Adds `tend` to `history` as its newest entry, advances `spec` by `size`
+    times the AB sum, applies the Hou-Li multiplier `filter_a` and
+    transforms each field back once.  `history` is a list, appended to and
+    cut to its last `order` entries, so repeated calls bootstrap the order;
+    or an _ABRing, whose slot the caller wrote `tend` into.  The plain step
+    forms size sum_j c_j T_{n-j} in one pass over the entries (`_ab_sum`).
+    With the ModelParams `model` the step is Lawson's integrating-factor AB
+    (Cox & Matthews 2002): `tend` loses, in place, its part linear about
+    the rest state, L spec, which the exact propagator E = exp(L size)
+    carries instead,
 
         spec_new = E [spec + size sum_j c_j E^j N_{n-j}],  N = tend - L spec,
 
     so the gravity waves do not bound `size`.  Raises InstabilityError at
     `step`, with the message prefixes `errors`, when a field turns
     non-finite or h or Theta non-positive; with a member axis it names the
-    lowest failing member.  Returns the new (vals, spec).
+    lowest failing member.  Returns the new (vals, spec), written into the
+    pair of arrays `out` when given; its spectrum may be `spec` itself.
     """
     if model is not None:
         _remove_linear(tend, spec, model, grid)
-    history.append(tend)
-    del history[:-order]
-    coeffs = AB_COEFFS[len(history)]
+    if isinstance(history, _ABRing):
+        slots = history.push()
+        entries = [history.buf[i] for i in slots]
+    else:
+        history.append(tend)
+        del history[:-order]
+        entries = history
+    coeffs = AB_COEFFS[len(entries)]
+    vals, new = (None, None) if out is None else out
+    filt = grid.hou_li(filter_a)
     if model is None:
-        new = sum(c * t for c, t in zip(coeffs, reversed(history)))
+        # the ring's filled slots are its first len(entries), in ring order
+        weights = np.empty(len(entries))
+        if isinstance(history, _ABRing):
+            weights[slots] = coeffs[::-1]
+            rows = history.buf[: len(entries)]
+        else:
+            weights[:] = coeffs[::-1]
+            rows = np.stack(entries)
+        weights *= size
+        new = np.empty_like(spec) if new is None else new
+        vals = np.empty((*spec.shape[:-2], *grid.shape)) if vals is None else vals
+        # (spec + size * AB sum) * multiplier, then the inverse transform,
+        # field by field: each field's arrays are still in cache
+        ab_sum = np.empty_like(spec[0])
+        for f, (row, s) in enumerate(zip(new, spec)):
+            _ab_sum(weights, rows[:, f], ab_sum)
+            np.add(ab_sum, s, out=row)
+            row *= filt
+            _irfft2(row, grid.shape, vals[f])
     else:
         # sum_j c_j E^j N_{n-j} by Horner's rule from the oldest entry
         prop = _propagator(grid, model.f, model.h0, model.theta0, size)
-        new = coeffs[-1] * history[0]
-        for c, t in zip(coeffs[-2::-1], history[1:]):
-            new = _propagate(prop, new)
-            new += c * t
-    # (spec + size * AB sum) * multiplier, in place to keep one temporary
-    new *= size
-    new += spec
-    if model is not None:
-        new = _propagate(prop, new)
+        acc = coeffs[-1] * entries[0]
+        for c, t in zip(coeffs[-2::-1], entries[1:]):
+            acc = _propagate(prop, acc)
+            acc += c * t
+        # (spec + size * AB sum) * multiplier, in place to keep one temporary
+        acc *= size
+        acc += spec
+        new = _propagate(prop, acc, new)
         _hermitian(new, grid)
-    new *= grid.hou_li(filter_a)
-    vals = _irfft_all(new, grid)
+        new *= filt
+        vals = _irfft_all(new, grid, vals)
     # per member; the lowest failing member is reported, with its own minima
     finite = np.isfinite(vals).all(axis=(0, -2, -1))
     hmin, thmin = vals[0].min(axis=(-2, -1)), vals[1].min(axis=(-2, -1))

@@ -29,16 +29,24 @@ def rng():
 
 @pytest.fixture
 def count_ffts(monkeypatch):
-    """Call it to start counting numpy.fft.rfft2 and irfft2 calls; it
-    returns the dict of counts, which the rest of the test updates."""
+    """Call it to start counting 2-D real transforms; it returns the dict of
+    counts, which the rest of the test updates.
+
+    Forward calls are counted under "rfft2" and inverse ones under
+    "irfft2".  The kernel makes its inverse transforms through
+    numpy.fft.irfftn, since irfft2 ignores `out`, so irfftn and rfftn are
+    counted too.  numpy's own irfft2 reaches irfftn by a module-internal
+    name, not through numpy.fft, so no transform is counted twice.
+    """
 
     def start():
         counts = {"rfft2": 0, "irfft2": 0}
-        for name in counts:
+        for name, key in (("rfft2", "rfft2"), ("rfftn", "rfft2"),
+                          ("irfft2", "irfft2"), ("irfftn", "irfft2")):
             fn = getattr(np.fft, name)
 
-            def counted(*args, _fn=fn, _name=name, **kwargs):
-                counts[_name] += 1
+            def counted(*args, _fn=fn, _key=key, **kwargs):
+                counts[_key] += 1
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)

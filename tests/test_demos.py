@@ -10,9 +10,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_demo(name):
+def run_demo(name, *args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name)], env=env,
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name), *args], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout
@@ -42,3 +42,14 @@ def test_timestep_error_preset_is_a_tenth_of_the_spread():
     spread = float(re.search(r"^member 0 against the truth: (\S+)$", out, re.M).group(1))
     assert len(preset) == 1, out
     assert preset[0] <= spread / 10
+
+
+def test_kernel_timing_prints_a_row_per_kernel_and_size():
+    out = run_demo("kernel_timing.py", "--grid", "8", "16", "--steps", "2", "--repeats", "2")
+    rows = re.findall(r"^(\S+)\s+(\d+)\^2\s+(\d+)\s+(\d+)\s+(\S+) \[(\S+), (\S+)\]$", out, re.M)
+    assert [r[:4] for r in rows] == [
+        ("_run_morph_batch", "8", "8", "2"), ("_integrate_batch", "8", "8", "2"),
+        ("_run_morph_batch", "16", "1", "2"), ("_integrate_batch", "16", "1", "2"),
+    ], out
+    for *_, median, low, high in rows:
+        assert 0 < float(low) <= float(median) <= float(high)

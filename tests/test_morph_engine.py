@@ -30,6 +30,7 @@ from liemorph import (
     run_morph,
     vorticity_of,
 )
+from liemorph.displacement_solver import SolverParams, _displacement_2form_hat
 from liemorph.morph_engine import MorphTrace, _run_morph_batch
 from oracles import composed_run_morph, random_band_limited
 
@@ -59,6 +60,17 @@ def bump_state(grid, params, cx=2500.0):
         ScalarField.constant(grid, params.theta0),
         ScalarField.zeros(grid),
         ScalarField.zeros(grid),
+    )
+
+
+def small_bump_state(grid, params, cx):
+    """Bumps at (cx, 1) in every field, for grids a few units across."""
+    bump = wrapped_bump(grid, cx, 1.0, 0.4)
+    return TSWState(
+        ScalarField(grid, params.h0 + 0.1 * bump),
+        ScalarField(grid, params.theta0 * (1.0 + 0.01 * bump)),
+        ScalarField(grid, 0.05 * bump),
+        ScalarField(grid, -0.03 * wrapped_bump(grid, cx, 1.2, 0.4)),
     )
 
 
@@ -275,8 +287,14 @@ class TestRunMorph:
         displacement solve; doubling it changes nothing, bit for bit."""
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         mp = MorphParams(epsilon=10.0, n_steps=8)
-        f1, t1 = run_morph(bump_state(grid_km, params), [h_target(grid_km, target)], mp)
+        state = bump_state(grid_km, params)
+        solve_args = (np.fft.rfft2(target), state.h.values, np.fft.rfft2(state.h.values),
+                      grid_km, SolverParams())
+        u_hat = _displacement_2form_hat(*solve_args)
+        f1, t1 = run_morph(state, [h_target(grid_km, target)], mp)
         monkeypatch.setattr(liemorph.displacement_solver, "PREFACTOR", 4.0)
+        # the patched prefactor reaches the solve the morph makes
+        assert np.array_equal(_displacement_2form_hat(*solve_args), 2.0 * u_hat)
         f2, t2 = run_morph(bump_state(grid_km, params), [h_target(grid_km, target)], mp)
         for a, b in zip(f1.fields(), f2.fields()):
             assert np.array_equal(a.values, b.values)
@@ -322,6 +340,32 @@ class TestSpectralKernel:
             _run_morph_batch(batch, targets, MorphParams(epsilon=10.0, n_steps=1), naive=naive)
             assert (counts["rfft2"], counts["irfft2"]) == expected
             counts.update(rfft2=0, irfft2=0)
+
+    @pytest.mark.parametrize("naive, n_steps, patience, lengths", [
+        (False, 20, None, [21, 21, 21]),
+        (True, 20, None, [21, 21, 21]),
+        (False, 30, 1, [15, 31, 31]),
+    ])
+    def test_batch_equals_serial_on_nonsquare_grid(self, grid_small, params, naive, n_steps,
+                                                   patience, lengths):
+        """A batch of 3 on the 16 x 12 grid: each member's state and trace
+        equal its own run_morph bit for bit, wherever it sits in the batch.
+        With early stopping member 0 leaves the batch mid-run, and the
+        other two go on in a sliced workspace."""
+        states = [small_bump_state(grid_small, params, cx) for cx in (1.0, 1.3, 1.9)]
+        truth = small_bump_state(grid_small, params, 1.6)
+        targets = [
+            h_target(grid_small, truth.h.values),
+            ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
+        ]
+        mp = MorphParams(epsilon=0.01, n_steps=n_steps, early_stop_patience=patience)
+        batch = _run_morph_batch(states, targets, mp, naive)
+        assert [len(trace) for _, trace in batch] == lengths
+        for state, (got, trace) in zip(states, batch):
+            ref, ref_trace = run_morph(state, targets, mp, naive)
+            for a, b in zip(got.fields(), ref.fields()):
+                assert np.array_equal(a.values, b.values)
+            assert trace.rows == ref_trace.rows
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_matches_composed_reference(self, grid_km, params, naive):
