@@ -8,8 +8,10 @@ morph runs the desk morph settings toward h and omega targets of the
 truth; the model runs the desk dt, scaled with the grid spacing.  The
 four cases are timed in turn, repeat after repeat, so a change in the
 machine's load reaches all of them alike; each row is the median [min,
-max] over the repeats of the run's wall time divided by its steps.
---grid and --steps shrink the run.
+max] over the repeats of the run's wall time divided by its steps.  The
+`cold` column is each case's first run, which fills the caches, the
+allocator's free lists and the FFT plans: a fresh process, as each
+benchmark run is, pays it once.  --grid and --steps shrink the run.
 
     python3 demos/kernel_timing.py [--grid N M] [--steps S] [--repeats R]
 """
@@ -62,22 +64,28 @@ def main(argv=None):
                     help="steps per run (default: 150 at N, 60 at M)")
     ap.add_argument("--repeats", type=int, default=5, help="timed runs per case")
     args = ap.parse_args(argv)
-    if min(args.grid) < 4 or args.repeats < 1 or (args.steps is not None and args.steps < 1):
-        ap.error("grids need >= 4 points, and steps and repeats must be positive")
+    if min(args.grid) < 4 or any(n % 2 for n in args.grid):
+        ap.error("grids need an even number of points, at least 4")
+    if args.repeats < 1 or (args.steps is not None and args.steps < 1):
+        ap.error("steps and repeats must be positive")
 
     desk = validate_config(preset_config("desk"))
     timed = cases(desk, args.grid, (8, 1), args.steps)
-    for _, _, _, _, run in timed:
-        run()  # warm-up: caches, allocator, FFT plans
+
+    def ms_per_step(steps, run):
+        t0 = time.perf_counter()
+        run()
+        return 1e3 * (time.perf_counter() - t0) / steps
+
+    cold = [ms_per_step(steps, run) for _, _, _, steps, run in timed]
     ms = [[] for _ in timed]
     for _ in range(args.repeats):
         for i, (_, _, _, steps, run) in enumerate(timed):
-            t0 = time.perf_counter()
-            run()
-            ms[i].append(1e3 * (time.perf_counter() - t0) / steps)
-    print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'steps':>5}  ms/step median [min, max]")
-    for (kernel, grid, ne, steps, _), row in zip(timed, ms):
-        print(f"{kernel:<17} {f'{grid.nx}^2':>7} {ne:>7} {steps:>5}  "
+            ms[i].append(ms_per_step(steps, run))
+    print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'steps':>5} {'cold':>8}  "
+          f"ms/step median [min, max]")
+    for (kernel, grid, ne, steps, _), first, row in zip(timed, cold, ms):
+        print(f"{kernel:<17} {f'{grid.nx}^2':>7} {ne:>7} {steps:>5} {first:>8.3f}  "
               f"{np.median(row):.3f} [{min(row):.3f}, {max(row):.3f}]")
     return 0
 

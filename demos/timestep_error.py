@@ -6,7 +6,9 @@ bounded by the slower flow.  This runs the desk truth over the spin-up
 horizon, 200 time units (a whole number of steps at every dt below), at
 multiples of dt = 1, where a plain AB3 step's gravity-wave Courant number
 is 0.40, and compares each final state with the same scheme at
-dt = 0.25.  With --grid the steps scale with the grid spacing.  The error is the
+dt = 0.25.  With --grid the steps scale with the grid spacing.  --time
+must be a whole number of the longest common step (40 time units on the
+desk grid), so that every run ends at the horizon.  The error is the
 largest over h, Theta, v1 and v2 of |a - b| / |b - mean(b)| in the
 grid 2-norm.  Next to it stands the spread the filter has to correct:
 member 0 of the desk ensemble against the truth, by the same measure.
@@ -15,6 +17,7 @@ member 0 of the desk ensemble against the truth, by the same measure.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -39,6 +42,8 @@ def main(argv=None):
     ap.add_argument("--grid", type=int, default=None, help="grid points per side (desk: 64)")
     ap.add_argument("--time", type=float, default=200.0, help="horizon in time units")
     args = ap.parse_args(argv)
+    if args.grid is not None and (args.grid < 4 or args.grid % 2):
+        ap.error("--grid needs an even number of points, at least 4")
 
     desk = validate_config(preset_config("desk"))
     grid = desk.grid if args.grid is None else GridSpec(args.grid, args.grid, desk.grid.lx,
@@ -46,6 +51,13 @@ def main(argv=None):
     # the desk step of the plain AB3 scheme, scaled with the grid spacing
     dt1 = OLD_DESK_DT * grid.dx / desk.grid.dx
     multiplier = desk.model.dt / OLD_DESK_DT
+    # every run must end at the horizon: a whole, positive number of the
+    # longest common step
+    period = math.lcm(*MULTIPLIERS) * dt1
+    periods = args.time / period
+    if not (math.isfinite(periods) and periods > 0.5 and abs(periods - round(periods)) <= 1e-9):
+        ap.error(f"--time must be a positive multiple of {period:g} on a {grid.nx}^2 grid, "
+                 "so that every dt takes a whole number of steps")
 
     def run(ic, dt):
         model = ModelParams(f=desk.model.f, kappa=desk.model.kappa, h0=desk.model.h0,

@@ -13,9 +13,10 @@ member per step, and `run_morph` is its batch of one.  A batch reports
 the first failing step across its members (serial code would report the
 first failing member).
 
-The batch loop runs on one workspace (`_Workspace`): arrays allocated
-once per batch and reused by every step, into which the kernel helpers
-write through their `out=` and scratch arguments.  The AB history is a
+The batch loop runs on one workspace (`tsw_model._Workspace`, which the
+model's batch loop shares): arrays allocated once per batch and reused
+by every step, into which the kernel helpers write through their `out=`
+and scratch arguments.  The AB history is a
 ring buffer of shape (order, 4, B, nx, ny//2+1): each tendency is
 written straight into its slot, and the AB sum is one pass over the
 ring.  Inverse transforms go through `spectral_core._irfft2`, which calls
@@ -38,13 +39,12 @@ import numpy as np
 
 from .displacement_solver import _combined_displacement_hat
 from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
-from .spectral_core import ScalarField, _scratch
+from .spectral_core import ScalarField
 from .tsw_model import (
     _MODEL_ERRORS,
     AB_COEFFS,
     InstabilityError,
     _ab_advance,
-    _ABRing,
     _fields,
     _grad_theta,
     _irfft_all,
@@ -52,6 +52,7 @@ from .tsw_model import (
     _state,
     _tendency_hat,
     _vorticity,
+    _Workspace,
     vorticity_of,
 )
 
@@ -204,40 +205,6 @@ def conserved_totals(state):
 _MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
 
 
-class _Workspace:
-    """The arrays of one morph batch, allocated once and reused every step.
-
-    vals and spec hold the state (4, B, nx, ny) and its spectra, which
-    each step overwrites.  omega and omega_hat hold the vorticity, u and
-    uh the displacement, forcing the displacement of each observable, dens
-    the H1 densities, (r, c) the kernel's scratch (see
-    `spectral_core._scratch`), and ring the AB history as an (order, 4, B,
-    nx, ny//2+1) ring buffer (see `tsw_model._ABRing`), into whose slot
-    each tendency is written.  Every array ends in the axes (member, x,
-    y), so `keep` slices them all alike.
-    """
-
-    def __init__(self, vals, order, n_observed):
-        self.vals = vals
-        self.spec = _rfft_all(vals)
-        self.omega = np.empty(vals.shape[1:])
-        self.omega_hat = np.empty_like(self.spec[0])
-        self.u = np.empty((2, *vals.shape[1:]))
-        self.uh = np.empty_like(self.spec[:2])
-        self.forcing = np.empty((n_observed, *self.uh.shape), dtype=complex)
-        self.dens = np.empty(self.uh.shape)
-        self.r, self.c = _scratch(vals.shape[1:])
-        self.ring = _ABRing(order, self.spec.shape)
-
-    def keep(self, mask):
-        """Keep the members where `mask` is true, in every array, once; the
-        copies are contiguous, as `tsw_model._ab_sum` needs."""
-        for name, arr in list(vars(self).items()):
-            if isinstance(arr, np.ndarray):
-                setattr(self, name, np.compress(mask, arr, axis=-3))
-        self.ring.buf = np.compress(mask, self.ring.buf, axis=-3)
-
-
 def _target_spectra(targets, grid):
     # (name, values, spectrum) of each target
     out = []
@@ -287,19 +254,21 @@ def _step(vals, spec, omega, u, history, params, naive, step, grid, drift=None, 
 
     omega holds the values of the state's vorticity; the naive comparator
     drags every field as a 0-form, d(theta)/ds = -u . grad(theta).  A drift
-    (model, strength) adds the model tendency: see `nudge`.  With the
-    _Workspace ws, `history` is its ring: the tendency is written into the
-    ring's slot and the new state over ws.vals and ws.spec.
+    (model, strength), which needs ws, adds the model tendency: see
+    `nudge`.  With the _Workspace ws, `history` is its ring: the tendency
+    is written into the ring's slot and the new state over ws.vals and
+    ws.spec.
     """
-    tend, tmp, out = (None, None, None) if ws is None else (
-        history.slot(), (ws.r, ws.c), (ws.vals, ws.spec))
+    tend, tmp = (None, None) if ws is None else (history.slot(), (ws.r, ws.c))
     if drift is not None:
         model, strength = drift
-        grad_th = _grad_theta(spec, grid)
-        tend = _tendency_hat(vals, spec, model, grid, omega, grad_th, tend)
-        tend += strength * _transport_hat(vals, spec, omega, u, grid, grad_th, tmp=tmp)
+        grad_th = _grad_theta(spec, grid, ws.grad_th, ws.c[0])
+        push = _transport_hat(vals, spec, omega, u, grid, grad_th, ws.spare, tmp)
+        push *= strength
+        tend = _tendency_hat(vals, spec, model, grid, omega, grad_th, tend, tmp)
+        tend += push
         return _ab_advance(spec, tend, history, params.ab_order, params.epsilon,
-                           params.filter_a, grid, step, _MODEL_ERRORS, model, out)
+                           params.filter_a, grid, step, _MODEL_ERRORS, model, ws)
     if naive:
         tend = np.empty_like(spec) if tend is None else tend
         for s, t in zip(spec, tend):
@@ -308,7 +277,7 @@ def _step(vals, spec, omega, u, history, params, naive, step, grid, drift=None, 
     else:
         tend = _transport_hat(vals, spec, omega, u, grid, out=tend, tmp=tmp)
     return _ab_advance(spec, tend, history, params.ab_order, params.epsilon, params.filter_a,
-                       grid, step, _MORPH_ERRORS, out=out)
+                       grid, step, _MORPH_ERRORS, ws=ws)
 
 
 def morph_velocity(state, targets):
@@ -384,8 +353,7 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
     """
     g = states[0].grid
     observed = _target_spectra(targets, g)
-    ws = _Workspace(np.stack([_fields(s) for s in states], axis=1), params.ab_order,
-                    len(observed))
+    ws = _Workspace(states, params.ab_order, drift is not None, len(observed))
     active = np.arange(len(states))
     times = np.array([s.time for s in states])
     traces = [MorphTrace() for _ in states]

@@ -11,9 +11,12 @@ Adams-Bashforth up to order 3 with a lower-order bootstrap, followed by
 the Hou-Li filter (a = 12) on every prognostic field.  The inertia-gravity
 waves about the rest state (h0, Theta0, v = 0), linear and per Fourier
 mode a 3 x 3 system in (h, v1, v2), are propagated exactly by exp(L dt);
-only the remainder, advection, the buoyancy terms and the relaxation, goes
-through the AB history.  So the gravity waves, ~7x faster than the flow,
-do not bound dt: the remainder's Courant number does (see
+only the remainder N = tendency - L spec goes through the AB history.
+`_tendency_hat` forms N in grid space, before the forward transforms:
+the mass flux is (h - h0) v, the Bernoulli term h (Theta - Theta0) +
+|v|^2 / 2 and the momentum's vorticity omega, not omega + f; so no L
+spec is computed and subtracted again.  The gravity waves, ~7x faster
+than the flow, do not bound dt: the remainder's Courant number does (see
 `cli_experiments.validate_config`).  The momentum is evaluated in
 vector-invariant form, (v . grad) v + f zhat x v = grad(|v|^2 / 2) +
 (omega + f) zhat x v, which needs the vorticity omega but no derivative
@@ -25,14 +28,17 @@ with the same 13 FFT calls per step, and `integrate` is its batch of one.
 The nudged model, this tendency plus the morph's tensor transport, is
 `morph_engine.nudge`.
 
-The kernel helpers take `out=` arrays, which the morph's batch loop
-preallocates; without them they allocate, as the model loop and the
-typed functions do.  The morph keeps its AB history in a ring buffer
-(`_ABRing`): one (order, ...) array whose slots the tendencies are
-written into, so the plain AB sum is a single pass, the coefficient
-vector times the slots viewed as an (order, n) float matrix.  Inverse
-transforms call np.fft.irfftn through `spectral_core._irfft2`:
-np.fft.irfft2 drops its `out` argument (numpy 2.4).
+Both batch loops, the model's and the morph's, run on one `_Workspace`:
+arrays allocated once per batch and reused every step, into which the
+kernel helpers write through their `out=` and scratch arguments; without
+them the helpers allocate, as the typed functions do.  The AB history is
+a ring buffer (`_ABRing`): one (order, ...) array whose slots the
+tendencies are written into, so the plain AB sum is a single pass, the
+coefficient vector times the slots viewed as an (order, n) float matrix,
+and the Lawson step's Horner sum takes turns between the ring's next
+slot and one spare spectrum.  Inverse transforms call np.fft.irfftn
+through `spectral_core._irfft2`: np.fft.irfft2 drops its `out` argument
+(numpy 2.4).
 """
 
 import functools
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DisplacementField
-from .spectral_core import ScalarField, _deriv, _deriv_hat, _irfft2, curl_2d
+from .spectral_core import ScalarField, _deriv, _deriv_hat, _irfft2, _scratch, curl_2d
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -241,44 +247,84 @@ def _vorticity(spec, grid, out=None, tmp=None):
     return _irfft2(wh, grid.shape, w), wh
 
 
-def _grad_theta(spec, grid):
-    # values of dTheta/dx and dTheta/dy
-    return tuple(_deriv_hat(spec[1], grid, a) for a in (0, 1))
+def _grad_theta(spec, grid, out=None, tmp=None):
+    # values of dTheta/dx and dTheta/dy, written into the pair `out` when
+    # given; tmp, when given, is a spectrum-shaped scratch array
+    out = (None, None) if out is None else out
+    return tuple(_deriv_hat(spec[1], grid, a, out[a], tmp) for a in (0, 1))
 
 
-def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None):
-    """rfft2 spectra (4, nx, ny//2+1) of the tendencies of (h, Theta, v1, v2).
+def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None, tmp=None):
+    """rfft2 spectra (4, nx, ny//2+1) of the remainder N = tendency - L spec
+    of (h, Theta, v1, v2).
 
-    The pseudo-spectral transform method: derivatives are taken on the
-    state spectra, products on grid values, and each product is transformed
-    once; -div(h v) and the pressure gradient are spectral.  The momentum
-    is in vector-invariant form (Sadourny 1975),
+    L spec is the part linear about the rest state (h0, Theta0, v = 0),
+    the inertia-gravity waves that `_propagator` carries exactly.  N is
+    formed in grid space, before the transforms: the mass flux is
+    (h - h0) v, the Bernoulli term h (Theta - Theta0) + |v|^2 / 2, and the
+    momentum takes omega where the full tendency takes omega + f.  This is
+    the pseudo-spectral transform method: derivatives are taken on the
+    state spectra, products on grid values, and each product is
+    transformed once.  The momentum is in vector-invariant form (Sadourny
+    1975),
 
         (v . grad) v + f zhat x v = grad(|v|^2 / 2) + (omega + f) zhat x v,
 
     so it needs only the vorticity omega, not the four derivatives of v:
-    dv = -grad(h Theta + |v|^2 / 2) + (omega + f) (v2, -v1) + (h/2) grad(Theta).
+    N_v = -grad(h (Theta - Theta0) + |v|^2 / 2) + omega (v2, -v1) + (h/2) grad(Theta).
     A call makes 6 rfft2 + 3 irfft2 (omega, grad Theta); a caller that
     holds omega or grad(Theta) as values passes them in and saves those.
-    The rows are written into `out` when given.
+    The rows are written into `out` and the temporaries into the scratch
+    `tmp` (see `_scratch`) when these are given; omega and grad_th are
+    only read.
     """
     h, th, v1, v2 = vals
     ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
+    r, c = _scratch(h.shape) if tmp is None else tmp
     if omega is None:
-        omega, _ = _vorticity(spec, grid)
-    thx, thy = _grad_theta(spec, grid) if grad_th is None else grad_th
-    p_hat = np.fft.rfft2(h * th + 0.5 * (v1 * v1 + v2 * v2))
-    dth = -(v1 * thx + v2 * thy) - params.kappa * (h * th - params.h0 * params.theta0)
-    q = omega + params.f
-    dv1 = q * v2 + 0.5 * h * thx
-    dv2 = 0.5 * h * thy - q * v1
-    del omega, thx, thy, q  # freed before the transforms: a lower peak
+        omega, _ = _vorticity(spec, grid, tmp=c[0])
+    thx, thy = _grad_theta(spec, grid, tmp=c[0]) if grad_th is None else grad_th
     out = np.empty_like(spec) if out is None else out
-    out[0] = -(ikx * np.fft.rfft2(h * v1) + iky * np.fft.rfft2(h * v2))
-    np.fft.rfft2(dth, out=out[1])
-    out[2] = np.fft.rfft2(dv1) - ikx * p_hat
-    out[3] = np.fft.rfft2(dv2) - iky * p_hat
+    # the Bernoulli term's spectrum, kept in c[1] for both momentum rows
+    bern = np.subtract(th, params.theta0, out=r[0])
+    bern *= h
+    for v in (v1, v2):
+        bern += np.multiply(np.multiply(v, 0.5, out=r[1]), v, out=r[1])
+    p_hat = np.fft.rfft2(bern, out=c[1])
+    # -div((h - h0) v)
+    eta = np.subtract(h, params.h0, out=r[0])
+    flux = np.fft.rfft2(np.multiply(eta, v1, out=r[1]), out=out[0])
+    flux *= ikx
+    flux += np.multiply(iky, np.fft.rfft2(np.multiply(eta, v2, out=r[1]), out=c[0]), out=c[0])
+    np.negative(flux, out=flux)
+    # -(v . grad Theta) - kappa (h Theta - h0 Theta0)
+    dth = np.multiply(v1, thx, out=r[0])
+    dth += np.multiply(v2, thy, out=r[1])
+    relax = np.multiply(h, th, out=r[1])
+    relax -= params.h0 * params.theta0
+    relax *= params.kappa
+    np.negative(dth, out=dth)
+    np.fft.rfft2(np.subtract(dth, relax, out=dth), out=out[1])
+    # omega v2 + (h/2) dTheta/dx - d/dx(Bernoulli), and the v2 row alike
+    dv1 = np.multiply(omega, v2, out=r[0])
+    dv1 += np.multiply(np.multiply(h, 0.5, out=r[1]), thx, out=r[1])
+    np.fft.rfft2(dv1, out=out[2])
+    out[2] -= np.multiply(ikx, p_hat, out=c[0])
+    dv2 = np.multiply(np.multiply(h, 0.5, out=r[0]), thy, out=r[0])
+    dv2 -= np.multiply(omega, v1, out=r[1])
+    np.fft.rfft2(dv2, out=out[3])
+    out[3] -= np.multiply(iky, p_hat, out=c[0])
     return out
+
+
+def _add_rest_wave(tend, spec, params, grid):
+    # tend += L spec in place, the rest-state waves that `_tendency_hat`
+    # leaves out (L of `_propagator`; it does not touch Theta)
+    ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
+    h, _, v1, v2 = spec
+    tend[0] -= params.h0 * (ikx * v1 + iky * v2)
+    tend[2] -= params.theta0 * ikx * h - params.f * v2
+    tend[3] -= params.theta0 * iky * h + params.f * v1
 
 
 @functools.lru_cache(maxsize=16)
@@ -305,36 +351,32 @@ def _propagator(grid, f, h0, theta0, dt):
     return prop
 
 
-def _remove_linear(tend, spec, params, grid):
-    # tend -= L spec in place (L of `_propagator`; it does not touch Theta)
-    ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
-    h, _, v1, v2 = spec
-    tend[0] += params.h0 * (ikx * v1 + iky * v2)
-    tend[2] += params.theta0 * ikx * h - params.f * v2
-    tend[3] += params.theta0 * iky * h + params.f * v1
-
-
-def _hermitian(spec, grid):
+def _hermitian(spec, grid, tmp=None):
     # In place: the ky = 0 and Nyquist columns of an rfft2 spectrum hold
-    # X(-kx) = conj X(kx) for a real field; keep that part only.  irfft2
-    # drops the rest, so nothing but L spec in `_ab_advance` would see it,
-    # and that explicit -L would grow it by AB3 at omega dt far past 0.72.
-    cols = spec[..., [0, -1]]
-    cols += cols[..., -np.arange(grid.nx) % grid.nx, :].conj()
-    cols *= 0.5
-    spec[..., [0, -1]] = cols
+    # X(-kx) = conj X(kx) for a real field; keep that part only, so the
+    # spectrum stays that of the values irfft2 makes of it.  tmp, when
+    # given, is a complex array of spec's shape less its last axis.
+    tmp = np.empty(spec.shape[:-1], dtype=complex) if tmp is None else tmp
+    for j in (0, -1):
+        col = spec[..., j]
+        np.conjugate(col[..., :1], out=tmp[..., :1])
+        np.conjugate(col[..., :0:-1], out=tmp[..., 1:])  # X(-kx), kx = 1 .. nx-1
+        col += tmp
+        col *= 0.5
 
 
 def _propagate(prop, x, out=None):
     # prop applied to the (h, v1, v2) spectra of x, written into `out`
-    # (not x) when given; Theta passes unchanged
+    # (not x) when given; Theta passes unchanged.  out's Theta row holds
+    # the products until Theta is copied into it.
     h, _, v1, v2 = x
     out = np.empty_like(x) if out is None else out
-    out[1] = x[1]
+    tmp = out[1]
     for i, row in zip((0, 2, 3), prop):
-        out[i] = row[0] * h
-        out[i] += row[1] * v1
-        out[i] += row[2] * v2
+        np.multiply(row[0], h, out=out[i])
+        out[i] += np.multiply(row[1], v1, out=tmp)
+        out[i] += np.multiply(row[2], v2, out=tmp)
+    out[1] = x[1]
     return out
 
 
@@ -345,7 +387,8 @@ class _ABRing:
     writes the tendency of step n in place into `slot()`, slot n % order,
     and `_ab_advance` counts it; so keeping the history copies nothing,
     and the plain AB sum is one product of a coefficient vector with the
-    filled slots, viewed as rows of one float matrix.
+    filled slots, viewed as rows of one float matrix.  Once a step has
+    read its oldest entry, `slot()` is free until the next tendency.
     """
 
     def __init__(self, order, shape):
@@ -363,6 +406,49 @@ class _ABRing:
         return [n % order for n in range(max(self.count - order, 0), self.count)]
 
 
+class _Workspace:
+    """The arrays of one batch loop, allocated once and reused every step.
+
+    vals and spec hold the states (4, B, nx, ny) and their spectra, which
+    each step overwrites; omega holds the vorticity's values, (r, c) the
+    kernel's scratch (see `spectral_core._scratch`), and ring the AB
+    history, an (order, 4, B, nx, ny//2+1) `_ABRing` into whose slot each
+    tendency is written.  A loop that takes the model's Lawson step
+    (`model`) also holds grad_th, the values of grad(Theta), and spare, a
+    spectrum of the state's shape for the Horner sum (and the nudge's
+    transport).  The morph's loop (`n_observed` not None) also holds
+    omega_hat, the vorticity's spectrum, u and uh the displacement,
+    forcing the displacement of each observable and dens the H1
+    densities.  Every array ends in the axes (member, x, y), so `keep`
+    slices them all alike.
+    """
+
+    def __init__(self, states, order, model=False, n_observed=None):
+        self.vals = np.stack([_fields(s) for s in states], axis=1)
+        self.spec = _rfft_all(self.vals)
+        members = self.vals.shape[1:]
+        self.omega = np.empty(members)
+        self.r, self.c = _scratch(members)
+        self.ring = _ABRing(order, self.spec.shape)
+        if model:
+            self.grad_th = np.empty((2, *members))
+            self.spare = np.empty_like(self.spec)
+        if n_observed is not None:
+            self.omega_hat = np.empty_like(self.spec[0])
+            self.u = np.empty((2, *members))
+            self.uh = np.empty_like(self.spec[:2])
+            self.forcing = np.empty((n_observed, *self.uh.shape), dtype=complex)
+            self.dens = np.empty(self.uh.shape)
+
+    def keep(self, mask):
+        """Keep the members where `mask` is true, in every array, once; the
+        copies are contiguous, as `_ab_sum` needs."""
+        for name, arr in list(vars(self).items()):
+            if isinstance(arr, np.ndarray):
+                setattr(self, name, np.compress(mask, arr, axis=-3))
+        self.ring.buf = np.compress(mask, self.ring.buf, axis=-3)
+
+
 def _ab_sum(weights, rows, out):
     # out = sum_i weights[i] rows[i], in one pass: a vector-matrix product
     # of the float views.  Each row and `out` must be contiguous, since a
@@ -374,7 +460,7 @@ def _ab_sum(weights, rows, out):
 
 
 def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, model=None,
-                out=None):
+                ws=None):
     """One Adams-Bashforth step on spectra, shared by the model and the morph.
 
     Adds `tend` to `history` as its newest entry, advances `spec` by `size`
@@ -384,21 +470,21 @@ def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, 
     or an _ABRing, whose slot the caller wrote `tend` into.  The plain step
     forms size sum_j c_j T_{n-j} in one pass over the entries (`_ab_sum`).
     With the ModelParams `model` the step is Lawson's integrating-factor AB
-    (Cox & Matthews 2002): `tend` loses, in place, its part linear about
-    the rest state, L spec, which the exact propagator E = exp(L size)
-    carries instead,
+    (Cox & Matthews 2002): `tend` is the remainder N = tendency - L spec
+    of `_tendency_hat`, and the exact propagator E = exp(L size) carries
+    the rest-state waves L spec,
 
-        spec_new = E [spec + size sum_j c_j E^j N_{n-j}],  N = tend - L spec,
+        spec_new = E [spec + size sum_j c_j E^j N_{n-j}],
 
     so the gravity waves do not bound `size`.  Raises InstabilityError at
     `step`, with the message prefixes `errors`, when a field turns
     non-finite or h or Theta non-positive; with a member axis it names the
-    lowest failing member.  Returns the new (vals, spec), written into the
-    pair of arrays `out` when given; its spectrum may be `spec` itself.
+    lowest failing member.  Returns the new (vals, spec); with the
+    _Workspace `ws` (whose ring is `history`) they are ws.vals and ws.spec,
+    overwritten, and the sums run in its buffers.
     """
-    if model is not None:
-        _remove_linear(tend, spec, model, grid)
-    if isinstance(history, _ABRing):
+    ring = isinstance(history, _ABRing)
+    if ring:
         slots = history.push()
         entries = [history.buf[i] for i in slots]
     else:
@@ -406,42 +492,47 @@ def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, 
         del history[:-order]
         entries = history
     coeffs = AB_COEFFS[len(entries)]
-    vals, new = (None, None) if out is None else out
+    if ws is None:
+        vals, new = np.empty((*spec.shape[:-2], *grid.shape)), np.empty_like(spec)
+    else:
+        vals, new = ws.vals, ws.spec
     filt = grid.hou_li(filter_a)
     if model is None:
         # the ring's filled slots are its first len(entries), in ring order
         weights = np.empty(len(entries))
-        if isinstance(history, _ABRing):
+        if ring:
             weights[slots] = coeffs[::-1]
             rows = history.buf[: len(entries)]
         else:
             weights[:] = coeffs[::-1]
             rows = np.stack(entries)
         weights *= size
-        new = np.empty_like(spec) if new is None else new
-        vals = np.empty((*spec.shape[:-2], *grid.shape)) if vals is None else vals
         # (spec + size * AB sum) * multiplier, then the inverse transform,
         # field by field: each field's arrays are still in cache
-        ab_sum = np.empty_like(spec[0])
+        ab_sum = np.empty_like(spec[0]) if ws is None else ws.c[0]
         for f, (row, s) in enumerate(zip(new, spec)):
             _ab_sum(weights, rows[:, f], ab_sum)
             np.add(ab_sum, s, out=row)
             row *= filt
             _irfft2(row, grid.shape, vals[f])
     else:
-        # sum_j c_j E^j N_{n-j} by Horner's rule from the oldest entry
+        # size sum_j c_j E^j N_{n-j} by Horner's rule from the oldest entry,
+        # in two buffers that take turns: the ring's next slot, free once
+        # the oldest entry is read, and ws.spare
         prop = _propagator(grid, model.f, model.h0, model.theta0, size)
-        acc = coeffs[-1] * entries[0]
-        for c, t in zip(coeffs[-2::-1], entries[1:]):
-            acc = _propagate(prop, acc)
-            acc += c * t
-        # (spec + size * AB sum) * multiplier, in place to keep one temporary
-        acc *= size
+        acc = history.slot() if ring else np.empty_like(spec)
+        other = np.empty_like(spec) if ws is None else ws.spare
+        weights = [size * c for c in coeffs[::-1]]
+        np.multiply(entries[0], weights[0], out=acc)
+        for w, t in zip(weights[1:], entries[1:]):
+            _propagate(prop, acc, other)
+            other += np.multiply(t, w, out=acc)
+            acc, other = other, acc
         acc += spec
-        new = _propagate(prop, acc, new)
-        _hermitian(new, grid)
+        _propagate(prop, acc, new)
+        _hermitian(new, grid, other[..., 0])
         new *= filt
-        vals = _irfft_all(new, grid, vals)
+        _irfft_all(new, grid, vals)
     # per member; the lowest failing member is reported, with its own minima
     finite = np.isfinite(vals).all(axis=(0, -2, -1))
     hmin, thmin = vals[0].min(axis=(-2, -1)), vals[1].min(axis=(-2, -1))
@@ -459,7 +550,9 @@ def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, 
 def tendency(state, params):
     """Instantaneous tendencies of (h, Theta, v1, v2), spectral derivatives."""
     vals = _fields(state)
-    tend = _tendency_hat(vals, _rfft_all(vals), params, state.grid)
+    spec = _rfft_all(vals)
+    tend = _tendency_hat(vals, spec, params, state.grid)
+    _add_rest_wave(tend, spec, params, state.grid)
     return TSWTendency(*_irfft_all(tend, state.grid))
 
 
@@ -490,7 +583,8 @@ def integrate(state, n_steps, params):
     The loop runs on spectra: 6 rfft2 + 7 irfft2 per step (the vorticity
     and grad(Theta) back, six products forward, each field back once); the
     wave propagator is a per-mode multiplier, computed once per grid and
-    ModelParams.  It is `_integrate_batch` with a batch of one.
+    ModelParams.  It is `_integrate_batch` with a batch of one, and runs
+    on that loop's workspace, allocated once per call.
     """
     return _integrate_batch([state], n_steps, params)[0]
 
@@ -503,21 +597,22 @@ def _integrate_batch(states, n_steps, params, stop=None):
     `integrate` bit for bit.  An InstabilityError names the first failing
     step across the batch; its `member` is the lowest failing index in
     `states`.  Once the threading.Event `stop` is set, the next step raises
-    CancelledError.
+    CancelledError.  The arrays of the loop are one `_Workspace`, which
+    each step overwrites; the states returned are views of its values.
     """
     g = states[0].grid
-    vals = np.stack([_fields(s) for s in states], axis=1)
-    spec = _rfft_all(vals)
+    ws = _Workspace(states, 3, model=True)
     times = np.array([s.time for s in states])
-    history = []
     for k in range(n_steps):
         if stop is not None and stop.is_set():
             raise CancelledError
-        tend = _tendency_hat(vals, spec, params, g)
-        vals, spec = _ab_advance(spec, tend, history, 3, params.dt, 12, g, k, _MODEL_ERRORS,
-                                 params)
+        omega, _ = _vorticity(ws.spec, g, (ws.omega, ws.c[0]), ws.c[1])
+        grad_th = _grad_theta(ws.spec, g, ws.grad_th, ws.c[0])
+        tend = _tendency_hat(ws.vals, ws.spec, params, g, omega, grad_th, ws.ring.slot(),
+                             (ws.r, ws.c))
+        _ab_advance(ws.spec, tend, ws.ring, 3, params.dt, 12, g, k, _MODEL_ERRORS, params, ws)
         times = times + params.dt
-    return [_state(vals[:, b], g, t) for b, t in enumerate(times)]
+    return [_state(ws.vals[:, b], g, t) for b, t in enumerate(times)]
 
 
 def _wrapped_gauss(x, y, cx, cy, radius, lx, ly):

@@ -6,16 +6,17 @@ import re
 import subprocess
 import sys
 
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_demo(name, *args):
+def run_demo(name, *args, returncode=0):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, os.path.join(ROOT, "demos", name), *args], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
+    assert out.returncode == returncode, out.stderr
+    return out.stdout if returncode == 0 else out.stderr
 
 
 def test_morph_two_bumps_tensor_keeps_mass_naive_leaks():
@@ -46,10 +47,27 @@ def test_timestep_error_preset_is_a_tenth_of_the_spread():
 
 def test_kernel_timing_prints_a_row_per_kernel_and_size():
     out = run_demo("kernel_timing.py", "--grid", "8", "16", "--steps", "2", "--repeats", "2")
-    rows = re.findall(r"^(\S+)\s+(\d+)\^2\s+(\d+)\s+(\d+)\s+(\S+) \[(\S+), (\S+)\]$", out, re.M)
+    rows = re.findall(r"^(\S+)\s+(\d+)\^2\s+(\d+)\s+(\d+)\s+(\S+)\s+(\S+) \[(\S+), (\S+)\]$",
+                      out, re.M)
     assert [r[:4] for r in rows] == [
         ("_run_morph_batch", "8", "8", "2"), ("_integrate_batch", "8", "8", "2"),
         ("_run_morph_batch", "16", "1", "2"), ("_integrate_batch", "16", "1", "2"),
     ], out
-    for *_, median, low, high in rows:
+    for *_, cold, median, low, high in rows:
+        assert float(cold) > 0
         assert 0 < float(low) <= float(median) <= float(high)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("kernel_timing.py", ("--grid", "6", "9")),
+    ("kernel_timing.py", ("--grid", "2", "8")),
+    ("timestep_error.py", ("--grid", "7")),
+    ("timestep_error.py", ("--time", "0")),
+    ("timestep_error.py", ("--time", "-5")),
+    ("timestep_error.py", ("--time", "30")),
+])
+def test_demos_reject_bad_arguments(name, args):
+    """Odd or tiny grids and horizons that are not a positive whole number of
+    every step exit 2 with a usage error, before any compute."""
+    err = run_demo(name, *args, returncode=2)
+    assert "error:" in err and "Traceback" not in err, err
