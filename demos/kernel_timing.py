@@ -5,11 +5,13 @@ Times `morph_engine._run_morph_batch` and `tsw_model._integrate_batch` on
 the desk ensemble's initial conditions: an 8-member batch on the desk
 grid (64^2) and one member on a 256^2 grid of the same extents.  The
 morph runs the desk morph settings toward h and omega targets of the
-truth; the model runs the desk dt, scaled with the grid spacing.  The
-four cases are timed in turn, repeat after repeat, so a change in the
-machine's load reaches all of them alike; each row is the median [min,
-max] over the repeats of the run's wall time divided by its steps.  The
-`cold` column is each case's first run, which fills the caches, the
+truth; the model runs the desk dt, scaled with the grid spacing.  Each
+grid size is timed in a fresh process of its own, so the allocator state
+and FFT plans one size leaves behind never reach the other's timings.
+Within it the two kernels are timed in turn, repeat after repeat, so a
+change in the machine's load reaches both alike; each row is the median
+[min, max] over the repeats of the run's wall time divided by its steps.
+The `cold` column is each case's first run, which fills the caches, the
 allocator's free lists and the FFT plans: a fresh process, as each
 benchmark run is, pays it once.  --grid and --steps shrink the run.
 
@@ -17,7 +19,9 @@ benchmark run is, pays it once.  --grid and --steps shrink the run.
 """
 
 import argparse
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -28,32 +32,41 @@ from liemorph.cli_experiments import preset_config, validate_config
 from liemorph.morph_engine import _run_morph_batch
 from liemorph.tsw_model import _integrate_batch
 
-DEFAULT_STEPS = {"morph": 150, "model": 150}
-LARGE_STEPS = {"morph": 60, "model": 60}
+# members and default steps per run of the two grid sizes
+MEMBERS = (8, 1)
+DEFAULT_STEPS = (150, 60)
 
 
-def cases(desk, sizes, members, steps):
-    """(kernel, grid, members, steps, run) for each timed case."""
+def time_grid(n, members, steps, repeats):
+    """(kernel, n, members, steps, cold ms, [ms per repeat]) of both
+    kernels on an n^2 grid, in ms per step."""
+    desk = validate_config(preset_config("desk"))
+    grid = GridSpec(n, n, desk.grid.lx, desk.grid.ly)
+    model = replace(desk.model, dt=desk.model.dt * grid.dx / desk.grid.dx)
     ics = _member_ics(desk.ic, desk.ensemble_size, desk.seed, desk.perturb_mean,
                       desk.perturb_std)
-    out = []
-    for n, ne, default in zip(sizes, members, (DEFAULT_STEPS, LARGE_STEPS)):
-        grid = GridSpec(n, n, desk.grid.lx, desk.grid.ly)
-        model = replace(desk.model, dt=desk.model.dt * grid.dx / desk.grid.dx)
-        states = [double_vortex_ic(ic, grid, model) for ic in ics[:ne]]
-        truth = double_vortex_ic(desk.ic, grid, model)
-        targets = [
-            ObservablePair("h", DiffForm.from_scalar(2, truth.h)),
-            ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
-        ]
-        n_morph = steps or default["morph"]
-        n_model = steps or default["model"]
-        mp = replace(desk.morph, n_steps=n_morph)
-        out.append(("_run_morph_batch", grid, ne, n_morph,
-                    lambda s=states, t=targets, p=mp: _run_morph_batch(s, t, p)))
-        out.append(("_integrate_batch", grid, ne, n_model,
-                    lambda s=states, n=n_model, m=model: _integrate_batch(s, n, m)))
-    return out
+    states = [double_vortex_ic(ic, grid, model) for ic in ics[:members]]
+    truth = double_vortex_ic(desk.ic, grid, model)
+    targets = [
+        ObservablePair("h", DiffForm.from_scalar(2, truth.h)),
+        ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
+    ]
+    morph = replace(desk.morph, n_steps=steps)
+    timed = [("_run_morph_batch", lambda: _run_morph_batch(states, targets, morph)),
+             ("_integrate_batch", lambda: _integrate_batch(states, steps, model))]
+
+    def ms_per_step(run):
+        t0 = time.perf_counter()
+        run()
+        return 1e3 * (time.perf_counter() - t0) / steps
+
+    cold = [ms_per_step(run) for _, run in timed]
+    ms = [[] for _ in timed]
+    for _ in range(repeats):
+        for row, (_, run) in zip(ms, timed):
+            row.append(ms_per_step(run))
+    return [(kernel, n, members, steps, first, row)
+            for (kernel, _), first, row in zip(timed, cold, ms)]
 
 
 def main(argv=None):
@@ -69,23 +82,14 @@ def main(argv=None):
     if args.repeats < 1 or (args.steps is not None and args.steps < 1):
         ap.error("steps and repeats must be positive")
 
-    desk = validate_config(preset_config("desk"))
-    timed = cases(desk, args.grid, (8, 1), args.steps)
-
-    def ms_per_step(steps, run):
-        t0 = time.perf_counter()
-        run()
-        return 1e3 * (time.perf_counter() - t0) / steps
-
-    cold = [ms_per_step(steps, run) for _, _, _, steps, run in timed]
-    ms = [[] for _ in timed]
-    for _ in range(args.repeats):
-        for i, (_, _, _, steps, run) in enumerate(timed):
-            ms[i].append(ms_per_step(steps, run))
+    rows = []
+    for n, members, steps in zip(args.grid, MEMBERS, DEFAULT_STEPS):
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            rows += pool.submit(time_grid, n, members, args.steps or steps, args.repeats).result()
     print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'steps':>5} {'cold':>8}  "
           f"ms/step median [min, max]")
-    for (kernel, grid, ne, steps, _), first, row in zip(timed, cold, ms):
-        print(f"{kernel:<17} {f'{grid.nx}^2':>7} {ne:>7} {steps:>5} {first:>8.3f}  "
+    for kernel, n, members, steps, first, row in rows:
+        print(f"{kernel:<17} {f'{n}^2':>7} {members:>7} {steps:>5} {first:>8.3f}  "
               f"{np.median(row):.3f} [{min(row):.3f}, {max(row):.3f}]")
     return 0
 

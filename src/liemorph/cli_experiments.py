@@ -76,7 +76,7 @@ AB3_DECAY_MAX = 6 / 11
 # A horizon time is a whole number of steps up to this relative error.
 STEP_RTOL = 1e-9
 # Ceilings on the counts a run loops over or allocates, far above the
-# paper preset's (2200 truth steps, 10000 morph steps, 20 members, a 256
+# paper preset's (1375 truth steps, 10000 morph steps, 20 members, a 256
 # x 256 grid): a value beyond them would run for days or exhaust memory.
 MAX_STEPS = 10**6
 MAX_MEMBERS = 1000
@@ -115,14 +115,14 @@ PRESETS = {
         "pipeline": "morphed-enkf",
         "grid": {"nx": 256, "ny": 256, "lx": 5000.0, "ly": 5000.0,
                  "coarse_nx": 64, "coarse_ny": 64},
-        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 1.25},
+        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 2.0},
         "ic": {"amplitude": 0.1, "radius": 400.0, "separation": 1250.0,
                "theta_amplitude": 0.05, "perturb_mean": 0.1, "perturb_std": 0.1},
         "horizons": {"truth_time": 2750.0, "spinup_time": 2000.0},
         "ensemble": {"size": 20, "seed": 1234, "obs_noise_seed": 5678},
         "morph": {"epsilon": 0.000033, "n_steps": 10000, "filter_a": 36.0,
                   "ab_order": 5, "early_stop_patience": None},
-        "nudging": {"steps": 40, "strength": 1.0},
+        "nudging": {"steps": 25, "strength": 1.0},
         "output_dir": "runs/paper",
         "workers": 1,
     },

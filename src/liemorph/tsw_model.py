@@ -106,7 +106,8 @@ class ModelParams:
     km/(100s)^2 (i.e. g), so the gravity wave speed is ~9.9 km per time
     unit; f matches 1e-4 1/s in the 100 s time unit.  The step propagates
     those waves exactly, so dt is bounded by the flow: the desk preset
-    runs dt = 5 on its 64^2 grid.
+    runs dt = 5 on its 64^2 grid and the paper preset dt = 2 on its 256^2
+    grid.
     """
 
     f: float = 0.01

@@ -77,6 +77,14 @@ class TestValidateConfig:
             assert config.grid.nx % config.coarse.nx == 0
             assert config.r_scale == 1.0
 
+    def test_paper_preset_step_counts(self):
+        """The paper preset runs dt = 2, the largest step under the remainder
+        bound (2.011) that keeps both horizons whole numbers of steps; its
+        nudging window spans the desk preset's 50 time units."""
+        desk, paper = (validate_config(preset_config(name)) for name in ("desk", "paper"))
+        assert (paper.truth_steps, paper.spinup_steps, paper.nudging_steps) == (1375, 1000, 25)
+        assert desk.nudging_steps * desk.model.dt == paper.nudging_steps * paper.model.dt == 50.0
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("espresso")
@@ -115,10 +123,10 @@ class TestValidateConfig:
     def test_rejects_unstable_courant_number(self):
         """The model step carries the rest-state gravity waves exactly, so
         dt is bounded by its AB3 remainder: the peak flow speed plus the
-        rise of the gravity-wave speed at the vortex peak.  The presets sit
-        at 0.45; the paper preset at dt = 5 gives 1.79.  On the desk grid a
-        run at the bound keeps positivity for 150 steps, and one at twice
-        the bound loses it."""
+        rise of the gravity-wave speed at the vortex peak.  The desk preset
+        sits at 0.45 and the paper preset at 0.716; the paper preset at
+        dt = 5 gives 1.79.  On the desk grid a run at the bound keeps
+        positivity for 150 steps, and one at twice the bound loses it."""
         for name in ("desk", "paper"):
             validate_config(preset_config(name))
         raw = preset_config("paper")

@@ -45,6 +45,17 @@ def test_timestep_error_preset_is_a_tenth_of_the_spread():
     assert preset[0] <= spread / 10
 
 
+@pytest.mark.parametrize("grid, time, marked", [("8", "320", []), ("256", "10", ["2"])])
+def test_timestep_error_marks_the_row_of_the_preset_on_its_grid(grid, time, marked):
+    """A grid no preset runs marks no row; on the paper preset's grid the
+    mark sits on its dt, not on the desk step scaled to the grid."""
+    out = run_demo("timestep_error.py", "--grid", grid, "--time", time)
+    rows = re.findall(r"^\s+(\d+)\s+(\S+)\s+\S+(  \(preset\))?$", out, re.M)
+    assert [m for m, _, _ in rows] == ["1", "2", "4", "5", "8"], out
+    assert [dt for _, dt, mark in rows if mark] == marked, out
+    assert re.search(r"^member 0 against the truth: \S+$", out, re.M), out
+
+
 def test_kernel_timing_prints_a_row_per_kernel_and_size():
     out = run_demo("kernel_timing.py", "--grid", "8", "16", "--steps", "2", "--repeats", "2")
     rows = re.findall(r"^(\S+)\s+(\d+)\^2\s+(\d+)\s+(\d+)\s+(\S+)\s+(\S+) \[(\S+), (\S+)\]$",
