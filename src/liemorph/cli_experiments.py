@@ -279,10 +279,12 @@ def validate_config(raw):
         peak = np.sqrt((model.h0 + ic.amplitude) * model.theta0 * (1.0 + ic.theta_amplitude))
         rate = (vmax + peak - rest) * np.pi / min(grid.dx, grid.dy)
         if rate * model.dt > AB3_COURANT_MAX:
+            # an infinite rate (f so small that v overflows) has no stable dt
+            hint = (f"; the largest stable dt is {_floor4(AB3_COURANT_MAX / rate):.4g}"
+                    if np.isfinite(rate) else "")
             errors.append(
                 f"model.dt: remainder Courant number (max|v| + dc)*k_max*dt = "
-                f"{rate * model.dt:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}; "
-                f"the largest stable dt is {_floor4(AB3_COURANT_MAX / rate):.4g}"
+                f"{rate * model.dt:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}{hint}"
             )
     if model is not None and ic is not None:
         # the Theta relaxation decays at rate kappa*h, and h peaks near
@@ -331,12 +333,16 @@ def preset_config(name):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError([f"cannot read config: {err}"]) from err
+    except UnicodeDecodeError as err:
+        raise ConfigError([f"config is not UTF-8 text: {err}"]) from err
     except json.JSONDecodeError as err:
         raise ConfigError([f"config is not valid JSON: {err}"]) from err
+    except RecursionError as err:
+        raise ConfigError(["config nests too deeply to parse"]) from err
     return raw
 
 

@@ -132,7 +132,7 @@ def _displacement_2form_hat(t1h, t2, t2h, grid, params, out=None, tmp=None):
     return out
 
 
-def _combined_displacement_hat(pairs, grid, out=None, fields=None, tmp=None, dens=None):
+def _combined_displacement_hat(pairs, grid, out, fields, tmp, dens):
     """Stacked spectra of the combined displacement toward 2-form targets.
 
     The Fourier-space equivalent of `combine_displacements` over
@@ -141,14 +141,13 @@ def _combined_displacement_hat(pairs, grid, out=None, fields=None, tmp=None, den
     member is normalized and averaged on its own.  The result goes into
     `out`, each pair's displacement into `fields[i]`, the temporaries into
     the scratch `tmp` (see `_scratch`) and the H1 densities into `dens`
-    (see `_h1_norm_hat`), each when given.
+    (see `_h1_norm_hat`).
 
     Args:
         pairs: (theta1 spectrum, theta2 values, theta2 spectrum) per
             observable, rfft2 layout.
     """
     params = SolverParams()
-    fields = [None] * len(pairs) if fields is None else fields
     fields = [_displacement_2form_hat(*p, grid, params, f, tmp) for p, f in zip(pairs, fields)]
     return _normalized_mean(
         fields, [_h1_norm_hat(u, grid, dens) for u in fields], _TOL_NORM_PER_AREA * grid.area, out

@@ -225,11 +225,11 @@ def _h1_norm_hat(uh, grid, tmp=None):
     return np.sqrt(grid.area * dots / n**2)
 
 
-def _advect_hat(fh, u, grid, grad=None, out=None, tmp=None):
-    # spectrum of u . grad f, i.e. L_u of the 0-form f with spectrum fh;
-    # grad, when given, holds the values of grad f.  With the scratch tmp
-    # = (r, c) of `_scratch` it uses r and c[1] and writes into `out`.
-    r, c = _scratch(u[0].shape) if tmp is None else tmp
+def _advect_hat(fh, u, grid, grad, out, tmp):
+    # spectrum of u . grad f, i.e. L_u of the 0-form f with spectrum fh,
+    # written into `out`; grad, when not None, holds the values of grad f.
+    # Of the scratch tmp = (r, c) of `_scratch` it uses r and c[1].
+    r, c = tmp
     fx, fy = (_deriv_hat(fh, grid, a, r[a], c[1]) for a in (0, 1)) if grad is None else grad
     prod = np.multiply(u[0], fx, out=r[0])
     prod += np.multiply(u[1], fy, out=r[1])

@@ -21,10 +21,12 @@ ring buffer of shape (order, 4, B, nx, ny//2+1): each tendency is
 written straight into its slot, and the AB sum is one pass over the
 ring.  Inverse transforms go through `spectral_core._irfft2`, which calls
 np.fft.irfftn, since np.fft.irfft2 ignores `out`.  The typed functions
-call the same helpers without buffers, and those allocate their results.
-Only where results are stored and the order of the AB sum differ from
-a loop on fresh arrays, so each member's result is the same bit for bit
-wherever it sits in the batch.
+are batch-of-one runs: `morph_velocity` and `morph_step` each run one
+step of the loop on a one-member workspace of their own, whose ring
+`morph_step` seeds from its caller's history list.  Only where results
+are stored and the order of the AB sum differ from a loop on fresh
+arrays, so each member's result is the same bit for bit wherever it
+sits in the batch.
 
 `nudge` adds the same transport, times a strength, to the model tendency
 and runs through the same batch loop.
@@ -45,10 +47,8 @@ from .tsw_model import (
     AB_COEFFS,
     InstabilityError,
     _ab_advance,
-    _fields,
     _grad_theta,
     _irfft_all,
-    _rfft_all,
     _state,
     _tendency_hat,
     _vorticity,
@@ -197,11 +197,11 @@ def conserved_totals(state):
     return {name: float(v) for name, v in totals.items()}
 
 
-# The spectral kernel works on tsw_model's (vals, spec) state arrays, with
-# or without a member axis; a displacement is held as its values `u`
-# (2, nx, ny), or (2, B, nx, ny).  The vorticity is computed once per
+# The spectral kernel works on the (vals, spec) state arrays of a
+# tsw_model `_Workspace`, which carry a member axis; a displacement is held
+# as its values `u` (2, B, nx, ny).  The vorticity is computed once per
 # state, by `_record`, and shared by the velocity, the v-transport and the
-# trace.  Without a workspace each helper allocates its results.
+# trace.
 _MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
 
 
@@ -216,20 +216,19 @@ def _target_spectra(targets, grid):
     return out
 
 
-def _velocity(observed, vals, spec, omega, grid, ws=None):
-    """Values u of the combined displacement toward the observed targets.
+def _velocity(observed, grid, ws):
+    """Values u of the combined displacement toward the observed targets,
+    from the state of the _Workspace ws, into ws.u.
 
-    observed holds (name, target values, target spectrum); omega is the
-    state's (values, spectrum) vorticity.  The displacement solves and H1
-    norms stay in Fourier space, per member; only u itself is transformed
-    back.  With the _Workspace ws every array is one of its own.
+    observed holds (name, target values, target spectrum); ws.omega and
+    ws.omega_hat hold the state's vorticity.  The displacement solves and
+    H1 norms stay in Fourier space, per member, in the arrays of ws; only
+    u itself is transformed back.
     """
     if not observed:
         raise ValueError("morph_velocity needs at least one observable")
-    obs = {"h": (vals[0], spec[0]), "omega": omega}
+    obs = {"h": (ws.vals[0], ws.spec[0]), "omega": (ws.omega, ws.omega_hat)}
     pairs = [(th, *obs[name]) for name, _, th in observed]
-    if ws is None:
-        return _irfft_all(_combined_displacement_hat(pairs, grid), grid)
     uh = _combined_displacement_hat(pairs, grid, ws.uh, ws.forcing, (ws.r, ws.c), ws.dens)
     return _irfft_all(uh, grid, ws.u)
 
@@ -249,35 +248,31 @@ def _record(traces, k, observed, grid, ws):
     return mses
 
 
-def _step(vals, spec, omega, u, history, params, naive, step, grid, drift=None, ws=None):
-    """One AB epsilon-step of d(theta)/ds = -L_u theta; the new (vals, spec).
+def _step(ws, u, params, naive, step, grid, drift=None):
+    """One AB epsilon-step of d(theta)/ds = -L_u theta on the state of the
+    _Workspace ws, whose omega holds the values of its vorticity.
 
-    omega holds the values of the state's vorticity; the naive comparator
-    drags every field as a 0-form, d(theta)/ds = -u . grad(theta).  A drift
-    (model, strength), which needs ws, adds the model tendency: see
-    `nudge`.  With the _Workspace ws, `history` is its ring: the tendency
-    is written into the ring's slot and the new state over ws.vals and
-    ws.spec.
+    The tendency is written into the ring's slot and the new state over
+    ws.vals and ws.spec.  The naive comparator drags every field as a
+    0-form, d(theta)/ds = -u . grad(theta).  A drift (model, strength)
+    adds the model tendency: see `nudge`.
     """
-    tend, tmp = (None, None) if ws is None else (history.slot(), (ws.r, ws.c))
+    vals, spec, tend, tmp = ws.vals, ws.spec, ws.ring.slot(), (ws.r, ws.c)
+    model, errors = None, _MORPH_ERRORS
     if drift is not None:
-        model, strength = drift
+        (model, strength), errors = drift, _MODEL_ERRORS
         grad_th = _grad_theta(spec, grid, ws.grad_th, ws.c[0])
-        push = _transport_hat(vals, spec, omega, u, grid, grad_th, ws.spare, tmp)
+        push = _transport_hat(vals, spec, ws.omega, u, grid, grad_th, ws.spare, tmp)
         push *= strength
-        tend = _tendency_hat(vals, spec, model, grid, omega, grad_th, tend, tmp)
+        _tendency_hat(vals, spec, model, grid, ws.omega, grad_th, tend, tmp)
         tend += push
-        return _ab_advance(spec, tend, history, params.ab_order, params.epsilon,
-                           params.filter_a, grid, step, _MODEL_ERRORS, model, ws)
-    if naive:
-        tend = np.empty_like(spec) if tend is None else tend
+    elif naive:
         for s, t in zip(spec, tend):
-            _advect_hat(s, u, grid, out=t, tmp=tmp)
+            _advect_hat(s, u, grid, None, t, tmp)
         np.negative(tend, out=tend)
     else:
-        tend = _transport_hat(vals, spec, omega, u, grid, out=tend, tmp=tmp)
-    return _ab_advance(spec, tend, history, params.ab_order, params.epsilon, params.filter_a,
-                       grid, step, _MORPH_ERRORS, ws=ws)
+        _transport_hat(vals, spec, ws.omega, u, grid, out=tend, tmp=tmp)
+    _ab_advance(ws, params.epsilon, params.filter_a, grid, step, errors, model)
 
 
 def morph_velocity(state, targets):
@@ -285,14 +280,15 @@ def morph_velocity(state, targets):
 
     Each observable contributes one closed-form 2-form solve (h directly,
     omega via the vorticity diagnostic); the fields are then H1-normalized
-    and averaged.
+    and averaged.  It is the velocity of one `_run_morph_batch` step with
+    a batch of one.
     """
     g = state.grid
     observed = _target_spectra(targets, g)
-    vals = _fields(state)
-    spec = _rfft_all(vals)
-    u = _velocity(observed, vals, spec, _vorticity(spec, g), g)
-    return DisplacementField(ScalarField(g, u[0]), ScalarField(g, u[1]))
+    ws = _Workspace([state], 1, n_observed=len(observed))
+    _vorticity(ws.spec, g, (ws.omega, ws.omega_hat), ws.c[0])
+    u = _velocity(observed, g, ws)
+    return DisplacementField(ScalarField(g, u[0, 0]), ScalarField(g, u[1, 0]))
 
 
 def morph_step(state, u, params, history=None, step=None, naive=False):
@@ -303,18 +299,18 @@ def morph_step(state, u, params, history=None, step=None, naive=False):
     opaque); Hou-Li filter (a = 36 by default) on every field afterwards.
     naive = True is the composition comparator: every field transported as
     a 0-form.  Raises InstabilityError when a field turns non-finite or h
-    or Theta non-positive.
+    or Theta non-positive.  It is one `_run_morph_batch` step with a batch
+    of one.
     """
     if u.grid != state.grid:
         raise ValueError("displacement grid mismatch")
     g = state.grid
-    vals = _fields(state)
-    spec = _rfft_all(vals)
-    omega, _ = _vorticity(spec, g)
-    uv = np.stack([u.u1.values, u.u2.values])
     history = [] if history is None else history
-    vals, _ = _step(vals, spec, omega, uv, history, params, naive, step, g)
-    return _state(vals, g, state.time)
+    ws = _Workspace([state], params.ab_order, history=history)
+    _vorticity(ws.spec, g, (ws.omega, ws.c[0]), ws.c[1])
+    _step(ws, np.stack([u.u1.values, u.u2.values])[:, None], params, naive, step, g)
+    ws.ring.save(history)
+    return _state(ws.vals[:, 0], g, state.time)
 
 
 def run_morph(state, targets, params, naive=False):
@@ -368,9 +364,9 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
     for k in range(params.n_steps):
         if stop is not None and stop.is_set():
             raise CancelledError
-        u = _velocity(observed, ws.vals, ws.spec, (ws.omega, ws.omega_hat), g, ws)
+        u = _velocity(observed, g, ws)
         try:
-            _step(ws.vals, ws.spec, ws.omega, u, ws.ring, params, naive, k, g, drift, ws)
+            _step(ws, u, params, naive, k, g, drift)
         except InstabilityError as err:
             err.member = int(active[err.member])
             raise

@@ -28,17 +28,17 @@ with the same 13 FFT calls per step, and `integrate` is its batch of one.
 The nudged model, this tendency plus the morph's tensor transport, is
 `morph_engine.nudge`.
 
-Both batch loops, the model's and the morph's, run on one `_Workspace`:
-arrays allocated once per batch and reused every step, into which the
-kernel helpers write through their `out=` and scratch arguments; without
-them the helpers allocate, as the typed functions do.  The AB history is
-a ring buffer (`_ABRing`): one (order, ...) array whose slots the
-tendencies are written into, so the plain AB sum is a single pass, the
-coefficient vector times the slots viewed as an (order, n) float matrix,
-and the Lawson step's Horner sum takes turns between the ring's next
-slot and one spare spectrum.  Inverse transforms call np.fft.irfftn
-through `spectral_core._irfft2`: np.fft.irfft2 drops its `out` argument
-(numpy 2.4).
+Every step runs on a `_Workspace`: arrays allocated once per batch and
+reused every step, into which the kernel helpers write through their
+`out=` and scratch arguments.  The typed step functions are batch-of-one
+runs on a workspace of their own.  The AB history is a ring buffer
+(`_ABRing`), seeded from a typed step's history list: one (order, ...)
+array whose slots the tendencies are written into, so the plain AB sum
+is a single pass, the coefficient vector times the slots viewed as an
+(order, n) float matrix, and the Lawson step's Horner sum takes turns
+between the ring's next slot and one spare spectrum.  Inverse transforms
+call np.fft.irfftn through `spectral_core._irfft2`: np.fft.irfft2 drops
+its `out` argument (numpy 2.4).
 """
 
 import functools
@@ -214,10 +214,9 @@ class TSWTendency:
 _MODEL_ERRORS = ("non-finite field after AB step", "positivity lost")
 
 
-def _rfft_all(vals, out=None):
-    # the spectrum of each field, written into `out` when given
-    if out is None:
-        out = np.empty((*vals.shape[:-1], vals.shape[-1] // 2 + 1), dtype=complex)
+def _rfft_all(vals):
+    # the spectrum of each field
+    out = np.empty((*vals.shape[:-1], vals.shape[-1] // 2 + 1), dtype=complex)
     for v, o in zip(vals, out):
         np.fft.rfft2(v, out=o)
     return out
@@ -352,12 +351,11 @@ def _propagator(grid, f, h0, theta0, dt):
     return prop
 
 
-def _hermitian(spec, grid, tmp=None):
+def _hermitian(spec, tmp):
     # In place: the ky = 0 and Nyquist columns of an rfft2 spectrum hold
     # X(-kx) = conj X(kx) for a real field; keep that part only, so the
-    # spectrum stays that of the values irfft2 makes of it.  tmp, when
-    # given, is a complex array of spec's shape less its last axis.
-    tmp = np.empty(spec.shape[:-1], dtype=complex) if tmp is None else tmp
+    # spectrum stays that of the values irfft2 makes of it.  tmp is a
+    # complex array of spec's shape less its last axis.
     for j in (0, -1):
         col = spec[..., j]
         np.conjugate(col[..., :1], out=tmp[..., :1])
@@ -366,12 +364,11 @@ def _hermitian(spec, grid, tmp=None):
         col *= 0.5
 
 
-def _propagate(prop, x, out=None):
+def _propagate(prop, x, out):
     # prop applied to the (h, v1, v2) spectra of x, written into `out`
-    # (not x) when given; Theta passes unchanged.  out's Theta row holds
-    # the products until Theta is copied into it.
+    # (not x); Theta passes unchanged.  out's Theta row holds the products
+    # until Theta is copied into it.
     h, _, v1, v2 = x
-    out = np.empty_like(x) if out is None else out
     tmp = out[1]
     for i, row in zip((0, 2, 3), prop):
         np.multiply(row[0], h, out=out[i])
@@ -389,12 +386,17 @@ class _ABRing:
     and `_ab_advance` counts it; so keeping the history copies nothing,
     and the plain AB sum is one product of a coefficient vector with the
     filled slots, viewed as rows of one float matrix.  Once a step has
-    read its oldest entry, `slot()` is free until the next tendency.
+    read its oldest entry, `slot()` is free until the next tendency.  The
+    newest `order` entries of `history`, a typed step's list of earlier
+    tendencies (oldest first), fill the first slots.
     """
 
-    def __init__(self, order, shape):
+    def __init__(self, order, shape, history=()):
         self.buf = np.empty((order, *shape), dtype=complex)
         self.count = 0  # tendencies written
+        for tend in history[-order:]:
+            self.buf[self.count] = tend
+            self.count += 1
 
     def slot(self):
         """The array the next tendency is written into."""
@@ -406,6 +408,12 @@ class _ABRing:
         order = len(self.buf)
         return [n % order for n in range(max(self.count - order, 0), self.count)]
 
+    def save(self, history):
+        """Append a copy of the newest tendency to the list `history`, cut
+        to its newest `order` entries."""
+        history.append(self.buf[(self.count - 1) % len(self.buf)].copy())
+        del history[: -len(self.buf)]
+
 
 class _Workspace:
     """The arrays of one batch loop, allocated once and reused every step.
@@ -414,23 +422,23 @@ class _Workspace:
     each step overwrites; omega holds the vorticity's values, (r, c) the
     kernel's scratch (see `spectral_core._scratch`), and ring the AB
     history, an (order, 4, B, nx, ny//2+1) `_ABRing` into whose slot each
-    tendency is written.  A loop that takes the model's Lawson step
-    (`model`) also holds grad_th, the values of grad(Theta), and spare, a
-    spectrum of the state's shape for the Horner sum (and the nudge's
-    transport).  The morph's loop (`n_observed` not None) also holds
-    omega_hat, the vorticity's spectrum, u and uh the displacement,
-    forcing the displacement of each observable and dens the H1
-    densities.  Every array ends in the axes (member, x, y), so `keep`
+    tendency is written, which `history` seeds.  A loop that takes the
+    model's Lawson step (`model`) also holds grad_th, the values of
+    grad(Theta), and spare, a spectrum of the state's shape for the Horner
+    sum (and the nudge's transport).  The morph's loop (`n_observed` not
+    None) also holds omega_hat, the vorticity's spectrum, u and uh the
+    displacement, forcing the displacement of each observable and dens the
+    H1 densities.  Every array ends in the axes (member, x, y), so `keep`
     slices them all alike.
     """
 
-    def __init__(self, states, order, model=False, n_observed=None):
+    def __init__(self, states, order, model=False, n_observed=None, history=()):
         self.vals = np.stack([_fields(s) for s in states], axis=1)
         self.spec = _rfft_all(self.vals)
         members = self.vals.shape[1:]
         self.omega = np.empty(members)
         self.r, self.c = _scratch(members)
-        self.ring = _ABRing(order, self.spec.shape)
+        self.ring = _ABRing(order, self.spec.shape, history)
         if model:
             self.grad_th = np.empty((2, *members))
             self.spare = np.empty_like(self.spec)
@@ -460,80 +468,63 @@ def _ab_sum(weights, rows, out):
     np.einsum("i,ij->j", weights, mat, out=out.view(float).reshape(-1, copy=False))
 
 
-def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, model=None,
-                ws=None):
-    """One Adams-Bashforth step on spectra, shared by the model and the morph.
+def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
+    """One Adams-Bashforth step on the spectra of the _Workspace `ws`,
+    shared by the model and the morph, and by the batch loops and the
+    typed functions, which are batch-of-one runs.
 
-    Adds `tend` to `history` as its newest entry, advances `spec` by `size`
-    times the AB sum, applies the Hou-Li multiplier `filter_a` and
-    transforms each field back once.  `history` is a list, appended to and
-    cut to its last `order` entries, so repeated calls bootstrap the order;
-    or an _ABRing, whose slot the caller wrote `tend` into.  The plain step
-    forms size sum_j c_j T_{n-j} in one pass over the entries (`_ab_sum`).
+    The caller has written the tendency into `ws.ring.slot()`; the step
+    counts it as the ring's newest entry, so repeated calls bootstrap the
+    order up to the ring's length.  It advances ws.spec by `size` times
+    the AB sum, applies the Hou-Li multiplier `filter_a` and transforms
+    each field back once into ws.vals, both overwritten.  The plain step
+    forms size sum_j c_j T_{n-j} in one pass over the ring (`_ab_sum`).
     With the ModelParams `model` the step is Lawson's integrating-factor AB
-    (Cox & Matthews 2002): `tend` is the remainder N = tendency - L spec
-    of `_tendency_hat`, and the exact propagator E = exp(L size) carries
-    the rest-state waves L spec,
+    (Cox & Matthews 2002): the tendency is the remainder N = tendency -
+    L spec of `_tendency_hat`, and the exact propagator E = exp(L size)
+    carries the rest-state waves L spec,
 
         spec_new = E [spec + size sum_j c_j E^j N_{n-j}],
 
     so the gravity waves do not bound `size`.  Raises InstabilityError at
     `step`, with the message prefixes `errors`, when a field turns
-    non-finite or h or Theta non-positive; with a member axis it names the
-    lowest failing member.  Returns the new (vals, spec); with the
-    _Workspace `ws` (whose ring is `history`) they are ws.vals and ws.spec,
-    overwritten, and the sums run in its buffers.
+    non-finite or h or Theta non-positive; it names the lowest failing
+    member.
     """
-    ring = isinstance(history, _ABRing)
-    if ring:
-        slots = history.push()
-        entries = [history.buf[i] for i in slots]
-    else:
-        history.append(tend)
-        del history[:-order]
-        entries = history
-    coeffs = AB_COEFFS[len(entries)]
-    if ws is None:
-        vals, new = np.empty((*spec.shape[:-2], *grid.shape)), np.empty_like(spec)
-    else:
-        vals, new = ws.vals, ws.spec
+    ring, spec, vals = ws.ring, ws.spec, ws.vals
+    slots = ring.push()
+    coeffs = AB_COEFFS[len(slots)]
     filt = grid.hou_li(filter_a)
     if model is None:
-        # the ring's filled slots are its first len(entries), in ring order
-        weights = np.empty(len(entries))
-        if ring:
-            weights[slots] = coeffs[::-1]
-            rows = history.buf[: len(entries)]
-        else:
-            weights[:] = coeffs[::-1]
-            rows = np.stack(entries)
+        # the ring's filled slots are its first len(slots), in ring order
+        weights = np.empty(len(slots))
+        weights[slots] = coeffs[::-1]
         weights *= size
+        rows, ab_sum = ring.buf[: len(slots)], ws.c[0]
         # (spec + size * AB sum) * multiplier, then the inverse transform,
         # field by field: each field's arrays are still in cache
-        ab_sum = np.empty_like(spec[0]) if ws is None else ws.c[0]
-        for f, (row, s) in enumerate(zip(new, spec)):
+        for f, (s, v) in enumerate(zip(spec, vals)):
             _ab_sum(weights, rows[:, f], ab_sum)
-            np.add(ab_sum, s, out=row)
-            row *= filt
-            _irfft2(row, grid.shape, vals[f])
+            np.add(ab_sum, s, out=s)
+            s *= filt
+            _irfft2(s, grid.shape, v)
     else:
         # size sum_j c_j E^j N_{n-j} by Horner's rule from the oldest entry,
         # in two buffers that take turns: the ring's next slot, free once
         # the oldest entry is read, and ws.spare
         prop = _propagator(grid, model.f, model.h0, model.theta0, size)
-        acc = history.slot() if ring else np.empty_like(spec)
-        other = np.empty_like(spec) if ws is None else ws.spare
+        acc, other = ring.slot(), ws.spare
         weights = [size * c for c in coeffs[::-1]]
-        np.multiply(entries[0], weights[0], out=acc)
-        for w, t in zip(weights[1:], entries[1:]):
+        np.multiply(ring.buf[slots[0]], weights[0], out=acc)
+        for w, i in zip(weights[1:], slots[1:]):
             _propagate(prop, acc, other)
-            other += np.multiply(t, w, out=acc)
+            other += np.multiply(ring.buf[i], w, out=acc)
             acc, other = other, acc
         acc += spec
-        _propagate(prop, acc, new)
-        _hermitian(new, grid, other[..., 0])
-        new *= filt
-        _irfft_all(new, grid, vals)
+        _propagate(prop, acc, spec)
+        _hermitian(spec, other[..., 0])
+        spec *= filt
+        _irfft_all(spec, grid, vals)
     # per member; the lowest failing member is reported, with its own minima
     finite = np.isfinite(vals).all(axis=(0, -2, -1))
     hmin, thmin = vals[0].min(axis=(-2, -1)), vals[1].min(axis=(-2, -1))
@@ -545,7 +536,6 @@ def _ab_advance(spec, tend, history, order, size, filter_a, grid, step, errors, 
             raise InstabilityError(nonfinite, step=step, member=b)
         raise InstabilityError(f"{positivity}: min h={hmin.flat[b]:.4g}, "
                                f"min Theta={thmin.flat[b]:.4g}", step=step, member=b)
-    return vals, new
 
 
 def tendency(state, params):
@@ -555,6 +545,16 @@ def tendency(state, params):
     tend = _tendency_hat(vals, spec, params, state.grid)
     _add_rest_wave(tend, spec, params, state.grid)
     return TSWTendency(*_irfft_all(tend, state.grid))
+
+
+def _model_step(ws, params, grid, step):
+    """One model step of the _Workspace `ws`, in place: the remainder
+    tendency into the ring's slot, then the Lawson AB3 step."""
+    omega, _ = _vorticity(ws.spec, grid, (ws.omega, ws.c[0]), ws.c[1])
+    grad_th = _grad_theta(ws.spec, grid, ws.grad_th, ws.c[0])
+    _tendency_hat(ws.vals, ws.spec, params, grid, omega, grad_th, ws.ring.slot(),
+                  (ws.r, ws.c))
+    _ab_advance(ws, params.dt, 12, grid, step, _MODEL_ERRORS, params)
 
 
 def ab3_step(state, history, params, step=None):
@@ -567,15 +567,12 @@ def ab3_step(state, history, params, step=None):
     first; it is updated in place (current remainder appended, stale
     entries dropped), so repeated calls bootstrap AB1 -> AB2 -> AB3.  The
     Hou-Li filter (a = 12) is applied to every prognostic field after the
-    update.
+    update.  It is one step of `_integrate_batch` with a batch of one.
     """
-    g = state.grid
-    vals = _fields(state)
-    spec = _rfft_all(vals)
-    tend = _tendency_hat(vals, spec, params, g)
-    vals, _ = _ab_advance(spec, tend, history, 3, params.dt, 12, g, step, _MODEL_ERRORS,
-                          params)
-    return _state(vals, g, state.time + params.dt)
+    ws = _Workspace([state], 3, model=True, history=history)
+    _model_step(ws, params, state.grid, step)
+    ws.ring.save(history)
+    return _state(ws.vals[:, 0], state.grid, state.time + params.dt)
 
 
 def integrate(state, n_steps, params):
@@ -607,11 +604,7 @@ def _integrate_batch(states, n_steps, params, stop=None):
     for k in range(n_steps):
         if stop is not None and stop.is_set():
             raise CancelledError
-        omega, _ = _vorticity(ws.spec, g, (ws.omega, ws.c[0]), ws.c[1])
-        grad_th = _grad_theta(ws.spec, g, ws.grad_th, ws.c[0])
-        tend = _tendency_hat(ws.vals, ws.spec, params, g, omega, grad_th, ws.ring.slot(),
-                             (ws.r, ws.c))
-        _ab_advance(ws.spec, tend, ws.ring, 3, params.dt, 12, g, k, _MODEL_ERRORS, params, ws)
+        _model_step(ws, params, g, k)
         times = times + params.dt
     return [_state(ws.vals[:, b], g, t) for b, t in enumerate(times)]
 

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,21 @@ class TestValidateConfig:
         ]
         raw["ic"]["amplitude"] = 0.1
         validate_config(raw)
+
+    def test_overflowing_courant_rate_names_no_dt(self):
+        """With f = 5e-324 the geostrophic speed, and so the remainder
+        rate, overflows to inf: the error names no largest stable dt, and
+        validation emits no warning."""
+        raw = small_raw()
+        raw["model"]["f"] = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as exc:
+                validate_config(raw)
+        assert exc.value.errors == [
+            "model.dt: remainder Courant number (max|v| + dc)*k_max*dt = inf "
+            "exceeds the AB3 bound 0.72"
+        ]
 
     def test_coarse_grid_must_divide_fine(self):
         raw = small_raw()
@@ -562,6 +578,18 @@ class TestCommandLine:
         path.write_text("{nope")
         assert main(["validate", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"name": "\xff\xfe"}', "not UTF-8 text"),
+        (b"[" * 200000 + b"]" * 200000, "nests too deeply"),
+    ], ids=["not-utf8", "nested-200000-deep"])
+    def test_validate_rejects_unparsable_file(self, tmp_path, capsys, content, message):
+        """A file that is not UTF-8, and JSON nested past the parser's
+        recursion limit, are config errors, not tracebacks."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_run_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

@@ -32,7 +32,12 @@ from liemorph import (
 )
 from liemorph.displacement_solver import SolverParams, _displacement_2form_hat
 from liemorph.morph_engine import MorphTrace, _run_morph_batch
-from oracles import composed_run_morph, random_band_limited
+from oracles import (
+    composed_morph_step,
+    composed_morph_velocity,
+    composed_run_morph,
+    random_band_limited,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -203,6 +208,22 @@ class TestMorphStep:
             state = morph_step(state, u, mp, history=history, step=k)
             assert len(history) == min(k + 1, 3)
 
+    def test_history_continues_at_a_lower_order(self, grid_km, params):
+        """A history built at ab_order 5 for 6 steps and continued at
+        ab_order 3 for 3 more: each step takes the newest entries of the
+        list, as the composed reference does, to 1e-12 per field.  With
+        the oldest entries, or a miscounted ring, it misses by 4e-9 or more."""
+        member, targets = vortex_morph_case(grid_km, params)
+        got, ref, got_history, ref_history = member, member, [], []
+        for k, order in enumerate([5] * 6 + [3] * 3):
+            mp = MorphParams(epsilon=1.0, ab_order=order)
+            got = morph_step(got, morph_velocity(got, targets), mp, history=got_history, step=k)
+            ref = composed_morph_step(ref, composed_morph_velocity(ref, targets), mp, ref_history)
+            assert len(got_history) == len(ref_history) == min(k + 1, order)
+        for a, b in zip(got.fields(), ref.fields()):
+            scale = np.max(np.abs(b.values))
+            assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
+
 
 class TestRunMorph:
     def test_trace_has_initial_row_plus_one_per_step(self, grid_km, params):
@@ -324,6 +345,23 @@ class TestSpectralKernel:
         run_morph(member, targets, MorphParams(epsilon=10.0, n_steps=10), naive=naive)
         assert (counts["rfft2"], counts["irfft2"]) == expected
         assert sum(expected) / 2 / 10 <= (14 if naive else 12)
+
+    @pytest.mark.parametrize("naive, expected", [(False, (10, 7)), (True, (8, 13))])
+    def test_typed_fft_counts_are_locked(self, grid_km, params, count_ffts, naive, expected):
+        """From a typed state, with h and omega targets: morph_velocity
+        makes 10 rfft2 + 7 irfft2 (4 + 2 rfft2 of the state and targets,
+        the vorticity, the solves' 4 + 6); morph_step makes 10 + 7 with the
+        tensor transport and 8 + 13 with the naive one, the state's 4 rfft2
+        and its vorticity included.  Their one-member workspaces add no
+        transform."""
+        member, targets = vortex_morph_case(grid_km, params)
+        u = morph_velocity(member, targets)
+        counts = count_ffts()
+        morph_velocity(member, targets)
+        assert (counts["rfft2"], counts["irfft2"]) == (10, 7)
+        counts.update(rfft2=0, irfft2=0)
+        morph_step(member, u, MorphParams(epsilon=1.0), naive=naive)
+        assert (counts["rfft2"], counts["irfft2"]) == expected
 
     @pytest.mark.parametrize("naive, expected", [(False, (16, 14)), (True, (14, 20))])
     def test_batch_fft_count_equals_one_member(
