@@ -88,10 +88,14 @@ class Ensemble:
         return len(self.members)
 
 
+def _observed(state, coarse):
+    # the observation operator: the state's h and omega, coarsened
+    return coarsen(state.h, coarse), coarsen(vorticity_of(state), coarse)
+
+
 def observe(truth, coarse):
     """Coarsen the truth's h and omega; r = 0.01 * mean(obs^2) per field."""
-    h_obs = coarsen(truth.h, coarse)
-    omega_obs = coarsen(vorticity_of(truth), coarse)
+    h_obs, omega_obs = _observed(truth, coarse)
     r_h = 0.01 * float(np.mean(h_obs.values**2))
     r_omega = 0.01 * float(np.mean(omega_obs.values**2))
     return ObsSet(coarse, h_obs, omega_obs, r_h, r_omega)
@@ -226,10 +230,9 @@ def kalman_gain(z_anom, y_anom, r_diag):
     return z_anom @ _gain_weights(y_anom, r_diag)
 
 
-def _member_state_vector(state, coarse):
-    return np.concatenate(
-        [coarsen(f, coarse).values.ravel() for f in state.fields()]
-    )
+def _stacked(fields):
+    # the fields' values, raveled and stacked into one vector
+    return np.concatenate([f.values.ravel() for f in fields])
 
 
 def enkf_analysis(ensemble, obs, obs_noise_seed):
@@ -249,12 +252,11 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
     ne = len(ensemble)
     nc = coarse.nx * coarse.ny
 
-    z = np.stack([_member_state_vector(m, coarse) for m in ensemble.members], axis=1)
-    # predicted observations, computed as observe() does; the h rows are
-    # z's, which coarsen h already
-    w = np.stack([coarsen(vorticity_of(m), coarse).values.ravel() for m in ensemble.members],
-                 axis=1)
-    y = np.concatenate([z[:nc], w])
+    # predicted observations; the state vector reuses their coarse h
+    observed = [_observed(m, coarse) for m in ensemble.members]
+    y = np.stack([_stacked(o) for o in observed], axis=1)
+    z = np.stack([_stacked([h, *(coarsen(f, coarse) for f in (m.theta, m.v1, m.v2))])
+                  for m, (h, _) in zip(ensemble.members, observed)], axis=1)
     z_anom = z - z.mean(axis=1, keepdims=True)
     y_anom = y - y.mean(axis=1, keepdims=True)
 

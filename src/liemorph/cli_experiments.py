@@ -19,6 +19,7 @@ renamed into place, replacing only an empty directory or an earlier run.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -186,10 +187,14 @@ CEILINGS = {
 }
 
 
-def _floor4(x):
-    # positive x rounded down to 4 significant digits, a limit that passes
-    scale = 10.0 ** (np.floor(np.log10(x)) - 3)
-    return np.floor(x / scale) * scale
+def _largest_stable(name, bound, rate):
+    # "; the largest stable <name> is <bound / rate>", rounded down to 4
+    # significant digits, a limit that passes; nothing when that is not
+    # finite, as when an infinite rate floors 0 to nan
+    with np.errstate(all="ignore"):
+        scale = 10.0 ** (np.floor(np.log10(bound / rate)) - 3)
+        limit = np.floor(bound / rate / scale) * scale
+    return f"; the largest stable {name} is {limit:.4g}" if np.isfinite(limit) else ""
 
 
 def _read(section, name, errors):
@@ -273,28 +278,28 @@ def validate_config(raw):
         # of the gravity wave speed sqrt(h Theta) over the rest state's at
         # the vortex peak.  |grad(eta)| of a Gaussian bump peaks at
         # amplitude / (radius * sqrt(e)), and the geostrophic speed with it;
-        # the sign of f only turns the flow around.
-        vmax = model.theta0 / abs(model.f) * ic.amplitude / (ic.radius * np.sqrt(np.e))
-        rest = np.sqrt(model.h0 * model.theta0)
-        peak = np.sqrt((model.h0 + ic.amplitude) * model.theta0 * (1.0 + ic.theta_amplitude))
-        rate = (vmax + peak - rest) * np.pi / min(grid.dx, grid.dy)
-        if rate * model.dt > AB3_COURANT_MAX:
-            # an infinite rate (f so small that v overflows) has no stable dt
-            hint = (f"; the largest stable dt is {_floor4(AB3_COURANT_MAX / rate):.4g}"
-                    if np.isfinite(rate) else "")
+        # the sign of f only turns the flow around.  Python floats overflow
+        # to inf and nan without a warning, and `not x <= bound` rejects both.
+        vmax = model.theta0 / abs(model.f) * ic.amplitude / (ic.radius * math.sqrt(math.e))
+        rest = math.sqrt(model.h0 * model.theta0)
+        peak = math.sqrt((model.h0 + ic.amplitude) * model.theta0 * (1.0 + ic.theta_amplitude))
+        rate = (vmax + peak - rest) * math.pi / min(grid.dx, grid.dy)
+        if not rate * model.dt <= AB3_COURANT_MAX:
             errors.append(
                 f"model.dt: remainder Courant number (max|v| + dc)*k_max*dt = "
-                f"{rate * model.dt:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}{hint}"
+                f"{rate * model.dt:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}"
+                f"{_largest_stable('dt', AB3_COURANT_MAX, rate)}"
             )
     if model is not None and ic is not None:
         # the Theta relaxation decays at rate kappa*h, and h peaks near
-        # h0 + amplitude
+        # h0 + amplitude; kappa = 0 relaxes nothing however high h gets
         reach = (model.h0 + ic.amplitude) * model.dt
-        if model.kappa * reach > AB3_DECAY_MAX:
+        relax = model.kappa * reach if model.kappa else 0.0
+        if not relax <= AB3_DECAY_MAX:
             errors.append(
                 f"model.kappa: relaxation number kappa*(h0 + ic.amplitude)*dt = "
-                f"{model.kappa * reach:.3g} exceeds the AB3 bound 6/11; the largest "
-                f"stable kappa is {_floor4(AB3_DECAY_MAX / reach):.4g}"
+                f"{relax:.3g} exceeds the AB3 bound 6/11"
+                f"{_largest_stable('kappa', AB3_DECAY_MAX, reach)}"
             )
 
     steps = {}

@@ -1,9 +1,9 @@
 """Displacement fields from pairs of same-type tensor fields.
 
 The closed-form path solves the boundary-free Euler-Lagrange equation
-(a0 - a1*Lap) u = forcing for 0-form and 2-form pairs; the generalized
-optical flow path handles any degree by conjugate gradients on the normal
-equations.  The sign convention everywhere is that u points from theta2
+(a0 - a1*Lap) u = W f grad(g) on spectra, for 0-form and 2-form pairs
+alike: only f and g depend on the degree.  The generalized optical flow
+path handles any degree by conjugate gradients on the normal equations.  The sign convention everywhere is that u points from theta2
 toward theta1, i.e. transporting theta2 one infinitesimal step along u
 decreases the residual against theta1.
 """
@@ -18,7 +18,6 @@ from .spectral_core import (
     ScalarField,
     _deriv,
     _deriv_hat,
-    _inverse_helmholtz_values,
     _irfft2,
     _scratch,
 )
@@ -75,12 +74,6 @@ def _weight_values(params, grid):
     return params.weight.values
 
 
-def _solve_helmholtz_pair(f1, f2, grid, params):
-    u1 = PREFACTOR * _inverse_helmholtz_values(f1, grid, params.a0, params.a1)
-    u2 = PREFACTOR * _inverse_helmholtz_values(f2, grid, params.a0, params.a1)
-    return DisplacementField(ScalarField(grid, u1), ScalarField(grid, u2))
-
-
 def displacement_from_0forms(theta1, theta2, params=None):
     """u = 2 (a0 - a1*Lap)^-1 [W (theta2 - theta1) grad(theta2)].
 
@@ -88,42 +81,41 @@ def displacement_from_0forms(theta1, theta2, params=None):
     theta2 shifted in +x, the forcing is (positive) grad(theta2)^2 times the
     shift to first order, so u1 integrates positive over the feature.
     """
-    params = params or SolverParams()
-    if theta1.degree != 0 or theta2.degree != 0:
-        raise ValueError("displacement_from_0forms needs degree-0 forms")
-    if theta1.grid != theta2.grid:
-        raise ValueError("forms on mismatched grids")
-    g = theta1.grid
-    w = _weight_values(params, g)
-    t2 = theta2.components[0].values
-    r = w * (t2 - theta1.components[0].values)
-    return _solve_helmholtz_pair(r * _deriv(t2, g, 0), r * _deriv(t2, g, 1), g, params)
+    return _closed_form(theta1, theta2, 0, params)
 
 
 def displacement_from_2forms(theta1, theta2, params=None):
     """u = 2 (a0 - a1*Lap)^-1 [W theta2 grad(theta1 - theta2)]."""
-    params = params or SolverParams()
-    if theta1.degree != 2 or theta2.degree != 2:
-        raise ValueError("displacement_from_2forms needs degree-2 forms")
+    return _closed_form(theta1, theta2, 2, params)
+
+
+def _closed_form(theta1, theta2, degree, params):
+    # the closed-form displacement between two forms of the given degree
+    if theta1.degree != degree or theta2.degree != degree:
+        raise ValueError(f"displacement_from_{degree}forms needs degree-{degree} forms")
     if theta1.grid != theta2.grid:
         raise ValueError("forms on mismatched grids")
     g = theta1.grid
     t1, t2 = theta1.components[0].values, theta2.components[0].values
-    uh = _displacement_2form_hat(np.fft.rfft2(t1), t2, np.fft.rfft2(t2), g, params)
+    if degree == 0:
+        f, gh = t2 - t1, np.fft.rfft2(t2)
+    else:
+        f, gh = t2, np.fft.rfft2(t1) - np.fft.rfft2(t2)
+    uh = _closed_form_hat(f, gh, g, params or SolverParams())
     return DisplacementField(*(ScalarField(g, _irfft2(c, g.shape)) for c in uh))
 
 
-def _displacement_2form_hat(t1h, t2, t2h, grid, params, out=None, tmp=None):
-    # stacked spectra of displacement_from_2forms from theta1's spectrum
-    # and theta2's values and spectrum, written into `out` when given;
-    # tmp is the scratch of `_scratch`, of which it uses r[0] and c
-    r, c = _scratch(t2.shape) if tmp is None else tmp
-    dh = np.subtract(t1h, t2h, out=c[0])
-    f = _weight_values(params, grid) * t2
-    out = np.empty((2, *dh.shape), dtype=complex) if out is None else out
+def _closed_form_hat(f, gh, grid, params, out=None, tmp=None):
+    # stacked spectra of PREFACTOR (a0 - a1*Lap)^-1 [W f grad(g)] from f's
+    # values and g's spectrum (f and g by degree as in _closed_form),
+    # written into `out` when given; tmp is the scratch of `_scratch`, of
+    # which it uses r[0] and c[1]
+    r, c = _scratch(f.shape) if tmp is None else tmp
+    wf = _weight_values(params, grid) * f
+    out = np.empty((2, *gh.shape), dtype=complex) if out is None else out
     for axis in (0, 1):
-        prod = _deriv_hat(dh, grid, axis, r[0], c[1])
-        prod *= f
+        prod = _deriv_hat(gh, grid, axis, r[0], c[1])
+        prod *= wf
         np.fft.rfft2(prod, out=out[axis])
     # PREFACTOR * forcing / (a0 + a1 k^2), as one real multiplier: numpy's
     # complex division by a real divisor multiplies by its reciprocal too,
@@ -148,7 +140,8 @@ def _combined_displacement_hat(pairs, grid, out, fields, tmp, dens):
             observable, rfft2 layout.
     """
     params = SolverParams()
-    fields = [_displacement_2form_hat(*p, grid, params, f, tmp) for p, f in zip(pairs, fields)]
+    for (t1h, t2, t2h), f in zip(pairs, fields):
+        _closed_form_hat(t2, np.subtract(t1h, t2h, out=tmp[1][0]), grid, params, f, tmp)
     return _normalized_mean(
         fields, [_h1_norm_hat(u, grid, dens) for u in fields], _TOL_NORM_PER_AREA * grid.area, out
     )
@@ -242,12 +235,6 @@ def lie_operator_adjoint(theta, phi):
     return DisplacementField(ScalarField(g, out1), ScalarField(g, out2))
 
 
-def _laplacian(values, grid):
-    fh = np.fft.rfft2(values)
-    fh *= -grid._k2_r
-    return _irfft2(fh, values.shape)
-
-
 def generalized_optical_flow(theta, theta_t, params=None):
     """Minimize int W|theta_t + L_u theta|^2 + a0|u|^2 + a1(|du|^2 + |delta u|^2).
 
@@ -280,13 +267,13 @@ def generalized_optical_flow(theta, theta_t, params=None):
         comps = tuple(ScalarField(g, w * c.values) for c in phi.components)
         return DiffForm(phi.degree, comps)
 
+    # the regularizer a0 - a1*Lap on spectra, as the closed form's symbol
+    symbol = params.a0 + params.a1 * g._k2_r
+
     def apply_normal(vec):
-        u = unpack(vec)
-        lu = lie_derivative(theta, u)
-        a1_, a2_ = _lie_adjoint(theta, weighted(lu))
-        out1 = a1_ + params.a0 * u.u1.values - params.a1 * _laplacian(u.u1.values, g)
-        out2 = a2_ + params.a0 * u.u2.values - params.a1 * _laplacian(u.u2.values, g)
-        return np.concatenate([out1.ravel(), out2.ravel()])
+        lu = lie_derivative(theta, unpack(vec))
+        reg = _irfft2(np.fft.rfft2(vec.reshape(2, *g.shape)) * symbol, g.shape)
+        return (np.stack(_lie_adjoint(theta, weighted(lu))) + reg).ravel()
 
     b1, b2 = _lie_adjoint(theta, weighted(theta_t))
     b = -np.concatenate([b1.ravel(), b2.ravel()])

@@ -242,17 +242,12 @@ def curl_2d(u):
     return ScalarField(g, _deriv(u.u2.values, g, 0) - _deriv(u.u1.values, g, 1))
 
 
-def _inverse_helmholtz_values(values, grid, a0=1.0, a1=1.0):
-    # solve (a0 - a1*Lap) g = f exactly in Fourier space
-    fh = np.fft.rfft2(values)
-    fh /= a0 + a1 * grid._k2_r
-    return _irfft2(fh, values.shape)
-
-
 def inverse_helmholtz(f):
     """Solve (I - Lap) g = f; each Fourier mode divided by 1 + kx^2 + ky^2."""
     _check_finite(f.values, "inverse_helmholtz input")
-    return ScalarField(f.grid, _inverse_helmholtz_values(f.values, f.grid))
+    fh = np.fft.rfft2(f.values)
+    fh /= 1.0 + f.grid._k2_r
+    return ScalarField(f.grid, _irfft2(fh, f.values.shape))
 
 
 def hou_li_multiplier(grid, a):

@@ -178,20 +178,43 @@ class TestValidateConfig:
         raw["ic"]["amplitude"] = 0.1
         validate_config(raw)
 
-    def test_overflowing_courant_rate_names_no_dt(self):
-        """With f = 5e-324 the geostrophic speed, and so the remainder
-        rate, overflows to inf: the error names no largest stable dt, and
-        validation emits no warning."""
-        raw = small_raw()
-        raw["model"]["f"] = 5e-324
+    @pytest.mark.parametrize("preset, changes, expected", [
+        # the geostrophic speed, and so the remainder rate, overflows to inf
+        pytest.param(None, {("model", "f"): 5e-324}, [
+            "model.dt: remainder Courant number (max|v| + dc)*k_max*dt = inf "
+            "exceeds the AB3 bound 0.72",
+        ], id="tiny-f"),
+        # both gravity wave speeds overflow and their difference is nan;
+        # kappa = 0 passes however high h gets
+        pytest.param("desk", {("model", "h0"): 1e308, ("ic", "amplitude"): 1e308,
+                              ("model", "kappa"): 0.0}, [
+            "model.dt: remainder Courant number (max|v| + dc)*k_max*dt = nan "
+            "exceeds the AB3 bound 0.72",
+        ], id="nan-wave-speed"),
+        # both numbers overflow; 6/11 over the infinite reach floors to nan
+        pytest.param("desk", {("model", "h0"): 1e300, ("model", "dt"): 1e300}, [
+            "model.dt: remainder Courant number (max|v| + dc)*k_max*dt = inf "
+            "exceeds the AB3 bound 0.72; the largest stable dt is 7.324e-149",
+            "model.kappa: relaxation number kappa*(h0 + ic.amplitude)*dt = inf "
+            "exceeds the AB3 bound 6/11",
+            "horizons.truth_time: 220.0 is not a whole number of model.dt = 1e+300 "
+            "steps; the nearest valid times are 0 and 1e+300",
+            "horizons.spinup_time: 200.0 is not a whole number of model.dt = 1e+300 "
+            "steps; the nearest valid times are 0 and 1e+300",
+        ], id="huge-h0-dt"),
+    ])
+    def test_overflowing_courant_rate_names_no_dt(self, preset, changes, expected):
+        """Model values near the float range overflow the stability
+        numbers: each is rejected, no error names a largest stable value
+        that is not finite, and validation emits no warning."""
+        raw = small_raw() if preset is None else preset_config(preset)
+        for (section, key), value in changes.items():
+            raw[section][key] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError) as exc:
                 validate_config(raw)
-        assert exc.value.errors == [
-            "model.dt: remainder Courant number (max|v| + dc)*k_max*dt = inf "
-            "exceeds the AB3 bound 0.72"
-        ]
+        assert exc.value.errors == expected
 
     def test_coarse_grid_must_divide_fine(self):
         raw = small_raw()

@@ -123,25 +123,6 @@ class TestClosedFormDegree0:
         u = displacement_from_0forms(theta1, theta2)
         assert domain_integral(u.u1) > 0.0
 
-    def test_matches_dense_oracle(self, grid16):
-        theta1 = scalar_form(0, grid16, 33)
-        theta2 = scalar_form(0, grid16, 34)
-        w = interior_weight(grid16)
-        params = SolverParams(a0=2.0, a1=0.5, weight=w)
-        u = displacement_from_0forms(theta1, theta2, params)
-        d1, d2 = dense_el_displacement(
-            theta1.components[0].values,
-            theta2.components[0].values,
-            0,
-            grid16,
-            a0=2.0,
-            a1=0.5,
-            weight=w.values,
-        )
-        scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
-        assert np.max(np.abs(u.u1.values - PREFACTOR * d1)) <= 1e-8 * scale
-        assert np.max(np.abs(u.u2.values - PREFACTOR * d2)) <= 1e-8 * scale
-
     def test_rejects_wrong_degree(self, grid16):
         theta = scalar_form(2, grid16, 35)
         with pytest.raises(ValueError):
@@ -203,6 +184,45 @@ class TestClosedFormDegree2:
             displacement_from_2forms(theta, theta)
 
 
+class TestClosedForm:
+    """What the 0-form and 2-form solves share: one Euler-Lagrange solve
+    on spectra, with only the forcing's factors keyed by degree."""
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_off_default_matches_dense_oracle(self, grid16, degree):
+        solve = displacement_from_0forms if degree == 0 else displacement_from_2forms
+        theta1 = scalar_form(degree, grid16, 33)
+        theta2 = scalar_form(degree, grid16, 34)
+        w = interior_weight(grid16)
+        params = SolverParams(a0=2.0, a1=0.5, weight=w)
+        u = solve(theta1, theta2, params)
+        d1, d2 = dense_el_displacement(
+            theta1.components[0].values,
+            theta2.components[0].values,
+            degree,
+            grid16,
+            a0=2.0,
+            a1=0.5,
+            weight=w.values,
+        )
+        scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
+        assert np.max(np.abs(u.u1.values - PREFACTOR * d1)) <= 1e-8 * scale
+        assert np.max(np.abs(u.u2.values - PREFACTOR * d2)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("degree, expected", [(0, (3, 4)), (2, (4, 4))])
+    def test_fft_counts_are_locked(self, grid16, count_ffts, degree, expected):
+        """Both solves make the gradient's two irfft2, the forcing's two
+        rfft2 and the displacement's two irfft2; the 0-form solve
+        transforms theta2 alone (3 rfft2 + 4 irfft2), the 2-form solve
+        both fields (4 + 4)."""
+        solve = displacement_from_0forms if degree == 0 else displacement_from_2forms
+        theta1 = scalar_form(degree, grid16, 35)
+        theta2 = scalar_form(degree, grid16, 36)
+        counts = count_ffts()
+        solve(theta1, theta2)
+        assert (counts["rfft2"], counts["irfft2"]) == expected
+
+
 class TestGeneralizedOpticalFlow:
     def test_zero_tendency_returns_exact_zero(self, grid16):
         theta = random_form(grid16, 1, 51)
@@ -234,22 +254,34 @@ class TestGeneralizedOpticalFlow:
         # the y-velocity must cancel over the feature by mirror symmetry
         assert abs(np.sum(u.u2.values * w) / np.sum(w)) <= 1e-8 * c
 
-    @pytest.mark.parametrize("degree", [0, 1, 2])
-    def test_matches_dense_oracle(self, grid16, degree):
-        theta = random_form(grid16, degree, 52, amplitude=0.5, offset=1.0)
-        theta_t = random_form(grid16, degree, 53, amplitude=0.2)
-        w = interior_weight(grid16)
-        params = SolverParams(weight=w, cg_tol=1e-12, cg_max_iter=2000)
+    @staticmethod
+    def check_dense_oracle(grid, degree, a0, a1):
+        theta = random_form(grid, degree, 52, amplitude=0.5, offset=1.0)
+        theta_t = random_form(grid, degree, 53, amplitude=0.2)
+        w = interior_weight(grid)
+        params = SolverParams(a0=a0, a1=a1, weight=w, cg_tol=1e-12, cg_max_iter=2000)
         u = generalized_optical_flow(theta, theta_t, params)
         d1, d2 = dense_gof_solve(
             (degree, [c.values for c in theta.components]),
             (degree, [c.values for c in theta_t.components]),
-            grid16,
+            grid,
+            a0=a0,
+            a1=a1,
             weight=w.values,
         )
         scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
         assert np.max(np.abs(u.u1.values - d1)) <= 1e-6 * scale
         assert np.max(np.abs(u.u2.values - d2)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_matches_dense_oracle(self, grid16, degree):
+        self.check_dense_oracle(grid16, degree, a0=1.0, a1=1.0)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_off_default_matches_dense_oracle(self, grid16, degree):
+        """Unequal a0 and a1, so that the regularizer's two terms cannot
+        trade places unseen."""
+        self.check_dense_oracle(grid16, degree, a0=2.0, a1=0.5)
 
     @settings(max_examples=15, deadline=None)
     @given(
