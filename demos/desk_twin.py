@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """The desk-scale twin experiment, plain filter against morphed filter.
 
-A double-vortex truth is observed on a coarse grid with noisy height and
-vorticity; an eight-member ensemble started from displaced vortices is
-analyzed once by a stochastic EnKF.  The morphed variant first aligns each
-member with the observations by tensor morphing, then lets the filter
-correct what alignment cannot.  Position error masquerading as amplitude
+A double-vortex truth's height and vorticity are observed on a coarse
+grid, exactly but with prescribed variances; an eight-member ensemble
+started from displaced vortices is analyzed once by a stochastic EnKF.
+The morphed variant first aligns each member with the observations by
+tensor morphing, then lets the filter correct what alignment cannot.  Position error masquerading as amplitude
 error is what the morph removes, and the buoyancy field, which the filter
 observes only through its correlations, is where that shows up.
 """

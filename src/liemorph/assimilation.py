@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .morph_engine import ObservablePair, _run_morph_batch
+from .morph_engine import _OBSERVABLE_DEGREES, ObservablePair, _run_morph_batch
 from .forms import DiffForm
 from .spectral_core import GridSpec, ScalarField, coarsen, refine
 from .tsw_model import InstabilityError, TSWState, _integrate_batch, double_vortex_ic, vorticity_of
@@ -50,18 +50,22 @@ __all__ = [
 
 @dataclass
 class ObsSet:
-    """Coarse-grid observations of h and omega with their variances."""
+    """Coarse-grid observations by name: name -> ScalarField and name -> variance."""
 
     grid: GridSpec
-    h_obs: ScalarField
-    omega_obs: ScalarField
-    r_h: float
-    r_omega: float
+    fields: dict
+    r: dict
 
     def __post_init__(self):
-        if self.h_obs.grid != self.grid or self.omega_obs.grid != self.grid:
+        if not self.fields:
+            raise ValueError("an observation set needs at least one observed field")
+        if self.r.keys() != self.fields.keys():
+            raise ValueError("observation variances must name the observed fields")
+        if not self.fields.keys() <= _OBSERVABLE_DEGREES.keys():
+            raise ValueError(f"observables must be among {list(_OBSERVABLE_DEGREES)}")
+        if any(f.grid != self.grid for f in self.fields.values()):
             raise ValueError("observation fields must live on the obs grid")
-        if self.r_h < 0 or self.r_omega < 0:
+        if any(r < 0 for r in self.r.values()):
             raise ValueError("observation variances must be nonnegative")
 
 
@@ -89,16 +93,15 @@ class Ensemble:
 
 
 def _observed(state, coarse):
-    # the observation operator: the state's h and omega, coarsened
-    return coarsen(state.h, coarse), coarsen(vorticity_of(state), coarse)
+    # the observation operator: each observable of the state, coarsened
+    return {"h": coarsen(state.h, coarse), "omega": coarsen(vorticity_of(state), coarse)}
 
 
 def observe(truth, coarse):
     """Coarsen the truth's h and omega; r = 0.01 * mean(obs^2) per field."""
-    h_obs, omega_obs = _observed(truth, coarse)
-    r_h = 0.01 * float(np.mean(h_obs.values**2))
-    r_omega = 0.01 * float(np.mean(omega_obs.values**2))
-    return ObsSet(coarse, h_obs, omega_obs, r_h, r_omega)
+    fields = _observed(truth, coarse)
+    r = {name: 0.01 * float(np.mean(f.values**2)) for name, f in fields.items()}
+    return ObsSet(coarse, fields, r)
 
 
 def draw_center_offsets(rng, ne, mean=0.1, std=0.1):
@@ -239,10 +242,10 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
     """Stochastic perturbed-observation EnKF analysis on the coarse grid.
 
     The coarse state vector stacks (h, Theta, v1, v2); the observation
-    vector stacks (h, omega) diagnostics.  Analysis increments are refined
+    vector stacks `obs.fields` in order.  Analysis increments are refined
     spectrally to the fine grid and added to the members.
     """
-    if obs.r_h <= 0 or obs.r_omega <= 0:
+    if any(r <= 0 for r in obs.r.values()):
         raise ValueError(
             "observation variances must be positive (identically zero "
             "observations are rejected)"
@@ -254,18 +257,18 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
 
     # predicted observations; the state vector reuses their coarse h
     observed = [_observed(m, coarse) for m in ensemble.members]
-    y = np.stack([_stacked(o) for o in observed], axis=1)
-    z = np.stack([_stacked([h, *(coarsen(f, coarse) for f in (m.theta, m.v1, m.v2))])
-                  for m, (h, _) in zip(ensemble.members, observed)], axis=1)
+    y = np.stack([_stacked(o[name] for name in obs.fields) for o in observed], axis=1)
+    z = np.stack([_stacked([o["h"], *(coarsen(f, coarse) for f in (m.theta, m.v1, m.v2))])
+                  for m, o in zip(ensemble.members, observed)], axis=1)
     z_anom = z - z.mean(axis=1, keepdims=True)
     y_anom = y - y.mean(axis=1, keepdims=True)
 
-    r_diag = np.concatenate([np.full(nc, obs.r_h), np.full(nc, obs.r_omega)])
+    r_diag = np.concatenate([np.full(nc, obs.r[name]) for name in obs.fields])
     weights = _gain_weights(y_anom, r_diag)
 
-    y_obs = np.concatenate([obs.h_obs.values.ravel(), obs.omega_obs.values.ravel()])
+    y_obs = _stacked(obs.fields.values())
     rng = np.random.default_rng(obs_noise_seed)
-    noise = rng.normal(0.0, 1.0, size=(2 * nc, ne)) * np.sqrt(r_diag)[:, None]
+    noise = rng.normal(0.0, 1.0, size=(r_diag.size, ne)) * np.sqrt(r_diag)[:, None]
     innovations = y_obs[:, None] + noise - y
     dz = z_anom @ (weights @ innovations)
 
@@ -283,10 +286,8 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
 
 
 def _targets_from_obs(obs, fine):
-    return [
-        ObservablePair("h", DiffForm.from_scalar(2, refine(obs.h_obs, fine))),
-        ObservablePair("omega", DiffForm.from_scalar(2, refine(obs.omega_obs, fine))),
-    ]
+    return [ObservablePair(name, DiffForm.from_scalar(_OBSERVABLE_DEGREES[name], refine(f, fine)))
+            for name, f in obs.fields.items()]
 
 
 def morph_ensemble(ensemble, obs, morph_params, naive=False, workers=1):

@@ -403,10 +403,9 @@ def run_experiment(config):
     report.fields += _dumps("truth", None, truth_fields)
 
     obs = observe(truth, config.coarse)
-    obs = dc_replace(obs, r_h=obs.r_h * config.r_scale, r_omega=obs.r_omega * config.r_scale)
-    report.fields += [FieldDump("h_obs", "obs", None, obs.h_obs),
-                      FieldDump("omega_obs", "obs", None, obs.omega_obs)]
-    report.metrics_rows += [("obs", "h", "r", obs.r_h), ("obs", "omega", "r", obs.r_omega)]
+    obs = dc_replace(obs, r={name: r * config.r_scale for name, r in obs.r.items()})
+    report.fields += [FieldDump(f"{name}_obs", "obs", None, f) for name, f in obs.fields.items()]
+    report.metrics_rows += [("obs", name, "r", r) for name, r in obs.r.items()]
 
     if config.pipeline == "nudging-run":
         _run_nudging(config, truth_fields, obs, report)

@@ -111,7 +111,8 @@ def _closed_form_hat(f, gh, grid, params, out=None, tmp=None):
     # written into `out` when given; tmp is the scratch of `_scratch`, of
     # which it uses r[0] and c[1]
     r, c = _scratch(f.shape) if tmp is None else tmp
-    wf = _weight_values(params, grid) * f
+    # W f, with f itself when no weight is set: 1.0 * f would copy it
+    wf = f if params.weight is None else _weight_values(params, grid) * f
     out = np.empty((2, *gh.shape), dtype=complex) if out is None else out
     for axis in (0, 1):
         prod = _deriv_hat(gh, grid, axis, r[0], c[1])

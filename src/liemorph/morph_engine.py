@@ -126,24 +126,17 @@ class ObservablePair:
 
 
 class MorphTrace:
-    """Per-step morph diagnostics, serializable to CSV."""
+    """Per-step morph diagnostics, serializable to CSV; unobserved names read nan."""
 
-    COLUMNS = ("step", "mse_h", "mse_omega", "mass", "vorticity_total", "buoyancy_integral")
+    COLUMNS = ("step", *(f"mse_{name}" for name in _OBSERVABLE_DEGREES),
+               "mass", "vorticity_total", "buoyancy_integral")
 
     def __init__(self):
         self.rows = []
 
-    def record(self, step, mse_h, mse_omega, totals):
-        self.rows.append(
-            (
-                step,
-                mse_h,
-                mse_omega,
-                totals["mass"],
-                totals["vorticity"],
-                totals["buoyancy_integral"],
-            )
-        )
+    def record(self, step, mses, totals):
+        self.rows.append((step, *(mses.get(name, np.nan) for name in _OBSERVABLE_DEGREES),
+                          totals["mass"], totals["vorticity"], totals["buoyancy_integral"]))
 
     def __len__(self):
         return len(self.rows)
@@ -216,6 +209,11 @@ def _target_spectra(targets, grid):
     return out
 
 
+def _observables(ws):
+    # (values, spectrum) of each observable in the _Workspace ws
+    return {"h": (ws.vals[0], ws.spec[0]), "omega": (ws.omega, ws.omega_hat)}
+
+
 def _velocity(observed, grid, ws):
     """Values u of the combined displacement toward the observed targets,
     from the state of the _Workspace ws, into ws.u.
@@ -227,7 +225,7 @@ def _velocity(observed, grid, ws):
     """
     if not observed:
         raise ValueError("morph_velocity needs at least one observable")
-    obs = {"h": (ws.vals[0], ws.spec[0]), "omega": (ws.omega, ws.omega_hat)}
+    obs = _observables(ws)
     pairs = [(th, *obs[name]) for name, _, th in observed]
     uh = _combined_displacement_hat(pairs, grid, ws.uh, ws.forcing, (ws.r, ws.c), ws.dens)
     return _irfft_all(uh, grid, ws.u)
@@ -237,13 +235,12 @@ def _record(traces, k, observed, grid, ws):
     """Record row k in the trace of each member of the _Workspace ws, whose
     omega and omega_hat receive the state's vorticity; the per-member MSE
     of each observed name."""
-    omega, _ = _vorticity(ws.spec, grid, (ws.omega, ws.omega_hat), ws.c[0])
-    obs = {"h": ws.vals[0], "omega": omega}
-    mses = {name: _mse(obs[name], t, ws.r[0]) for name, t, _ in observed}
-    totals = _totals(ws.vals, omega, grid.area)
-    nan = np.full(len(traces), np.nan)
+    _vorticity(ws.spec, grid, (ws.omega, ws.omega_hat), ws.c[0])
+    obs = _observables(ws)
+    mses = {name: _mse(obs[name][0], t, ws.r[0]) for name, t, _ in observed}
+    totals = _totals(ws.vals, ws.omega, grid.area)
     for j, trace in enumerate(traces):
-        trace.record(k, float(mses.get("h", nan)[j]), float(mses.get("omega", nan)[j]),
+        trace.record(k, {name: float(v[j]) for name, v in mses.items()},
                      {name: float(v[j]) for name, v in totals.items()})
     return mses
 

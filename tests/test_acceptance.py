@@ -437,7 +437,7 @@ def test_criterion_7_kalman_gain():
     ens = generate_ensemble(VortexIC(), fine, 8, seed=1234, spinup_steps=20, params=params)
     truth = double_vortex_ic(VortexIC(ox=0.12, oy=0.08), fine, params)
     obs = observe(truth, coarse)
-    inflated = ObsSet(coarse, obs.h_obs, obs.omega_obs, obs.r_h * 1e12, obs.r_omega * 1e12)
+    inflated = ObsSet(coarse, obs.fields, {name: r * 1e12 for name, r in obs.r.items()})
     post = enkf_analysis(ens, inflated, obs_noise_seed=5678)
 
     def stacked(state):

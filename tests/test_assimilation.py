@@ -85,10 +85,10 @@ def state_vector(state, coarse):
 class TestObserve:
     def test_rest_state_variances(self, params):
         obs = observe(TSWState.rest(FINE, params), COARSE)
-        assert np.allclose(obs.h_obs.values, params.h0, atol=1e-14)
-        assert np.max(np.abs(obs.omega_obs.values)) <= 1e-14
-        assert obs.r_h == pytest.approx(0.01 * params.h0**2, rel=1e-12)
-        assert obs.r_omega == 0.0
+        assert np.allclose(obs.fields["h"].values, params.h0, atol=1e-14)
+        assert np.max(np.abs(obs.fields["omega"].values)) <= 1e-14
+        assert obs.r["h"] == pytest.approx(0.01 * params.h0**2, rel=1e-12)
+        assert obs.r["omega"] == 0.0
 
     def test_single_mode_variances_are_analytic(self, params):
         """A mode below the coarse Nyquist survives coarsening exactly, so
@@ -103,15 +103,39 @@ class TestObserve:
             ScalarField(FINE, b_v * np.sin(k * x)),
         )
         obs = observe(truth, COARSE)
-        assert obs.r_h == pytest.approx(0.01 * (params.h0**2 + a_h**2 / 2), rel=1e-12)
-        assert obs.r_omega == pytest.approx(0.01 * (k * b_v) ** 2 / 2, rel=1e-10)
+        assert obs.r["h"] == pytest.approx(0.01 * (params.h0**2 + a_h**2 / 2), rel=1e-12)
+        assert obs.r["omega"] == pytest.approx(0.01 * (k * b_v) ** 2 / 2, rel=1e-10)
 
     def test_same_grid_observation_is_identity(self, params, truth):
         obs = observe(truth, FINE)
-        assert np.allclose(obs.h_obs.values, truth.h.values, atol=1e-12)
+        assert np.allclose(obs.fields["h"].values, truth.h.values, atol=1e-12)
         assert np.allclose(
-            obs.omega_obs.values, vorticity_of(truth).values, atol=1e-12
+            obs.fields["omega"].values, vorticity_of(truth).values, atol=1e-12
         )
+
+
+class TestObsSet:
+    @pytest.fixture
+    def field(self):
+        return ScalarField.constant(COARSE, 1.0)
+
+    def test_rejects_mismatched_names(self, field):
+        with pytest.raises(ValueError, match="variances"):
+            ObsSet(COARSE, {"h": field}, {"omega": 0.1})
+        with pytest.raises(ValueError, match="variances"):
+            ObsSet(COARSE, {"h": field, "omega": field}, {"h": 0.1})
+
+    def test_rejects_unknown_name(self, field):
+        with pytest.raises(ValueError, match="observables"):
+            ObsSet(COARSE, {"h": field, "theta": field}, {"h": 0.1, "theta": 0.1})
+
+    def test_rejects_empty_set(self):
+        with pytest.raises(ValueError, match="at least one"):
+            ObsSet(COARSE, {}, {})
+
+    def test_rejects_field_off_the_obs_grid(self):
+        with pytest.raises(ValueError, match="obs grid"):
+            ObsSet(COARSE, {"h": ScalarField.constant(FINE, 1.0)}, {"h": 0.1})
 
 
 class TestGenerateEnsemble:
@@ -204,9 +228,7 @@ class TestEnkfAnalysis:
         about 1e-6 (the noise term decays like sqrt(R) against the R in
         the denominator), measured on the stacked coarse state vector."""
         obs = observe(truth, COARSE)
-        inflated = ObsSet(
-            COARSE, obs.h_obs, obs.omega_obs, obs.r_h * 1e12, obs.r_omega * 1e12
-        )
+        inflated = ObsSet(COARSE, obs.fields, {name: r * 1e12 for name, r in obs.r.items()})
         post = enkf_analysis(ensemble, inflated, obs_noise_seed=3)
         worst = 0.0
         for before, after in zip(ensemble.members, post.members):
@@ -238,36 +260,35 @@ class TestEnkfAnalysis:
             for fa, fb in zip(after.fields(), before.fields()):
                 assert np.array_equal(fa.values, fb.values)
 
-    def test_analysis_matches_explicit_replication(self, ensemble, truth):
+    @pytest.mark.parametrize("names", [("h", "omega"), ("h",)], ids="-".join)
+    def test_analysis_matches_explicit_replication(self, ensemble, truth, names):
         """Rebuild the whole perturbed-observation update with the joint
-        covariance oracle and the same seeded noise draw."""
-        obs = observe(truth, COARSE)
+        covariance oracle and the same seeded noise draw, for each observed
+        set."""
+        full = observe(truth, COARSE)
+        obs = ObsSet(COARSE, {n: full.fields[n] for n in names}, {n: full.r[n] for n in names})
         seed = 77
         post = enkf_analysis(ensemble, obs, obs_noise_seed=seed)
 
         nc = COARSE.nx * COARSE.ny
         ne = len(ensemble)
+        operator = {"h": lambda m: m.h, "omega": vorticity_of}
         z = np.stack([state_vector(m, COARSE) for m in ensemble.members], axis=1)
         y = np.stack(
             [
                 np.concatenate(
-                    [
-                        coarsen(m.h, COARSE).values.ravel(),
-                        coarsen(vorticity_of(m), COARSE).values.ravel(),
-                    ]
+                    [coarsen(operator[n](m), COARSE).values.ravel() for n in names]
                 )
                 for m in ensemble.members
             ],
             axis=1,
         )
-        r_diag = np.concatenate([np.full(nc, obs.r_h), np.full(nc, obs.r_omega)])
+        r_diag = np.concatenate([np.full(nc, obs.r[n]) for n in names])
         gain = explicit_covariance_gain(
             z - z.mean(axis=1, keepdims=True), y - y.mean(axis=1, keepdims=True), r_diag
         )
-        y_obs = np.concatenate(
-            [obs.h_obs.values.ravel(), obs.omega_obs.values.ravel()]
-        )
-        noise = np.random.default_rng(seed).normal(0.0, 1.0, size=(2 * nc, ne))
+        y_obs = np.concatenate([obs.fields[n].values.ravel() for n in names])
+        noise = np.random.default_rng(seed).normal(0.0, 1.0, size=(len(names) * nc, ne))
         noise *= np.sqrt(r_diag)[:, None]
         dz = gain @ (y_obs[:, None] + noise - y)
 
@@ -304,10 +325,8 @@ class TestEnkfAnalysis:
         obs0 = observe(truth, COARSE)
         bad = ObsSet(
             COARSE,
-            ScalarField(COARSE, hbar - 400.0 * anom),
-            obs0.omega_obs,
-            1e-10,
-            obs0.r_omega,
+            {"h": ScalarField(COARSE, hbar - 400.0 * anom), "omega": obs0.fields["omega"]},
+            {"h": 1e-10, "omega": obs0.r["omega"]},
         )
         with pytest.raises(InstabilityError, match="analysis member"):
             enkf_analysis(ensemble, bad, obs_noise_seed=5)
@@ -393,6 +412,18 @@ class TestMorphedEnkf:
         for ma, mb in zip(a.members, b.members):
             for fa, fb in zip(ma.fields(), mb.fields()):
                 assert np.array_equal(fa.values, fb.values)
+
+
+    def test_h_only_observations_run_through_morph_and_analysis(self, ensemble, truth):
+        """An ObsSet of h alone morphs toward h, writes nan as its omega
+        MSE and is analysed with one observed field."""
+        full = observe(truth, COARSE)
+        obs = ObsSet(COARSE, {"h": full.fields["h"]}, {"h": full.r["h"]})
+        morphed, traces = morph_ensemble(ensemble, obs, MorphParams(epsilon=10.0, n_steps=20))
+        assert all(len(t) == 21 and all(np.isnan(t.column("mse_omega"))) for t in traces)
+        assert all(t.column("mse_h")[-1] < t.column("mse_h")[0] for t in traces)
+        post = enkf_analysis(morphed, obs, obs_noise_seed=8)
+        assert len(post) == len(ensemble)
 
 
 class TestEnsembleContainer:

@@ -5,6 +5,8 @@ oracles.py, which rebuild the Euler-Lagrange and normal equations with
 explicit differentiation matrices instead of FFTs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from liemorph import (
     h1_norm,
     lie_derivative,
 )
-from liemorph.displacement_solver import PREFACTOR, lie_operator_adjoint
+from liemorph.displacement_solver import PREFACTOR, _closed_form_hat, lie_operator_adjoint
+from liemorph.spectral_core import _scratch
 from liemorph.forms import form_inner_integral
 from oracles import dense_el_displacement, dense_gof_solve, random_band_limited
 
@@ -221,6 +224,25 @@ class TestClosedForm:
         counts = count_ffts()
         solve(theta1, theta2)
         assert (counts["rfft2"], counts["irfft2"]) == expected
+
+
+    def test_unweighted_solve_copies_no_field(self):
+        """Unweighted, a solve into preallocated `out` and scratch allocates
+        only np.fft.irfftn's complex temporary, one spectrum's bytes; a
+        copy of f for W f would add f.nbytes.  On a batch of 8 at 64^2 the
+        peak measured 272,776 B, and 535,016 B with that copy."""
+        grid = GridSpec(64, 64, 5000.0, 5000.0)
+        f = np.stack([random_band_limited(grid, 40 + i, offset=1.0) for i in range(8)])
+        gh = np.fft.rfft2(np.stack([random_band_limited(grid, 50 + i) for i in range(8)]))
+        out, tmp, params = np.empty((2, *gh.shape), dtype=complex), _scratch(f.shape), SolverParams()
+        _closed_form_hat(f, gh, grid, params, out, tmp)  # fills the grid's lazy caches
+        tracemalloc.start()
+        try:
+            _closed_form_hat(f, gh, grid, params, out, tmp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gh.nbytes + f.nbytes // 2
 
 
 class TestGeneralizedOpticalFlow:

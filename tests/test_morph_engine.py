@@ -445,6 +445,24 @@ class TestMorphTrace:
         assert got == trace.column("mse_h")
 
 
+    def test_unobserved_name_reads_nan(self, tmp_path, grid_km, params):
+        """An h-only morph has no omega MSE: every mse_omega row is nan, in
+        the trace and in its CSV."""
+        state = bump_state(grid_km, params)
+        target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
+        _, trace = run_morph(
+            state, [h_target(grid_km, target)], MorphParams(epsilon=10.0, n_steps=3)
+        )
+        assert len(trace) == 4
+        assert all(np.isnan(trace.column("mse_omega")))
+        assert not any(np.isnan(trace.column("mse_h")))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["mse_omega"] for r in rows] == ["nan"] * len(trace)
+
+
 class TestValidation:
     def test_morph_params_rejects_bad_values(self):
         with pytest.raises(ValueError):
