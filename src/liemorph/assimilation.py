@@ -92,14 +92,15 @@ class Ensemble:
         return len(self.members)
 
 
-def _observed(state, coarse):
-    # the observation operator: each observable of the state, coarsened
-    return {"h": coarsen(state.h, coarse), "omega": coarsen(vorticity_of(state), coarse)}
+def _observed(state, coarse, names):
+    # the observation operator: each named observable of the state, coarsened
+    fields = {"h": lambda: state.h, "omega": lambda: vorticity_of(state)}
+    return {name: coarsen(fields[name](), coarse) for name in names}
 
 
 def observe(truth, coarse):
     """Coarsen the truth's h and omega; r = 0.01 * mean(obs^2) per field."""
-    fields = _observed(truth, coarse)
+    fields = _observed(truth, coarse, _OBSERVABLE_DEGREES)
     r = {name: 0.01 * float(np.mean(f.values**2)) for name, f in fields.items()}
     return ObsSet(coarse, fields, r)
 
@@ -134,7 +135,7 @@ def _run_batches(kernel, items, grid, workers, failure):
     min(workers, batch count) threads.  The kernels spend their time in
     numpy FFTs and ufuncs, which release the GIL at these array sizes, so
     threads run batches in parallel without a second interpreter.  Batches
-    share no mutable state; the lazily filled GridSpec caches they share
+    share no mutable state; the per-grid multiplier caches they share
     are deterministic and read-only.  An InstabilityError of batch member
     j is re-raised as failure.format(start + j, error), chained to it.
 
@@ -255,10 +256,11 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
     ne = len(ensemble)
     nc = coarse.nx * coarse.ny
 
-    # predicted observations; the state vector reuses their coarse h
-    observed = [_observed(m, coarse) for m in ensemble.members]
-    y = np.stack([_stacked(o[name] for name in obs.fields) for o in observed], axis=1)
-    z = np.stack([_stacked([o["h"], *(coarsen(f, coarse) for f in (m.theta, m.v1, m.v2))])
+    # predicted observations; the state vector reuses their coarse h, if observed
+    observed = [_observed(m, coarse, obs.fields) for m in ensemble.members]
+    y = np.stack([_stacked(o.values()) for o in observed], axis=1)
+    z = np.stack([_stacked([o["h"] if "h" in o else coarsen(m.h, coarse),
+                            *(coarsen(f, coarse) for f in (m.theta, m.v1, m.v2))])
                   for m, o in zip(ensemble.members, observed)], axis=1)
     z_anom = z - z.mean(axis=1, keepdims=True)
     y_anom = y - y.mean(axis=1, keepdims=True)

@@ -13,6 +13,7 @@ from .spectral_core import (
     _check_finite,
     _deriv,
     _deriv_hat,
+    _h1_weight,
     _scratch,
     curl_2d,
     domain_integral,
@@ -216,7 +217,7 @@ def _h1_norm_hat(uh, grid, tmp=None):
     np.square(uh[0].real, out=dens)
     for part in (uh[0].imag, uh[1].real, uh[1].imag):
         dens += np.square(part, out=sq)
-    dens *= grid.h1_weight()
+    dens *= _h1_weight(grid)
     rows = dens.sum(axis=-2)
     # one dot per member: a batched (B, nk) @ (nk,) rounds differently
     w = grid._parseval_w

@@ -16,10 +16,10 @@ first failing member).
 The batch loop runs on one workspace (`tsw_model._Workspace`, which the
 model's batch loop shares): arrays allocated once per batch and reused
 by every step, into which the kernel helpers write through their `out=`
-and scratch arguments.  The AB history is a
-ring buffer of shape (order, 4, B, nx, ny//2+1): each tendency is
-written straight into its slot, and the AB sum is one pass over the
-ring.  Inverse transforms go through `spectral_core._irfft2`, which calls
+and scratch arguments.  The AB history is the workspace's own ring, an
+array of shape (order, 4, B, nx, ny//2+1): each tendency is written
+straight into its slot, and the AB sum is one pass over the ring.
+Inverse transforms go through `spectral_core._irfft2`, which calls
 np.fft.irfftn, since np.fft.irfft2 ignores `out`.  The typed functions
 are batch-of-one runs: `morph_velocity` and `morph_step` each run one
 step of the loop on a one-member workspace of their own, whose ring
@@ -254,7 +254,7 @@ def _step(ws, u, params, naive, step, grid, drift=None):
     0-form, d(theta)/ds = -u . grad(theta).  A drift (model, strength)
     adds the model tendency: see `nudge`.
     """
-    vals, spec, tend, tmp = ws.vals, ws.spec, ws.ring.slot(), (ws.r, ws.c)
+    vals, spec, tend, tmp = ws.vals, ws.spec, ws.slot(), (ws.r, ws.c)
     model, errors = None, _MORPH_ERRORS
     if drift is not None:
         (model, strength), errors = drift, _MODEL_ERRORS
@@ -306,7 +306,7 @@ def morph_step(state, u, params, history=None, step=None, naive=False):
     ws = _Workspace([state], params.ab_order, history=history)
     _vorticity(ws.spec, g, (ws.omega, ws.c[0]), ws.c[1])
     _step(ws, np.stack([u.u1.values, u.u2.values])[:, None], params, naive, step, g)
-    ws.ring.save(history)
+    ws.save(history)
     return _state(ws.vals[:, 0], g, state.time)
 
 

@@ -5,6 +5,9 @@ results do not depend on the FFT layout.  Fields are sampled at cell centers
 (i*dx, j*dy) with the first array axis running along x.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 __all__ = [
@@ -26,13 +29,16 @@ class GridSpec:
     """Geometry of a doubly periodic rectangular grid.
 
     Args:
-        nx, ny: grid counts, even and >= 4 (spectral symmetry of real
-            transforms).
+        nx, ny: grid counts, integers (numpy integers too), even and
+            >= 4 (spectral symmetry of real transforms).
         lx, ly: physical extents in length units (km).
     """
 
     def __init__(self, nx, ny, lx, ly):
-        nx, ny = int(nx), int(ny)
+        try:
+            nx, ny = operator.index(nx), operator.index(ny)
+        except TypeError:
+            raise ValueError(f"grid counts must be integers, got {nx!r} x {ny!r}") from None
         if nx < 4 or ny < 4 or nx % 2 or ny % 2:
             raise ValueError(f"grid counts must be even and >= 4, got {nx} x {ny}")
         if not (0 < lx < np.inf and 0 < ly < np.inf):
@@ -60,8 +66,6 @@ class GridSpec:
         # columns hold one mode each, every other column a conjugate pair
         self._parseval_w = np.full(ny // 2 + 1, 2.0)
         self._parseval_w[[0, -1]] = 1.0
-        self._hou_li = {}
-        self._h1_weight = None
 
     @property
     def shape(self):
@@ -70,27 +74,6 @@ class GridSpec:
     @property
     def area(self):
         return self.lx * self.ly
-
-    # Threads may race to fill a cache; the race is benign, as each
-    # computes the same deterministic read-only array and one attribute or
-    # dict assignment runs under the GIL.
-    def hou_li(self, a):
-        """hou_li_multiplier(self, a), computed once per exponent, read-only."""
-        mult = self._hou_li.get(a)
-        if mult is None:
-            mult = hou_li_multiplier(self, a)
-            mult.flags.writeable = False
-            self._hou_li[a] = mult
-        return mult
-
-    def h1_weight(self):
-        """1 + |k|^2 of the odd derivatives, the H1 weight of each rfft2
-        mode; computed once, read-only."""
-        if self._h1_weight is None:
-            w = 1.0 + (self._ikx_odd.imag[:, None] ** 2 + self._iky_odd.imag[None, :] ** 2)
-            w.flags.writeable = False
-            self._h1_weight = w
-        return self._h1_weight
 
     def xy(self):
         """Cell-center coordinate arrays X, Y of shape (nx, ny)."""
@@ -110,11 +93,6 @@ class GridSpec:
 
     def __hash__(self):
         return hash((self.nx, self.ny, self.lx, self.ly))
-
-    def __reduce__(self):
-        # rebuilt from its extents, so a pickled or copied grid carries no
-        # caches (the pipeline itself pickles nothing)
-        return (GridSpec, (self.nx, self.ny, self.lx, self.ly))
 
     def __repr__(self):
         return f"GridSpec(nx={self.nx}, ny={self.ny}, lx={self.lx}, ly={self.ly})"
@@ -262,11 +240,29 @@ def hou_li_multiplier(grid, a):
     return np.exp(-36.0 * (rx[:, None] ** a + ry[None, :] ** a))
 
 
+@functools.lru_cache(maxsize=16)
+def _hou_li(grid, a):
+    """hou_li_multiplier(grid, a), read-only; computed once per grid and
+    exponent, and shared by equal grids."""
+    mult = hou_li_multiplier(grid, a)
+    mult.flags.writeable = False
+    return mult
+
+
+@functools.lru_cache(maxsize=16)
+def _h1_weight(grid):
+    """1 + |k|^2 of the odd derivatives, the H1 weight of each rfft2 mode,
+    read-only; computed once per grid, and shared by equal grids."""
+    w = 1.0 + (grid._ikx_odd.imag[:, None] ** 2 + grid._iky_odd.imag[None, :] ** 2)
+    w.flags.writeable = False
+    return w
+
+
 def hou_li_filter(f, a):
     """Apply the Hou-Li filter (model steps use a = 12, morphing a = 36)."""
     _check_finite(f.values, "hou_li_filter input")
     fh = np.fft.rfft2(f.values)
-    fh *= f.grid.hou_li(a)
+    fh *= _hou_li(f.grid, a)
     return ScalarField(f.grid, _irfft2(fh, f.values.shape))
 
 

@@ -31,8 +31,8 @@ The nudged model, this tendency plus the morph's tensor transport, is
 Every step runs on a `_Workspace`: arrays allocated once per batch and
 reused every step, into which the kernel helpers write through their
 `out=` and scratch arguments.  The typed step functions are batch-of-one
-runs on a workspace of their own.  The AB history is a ring buffer
-(`_ABRing`), seeded from a typed step's history list: one (order, ...)
+runs on a workspace of their own.  The AB history is the workspace's
+own ring, seeded from a typed step's history list: one (order, ...)
 array whose slots the tendencies are written into, so the plain AB sum
 is a single pass, the coefficient vector times the slots viewed as an
 (order, n) float matrix, and the Lawson step's Horner sum takes turns
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DisplacementField
-from .spectral_core import ScalarField, _deriv, _deriv_hat, _irfft2, _scratch, curl_2d
+from .spectral_core import ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _scratch, curl_2d
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -378,55 +378,23 @@ def _propagate(prop, x, out):
     return out
 
 
-class _ABRing:
-    """The AB history of a batch loop in one preallocated array.
-
-    buf (order, ...) holds the last `order` tendency spectra.  The caller
-    writes the tendency of step n in place into `slot()`, slot n % order,
-    and `_ab_advance` counts it; so keeping the history copies nothing,
-    and the plain AB sum is one product of a coefficient vector with the
-    filled slots, viewed as rows of one float matrix.  Once a step has
-    read its oldest entry, `slot()` is free until the next tendency.  The
-    newest `order` entries of `history`, a typed step's list of earlier
-    tendencies (oldest first), fill the first slots.
-    """
-
-    def __init__(self, order, shape, history=()):
-        self.buf = np.empty((order, *shape), dtype=complex)
-        self.count = 0  # tendencies written
-        for tend in history[-order:]:
-            self.buf[self.count] = tend
-            self.count += 1
-
-    def slot(self):
-        """The array the next tendency is written into."""
-        return self.buf[self.count % len(self.buf)]
-
-    def push(self):
-        """Count the slot as written; the filled slots' indices, oldest first."""
-        self.count += 1
-        order = len(self.buf)
-        return [n % order for n in range(max(self.count - order, 0), self.count)]
-
-    def save(self, history):
-        """Append a copy of the newest tendency to the list `history`, cut
-        to its newest `order` entries."""
-        history.append(self.buf[(self.count - 1) % len(self.buf)].copy())
-        del history[: -len(self.buf)]
-
-
 class _Workspace:
     """The arrays of one batch loop, allocated once and reused every step.
 
     vals and spec hold the states (4, B, nx, ny) and their spectra, which
-    each step overwrites; omega holds the vorticity's values, (r, c) the
-    kernel's scratch (see `spectral_core._scratch`), and ring the AB
-    history, an (order, 4, B, nx, ny//2+1) `_ABRing` into whose slot each
-    tendency is written, which `history` seeds.  A loop that takes the
-    model's Lawson step (`model`) also holds grad_th, the values of
-    grad(Theta), and spare, a spectrum of the state's shape for the Horner
-    sum (and the nudge's transport).  The morph's loop (`n_observed` not
-    None) also holds omega_hat, the vorticity's spectrum, u and uh the
+    each step overwrites; omega holds the vorticity's values and (r, c) the
+    kernel's scratch (see `spectral_core._scratch`).  The AB history is
+    ring, an (order, 4, B, nx, ny//2+1) array of the last `order` tendency
+    spectra, and count, the number of tendencies written.  The caller writes
+    the tendency of step n in place into `slot()`, slot n % order, and
+    `_ab_advance` counts it; so keeping the history copies nothing, and once
+    a step has read its oldest entry, `slot()` is free until the next
+    tendency.  The newest `order` entries of `history`, a typed step's list
+    of earlier tendencies (oldest first), fill the first slots.  A loop that
+    takes the model's Lawson step (`model`) also holds grad_th, the values
+    of grad(Theta), and spare, a spectrum of the state's shape for the
+    Horner sum (and the nudge's transport).  The morph's loop (`n_observed`
+    not None) also holds omega_hat, the vorticity's spectrum, u and uh the
     displacement, forcing the displacement of each observable and dens the
     H1 densities.  Every array ends in the axes (member, x, y), so `keep`
     slices them all alike.
@@ -438,7 +406,11 @@ class _Workspace:
         members = self.vals.shape[1:]
         self.omega = np.empty(members)
         self.r, self.c = _scratch(members)
-        self.ring = _ABRing(order, self.spec.shape, history)
+        self.ring = np.empty((order, *self.spec.shape), dtype=complex)
+        self.count = 0
+        for tend in history[-order:]:
+            self.ring[self.count] = tend
+            self.count += 1
         if model:
             self.grad_th = np.empty((2, *members))
             self.spare = np.empty_like(self.spec)
@@ -449,13 +421,22 @@ class _Workspace:
             self.forcing = np.empty((n_observed, *self.uh.shape), dtype=complex)
             self.dens = np.empty(self.uh.shape)
 
+    def slot(self):
+        """The ring slot the next tendency is written into."""
+        return self.ring[self.count % len(self.ring)]
+
+    def save(self, history):
+        """Append a copy of the newest tendency to the list `history`, cut
+        to its newest `order` entries."""
+        history.append(self.ring[(self.count - 1) % len(self.ring)].copy())
+        del history[: -len(self.ring)]
+
     def keep(self, mask):
         """Keep the members where `mask` is true, in every array, once; the
         copies are contiguous, as `_ab_sum` needs."""
         for name, arr in list(vars(self).items()):
             if isinstance(arr, np.ndarray):
                 setattr(self, name, np.compress(mask, arr, axis=-3))
-        self.ring.buf = np.compress(mask, self.ring.buf, axis=-3)
 
 
 def _ab_sum(weights, rows, out):
@@ -473,12 +454,12 @@ def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
     shared by the model and the morph, and by the batch loops and the
     typed functions, which are batch-of-one runs.
 
-    The caller has written the tendency into `ws.ring.slot()`; the step
-    counts it as the ring's newest entry, so repeated calls bootstrap the
-    order up to the ring's length.  It advances ws.spec by `size` times
-    the AB sum, applies the Hou-Li multiplier `filter_a` and transforms
-    each field back once into ws.vals, both overwritten.  The plain step
-    forms size sum_j c_j T_{n-j} in one pass over the ring (`_ab_sum`).
+    The caller has written the tendency into `ws.slot()`; the step counts
+    it as the ring's newest entry, so repeated calls bootstrap the order up
+    to the ring's length.  It advances ws.spec by `size` times the AB sum,
+    applies the Hou-Li multiplier `filter_a` and transforms each field
+    back once into ws.vals, both overwritten.  The plain step forms
+    size sum_j c_j T_{n-j} in one pass over the ring (`_ab_sum`).
     With the ModelParams `model` the step is Lawson's integrating-factor AB
     (Cox & Matthews 2002): the tendency is the remainder N = tendency -
     L spec of `_tendency_hat`, and the exact propagator E = exp(L size)
@@ -492,15 +473,17 @@ def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
     member.
     """
     ring, spec, vals = ws.ring, ws.spec, ws.vals
-    slots = ring.push()
+    ws.count += 1
+    # the filled slots' indices, oldest first
+    slots = [n % len(ring) for n in range(max(ws.count - len(ring), 0), ws.count)]
     coeffs = AB_COEFFS[len(slots)]
-    filt = grid.hou_li(filter_a)
+    filt = _hou_li(grid, filter_a)
     if model is None:
         # the ring's filled slots are its first len(slots), in ring order
         weights = np.empty(len(slots))
         weights[slots] = coeffs[::-1]
         weights *= size
-        rows, ab_sum = ring.buf[: len(slots)], ws.c[0]
+        rows, ab_sum = ring[: len(slots)], ws.c[0]
         # (spec + size * AB sum) * multiplier, then the inverse transform,
         # field by field: each field's arrays are still in cache
         for f, (s, v) in enumerate(zip(spec, vals)):
@@ -513,12 +496,12 @@ def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
         # in two buffers that take turns: the ring's next slot, free once
         # the oldest entry is read, and ws.spare
         prop = _propagator(grid, model.f, model.h0, model.theta0, size)
-        acc, other = ring.slot(), ws.spare
+        acc, other = ws.slot(), ws.spare
         weights = [size * c for c in coeffs[::-1]]
-        np.multiply(ring.buf[slots[0]], weights[0], out=acc)
+        np.multiply(ring[slots[0]], weights[0], out=acc)
         for w, i in zip(weights[1:], slots[1:]):
             _propagate(prop, acc, other)
-            other += np.multiply(ring.buf[i], w, out=acc)
+            other += np.multiply(ring[i], w, out=acc)
             acc, other = other, acc
         acc += spec
         _propagate(prop, acc, spec)
@@ -552,8 +535,7 @@ def _model_step(ws, params, grid, step):
     tendency into the ring's slot, then the Lawson AB3 step."""
     omega, _ = _vorticity(ws.spec, grid, (ws.omega, ws.c[0]), ws.c[1])
     grad_th = _grad_theta(ws.spec, grid, ws.grad_th, ws.c[0])
-    _tendency_hat(ws.vals, ws.spec, params, grid, omega, grad_th, ws.ring.slot(),
-                  (ws.r, ws.c))
+    _tendency_hat(ws.vals, ws.spec, params, grid, omega, grad_th, ws.slot(), (ws.r, ws.c))
     _ab_advance(ws, params.dt, 12, grid, step, _MODEL_ERRORS, params)
 
 
@@ -571,7 +553,7 @@ def ab3_step(state, history, params, step=None):
     """
     ws = _Workspace([state], 3, model=True, history=history)
     _model_step(ws, params, state.grid, step)
-    ws.ring.save(history)
+    ws.save(history)
     return _state(ws.vals[:, 0], state.grid, state.time + params.dt)
 
 

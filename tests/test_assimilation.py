@@ -237,19 +237,29 @@ class TestEnkfAnalysis:
             worst = max(worst, np.max(np.abs(va - vb)) / np.max(np.abs(vb)))
         assert worst <= 1e-6
 
-    def test_coarsens_each_field_once_per_member(self, monkeypatch, ensemble, truth):
-        # four state fields and the vorticity; the h observation reuses the
-        # coarse h of the state vector
-        obs = observe(truth, COARSE)
-        calls = []
+    @pytest.mark.parametrize("names, per_member", [(("h", "omega"), 5), (("h",), 4), (("omega",), 5)],
+                             ids=["h-omega", "h", "omega"])
+    def test_coarsens_each_field_once_per_member(self, monkeypatch, ensemble, truth, names,
+                                                 per_member):
+        # the four state fields, and the vorticity only when it is observed;
+        # the h observation reuses the coarse h of the state vector
+        full = observe(truth, COARSE)
+        obs = ObsSet(COARSE, {n: full.fields[n] for n in names}, {n: full.r[n] for n in names})
+        calls, curls = [], []
 
         def counted(field, coarse):
             calls.append(field)
             return coarsen(field, coarse)
 
+        def counted_curl(state):
+            curls.append(state)
+            return vorticity_of(state)
+
         monkeypatch.setattr(assimilation, "coarsen", counted)
+        monkeypatch.setattr(assimilation, "vorticity_of", counted_curl)
         enkf_analysis(ensemble, obs, obs_noise_seed=3)
-        assert len(calls) == 5 * len(ensemble)
+        assert len(calls) == per_member * len(ensemble)
+        assert len(curls) == ("omega" in names) * len(ensemble)
 
     def test_identical_members_stay_exactly_put(self, params, truth):
         member = band_limited_member(FINE, params, 211)

@@ -27,6 +27,15 @@ def test_morph_two_bumps_tensor_keeps_mass_naive_leaks():
     assert float(drift["naive"]) > 1e-9
 
 
+def test_desk_twin_prints_each_variable_and_keeps_mass():
+    # which filter wins is not asserted: it moves with the analysis time
+    out = run_demo("desk_twin.py")
+    rows = re.findall(r"^\s*(h|theta|v|omega)(?:\s+\S+){3}$", out, re.M)
+    assert rows == ["h", "theta", "v", "omega"], out
+    drift = re.search(r"^worst member mass drift across 8 morphs of 500 steps: (\S+)$", out, re.M)
+    assert drift and float(drift.group(1)) <= 1e-10, out
+
+
 def test_pushforward_orders_are_two():
     out = run_demo("pushforward_orders.py")
     # rows "eps  gap  order"; the first row of each case has no order

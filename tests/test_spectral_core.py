@@ -28,7 +28,7 @@ from liemorph import (
     refine,
 )
 from liemorph.forms import DisplacementField
-from liemorph.spectral_core import _deriv
+from liemorph.spectral_core import _deriv, _h1_weight, _hou_li
 
 from oracles import (
     dense_dx,
@@ -63,6 +63,19 @@ class TestGridSpec:
             GridSpec(16, 16, -1.0, 1.0)
         with pytest.raises(ValueError):
             GridSpec(16, 16, 1.0, 0.0)
+
+    @pytest.mark.parametrize("count", [64.5, 64.0, "64"], ids=repr)
+    def test_rejects_non_integer_counts(self, count):
+        """A count is never truncated or parsed: 64.5 would build 64 points."""
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec(count, 64, 5000.0, 5000.0)
+        with pytest.raises(ValueError, match="integers"):
+            GridSpec(64, count, 5000.0, 5000.0)
+
+    def test_accepts_numpy_integer_counts(self):
+        g = GridSpec(np.int64(64), np.int32(32), 5000.0, 5000.0)
+        assert g.shape == (64, 32) and type(g.nx) is int
+        assert g == GridSpec(64, 32, 5000.0, 5000.0)
 
     def test_equality_and_hash(self):
         a = GridSpec(16, 16, 1.0, 2.0)
@@ -266,25 +279,28 @@ class TestHouLi:
             hou_li_filter(ScalarField.zeros(grid_small), -1.0)
 
     def test_grid_caches_read_only_multiplier(self, grid_small):
-        grid_small.hou_li(12.0)
+        _hou_li.cache_clear()
+        _hou_li(grid_small, 12.0)
         copied = pickle.loads(pickle.dumps(grid_small))
         for g in (grid_small, copied):
             for a in (12.0, 36.0):
-                cached = g.hou_li(a)
+                cached = _hou_li(g, a)
                 assert np.array_equal(cached, hou_li_multiplier(g, a))
-                assert g.hou_li(a) is cached
+                assert _hou_li(g, a) is cached
                 with pytest.raises(ValueError):
                     cached[0, 0] = 0.5
 
     def test_grid_caches_fill_safely_from_threads(self):
         """More threads than cores race to fill a fresh grid's caches; every
         one reads the same read-only values."""
+        _hou_li.cache_clear()
+        _h1_weight.cache_clear()
         grid = GridSpec(64, 64, 5000.0, 5000.0)
         got = []
 
         def read():
             for _ in range(20):
-                got.append((grid.hou_li(36.0), grid.h1_weight()))
+                got.append((_hou_li(grid, 36.0), _h1_weight(grid)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -299,10 +315,13 @@ class TestHouLi:
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 160
         fresh = GridSpec(64, 64, 5000.0, 5000.0)
+        mult_ref = hou_li_multiplier(fresh, 36.0)
+        kx, ky = fresh._ikx_odd.imag, fresh._iky_odd.imag
+        weight_ref = 1.0 + (kx[:, None] ** 2 + ky[None, :] ** 2)
         for mult, weight in got:
             assert not mult.flags.writeable and not weight.flags.writeable
-            assert np.array_equal(mult, fresh.hou_li(36.0))
-            assert np.array_equal(weight, fresh.h1_weight())
+            assert np.array_equal(mult, mult_ref)
+            assert np.array_equal(weight, weight_ref)
 
     def test_damps_highest_mode(self, grid_small):
         delta = np.zeros(grid_small.shape)
