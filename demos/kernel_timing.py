@@ -13,7 +13,12 @@ change in the machine's load reaches both alike; each row is the median
 [min, max] over the repeats of the run's wall time divided by its steps.
 The `cold` column is each case's first run, which fills the caches, the
 allocator's free lists and the FFT plans: a fresh process, as each
-benchmark run is, pays it once.  --grid and --steps shrink the run.
+benchmark run is, pays it once.  The `ffts` and `fft%` columns come from
+one more pass, of the run and of a run of no steps, with numpy's real
+2-D transforms wrapped as `tests/conftest.py::count_ffts` does: the
+transforms per step and their share of the step time, the set-up's
+transforms excluded.  The ms/step columns time unwrapped runs.  --grid
+and --steps shrink the run.
 
     python3 demos/kernel_timing.py [--grid N M] [--steps S] [--repeats R]
 """
@@ -35,6 +40,9 @@ from liemorph.tsw_model import _integrate_batch
 # members and default steps per run of the two grid sizes
 MEMBERS = (8, 1)
 DEFAULT_STEPS = (150, 60)
+# numpy's own irfft2 reaches irfftn by a module-internal name, so no
+# transform is counted twice
+FFT_NAMES = ("rfft2", "rfftn", "irfft2", "irfftn")
 
 
 def time_grid(n, members, steps, repeats):
@@ -51,13 +59,14 @@ def time_grid(n, members, steps, repeats):
         ObservablePair("h", DiffForm.from_scalar(2, truth.h)),
         ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
     ]
-    morph = replace(desk.morph, n_steps=steps)
-    timed = [("_run_morph_batch", lambda: _run_morph_batch(states, targets, morph)),
-             ("_integrate_batch", lambda: _integrate_batch(states, steps, model))]
+    # each kernel, run for a given number of steps
+    timed = [("_run_morph_batch",
+              lambda k: _run_morph_batch(states, targets, replace(desk.morph, n_steps=k))),
+             ("_integrate_batch", lambda k: _integrate_batch(states, k, model))]
 
     def ms_per_step(run):
         t0 = time.perf_counter()
-        run()
+        run(steps)
         return 1e3 * (time.perf_counter() - t0) / steps
 
     cold = [ms_per_step(run) for _, run in timed]
@@ -65,8 +74,42 @@ def time_grid(n, members, steps, repeats):
     for _ in range(repeats):
         for row, (_, run) in zip(ms, timed):
             row.append(ms_per_step(run))
-    return [(kernel, n, members, steps, first, row)
-            for (kernel, _), first, row in zip(timed, cold, ms)]
+    ffts = [fft_profile(run, steps) for _, run in timed]
+    return [(kernel, n, members, steps, *fft, first, row)
+            for (kernel, _), fft, first, row in zip(timed, ffts, cold, ms)]
+
+
+def fft_profile(run, steps):
+    """(FFT calls per step, share of step time in them) of run(steps),
+    less those of run(0), the set-up's, with np.fft's real 2-D transforms
+    wrapped; the kernel makes its inverse ones through irfftn."""
+    calls, spent = [0], [0.0]
+
+    def wrapped(fn):
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - t0
+                calls[0] += 1
+        return timed
+
+    originals = {name: getattr(np.fft, name) for name in FFT_NAMES}
+    totals = []
+    try:
+        for name, fn in originals.items():
+            setattr(np.fft, name, wrapped(fn))
+        for k in (steps, 0):
+            calls[0], spent[0] = 0, 0.0
+            t0 = time.perf_counter()
+            run(k)
+            totals.append((calls[0], spent[0], time.perf_counter() - t0))
+    finally:
+        for name, fn in originals.items():
+            setattr(np.fft, name, fn)
+    (c1, f1, w1), (c0, f0, w0) = totals
+    return (c1 - c0) / steps, (f1 - f0) / (w1 - w0)
 
 
 def main(argv=None):
@@ -86,11 +129,11 @@ def main(argv=None):
     for n, members, steps in zip(args.grid, MEMBERS, DEFAULT_STEPS):
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
             rows += pool.submit(time_grid, n, members, args.steps or steps, args.repeats).result()
-    print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'steps':>5} {'cold':>8}  "
-          f"ms/step median [min, max]")
-    for kernel, n, members, steps, first, row in rows:
-        print(f"{kernel:<17} {f'{n}^2':>7} {members:>7} {steps:>5} {first:>8.3f}  "
-              f"{np.median(row):.3f} [{min(row):.3f}, {max(row):.3f}]")
+    print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'steps':>5} {'ffts':>5} {'fft%':>5} "
+          f"{'cold':>8}  ms/step median [min, max]")
+    for kernel, n, members, steps, ffts, share, first, row in rows:
+        print(f"{kernel:<17} {f'{n}^2':>7} {members:>7} {steps:>5} {ffts:>5.1f} {100 * share:>5.1f} "
+              f"{first:>8.3f}  {np.median(row):.3f} [{min(row):.3f}, {max(row):.3f}]")
     return 0
 
 

@@ -28,10 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .morph_engine import _OBSERVABLE_DEGREES, ObservablePair, _run_morph_batch
+from .morph_engine import _OBSERVABLES, ObservablePair, _run_morph_batch
 from .forms import DiffForm
-from .spectral_core import GridSpec, ScalarField, coarsen, refine
-from .tsw_model import InstabilityError, TSWState, _integrate_batch, double_vortex_ic, vorticity_of
+from .spectral_core import GridSpec, ScalarField, _is_real, coarsen, refine
+from .tsw_model import InstabilityError, TSWState, _integrate_batch, double_vortex_ic
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -61,12 +61,12 @@ class ObsSet:
             raise ValueError("an observation set needs at least one observed field")
         if self.r.keys() != self.fields.keys():
             raise ValueError("observation variances must name the observed fields")
-        if not self.fields.keys() <= _OBSERVABLE_DEGREES.keys():
-            raise ValueError(f"observables must be among {list(_OBSERVABLE_DEGREES)}")
+        if not self.fields.keys() <= _OBSERVABLES.keys():
+            raise ValueError(f"observables must be among {list(_OBSERVABLES)}")
         if any(f.grid != self.grid for f in self.fields.values()):
             raise ValueError("observation fields must live on the obs grid")
-        if any(r < 0 for r in self.r.values()):
-            raise ValueError("observation variances must be nonnegative")
+        if not all(_is_real(r) and r >= 0 for r in self.r.values()):
+            raise ValueError(f"observation variances r must be finite and >= 0, got {self.r}")
 
 
 @dataclass
@@ -94,13 +94,12 @@ class Ensemble:
 
 def _observed(state, coarse, names):
     # the observation operator: each named observable of the state, coarsened
-    fields = {"h": lambda: state.h, "omega": lambda: vorticity_of(state)}
-    return {name: coarsen(fields[name](), coarse) for name in names}
+    return {name: coarsen(_OBSERVABLES[name].of_state(state), coarse) for name in names}
 
 
 def observe(truth, coarse):
     """Coarsen the truth's h and omega; r = 0.01 * mean(obs^2) per field."""
-    fields = _observed(truth, coarse, _OBSERVABLE_DEGREES)
+    fields = _observed(truth, coarse, _OBSERVABLES)
     r = {name: 0.01 * float(np.mean(f.values**2)) for name, f in fields.items()}
     return ObsSet(coarse, fields, r)
 
@@ -288,7 +287,7 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
 
 
 def _targets_from_obs(obs, fine):
-    return [ObservablePair(name, DiffForm.from_scalar(_OBSERVABLE_DEGREES[name], refine(f, fine)))
+    return [ObservablePair(name, DiffForm.from_scalar(_OBSERVABLES[name].degree, refine(f, fine)))
             for name, f in obs.fields.items()]
 
 

@@ -37,7 +37,7 @@ from .assimilation import (
     observe,
 )
 from .morph_engine import MorphParams, _mse, _totals, nudge
-from .spectral_core import GridSpec, ScalarField
+from .spectral_core import GridSpec, ScalarField, _is_int, _is_real
 from .tsw_model import (
     InstabilityError,
     ModelParams,
@@ -135,30 +135,25 @@ PRESET_NOTES = {
 }
 
 
-def _is_num(v):
-    # false for nan, inf and an integer beyond the float range
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
-# A kind is (what a value must be, its test); `type(v) is int` keeps out
-# JSON's true and false.  Ranges are checked by the classes built from a
+# A kind is (what a value must be, its test); the tests keep out JSON's
+# true and false.  Ranges are checked by the classes built from a
 # section, and the other ranges here; CEILINGS caps the counts.
-INT = ("an integer", lambda v: type(v) is int)
-NUM = ("a finite number", _is_num)
-COUNT = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
-SPAN = ("a nonnegative number", lambda v: _is_num(v) and v >= 0)
+INT = ("an integer", _is_int)
+NUM = ("a finite number", _is_real)
+COUNT = ("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
+SPAN = ("a nonnegative number", lambda v: _is_real(v) and v >= 0)
 OBJECT = ("an object", lambda v: isinstance(v, dict))
 SECTIONS = ("grid", "model", "ic", "horizons", "ensemble", "morph", "nudging", "observation")
 # The keys of the config ("") and of each section with their kinds, and
 # after the kind the default of a key that may be left out.
 SCHEMA = {
     "": {
-        "schema_version": (f"{SCHEMA_VERSION}", lambda v: type(v) is int and v == SCHEMA_VERSION),
+        "schema_version": (f"{SCHEMA_VERSION}", lambda v: _is_int(v) and v == SCHEMA_VERSION),
         "name": ("a string", lambda v: isinstance(v, str), "experiment"),
         "pipeline": (f"one of {', '.join(PIPELINES)}", lambda v: v in PIPELINES),
         **dict.fromkeys(SECTIONS, OBJECT), "nudging": (*OBJECT, {}), "observation": (*OBJECT, {}),
         "output_dir": ("a nonempty string", lambda v: isinstance(v, str) and v != ""),
-        "workers": ("a positive integer", lambda v: type(v) is int and v >= 1, 1),
+        "workers": ("a positive integer", lambda v: _is_int(v) and v >= 1, 1),
     },
     "grid": {"nx": INT, "ny": INT, "lx": NUM, "ly": NUM, "coarse_nx": INT, "coarse_ny": INT},
     # a negative kappa drives Theta away from Theta0 until it turns negative
@@ -168,14 +163,14 @@ SCHEMA = {
            "perturb_mean": NUM, "perturb_std": SPAN},
     "horizons": {"truth_time": SPAN, "spinup_time": SPAN},
     # numpy's default_rng takes only nonnegative seeds
-    "ensemble": {"size": ("an integer >= 2", lambda v: type(v) is int and v >= 2),
+    "ensemble": {"size": ("an integer >= 2", lambda v: _is_int(v) and v >= 2),
                  "seed": COUNT, "obs_noise_seed": COUNT},
     "morph": {"epsilon": NUM, "n_steps": INT, "filter_a": NUM, "ab_order": INT,
               "early_stop_patience": ("an integer or null",
-                                      lambda v: v is None or type(v) is int, None)},
+                                      lambda v: v is None or _is_int(v), None)},
     # a negative strength pushes the member away from the observations
     "nudging": {"steps": (*COUNT, 0), "strength": (*SPAN, 1.0)},
-    "observation": {"r_scale": ("a positive number", lambda v: _is_num(v) and v > 0, 1.0)},
+    "observation": {"r_scale": ("a positive number", lambda v: _is_real(v) and v > 0, 1.0)},
 }
 # The largest value of each count that has its kind in SCHEMA; no run has
 # more batches, so more threads, than members.
@@ -194,7 +189,7 @@ def _largest_stable(name, bound, rate):
     with np.errstate(all="ignore"):
         scale = 10.0 ** (np.floor(np.log10(bound / rate)) - 3)
         limit = np.floor(bound / rate / scale) * scale
-    return f"; the largest stable {name} is {limit:.4g}" if np.isfinite(limit) else ""
+    return f"; the largest stable {name} is {limit:.4g}" if _is_real(limit) else ""
 
 
 def _read(section, name, errors):

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DiffForm, DisplacementField, _h1_norm_hat, h1_norm, lie_derivative
-from .spectral_core import (
-    ScalarField,
-    _deriv,
-    _deriv_hat,
-    _irfft2,
-    _scratch,
-)
+from .spectral_core import ScalarField, _deriv, _deriv_hat, _irfft2, _is_int, _is_real, _scratch
 
 __all__ = [
     "SolverParams",
@@ -56,10 +50,14 @@ class SolverParams:
     cg_max_iter: int = 500
 
     def __post_init__(self):
-        if self.a0 <= 0:
-            raise ValueError("a0 must be positive on the boundary-free domain")
-        if self.a1 < 0:
-            raise ValueError("a1 must be nonnegative")
+        if not (_is_real(self.a0) and self.a0 > 0):
+            raise ValueError(f"a0 must be positive on the boundary-free domain, got {self.a0!r}")
+        if not (_is_real(self.a1) and self.a1 >= 0):
+            raise ValueError(f"a1 must be nonnegative and finite, got {self.a1!r}")
+        if not _is_real(self.cg_tol):
+            raise ValueError(f"cg_tol must be a finite number, got {self.cg_tol!r}")
+        if not _is_int(self.cg_max_iter):
+            raise ValueError(f"cg_max_iter must be an integer, got {self.cg_max_iter!r}")
         if self.weight is not None:
             w = self.weight.values
             if w.min() < 0 or w.max() > 1:

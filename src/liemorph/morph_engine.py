@@ -34,6 +34,7 @@ and runs through the same batch loop.
 
 import csv
 import io
+from collections import namedtuple
 from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .displacement_solver import _combined_displacement_hat
 from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
-from .spectral_core import ScalarField
+from .spectral_core import ScalarField, _is_int, _is_real
 from .tsw_model import (
     _MODEL_ERRORS,
     AB_COEFFS,
@@ -74,7 +75,14 @@ __all__ = [
     "field_mse",
 ]
 
-_OBSERVABLE_DEGREES = {"h": 2, "omega": 2}
+# The observables by name: degree, ScalarField in a TSWState and (values,
+# spectrum) in a _Workspace.  omega's row holds vorticity_of itself, so its
+# calls stay outside perfbench's span on this module's attribute.
+_Observable = namedtuple("_Observable", "degree of_state in_workspace")
+_OBSERVABLES = {
+    "h": _Observable(2, lambda state: state.h, lambda ws: (ws.vals[0], ws.spec[0])),
+    "omega": _Observable(2, vorticity_of, lambda ws: (ws.omega, ws.omega_hat)),
+}
 
 
 @dataclass
@@ -95,17 +103,17 @@ class MorphParams:
     early_stop_patience: int | None = None
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 0:
-            raise ValueError("n_steps must be a nonnegative integer")
-        if not 0 < self.filter_a < np.inf:
-            raise ValueError("filter_a must be positive and finite")
-        if self.ab_order not in AB_COEFFS:
-            raise ValueError(f"ab_order must be one of {sorted(AB_COEFFS)}")
+        if not (_is_real(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not (_is_int(self.n_steps) and self.n_steps >= 0):
+            raise ValueError(f"n_steps must be a nonnegative integer, got {self.n_steps!r}")
+        if not (_is_real(self.filter_a) and self.filter_a > 0):
+            raise ValueError(f"filter_a must be positive and finite, got {self.filter_a!r}")
+        if not (_is_int(self.ab_order) and self.ab_order in AB_COEFFS):
+            raise ValueError(f"ab_order must be one of {sorted(AB_COEFFS)}, got {self.ab_order!r}")
         patience = self.early_stop_patience
-        if patience is not None and not (isinstance(patience, (int, np.integer)) and patience >= 1):
-            raise ValueError("early_stop_patience must be None or an integer >= 1")
+        if patience is not None and not (_is_int(patience) and patience >= 1):
+            raise ValueError(f"early_stop_patience must be None or an integer >= 1, got {patience!r}")
 
 
 @dataclass
@@ -116,26 +124,24 @@ class ObservablePair:
     target: DiffForm
 
     def __post_init__(self):
-        if self.name not in _OBSERVABLE_DEGREES:
+        if self.name not in _OBSERVABLES:
             raise ValueError(f"unknown observable {self.name!r}")
-        if self.target.degree != _OBSERVABLE_DEGREES[self.name]:
-            raise ValueError(
-                f"observable {self.name!r} must be a degree-"
-                f"{_OBSERVABLE_DEGREES[self.name]} form"
-            )
+        degree = _OBSERVABLES[self.name].degree
+        if self.target.degree != degree:
+            raise ValueError(f"observable {self.name!r} must be a degree-{degree} form")
 
 
 class MorphTrace:
     """Per-step morph diagnostics, serializable to CSV; unobserved names read nan."""
 
-    COLUMNS = ("step", *(f"mse_{name}" for name in _OBSERVABLE_DEGREES),
+    COLUMNS = ("step", *(f"mse_{name}" for name in _OBSERVABLES),
                "mass", "vorticity_total", "buoyancy_integral")
 
     def __init__(self):
         self.rows = []
 
     def record(self, step, mses, totals):
-        self.rows.append((step, *(mses.get(name, np.nan) for name in _OBSERVABLE_DEGREES),
+        self.rows.append((step, *(mses.get(name, np.nan) for name in _OBSERVABLES),
                           totals["mass"], totals["vorticity"], totals["buoyancy_integral"]))
 
     def __len__(self):
@@ -209,11 +215,6 @@ def _target_spectra(targets, grid):
     return out
 
 
-def _observables(ws):
-    # (values, spectrum) of each observable in the _Workspace ws
-    return {"h": (ws.vals[0], ws.spec[0]), "omega": (ws.omega, ws.omega_hat)}
-
-
 def _velocity(observed, grid, ws):
     """Values u of the combined displacement toward the observed targets,
     from the state of the _Workspace ws, into ws.u.
@@ -225,8 +226,7 @@ def _velocity(observed, grid, ws):
     """
     if not observed:
         raise ValueError("morph_velocity needs at least one observable")
-    obs = _observables(ws)
-    pairs = [(th, *obs[name]) for name, _, th in observed]
+    pairs = [(th, *_OBSERVABLES[name].in_workspace(ws)) for name, _, th in observed]
     uh = _combined_displacement_hat(pairs, grid, ws.uh, ws.forcing, (ws.r, ws.c), ws.dens)
     return _irfft_all(uh, grid, ws.u)
 
@@ -236,8 +236,8 @@ def _record(traces, k, observed, grid, ws):
     omega and omega_hat receive the state's vorticity; the per-member MSE
     of each observed name."""
     _vorticity(ws.spec, grid, (ws.omega, ws.omega_hat), ws.c[0])
-    obs = _observables(ws)
-    mses = {name: _mse(obs[name][0], t, ws.r[0]) for name, t, _ in observed}
+    mses = {name: _mse(_OBSERVABLES[name].in_workspace(ws)[0], t, ws.r[0])
+            for name, t, _ in observed}
     totals = _totals(ws.vals, ws.omega, grid.area)
     for j, trace in enumerate(traces):
         trace.record(k, {name: float(v[j]) for name, v in mses.items()},

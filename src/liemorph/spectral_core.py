@@ -6,7 +6,8 @@ results do not depend on the FFT layout.  Fields are sampled at cell centers
 """
 
 import functools
-import operator
+import math
+import numbers
 
 import numpy as np
 
@@ -25,24 +26,36 @@ __all__ = [
 ]
 
 
+def _is_real(v):
+    """A real number, numpy scalars too, that is not a bool and is a finite float."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _is_int(v):
+    """An integer, numpy integers too, that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 class GridSpec:
     """Geometry of a doubly periodic rectangular grid.
 
     Args:
         nx, ny: grid counts, integers (numpy integers too), even and
             >= 4 (spectral symmetry of real transforms).
-        lx, ly: physical extents in length units (km).
+        lx, ly: physical extents in length units (km), finite and > 0.
     """
 
     def __init__(self, nx, ny, lx, ly):
-        try:
-            nx, ny = operator.index(nx), operator.index(ny)
-        except TypeError:
-            raise ValueError(f"grid counts must be integers, got {nx!r} x {ny!r}") from None
+        if not (_is_int(nx) and _is_int(ny)):
+            raise ValueError(f"grid counts nx, ny must be integers, got {nx!r} x {ny!r}")
+        nx, ny = int(nx), int(ny)
         if nx < 4 or ny < 4 or nx % 2 or ny % 2:
             raise ValueError(f"grid counts must be even and >= 4, got {nx} x {ny}")
-        if not (0 < lx < np.inf and 0 < ly < np.inf):
-            raise ValueError(f"physical extents must be positive and finite, got {lx} x {ly}")
+        if not (_is_real(lx) and _is_real(ly) and lx > 0 and ly > 0):
+            raise ValueError(f"extents lx, ly must be positive and finite, got {lx!r} x {ly!r}")
         self.nx = nx
         self.ny = ny
         self.lx = float(lx)
@@ -109,8 +122,7 @@ class ScalarField:
         values = np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite values in ScalarField")
+        _check_finite(values, "ScalarField")
         self.grid = grid
         self.values = values
 

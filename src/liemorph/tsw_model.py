@@ -48,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DisplacementField
-from .spectral_core import ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _scratch, curl_2d
+from .spectral_core import (ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _is_real, _scratch,
+                            curl_2d)
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -117,8 +118,9 @@ class ModelParams:
     dt: float = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.f, self.kappa, self.h0, self.theta0, self.dt])):
-            raise ValueError("f, kappa, h0, theta0 and dt must be finite")
+        for name, v in vars(self).items():
+            if not _is_real(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.h0 <= 0 or self.theta0 <= 0:
@@ -145,6 +147,9 @@ class VortexIC:
     theta_amplitude: float = 0.05
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if not _is_real(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 

@@ -12,7 +12,7 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
-from liemorph import assimilation
+from liemorph import assimilation, morph_engine
 from liemorph import (
     DisplacementField,
     GridSpec,
@@ -256,7 +256,8 @@ class TestEnkfAnalysis:
             return vorticity_of(state)
 
         monkeypatch.setattr(assimilation, "coarsen", counted)
-        monkeypatch.setattr(assimilation, "vorticity_of", counted_curl)
+        omega = morph_engine._OBSERVABLES["omega"]
+        monkeypatch.setitem(morph_engine._OBSERVABLES, "omega", omega._replace(of_state=counted_curl))
         enkf_analysis(ensemble, obs, obs_noise_seed=3)
         assert len(calls) == per_member * len(ensemble)
         assert len(curls) == ("omega" in names) * len(ensemble)

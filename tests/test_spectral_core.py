@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from liemorph import (
     GridSpec,
+    ModelParams,
+    MorphParams,
+    ObsSet,
     ScalarField,
+    SolverParams,
+    VortexIC,
     coarsen,
     curl_2d,
     divergence,
@@ -28,7 +33,7 @@ from liemorph import (
     refine,
 )
 from liemorph.forms import DisplacementField
-from liemorph.spectral_core import _deriv, _h1_weight, _hou_li
+from liemorph.spectral_core import _deriv, _h1_weight, _hou_li, _is_int, _is_real
 
 from oracles import (
     dense_dx,
@@ -87,6 +92,66 @@ class TestGridSpec:
     def test_wavenumbers_physical(self):
         g = GridSpec(8, 8, 4.0, 4.0)
         assert g.kx[1] == pytest.approx(TWO_PI / 4.0)
+
+
+OBS_GRID = GridSpec(16, 16, 5000.0, 5000.0)
+
+# Each parameter class, built from keyword arguments over valid defaults,
+# with its real and its count arguments
+PARAMETER_CLASSES = {
+    "GridSpec": (lambda **kw: GridSpec(**{"nx": 64, "ny": 64, "lx": 5000.0, "ly": 5000.0, **kw}),
+                 ("lx", "ly"), ("nx", "ny")),
+    "ModelParams": (ModelParams, ("f", "kappa", "h0", "theta0", "dt"), ()),
+    "VortexIC": (VortexIC, ("ox", "oy", "amplitude", "radius", "separation", "theta_amplitude"),
+                 ()),
+    "MorphParams": (MorphParams, ("epsilon", "filter_a"),
+                    ("n_steps", "ab_order", "early_stop_patience")),
+    "SolverParams": (SolverParams, ("a0", "a1", "cg_tol"), ("cg_max_iter",)),
+    "ObsSet": (lambda r: ObsSet(OBS_GRID, {"h": ScalarField.constant(OBS_GRID, 1.0)}, {"h": r}),
+               ("r",), ()),
+}
+NON_REALS = (True, "1", float("nan"), float("inf"))
+NON_COUNTS = (True, 2.0, "2")
+
+
+class TestParameterTypes:
+    """Every parameter class takes a finite real number or an integer count
+    for each numeric argument, numpy scalars too, and raises a ValueError
+    naming the argument for anything else."""
+
+    @pytest.mark.parametrize("cls, arg, value", [
+        pytest.param(cls, arg, value, id=f"{cls}-{arg}-{value!r}")
+        for cls, (_, reals, counts) in PARAMETER_CLASSES.items()
+        for args, values in ((reals, NON_REALS), (counts, NON_COUNTS))
+        for arg in args for value in values
+    ])
+    def test_rejects_naming_the_argument(self, cls, arg, value):
+        with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+            PARAMETER_CLASSES[cls][0](**{arg: value})
+
+    def test_numpy_scalars_pass(self):
+        f8, i8 = np.float64, np.int64
+        assert GridSpec(i8(64), i8(32), f8(5000.0), f8(4000.0)) == GridSpec(64, 32, 5000.0, 4000.0)
+        assert ModelParams(*map(f8, (0.01, 0.0, 1.0, 98.0, 5.0))) == ModelParams(
+            0.01, 0.0, 1.0, 98.0, 5.0)
+        assert VortexIC(*map(f8, (0.1, -0.2, 0.1, 400.0, 1250.0, 0.0))) == VortexIC(
+            0.1, -0.2, 0.1, 400.0, 1250.0, 0.0)
+        assert MorphParams(f8(10.0), i8(0), f8(36.0), i8(5), i8(2)) == MorphParams(
+            10.0, 0, 36.0, 5, 2)
+        assert SolverParams(f8(1.0), f8(0.0), None, f8(1e-10), i8(500)) == SolverParams(
+            1.0, 0.0, None, 1e-10, 500)
+        PARAMETER_CLASSES["ObsSet"][0](f8(0.0))
+
+    @pytest.mark.parametrize("value, real, count", [
+        (3, True, True), (np.int64(-2**63), True, True), (np.uint8(7), True, True),
+        (2.5, True, False), (np.float32(2.5), True, False), (-1e308, True, False),
+        (10**400, False, True), (float("nan"), False, False), (np.float32("inf"), False, False),
+        (-np.inf, False, False), (True, False, False), (np.True_, False, False),
+        ("1", False, False), (None, False, False), (1j, False, False),
+    ], ids=repr)
+    def test_predicates(self, value, real, count):
+        # under the suite's warnings-as-errors: no overflow warning either
+        assert (_is_real(value), _is_int(value)) == (real, count)
 
 
 class TestScalarField:
