@@ -31,7 +31,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from liemorph import DiffForm, GridSpec, ObservablePair, double_vortex_ic, vorticity_of
+from liemorph import GridSpec, double_vortex_ic, vorticity_of
 from liemorph.assimilation import _member_ics
 from liemorph.cli_experiments import preset_config, validate_config
 from liemorph.morph_engine import _run_morph_batch
@@ -55,10 +55,7 @@ def time_grid(n, members, steps, repeats):
                       desk.perturb_std)
     states = [double_vortex_ic(ic, grid, model) for ic in ics[:members]]
     truth = double_vortex_ic(desk.ic, grid, model)
-    targets = [
-        ObservablePair("h", DiffForm.from_scalar(2, truth.h)),
-        ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
-    ]
+    targets = {"h": truth.h, "omega": vorticity_of(truth)}
     # each kernel, run for a given number of steps
     timed = [("_run_morph_batch",
               lambda k: _run_morph_batch(states, targets, replace(desk.morph, n_steps=k))),

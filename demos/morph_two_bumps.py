@@ -13,16 +13,7 @@ import os
 
 import numpy as np
 
-from liemorph import (
-    DiffForm,
-    GridSpec,
-    ModelParams,
-    MorphParams,
-    ObservablePair,
-    ScalarField,
-    TSWState,
-    run_morph,
-)
+from liemorph import GridSpec, ModelParams, MorphParams, ScalarField, TSWState, run_morph
 
 
 def wrapped_bump(grid, cx, cy, radius):
@@ -51,7 +42,7 @@ def main(argv=None):
     params = ModelParams()
     state = bump_state(grid, params, 2300.0, 2500.0)
     target = bump_state(grid, params, 2700.0, 2500.0)
-    targets = [ObservablePair("h", DiffForm.from_scalar(2, target.h))]
+    targets = {"h": target.h}
     mp = MorphParams(epsilon=args.epsilon, n_steps=args.steps)
 
     print(f"bump at x = 2300 km morphing toward x = 2700 km, {args.steps} steps")

@@ -57,7 +57,6 @@ from .tsw_model import (
 from .morph_engine import (
     MorphParams,
     MorphTrace,
-    ObservablePair,
     conserved_totals,
     field_mse,
     morph_step,

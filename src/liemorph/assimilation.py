@@ -28,9 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .morph_engine import _OBSERVABLES, ObservablePair, _run_morph_batch
-from .forms import DiffForm
-from .spectral_core import GridSpec, ScalarField, _is_real, coarsen, refine
+from .morph_engine import _OBSERVABLES, _run_morph_batch
+from .spectral_core import GridSpec, ScalarField, _is_int, _is_real, coarsen, refine
 from .tsw_model import InstabilityError, TSWState, _integrate_batch, double_vortex_ic
 
 # Not called here: perfbench/tracing.py wraps it at this module's
@@ -143,6 +142,8 @@ def _run_batches(kernel, items, grid, workers, failure):
     error ends the wait: the kernels still running then end at their next
     step, not at their last, with a CancelledError that no one reads.
     """
+    if not (_is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     size = _batch_size(len(items), workers, grid)
     stop = threading.Event()
 
@@ -287,8 +288,8 @@ def enkf_analysis(ensemble, obs, obs_noise_seed):
 
 
 def _targets_from_obs(obs, fine):
-    return [ObservablePair(name, DiffForm.from_scalar(_OBSERVABLES[name].degree, refine(f, fine)))
-            for name, f in obs.fields.items()]
+    # the morph targets: each observed field refined to the fine grid
+    return {name: refine(f, fine) for name, f in obs.fields.items()}
 
 
 def morph_ensemble(ensemble, obs, morph_params, naive=False, workers=1):

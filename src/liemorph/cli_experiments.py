@@ -36,7 +36,7 @@ from .assimilation import (
     morph_ensemble,
     observe,
 )
-from .morph_engine import MorphParams, _mse, _totals, nudge
+from .morph_engine import _TOTALS, MorphParams, _mse, _totals, nudge
 from .spectral_core import GridSpec, ScalarField, _is_int, _is_real
 from .tsw_model import (
     InstabilityError,
@@ -536,8 +536,8 @@ def emit_outputs(report, out_dir):
         if report.metrics_rows:
             emit("metrics.csv", _csv("stage,variable,kind,value", report.metrics_rows))
         if report.totals_rows:
-            emit("conserved_totals.csv", _csv(
-                "stage,member,mass,vorticity_total,buoyancy_integral", report.totals_rows))
+            emit("conserved_totals.csv",
+                 _csv(",".join(("stage", "member", *_TOTALS)), report.totals_rows))
         for member, trace in report.traces:
             emit(f"traces/morph_m{member:02d}.csv", trace.csv_bytes())
         if report.config:

@@ -7,11 +7,12 @@ vorticity is conserved).  The naive comparator transports all four fields
 as 0-forms.  The displacement map itself is never materialized; each step
 applies one epsilon-increment of the transport.
 
-The kernel carries a member axis: `_run_morph_batch` morphs a batch of
-states toward the same targets in lockstep, with the FFT calls of one
-member per step, and `run_morph` is its batch of one.  A batch reports
-the first failing step across its members (serial code would report the
-first failing member).
+The targets are a dict, observed name -> ScalarField on the state's grid
+(the shape of `ObsSet.fields`), checked once per run.  The kernel carries
+a member axis: `_run_morph_batch` morphs a batch of states toward the
+same targets in lockstep, with the FFT calls of one member per step, and
+`run_morph` is its batch of one.  A batch reports the first failing step
+across its members (serial code would report the first failing member).
 
 The batch loop runs on one workspace (`tsw_model._Workspace`, which the
 model's batch loop shares): arrays allocated once per batch and reused
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .displacement_solver import _combined_displacement_hat
-from .forms import DiffForm, DisplacementField, _advect_hat, _transport_hat
+from .forms import DisplacementField, _advect_hat, _transport_hat
 from .spectral_core import ScalarField, _is_int, _is_real
 from .tsw_model import (
     _MODEL_ERRORS,
@@ -65,7 +66,6 @@ from .spectral_core import hou_li_filter  # noqa: F401
 
 __all__ = [
     "MorphParams",
-    "ObservablePair",
     "MorphTrace",
     "morph_velocity",
     "morph_step",
@@ -75,14 +75,20 @@ __all__ = [
     "field_mse",
 ]
 
-# The observables by name: degree, ScalarField in a TSWState and (values,
-# spectrum) in a _Workspace.  omega's row holds vorticity_of itself, so its
-# calls stay outside perfbench's span on this module's attribute.
-_Observable = namedtuple("_Observable", "degree of_state in_workspace")
+# The observables by name: ScalarField in a TSWState and (values, spectrum)
+# in a _Workspace.  The kernel solves every observable as a 2-form (h,
+# omega), as `_combined_displacement_hat` assumes.  omega's row holds
+# vorticity_of itself, so its calls stay outside perfbench's span on this
+# module's attribute.
+_Observable = namedtuple("_Observable", "of_state in_workspace")
 _OBSERVABLES = {
-    "h": _Observable(2, lambda state: state.h, lambda ws: (ws.vals[0], ws.spec[0])),
-    "omega": _Observable(2, vorticity_of, lambda ws: (ws.omega, ws.omega_hat)),
+    "h": _Observable(lambda state: state.h, lambda ws: (ws.vals[0], ws.spec[0])),
+    "omega": _Observable(vorticity_of, lambda ws: (ws.omega, ws.omega_hat)),
 }
+
+# The conserved-totals ledger, named once: the keys of `conserved_totals`,
+# the trace's last columns and the header of the emitted conserved_totals.csv.
+_TOTALS = ("mass", "vorticity_total", "buoyancy_integral")
 
 
 @dataclass
@@ -116,33 +122,17 @@ class MorphParams:
             raise ValueError(f"early_stop_patience must be None or an integer >= 1, got {patience!r}")
 
 
-@dataclass
-class ObservablePair:
-    """An observed field and its tensor assignment; target is theta_1."""
-
-    name: str
-    target: DiffForm
-
-    def __post_init__(self):
-        if self.name not in _OBSERVABLES:
-            raise ValueError(f"unknown observable {self.name!r}")
-        degree = _OBSERVABLES[self.name].degree
-        if self.target.degree != degree:
-            raise ValueError(f"observable {self.name!r} must be a degree-{degree} form")
-
-
 class MorphTrace:
     """Per-step morph diagnostics, serializable to CSV; unobserved names read nan."""
 
-    COLUMNS = ("step", *(f"mse_{name}" for name in _OBSERVABLES),
-               "mass", "vorticity_total", "buoyancy_integral")
+    COLUMNS = ("step", *(f"mse_{name}" for name in _OBSERVABLES), *_TOTALS)
 
     def __init__(self):
         self.rows = []
 
     def record(self, step, mses, totals):
         self.rows.append((step, *(mses.get(name, np.nan) for name in _OBSERVABLES),
-                          totals["mass"], totals["vorticity"], totals["buoyancy_integral"]))
+                          *(totals[name] for name in _TOTALS)))
 
     def __len__(self):
         return len(self.rows)
@@ -180,17 +170,15 @@ def field_mse(a, b):
 
 
 def _totals(vals, omega, area):
-    # domain integrals by the mean-value quadrature, as domain_integral;
-    # one value per member
-    return {
-        "mass": vals[0].mean(axis=(-2, -1)) * area,
-        "vorticity": omega.mean(axis=(-2, -1)) * area,
-        "buoyancy_integral": vals[1].mean(axis=(-2, -1)) * area,
-    }
+    # domain integrals of h, omega and Theta by the mean-value quadrature,
+    # as domain_integral; one value per member
+    return {name: f.mean(axis=(-2, -1)) * area
+            for name, f in zip(_TOTALS, (vals[0], omega, vals[1]))}
 
 
 def conserved_totals(state):
-    """Domain integrals of mass, vorticity and buoyancy."""
+    """Domain integrals of h, omega and Theta, keyed by mass,
+    vorticity_total and buoyancy_integral."""
     vals = (state.h.values, state.theta.values)
     totals = _totals(vals, vorticity_of(state).values, state.grid.area)
     return {name: float(v) for name, v in totals.items()}
@@ -205,14 +193,14 @@ _MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph"
 
 
 def _target_spectra(targets, grid):
-    # (name, values, spectrum) of each target
-    out = []
-    for pair in targets:
-        t = pair.target.components[0]
-        if t.grid != grid:
-            raise ValueError("grid mismatch")
-        out.append((pair.name, t.values, np.fft.rfft2(t.values)))
-    return out
+    # (name, values, spectrum) of each target, in the order of the dict
+    if not targets:
+        raise ValueError("a morph needs at least one target")
+    if not targets.keys() <= _OBSERVABLES.keys():
+        raise ValueError(f"targets must be among {list(_OBSERVABLES)}, got {list(targets)}")
+    if not all(isinstance(t, ScalarField) and t.grid == grid for t in targets.values()):
+        raise ValueError("targets must be ScalarFields on the state's grid")
+    return [(name, t.values, np.fft.rfft2(t.values)) for name, t in targets.items()]
 
 
 def _velocity(observed, grid, ws):
@@ -224,8 +212,6 @@ def _velocity(observed, grid, ws):
     H1 norms stay in Fourier space, per member, in the arrays of ws; only
     u itself is transformed back.
     """
-    if not observed:
-        raise ValueError("morph_velocity needs at least one observable")
     pairs = [(th, *_OBSERVABLES[name].in_workspace(ws)) for name, _, th in observed]
     uh = _combined_displacement_hat(pairs, grid, ws.uh, ws.forcing, (ws.r, ws.c), ws.dens)
     return _irfft_all(uh, grid, ws.u)
@@ -275,10 +261,12 @@ def _step(ws, u, params, naive, step, grid, drift=None):
 def morph_velocity(state, targets):
     """Combined displacement toward the targets for the current state.
 
-    Each observable contributes one closed-form 2-form solve (h directly,
-    omega via the vorticity diagnostic); the fields are then H1-normalized
-    and averaged.  It is the velocity of one `_run_morph_batch` step with
-    a batch of one.
+    targets maps each observed name ("h", "omega") to its ScalarField on
+    the state's grid; no target, an unknown name or a target off that
+    grid raises a ValueError.  Each observable contributes one
+    closed-form 2-form solve (h directly, omega via the vorticity
+    diagnostic); the fields are then H1-normalized and averaged.  It is
+    the velocity of one `_run_morph_batch` step with a batch of one.
     """
     g = state.grid
     observed = _target_spectra(targets, g)

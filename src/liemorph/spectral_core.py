@@ -245,8 +245,8 @@ def hou_li_multiplier(grid, a):
 
     Returned in the rfft2 layout.  The zero mode is untouched (factor 1).
     """
-    if a <= 0:
-        raise ValueError(f"filter exponent must be positive, got {a}")
+    if not (_is_real(a) and a > 0):
+        raise ValueError(f"filter exponent a must be positive and finite, got {a!r}")
     rx = np.abs(grid._kx_r) / np.abs(grid.kx).max()
     ry = grid._ky_r / grid._ky_r.max()
     return np.exp(-36.0 * (rx[:, None] ** a + ry[None, :] ** a))

@@ -48,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DisplacementField
-from .spectral_core import (ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _is_real, _scratch,
-                            curl_2d)
+from .spectral_core import (ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _is_int, _is_real,
+                            _scratch, curl_2d)
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -585,6 +585,8 @@ def _integrate_batch(states, n_steps, params, stop=None):
     CancelledError.  The arrays of the loop are one `_Workspace`, which
     each step overwrites; the states returned are views of its values.
     """
+    if not (_is_int(n_steps) and n_steps >= 0):
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     g = states[0].grid
     ws = _Workspace(states, 3, model=True)
     times = np.array([s.time for s in states])

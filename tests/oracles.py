@@ -257,9 +257,9 @@ def composed_morph_velocity(state, targets):
     from liemorph.displacement_solver import PREFACTOR
 
     kept = []
-    for pair in targets:
-        t2 = state.h if pair.name == "h" else vorticity_of(state)
-        gx, gy = gradient(pair.target.components[0] - t2)
+    for name, target in targets.items():
+        t2 = state.h if name == "h" else vorticity_of(state)
+        gx, gy = gradient(target - t2)
         u = DisplacementField(
             inverse_helmholtz(t2 * gx) * PREFACTOR, inverse_helmholtz(t2 * gy) * PREFACTOR
         )

@@ -21,7 +21,9 @@ from liemorph import (
     ModelParams,
     MorphParams,
     ScalarField,
+    TSWState,
     coarsen,
+    conserved_totals,
     double_vortex_ic,
     integrate,
 )
@@ -507,6 +509,16 @@ class TestEmitOutputs:
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines[0] == "stage,variable,kind,value"
         assert float(lines[1].split(",")[-1]) == ugly
+
+    def test_ledger_names_agree(self, tmp_path):
+        """conserved_totals.csv, the morph trace and conserved_totals name
+        the totals alike, in one order."""
+        emit_outputs(run_experiment(validate_config(small_raw(pipeline="nudging-run"))), tmp_path)
+        header = (tmp_path / "conserved_totals.csv").read_text().splitlines()[0].split(",")
+        trace = (tmp_path / "traces/morph_m00.csv").read_text().splitlines()[0].split(",")
+        keys = list(conserved_totals(TSWState.rest(GridSpec(8, 8, 1.0, 1.0), ModelParams())))
+        assert header == ["stage", "member", *keys]
+        assert trace[-len(keys):] == keys
 
     def test_manifest_hashes_every_written_file(self, tmp_path):
         g = GridSpec(8, 8, 1.0, 1.0)

@@ -18,7 +18,6 @@ from liemorph import (
     InstabilityError,
     ModelParams,
     MorphParams,
-    ObservablePair,
     ScalarField,
     TSWState,
     VortexIC,
@@ -90,7 +89,7 @@ def band_limited_state(grid, params, seed):
 
 
 def h_target(grid, values):
-    return ObservablePair("h", DiffForm.from_scalar(2, ScalarField(grid, values)))
+    return {"h": ScalarField(grid, values)}
 
 
 def single_mode_u(grid, amplitude, m=4):
@@ -104,12 +103,7 @@ def single_mode_u(grid, amplitude, m=4):
 class TestMorphVelocity:
     def test_aligned_observables_give_exact_zero(self, grid_km, params):
         state = band_limited_state(grid_km, params, 111)
-        targets = [
-            h_target(grid_km, state.h.values),
-            ObservablePair(
-                "omega", DiffForm.from_scalar(2, vorticity_of(state))
-            ),
-        ]
+        targets = {"h": state.h, "omega": vorticity_of(state)}
         u = morph_velocity(state, targets)
         assert np.max(np.abs(u.u1.values)) == 0.0
         assert np.max(np.abs(u.u2.values)) == 0.0
@@ -117,7 +111,7 @@ class TestMorphVelocity:
     def test_velocity_points_toward_shifted_target(self, grid_km, params):
         state = bump_state(grid_km, params, cx=2500.0)
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
-        u = morph_velocity(state, [h_target(grid_km, target)])
+        u = morph_velocity(state, h_target(grid_km, target))
         assert domain_integral(u.u1) > 0.0
 
     def test_output_is_h1_normalized_mean(self, grid_km, params):
@@ -125,12 +119,12 @@ class TestMorphVelocity:
 
         state = bump_state(grid_km, params)
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
-        u = morph_velocity(state, [h_target(grid_km, target)])
+        u = morph_velocity(state, h_target(grid_km, target))
         assert h1_norm(u) == pytest.approx(1.0, rel=1e-12)
 
     def test_empty_targets_rejected(self, grid_km, params):
         with pytest.raises(ValueError):
-            morph_velocity(bump_state(grid_km, params), [])
+            morph_velocity(bump_state(grid_km, params), {})
 
 
 class TestMorphStep:
@@ -230,7 +224,7 @@ class TestRunMorph:
         state = bump_state(grid_km, params)
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         _, trace = run_morph(
-            state, [h_target(grid_km, target)], MorphParams(epsilon=10.0, n_steps=5)
+            state, h_target(grid_km, target), MorphParams(epsilon=10.0, n_steps=5)
         )
         assert len(trace) == 6
         assert trace.column("step") == [0, 1, 2, 3, 4, 5]
@@ -238,7 +232,7 @@ class TestRunMorph:
     def test_zero_steps_is_a_noop(self, grid_km, params):
         state = bump_state(grid_km, params)
         out, trace = run_morph(
-            state, [h_target(grid_km, state.h.values)], MorphParams(epsilon=10.0, n_steps=0)
+            state, h_target(grid_km, state.h.values), MorphParams(epsilon=10.0, n_steps=0)
         )
         assert len(trace) == 1
         for a, b in zip(out.fields(), state.fields()):
@@ -248,7 +242,7 @@ class TestRunMorph:
         state = bump_state(grid_km, params)
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         _, trace = run_morph(
-            state, [h_target(grid_km, target)], MorphParams(epsilon=10.0, n_steps=30)
+            state, h_target(grid_km, target), MorphParams(epsilon=10.0, n_steps=30)
         )
         mse = trace.column("mse_h")
         assert all(mse[i + 1] < mse[i] for i in range(10))
@@ -256,10 +250,7 @@ class TestRunMorph:
 
     def test_aligned_targets_are_a_fixed_point(self, grid_km, params):
         state = band_limited_state(grid_km, params, 118)
-        targets = [
-            h_target(grid_km, state.h.values),
-            ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(state))),
-        ]
+        targets = {"h": state.h, "omega": vorticity_of(state)}
         out, trace = run_morph(state, targets, MorphParams(epsilon=10.0, n_steps=20))
         assert max(trace.column("mse_h")) <= 1e-20
         for a, b in zip(out.fields(), state.fields()):
@@ -270,7 +261,7 @@ class TestRunMorph:
         state = bump_state(grid_km, params)
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         _, trace = run_morph(
-            state, [h_target(grid_km, target)], MorphParams(epsilon=10.0, n_steps=30)
+            state, h_target(grid_km, target), MorphParams(epsilon=10.0, n_steps=30)
         )
         mass = trace.column("mass")
         assert abs(mass[-1] - mass[0]) / abs(mass[0]) <= 1e-12
@@ -280,7 +271,7 @@ class TestRunMorph:
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         _, trace = run_morph(
             state,
-            [h_target(grid_km, target)],
+            h_target(grid_km, target),
             MorphParams(epsilon=10.0, n_steps=30),
             naive=True,
         )
@@ -294,7 +285,7 @@ class TestRunMorph:
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         _, trace = run_morph(
             state,
-            [h_target(grid_km, target)],
+            h_target(grid_km, target),
             MorphParams(epsilon=3000.0, n_steps=60, early_stop_patience=3),
         )
         assert 4 <= len(trace) <= 20
@@ -312,11 +303,11 @@ class TestRunMorph:
         solve_args = (state.h.values, np.fft.rfft2(target) - np.fft.rfft2(state.h.values),
                       grid_km, SolverParams())
         u_hat = _closed_form_hat(*solve_args)
-        f1, t1 = run_morph(state, [h_target(grid_km, target)], mp)
+        f1, t1 = run_morph(state, h_target(grid_km, target), mp)
         monkeypatch.setattr(liemorph.displacement_solver, "PREFACTOR", 4.0)
         # the patched prefactor reaches the solve the morph makes
         assert np.array_equal(_closed_form_hat(*solve_args), 2.0 * u_hat)
-        f2, t2 = run_morph(bump_state(grid_km, params), [h_target(grid_km, target)], mp)
+        f2, t2 = run_morph(bump_state(grid_km, params), h_target(grid_km, target), mp)
         for a, b in zip(f1.fields(), f2.fields()):
             assert np.array_equal(a.values, b.values)
         assert t1.column("mse_h") == t2.column("mse_h")
@@ -326,10 +317,7 @@ def vortex_morph_case(grid, params):
     """A balanced double vortex shifted off its h and omega targets."""
     truth = double_vortex_ic(VortexIC(), grid, params)
     member = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid, params)
-    targets = [
-        h_target(grid, truth.h.values),
-        ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
-    ]
+    targets = {"h": truth.h, "omega": vorticity_of(truth)}
     return member, targets
 
 
@@ -392,10 +380,7 @@ class TestSpectralKernel:
         other two go on in a sliced workspace."""
         states = [small_bump_state(grid_small, params, cx) for cx in (1.0, 1.3, 1.9)]
         truth = small_bump_state(grid_small, params, 1.6)
-        targets = [
-            h_target(grid_small, truth.h.values),
-            ObservablePair("omega", DiffForm.from_scalar(2, vorticity_of(truth))),
-        ]
+        targets = {"h": truth.h, "omega": vorticity_of(truth)}
         mp = MorphParams(epsilon=0.01, n_steps=n_steps, early_stop_patience=patience)
         batch = _run_morph_batch(states, targets, mp, naive)
         assert [len(trace) for _, trace in batch] == lengths
@@ -433,7 +418,7 @@ class TestMorphTrace:
         state = bump_state(grid_km, params)
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         _, trace = run_morph(
-            state, [h_target(grid_km, target)], MorphParams(epsilon=10.0, n_steps=3)
+            state, h_target(grid_km, target), MorphParams(epsilon=10.0, n_steps=3)
         )
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
@@ -451,7 +436,7 @@ class TestMorphTrace:
         state = bump_state(grid_km, params)
         target = params.h0 + 0.1 * wrapped_bump(grid_km, 2900.0, 2500.0, 400.0)
         _, trace = run_morph(
-            state, [h_target(grid_km, target)], MorphParams(epsilon=10.0, n_steps=3)
+            state, h_target(grid_km, target), MorphParams(epsilon=10.0, n_steps=3)
         )
         assert len(trace) == 4
         assert all(np.isnan(trace.column("mse_omega")))
@@ -475,12 +460,23 @@ class TestValidation:
     def test_morph_params_allows_zero_steps(self):
         assert MorphParams(n_steps=0).n_steps == 0
 
-    def test_observable_pair_rejects_unknown_name(self, grid_km):
-        with pytest.raises(ValueError):
-            ObservablePair(
-                "salinity", DiffForm.from_scalar(2, ScalarField.zeros(grid_km))
-            )
+    def test_targets_reject_unknown_name(self, grid_km, params):
+        state = bump_state(grid_km, params)
+        targets = {"h": state.h, "salinity": ScalarField.zeros(grid_km)}
+        with pytest.raises(ValueError, match="salinity"):
+            morph_velocity(state, targets)
+        with pytest.raises(ValueError, match="salinity"):
+            run_morph(state, targets, MorphParams(epsilon=10.0, n_steps=1))
 
-    def test_observable_pair_rejects_wrong_degree(self, grid_km):
-        with pytest.raises(ValueError):
-            ObservablePair("h", DiffForm.from_scalar(0, ScalarField.zeros(grid_km)))
+    @pytest.mark.parametrize("target", [
+        lambda g: DiffForm.from_scalar(2, ScalarField.zeros(g)),
+        lambda g: np.zeros(g.shape),
+        lambda g: ScalarField.zeros(GridSpec(32, 32, g.lx, g.ly)),
+    ], ids=["DiffForm", "ndarray", "other-grid"])
+    def test_targets_reject_non_scalar_fields(self, grid_km, params, target):
+        state = bump_state(grid_km, params)
+        targets = {"h": target(grid_km)}
+        with pytest.raises(ValueError, match="ScalarFields"):
+            morph_velocity(state, targets)
+        with pytest.raises(ValueError, match="ScalarFields"):
+            run_morph(state, targets, MorphParams(epsilon=10.0, n_steps=1))

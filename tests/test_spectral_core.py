@@ -21,14 +21,17 @@ from liemorph import (
     ObsSet,
     ScalarField,
     SolverParams,
+    TSWState,
     VortexIC,
     coarsen,
     curl_2d,
     divergence,
     domain_integral,
+    generate_ensemble,
     gradient,
     hou_li_filter,
     hou_li_multiplier,
+    integrate,
     inverse_helmholtz,
     refine,
 )
@@ -113,11 +116,25 @@ PARAMETER_CLASSES = {
 NON_REALS = (True, "1", float("nan"), float("inf"))
 NON_COUNTS = (True, 2.0, "2")
 
+# Library functions with a count or an exponent argument, each called over
+# valid defaults, with that argument and its bad values
+LIBRARY_FUNCTIONS = {
+    "generate_ensemble": (
+        lambda workers: generate_ensemble(VortexIC(), OBS_GRID, 2, 0, 0, ModelParams(),
+                                          workers=workers),
+        "workers", (*NON_COUNTS, 0)),
+    "integrate": (
+        lambda n_steps: integrate(TSWState.rest(OBS_GRID, ModelParams()), n_steps, ModelParams()),
+        "n_steps", (*NON_COUNTS, -1)),
+    "hou_li_multiplier": (lambda a: hou_li_multiplier(OBS_GRID, a), "a", (*NON_REALS, 0.0)),
+}
+
 
 class TestParameterTypes:
     """Every parameter class takes a finite real number or an integer count
     for each numeric argument, numpy scalars too, and raises a ValueError
-    naming the argument for anything else."""
+    naming the argument for anything else; so do the library functions
+    that take a count or an exponent."""
 
     @pytest.mark.parametrize("cls, arg, value", [
         pytest.param(cls, arg, value, id=f"{cls}-{arg}-{value!r}")
@@ -128,6 +145,15 @@ class TestParameterTypes:
     def test_rejects_naming_the_argument(self, cls, arg, value):
         with pytest.raises(ValueError, match=rf"\b{arg}\b"):
             PARAMETER_CLASSES[cls][0](**{arg: value})
+
+    @pytest.mark.parametrize("fn, value", [
+        pytest.param(fn, value, id=f"{fn}-{value!r}")
+        for fn, (_, _, values) in LIBRARY_FUNCTIONS.items() for value in values
+    ])
+    def test_library_functions_reject_naming_the_argument(self, fn, value):
+        call, arg, _ = LIBRARY_FUNCTIONS[fn]
+        with pytest.raises(ValueError, match=rf"\b{arg} must be"):
+            call(value)
 
     def test_numpy_scalars_pass(self):
         f8, i8 = np.float64, np.int64
