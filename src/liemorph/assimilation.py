@@ -13,12 +13,15 @@ values, and no n x d or d x d matrix is ever formed.
 Both per-member stages, the spin-up and the morph, run members in batches:
 contiguous runs of members that advance in lockstep through the spectral
 kernels (`tsw_model._integrate_batch`, `morph_engine._run_morph_batch`),
-one FFT call per field for the whole batch.  With workers = 1 the batches
-run one after another in the calling thread, otherwise on a pool of
-threads in the calling process; results do not depend on the batching.
-When a batch fails, the error names the lowest-index member that failed
-at the batch's first failing step, where serial code named the first
-failing member, and is chained to the kernel's own error.
+one FFT call per field for the whole batch.  The batches are shared out
+among min(workers, batch count) threads of the calling process: the
+calling thread runs one share and a pool thread each other share, so
+workers = 1 runs them one after another in the calling thread.  Results
+do not depend on the batching or the worker count.  When batches fail,
+the error is that of the lowest-index failing batch; it names the
+lowest-index member that failed at the batch's first failing step, where
+serial code named the first failing member, and is chained to the
+kernel's own error.
 """
 
 import math
@@ -129,40 +132,65 @@ def _run_batches(kernel, items, grid, workers, failure):
     """kernel(batch, stop) for each batch of items, flattened into one list
     in member order.
 
-    With workers = 1 the batches run in the calling thread, otherwise on
-    min(workers, batch count) threads.  The kernels spend their time in
-    numpy FFTs and ufuncs, which release the GIL at these array sizes, so
-    threads run batches in parallel without a second interpreter.  Batches
-    share no mutable state; the per-grid multiplier caches they share
-    are deterministic and read-only.  An InstabilityError of batch member
-    j is re-raised as failure.format(start + j, error), chained to it.
+    The batches are dealt into T = min(workers, batch count) shares, share
+    t taking batches t, t + T, ... in order.  The calling thread runs share
+    0 and one pool thread each of the others, so one share starts no
+    thread.  The kernels spend their time in numpy FFTs and ufuncs, which
+    release the GIL at these array sizes, so threads run batches in
+    parallel without a second interpreter.  Batches share no mutable
+    state; the per-grid multiplier caches they share are deterministic
+    and read-only.  An InstabilityError of batch member j is re-raised as
+    failure.format(start + j, error), chained to it.
 
-    Only the main thread receives an interrupt, and the pool waits for its
-    threads, so the event `stop` is set once the results are in or an
-    error ends the wait: the kernels still running then end at their next
-    step, not at their last, with a CancelledError that no one reads.
+    Each batch has its own stop event.  A failing batch sets the events
+    of the batches after it, which then end at their next step with a
+    CancelledError that no one reads, or never start; the batches before
+    it run to their end, and the error raised is that of the lowest-index
+    failing batch.  Only the calling thread receives an interrupt, and the
+    pool waits for its threads, so the calling thread sets every event on
+    its way out: after an interrupt the other shares end at their next
+    step, not at their last.
     """
     if not (_is_int(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     size = _batch_size(len(items), workers, grid)
-    stop = threading.Event()
+    starts = range(0, len(items), size)
+    shares = min(workers, len(starts))
+    stops = [threading.Event() for _ in starts]
+    results, errors = [None] * len(starts), {}
 
-    def job(start):
+    def job(b):
+        start = starts[b]
         try:
-            return kernel(items[start : start + size], stop)
+            return kernel(items[start : start + size], stops[b])
         except InstabilityError as err:
             raise InstabilityError(failure.format(start + err.member, err)) from err
 
-    starts = range(0, len(items), size)
-    # workers = 1 stays serial: a pool thread raised desk peak_rss_mb 55.6 -> 60.6 MB
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+    def run_share(first):
+        for b in range(first, len(starts), shares):
+            if stops[b].is_set():
+                return
             try:
-                results = list(pool.map(job, starts))
+                results[b] = job(b)
+            except Exception as err:
+                errors[b] = err
+                for later in stops[b + 1 :]:
+                    later.set()
+                return
+
+    if shares > 1:
+        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
+            try:
+                others = pool.map(run_share, range(1, shares))
+                run_share(0)
+                list(others)
             finally:
-                stop.set()
+                for stop in stops:
+                    stop.set()
     else:
-        results = [job(s) for s in starts]
+        run_share(0)
+    if errors:
+        raise errors[min(errors)]
     return [r for batch in results for r in batch]
 
 

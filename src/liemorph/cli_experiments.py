@@ -108,7 +108,7 @@ PRESETS = {
                   "ab_order": 5, "early_stop_patience": None},
         "nudging": {"steps": 10, "strength": 1.0},
         "output_dir": "runs/desk",
-        "workers": 1,
+        "workers": 2,
     },
     "paper": {
         "schema_version": SCHEMA_VERSION,
@@ -125,13 +125,15 @@ PRESETS = {
                   "ab_order": 5, "early_stop_patience": None},
         "nudging": {"steps": 25, "strength": 1.0},
         "output_dir": "runs/paper",
-        "workers": 1,
+        "workers": 2,
     },
 }
 
 PRESET_NOTES = {
-    "desk": "64x64 fine / 16x16 coarse, 8 members, 500 morph steps; the CI-gated scale",
-    "paper": "256x256 fine / 64x64 coarse, 20 members, full-scale horizons; not CI-gated",
+    "desk": "64x64 fine / 16x16 coarse, 8 members, 500 morph steps, 2 workers; "
+            "the CI-gated scale",
+    "paper": "256x256 fine / 64x64 coarse, 20 members, full-scale horizons, 2 workers; "
+             "not CI-gated",
 }
 
 

@@ -8,6 +8,7 @@ toward theta1, i.e. transporting theta2 one infinitesimal step along u
 decreases the residual against theta1.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -64,6 +65,20 @@ class SolverParams:
                 raise ValueError("weight W must lie in [0, 1] pointwise")
 
 
+# the parameters of a solve that is given none
+_DEFAULT_PARAMS = SolverParams()
+
+
+@functools.lru_cache(maxsize=16)
+def _solve_multiplier(grid, a0, a1, prefactor):
+    """prefactor / (a0 + a1 k^2) of each rfft2 mode, the closed-form solve's
+    real multiplier, read-only; computed once per grid, weights and
+    prefactor, and shared by equal grids."""
+    mult = prefactor / (a0 + a1 * grid._k2_r)
+    mult.flags.writeable = False
+    return mult
+
+
 def _weight_values(params, grid):
     if params.weight is None:
         return 1.0
@@ -99,7 +114,7 @@ def _closed_form(theta1, theta2, degree, params):
         f, gh = t2 - t1, np.fft.rfft2(t2)
     else:
         f, gh = t2, np.fft.rfft2(t1) - np.fft.rfft2(t2)
-    uh = _closed_form_hat(f, gh, g, params or SolverParams())
+    uh = _closed_form_hat(f, gh, g, params or _DEFAULT_PARAMS)
     return DisplacementField(*(ScalarField(g, _irfft2(c, g.shape)) for c in uh))
 
 
@@ -119,7 +134,7 @@ def _closed_form_hat(f, gh, grid, params, out=None, tmp=None):
     # PREFACTOR * forcing / (a0 + a1 k^2), as one real multiplier: numpy's
     # complex division by a real divisor multiplies by its reciprocal too,
     # and with a power-of-two PREFACTOR the product rounds the same
-    out *= PREFACTOR / (params.a0 + params.a1 * grid._k2_r)
+    out *= _solve_multiplier(grid, params.a0, params.a1, PREFACTOR)
     return out
 
 
@@ -138,9 +153,8 @@ def _combined_displacement_hat(pairs, grid, out, fields, tmp, dens):
         pairs: (theta1 spectrum, theta2 values, theta2 spectrum) per
             observable, rfft2 layout.
     """
-    params = SolverParams()
     for (t1h, t2, t2h), f in zip(pairs, fields):
-        _closed_form_hat(t2, np.subtract(t1h, t2h, out=tmp[1][0]), grid, params, f, tmp)
+        _closed_form_hat(t2, np.subtract(t1h, t2h, out=tmp[1][0]), grid, _DEFAULT_PARAMS, f, tmp)
     return _normalized_mean(
         fields, [_h1_norm_hat(u, grid, dens) for u in fields], _TOL_NORM_PER_AREA * grid.area, out
     )
@@ -250,7 +264,7 @@ def generalized_optical_flow(theta, theta_t, params=None):
     # start-up time and memory
     from scipy.sparse.linalg import LinearOperator, cg
 
-    params = params or SolverParams()
+    params = params or _DEFAULT_PARAMS
     if theta.grid != theta_t.grid or theta.degree != theta_t.degree:
         raise ValueError("forms must share grid and degree")
     g = theta.grid

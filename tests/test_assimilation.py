@@ -540,12 +540,14 @@ class TestMemberBatches:
     def test_parallel_batches_stay_in_the_calling_process(
         self, ensemble, truth, params, monkeypatch
     ):
-        pids = []
+        """At 2 workers each stage runs two batches in this process, one on
+        the calling thread and one on a pool thread."""
+        calls = []
         for name in ("_integrate_batch", "_run_morph_batch"):
             kernel = getattr(assimilation, name)
 
-            def recorded(*args, _kernel=kernel, **kwargs):
-                pids.append(os.getpid())
+            def recorded(*args, _kernel=kernel, _name=name, **kwargs):
+                calls.append((_name, os.getpid(), threading.get_ident()))
                 return _kernel(*args, **kwargs)
 
             monkeypatch.setattr(assimilation, name, recorded)
@@ -553,10 +555,48 @@ class TestMemberBatches:
                           workers=2)
         morph_ensemble(ensemble, observe(truth, COARSE), MorphParams(epsilon=10.0, n_steps=2),
                        workers=2)
-        # two batches per stage
-        assert len(pids) == 4 and set(pids) == {os.getpid()}
+        assert len(calls) == 4 and {pid for _, pid, _ in calls} == {os.getpid()}
+        for name in ("_integrate_batch", "_run_morph_batch"):
+            threads = [ident for n, _, ident in calls if n == name]
+            assert len(threads) == 2 and threading.get_ident() in threads
+            assert len(set(threads)) == 2
+
+    def test_two_workers_take_turns_over_one_member_batches(
+        self, ensemble, truth, monkeypatch
+    ):
+        """With one member a batch, 4 members make 4 batches: the calling
+        thread runs batches 0 and 2, a pool thread 1 and 3, and the members
+        come back in order, equal to one worker's."""
+        monkeypatch.setattr(assimilation, "_BATCH_BYTES", 8 * FINE.nx * FINE.ny)
+        runs = []
+        kernel = assimilation._run_morph_batch
+
+        def recorded(batch, *args, **kwargs):
+            runs.append((batch[0].time, threading.get_ident()))
+            return kernel(batch, *args, **kwargs)
+
+        monkeypatch.setattr(assimilation, "_run_morph_batch", recorded)
+        # each member's time tells the batches apart
+        members = [TSWState(*m.fields(), time=float(i)) for i, m in enumerate(ensemble.members[:4])]
+        ens = Ensemble(members, rng_seed=0)
+        obs, mp = observe(truth, COARSE), MorphParams(epsilon=10.0, n_steps=3)
+        serial, serial_traces = morph_ensemble(ens, obs, mp, workers=1)
+        assert [ident for _, ident in runs] == [threading.get_ident()] * 4
+        runs.clear()
+        parallel, traces = morph_ensemble(ens, obs, mp, workers=2)
+        by_thread = {}
+        for t, ident in runs:
+            by_thread.setdefault(ident, []).append(t)
+        assert by_thread.pop(threading.get_ident()) == [0.0, 2.0]
+        assert list(by_thread.values()) == [[1.0, 3.0]]
+        for a, b in zip(serial.members, parallel.members):
+            assert_same_state(a, b)
+        assert [t.rows for t in traces] == [t.rows for t in serial_traces]
+        assert [m.time for m in parallel.members] == [0.0, 1.0, 2.0, 3.0]
 
     def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
+        """The calling thread runs one share of the batches, so 3 batches
+        ask a pool for 2 threads, however many workers are allowed."""
         asked = []
 
         class Inline:
@@ -578,7 +618,9 @@ class TestMemberBatches:
         out = _run_batches(lambda batch, stop: [2 * x for x in batch], [0, 1, 2], FINE,
                            10**9, "member {}: {}")
         assert out == [0, 2, 4]
-        assert asked == [3]
+        assert asked == [2]
+        assert _run_batches(lambda batch, stop: batch, [0, 1, 2], FINE, 1, "{}{}") == [0, 1, 2]
+        assert asked == [2]
 
     def test_set_stop_ends_the_kernels_before_a_step(self, ensemble, truth, params):
         stop = threading.Event()
@@ -606,6 +648,29 @@ class TestMemberBatches:
         with pytest.raises(InstabilityError, match="member 0: step 1: blown up"):
             _run_batches(kernel, [0, 1], FINE, 2, "member {}: {}")
         assert seen == [True]
+
+    def test_lowest_failing_batch_wins_over_an_earlier_failure(self, monkeypatch):
+        """One member a batch, 4 batches on 2 workers: the pool thread's
+        batch 1 fails first, while the calling thread's batch 0 runs on.
+        Batch 0 is not stopped and fails later; the error names member 0,
+        and batches 2 and 3, after a failure, never start."""
+        monkeypatch.setattr(assimilation, "_BATCH_BYTES", 8 * FINE.nx * FINE.ny)
+        failed, ran, stopped = threading.Event(), [], []
+
+        def kernel(batch, stop):
+            ran.append(batch[0])
+            if batch == [1]:
+                failed.set()
+                raise InstabilityError("second", step=1, member=0)
+            assert failed.wait(timeout=30)
+            stopped.append(stop.wait(timeout=0.2))
+            raise InstabilityError("first", step=2, member=0)
+
+        with pytest.raises(InstabilityError, match="member 0: step 2: first") as exc:
+            _run_batches(kernel, [0, 1, 2, 3], FINE, 2, "member {}: {}")
+        assert str(exc.value.__cause__) == "step 2: first"
+        assert sorted(ran) == [0, 1]
+        assert stopped == [False]
 
     def test_batch_size_rule(self):
         """One batched field stays within 256 KiB, and no worker is idle."""

@@ -27,7 +27,12 @@ from liemorph import (
     h1_norm,
     lie_derivative,
 )
-from liemorph.displacement_solver import PREFACTOR, _closed_form_hat, lie_operator_adjoint
+from liemorph.displacement_solver import (
+    PREFACTOR,
+    _closed_form_hat,
+    _solve_multiplier,
+    lie_operator_adjoint,
+)
 from liemorph.spectral_core import _scratch
 from liemorph.forms import form_inner_integral
 from oracles import dense_el_displacement, dense_gof_solve, random_band_limited
@@ -225,6 +230,17 @@ class TestClosedForm:
         solve(theta1, theta2)
         assert (counts["rfft2"], counts["irfft2"]) == expected
 
+
+    @pytest.mark.parametrize("a0, a1", [(1.0, 1.0), (2.0, 0.5)])
+    def test_solve_multiplier_is_cached_and_read_only(self, a0, a1):
+        """One multiplier per grid, weights and prefactor, equal bit for bit
+        to the expression it caches, shared by equal grids and read-only."""
+        grid = GridSpec(64, 32, 5000.0, 3000.0)
+        mult = _solve_multiplier(grid, a0, a1, PREFACTOR)
+        assert np.array_equal(mult, PREFACTOR / (a0 + a1 * grid._k2_r))
+        assert _solve_multiplier(GridSpec(64, 32, 5000.0, 3000.0), a0, a1, PREFACTOR) is mult
+        with pytest.raises(ValueError):
+            mult[0, 0] = 0.0
 
     def test_unweighted_solve_copies_no_field(self):
         """Unweighted, a solve into preallocated `out` and scratch allocates
