@@ -16,18 +16,25 @@ all alike; each row is the median [min, max] over the repeats of the
 run's wall time divided by its steps.  The `cold` column is each case's
 first run, which fills the caches, the allocator's free lists and the
 FFT plans: a fresh process, as each benchmark run is, pays it once.  The
-`ffts` and `fft%` columns come from one more pass, of the run and of a
-run of no steps, with numpy's real 2-D transforms wrapped as
+`cpu` column is the process's user + system CPU time per step and `csw`
+its voluntary context switches per step, from getrusage, each the median
+over the repeats: at 2 workers, CPU time above the wall time is the
+second thread's work, and the switches count the waits, mostly for the
+GIL.  The `ffts` and `fft%` columns come from one more pass, of the run
+and of a run of no steps, with the kernel's transform pair
+`spectral_core._rfft2` / `_irfft2` wrapped as
 `tests/conftest.py::count_ffts` does: the transforms per step, of every
 batch, and their share of the step time, of every thread, the set-up's
-transforms excluded.  The ms/step columns time unwrapped runs.  --grid
-and --steps shrink the run.
+transforms excluded.  The other columns time unwrapped runs.  --grid and
+--steps shrink the run.
 
     python3 demos/kernel_timing.py [--grid N M] [--steps S] [--repeats R]
 """
 
 import argparse
 import multiprocessing
+import resource
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +42,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from liemorph import GridSpec, double_vortex_ic, vorticity_of
+from liemorph import GridSpec, double_vortex_ic, spectral_core, vorticity_of
 from liemorph.assimilation import _member_ics, _run_batches
 from liemorph.cli_experiments import preset_config, validate_config
 from liemorph.morph_engine import _run_morph_batch
@@ -46,14 +53,13 @@ MEMBERS = (8, 1)
 DEFAULT_STEPS = (150, 60)
 # the worker count of the threaded rows, the presets'
 WORKERS = 2
-# numpy's own irfft2 reaches irfftn by a module-internal name, so no
-# transform is counted twice
-FFT_NAMES = ("rfft2", "rfftn", "irfft2", "irfftn")
+# the transform pair every real 2-D transform of the kernels goes through
+FFT_HELPERS = ("_rfft2", "_irfft2")
 
 
 def time_grid(n, members, steps, repeats):
-    """(kernel, n, members, workers, steps, ffts, fft share, cold ms,
-    [ms per repeat]) of both kernels on an n^2 grid, in ms per step, and
+    """(kernel, n, members, workers, steps, ffts, fft share, cpu ms, csw,
+    cold ms, [ms per repeat]) of both kernels on an n^2 grid, per step, and
     of both at WORKERS workers when there are members to share out."""
     desk = validate_config(preset_config("desk"))
     grid = GridSpec(n, n, desk.grid.lx, desk.grid.ly)
@@ -77,26 +83,31 @@ def time_grid(n, members, steps, repeats):
                       "member {}: {}"))
                   for name, kernel in kernels]
 
-    def ms_per_step(run):
-        t0 = time.perf_counter()
+    def per_step(run):
+        # (wall ms, CPU ms, voluntary context switches) per step
+        r0, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
         run(steps)
-        return 1e3 * (time.perf_counter() - t0) / steps
+        t1, r1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
+        cpu = (r1.ru_utime + r1.ru_stime) - (r0.ru_utime + r0.ru_stime)
+        return 1e3 * (t1 - t0) / steps, 1e3 * cpu / steps, (r1.ru_nvcsw - r0.ru_nvcsw) / steps
 
-    cold = [ms_per_step(run) for *_, run in timed]
-    ms = [[] for _ in timed]
+    cold = [per_step(run)[0] for *_, run in timed]
+    runs = [[] for _ in timed]
     for _ in range(repeats):
-        for row, (*_, run) in zip(ms, timed):
-            row.append(ms_per_step(run))
+        for row, (*_, run) in zip(runs, timed):
+            row.append(per_step(run))
     ffts = [fft_profile(run, steps, workers) for _, workers, run in timed]
-    return [(kernel, n, members, workers, steps, *fft, first, row)
-            for (kernel, workers, _), fft, first, row in zip(timed, ffts, cold, ms)]
+    return [(kernel, n, members, workers, steps, *fft,
+             np.median([r[1] for r in row]), np.median([r[2] for r in row]),
+             first, [r[0] for r in row])
+            for (kernel, workers, _), fft, first, row in zip(timed, ffts, cold, runs)]
 
 
 def fft_profile(run, steps, workers):
     """(FFT calls per step, share of step time in them) of run(steps),
-    less those of run(0), the set-up's, with np.fft's real 2-D transforms
-    wrapped; the kernel makes its inverse ones through irfftn.  The share
-    is of the time of `workers` threads, which run(steps) may use."""
+    less those of run(0), the set-up's, with the kernel's transform pair
+    wrapped in every liemorph module that holds it.  The share is of the
+    time of `workers` threads, which run(steps) may use."""
     calls, spent = [0], [0.0]
     lock = threading.Lock()
 
@@ -111,19 +122,22 @@ def fft_profile(run, steps, workers):
                     calls[0] += 1
         return timed
 
-    originals = {name: getattr(np.fft, name) for name in FFT_NAMES}
+    # (module, name, helper) of each module attribute that holds a helper
+    held = [(module, name, getattr(spectral_core, name))
+            for key, module in list(sys.modules.items()) if key.split(".")[0] == "liemorph"
+            for name in FFT_HELPERS if getattr(module, name, None) is getattr(spectral_core, name)]
     totals = []
     try:
-        for name, fn in originals.items():
-            setattr(np.fft, name, wrapped(fn))
+        for module, name, fn in held:
+            setattr(module, name, wrapped(fn))
         for k in (steps, 0):
             calls[0], spent[0] = 0, 0.0
             t0 = time.perf_counter()
             run(k)
             totals.append((calls[0], spent[0], time.perf_counter() - t0))
     finally:
-        for name, fn in originals.items():
-            setattr(np.fft, name, fn)
+        for module, name, fn in held:
+            setattr(module, name, fn)
     (c1, f1, w1), (c0, f0, w0) = totals
     return (c1 - c0) / steps, (f1 - f0) / (workers * (w1 - w0))
 
@@ -146,10 +160,10 @@ def main(argv=None):
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
             rows += pool.submit(time_grid, n, members, args.steps or steps, args.repeats).result()
     print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'workers':>7} {'steps':>5} {'ffts':>5} "
-          f"{'fft%':>5} {'cold':>8}  ms/step median [min, max]")
-    for kernel, n, members, workers, steps, ffts, share, first, row in rows:
+          f"{'fft%':>5} {'cpu':>8} {'csw':>6} {'cold':>8}  ms/step median [min, max]")
+    for kernel, n, members, workers, steps, ffts, share, cpu, csw, first, row in rows:
         print(f"{kernel:<17} {f'{n}^2':>7} {members:>7} {workers:>7} {steps:>5} {ffts:>5.1f} "
-              f"{100 * share:>5.1f} {first:>8.3f}  "
+              f"{100 * share:>5.1f} {cpu:>8.3f} {csw:>6.1f} {first:>8.3f}  "
               f"{np.median(row):.3f} [{min(row):.3f}, {max(row):.3f}]")
     return 0
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DiffForm, DisplacementField, _h1_norm_hat, h1_norm, lie_derivative
-from .spectral_core import ScalarField, _deriv, _deriv_hat, _irfft2, _is_int, _is_real, _scratch
+from .spectral_core import (ScalarField, _deriv, _deriv_hat, _irfft2, _is_int, _is_real, _rfft2,
+                            _scratch)
 
 __all__ = [
     "SolverParams",
@@ -111,11 +112,11 @@ def _closed_form(theta1, theta2, degree, params):
     g = theta1.grid
     t1, t2 = theta1.components[0].values, theta2.components[0].values
     if degree == 0:
-        f, gh = t2 - t1, np.fft.rfft2(t2)
+        f, gh = t2 - t1, _rfft2(t2)
     else:
-        f, gh = t2, np.fft.rfft2(t1) - np.fft.rfft2(t2)
+        f, gh = t2, _rfft2(t1) - _rfft2(t2)
     uh = _closed_form_hat(f, gh, g, params or _DEFAULT_PARAMS)
-    return DisplacementField(*(ScalarField(g, _irfft2(c, g.shape)) for c in uh))
+    return DisplacementField(*(ScalarField(g, _irfft2(c, g.shape, tmp=c)) for c in uh))
 
 
 def _closed_form_hat(f, gh, grid, params, out=None, tmp=None):
@@ -130,7 +131,7 @@ def _closed_form_hat(f, gh, grid, params, out=None, tmp=None):
     for axis in (0, 1):
         prod = _deriv_hat(gh, grid, axis, r[0], c[1])
         prod *= wf
-        np.fft.rfft2(prod, out=out[axis])
+        _rfft2(prod, out[axis])
     # PREFACTOR * forcing / (a0 + a1 k^2), as one real multiplier: numpy's
     # complex division by a real divisor multiplies by its reciprocal too,
     # and with a power-of-two PREFACTOR the product rounds the same
@@ -285,7 +286,7 @@ def generalized_optical_flow(theta, theta_t, params=None):
 
     def apply_normal(vec):
         lu = lie_derivative(theta, unpack(vec))
-        reg = _irfft2(np.fft.rfft2(vec.reshape(2, *g.shape)) * symbol, g.shape)
+        reg = _irfft2(_rfft2(vec.reshape(2, *g.shape)) * symbol, g.shape)
         return (np.stack(_lie_adjoint(theta, weighted(lu))) + reg).ravel()
 
     b1, b2 = _lie_adjoint(theta, weighted(theta_t))

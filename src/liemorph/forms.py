@@ -14,6 +14,7 @@ from .spectral_core import (
     _deriv,
     _deriv_hat,
     _h1_weight,
+    _rfft2,
     _scratch,
     curl_2d,
     domain_integral,
@@ -203,7 +204,7 @@ def h1_norm(u):
     Evaluated by Parseval from the two spectra, which equals the quadrature
     of the spectral curl and divergence up to rounding.
     """
-    uh = np.stack([np.fft.rfft2(u.u1.values), np.fft.rfft2(u.u2.values)])
+    uh = np.stack([_rfft2(u.u1.values), _rfft2(u.u2.values)])
     return float(_h1_norm_hat(uh, u.grid))
 
 
@@ -234,7 +235,7 @@ def _advect_hat(fh, u, grid, grad, out, tmp):
     fx, fy = (_deriv_hat(fh, grid, a, r[a], c[1]) for a in (0, 1)) if grad is None else grad
     prod = np.multiply(u[0], fx, out=r[0])
     prod += np.multiply(u[1], fy, out=r[1])
-    return np.fft.rfft2(prod, out=out)
+    return _rfft2(prod, out)
 
 
 def _transport_hat(vals, spec, omega, u, grid, grad_th=None, out=None, tmp=None):
@@ -262,16 +263,16 @@ def _transport_hat(vals, spec, omega, u, grid, grad_th=None, out=None, tmp=None)
     r, c = _scratch(h.shape) if tmp is None else tmp
     uv = np.multiply(u1, v1, out=r[0])
     uv += np.multiply(u2, v2, out=r[1])
-    uv_hat = np.fft.rfft2(uv, out=c[0])
+    uv_hat = _rfft2(uv, c[0])
     # -(ikx rfft(h u1) + iky rfft(h u2))
-    dh = np.fft.rfft2(np.multiply(h, u1, out=r[0]), out=out[0])
+    dh = _rfft2(np.multiply(h, u1, out=r[0]), out[0])
     np.multiply(ikx, dh, out=dh)
-    dh += np.multiply(iky, np.fft.rfft2(np.multiply(h, u2, out=r[0]), out=c[1]), out=c[1])
+    dh += np.multiply(iky, _rfft2(np.multiply(h, u2, out=r[0]), c[1]), out=c[1])
     np.negative(dh, out=dh)
     np.negative(_advect_hat(spec[1], u, grid, grad_th, out[1], (r, c)), out=out[1])
-    np.fft.rfft2(np.multiply(omega, u2, out=r[0]), out=out[2])
+    _rfft2(np.multiply(omega, u2, out=r[0]), out[2])
     out[2] -= np.multiply(ikx, uv_hat, out=c[1])
-    dv2 = np.fft.rfft2(np.multiply(omega, u1, out=r[0]), out=out[3])
+    dv2 = _rfft2(np.multiply(omega, u1, out=r[0]), out[3])
     dv2 += np.multiply(iky, uv_hat, out=c[1])
     np.negative(dv2, out=dv2)
     return out

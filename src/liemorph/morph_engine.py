@@ -20,14 +20,15 @@ by every step, into which the kernel helpers write through their `out=`
 and scratch arguments.  The AB history is the workspace's own ring, an
 array of shape (order, 4, B, nx, ny//2+1): each tendency is written
 straight into its slot, and the AB sum is one pass over the ring.
-Inverse transforms go through `spectral_core._irfft2`, which calls
-np.fft.irfftn, since np.fft.irfft2 ignores `out`.  The typed functions
-are batch-of-one runs: `morph_velocity` and `morph_step` each run one
-step of the loop on a one-member workspace of their own, whose ring
-`morph_step` seeds from its caller's history list.  Only where results
-are stored and the order of the AB sum differ from a loop on fresh
-arrays, so each member's result is the same bit for bit wherever it
-sits in the batch.
+The transforms go through `spectral_core._rfft2` and `_irfft2`, which
+call numpy's pocketfft gufuncs straight, and each inverse runs its
+complex pass in a workspace spectrum that is free at that point.  The
+typed functions are batch-of-one runs: `morph_velocity` and `morph_step`
+each run one step of the loop on a one-member workspace of their own,
+whose ring `morph_step` seeds from its caller's history list.  Only
+where results are stored and the order of the AB sum differ from a loop
+on fresh arrays, so each member's result is the same bit for bit
+wherever it sits in the batch.
 
 `nudge` adds the same transport, times a strength, to the model tendency
 and runs through the same batch loop.
@@ -43,7 +44,7 @@ import numpy as np
 
 from .displacement_solver import _combined_displacement_hat
 from .forms import DisplacementField, _advect_hat, _transport_hat
-from .spectral_core import ScalarField, _is_int, _is_real
+from .spectral_core import ScalarField, _is_int, _is_real, _rfft2
 from .tsw_model import (
     _MODEL_ERRORS,
     AB_COEFFS,
@@ -200,7 +201,7 @@ def _target_spectra(targets, grid):
         raise ValueError(f"targets must be among {list(_OBSERVABLES)}, got {list(targets)}")
     if not all(isinstance(t, ScalarField) and t.grid == grid for t in targets.values()):
         raise ValueError("targets must be ScalarFields on the state's grid")
-    return [(name, t.values, np.fft.rfft2(t.values)) for name, t in targets.items()]
+    return [(name, t.values, _rfft2(t.values)) for name, t in targets.items()]
 
 
 def _velocity(observed, grid, ws):
@@ -214,7 +215,8 @@ def _velocity(observed, grid, ws):
     """
     pairs = [(th, *_OBSERVABLES[name].in_workspace(ws)) for name, _, th in observed]
     uh = _combined_displacement_hat(pairs, grid, ws.uh, ws.forcing, (ws.r, ws.c), ws.dens)
-    return _irfft_all(uh, grid, ws.u)
+    # uh, read by nothing after u is formed, takes the inverses' complex pass
+    return _irfft_all(uh, grid, ws.u, uh)
 
 
 def _record(traces, k, observed, grid, ws):
@@ -384,7 +386,9 @@ def nudge(state, targets, model, strength, n_steps):
     `integrate` bit for bit.  The tendency and the transport share the
     trace's vorticity and one grad(Theta): a step makes 16 rfft2 + 13
     irfft2 with h and omega targets.  Returns (final state, MorphTrace), a
-    trace row per step plus the first.
+    trace row per step plus the first.  strength must be a finite number.
     """
+    if not _is_real(strength):
+        raise ValueError(f"strength must be a finite number, got {strength!r}")
     params = MorphParams(epsilon=model.dt, n_steps=n_steps, filter_a=12.0, ab_order=3)
     return _run_morph_batch([state], targets, params, drift=(model, strength))[0]

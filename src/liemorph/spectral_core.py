@@ -11,6 +11,13 @@ import numbers
 
 import numpy as np
 
+# numpy's pocketfft gufuncs, the 1-D transforms that np.fft.rfftn and
+# irfftn call along each axis.  The module is private (numpy >= 2.0);
+# test_spectral_core checks the pair below bit for bit against
+# np.fft.rfft2 and irfft2, on the oldest numpy the project admits and on
+# the newest.
+from numpy.fft import _pocketfft_umath as _pfu
+
 __all__ = [
     "GridSpec",
     "ScalarField",
@@ -181,11 +188,33 @@ def _check_finite(values, what):
         raise ValueError(f"non-finite values in {what}")
 
 
-def _irfft2(fh, shape, out=None):
-    # inverse rfft2 over the last two axes, written into `out` when given.
-    # np.fft.irfft2 drops `out` (numpy 2.4 passes out=None on to irfftn),
-    # so every inverse transform calls irfftn.
-    return np.fft.irfftn(fh, shape, axes=(-2, -1), out=out)
+# gufunc axes of a transform along x, the second-last axis
+_X_AXES = [(-2,), (), (-2,)]
+
+
+def _rfft2(x, out=None):
+    # rfft2 over the last two axes, as np.fft.rfft2 makes it, written into
+    # `out` when given: the real transform along y (even ny), then the
+    # complex one along x in place.  Going straight to the gufuncs skips
+    # the n-D wrapper's Python work, which each call pays under the GIL.
+    if out is None:
+        out = np.empty((*x.shape[:-1], x.shape[-1] // 2 + 1), dtype=complex)
+    _pfu.rfft_n_even(x, 1.0, out=out)
+    return _pfu.fft(out, 1.0, out=out, axes=_X_AXES)
+
+
+def _irfft2(xh, shape, out=None, tmp=None):
+    # inverse rfft2 over the last two axes to values of grid shape `shape`,
+    # as np.fft.irfft2(xh, shape) makes it, written into `out` when given.
+    # The complex inverse along x goes into `tmp`, which may be xh itself
+    # when the caller no longer needs the spectrum; without it a temporary
+    # of xh's size is allocated, as np.fft.irfftn does.
+    nx, ny = shape
+    if out is None:
+        out = np.empty((*xh.shape[:-1], ny))
+    tmp = np.empty_like(xh) if tmp is None else tmp
+    _pfu.ifft(xh, 1 / nx, out=tmp, axes=_X_AXES)
+    return _pfu.irfft(tmp, 1 / ny, out=out)
 
 
 def _scratch(shape):
@@ -197,13 +226,15 @@ def _scratch(shape):
 
 def _deriv_hat(fh, grid, axis, out=None, tmp=None):
     # d/dx or d/dy of the field with rfft2 spectrum fh, Nyquist zeroed;
-    # tmp, when given, receives fh * ik
+    # tmp, when given, receives fh * ik, which the inverse consumes
     ik = grid._ikx_odd[:, None] if axis == 0 else grid._iky_odd[None, :]
-    return _irfft2(np.multiply(fh, ik, out=tmp), grid.shape, out)
+    prod = np.multiply(fh, ik, out=tmp)
+    return _irfft2(prod, grid.shape, out, prod)
 
 
 def _deriv(values, grid, axis):
-    return _deriv_hat(np.fft.rfft2(values), grid, axis)
+    fh = _rfft2(values)
+    return _deriv_hat(fh, grid, axis, tmp=fh)
 
 
 def gradient(f):
@@ -235,9 +266,9 @@ def curl_2d(u):
 def inverse_helmholtz(f):
     """Solve (I - Lap) g = f; each Fourier mode divided by 1 + kx^2 + ky^2."""
     _check_finite(f.values, "inverse_helmholtz input")
-    fh = np.fft.rfft2(f.values)
+    fh = _rfft2(f.values)
     fh /= 1.0 + f.grid._k2_r
-    return ScalarField(f.grid, _irfft2(fh, f.values.shape))
+    return ScalarField(f.grid, _irfft2(fh, f.values.shape, tmp=fh))
 
 
 def hou_li_multiplier(grid, a):
@@ -273,9 +304,9 @@ def _h1_weight(grid):
 def hou_li_filter(f, a):
     """Apply the Hou-Li filter (model steps use a = 12, morphing a = 36)."""
     _check_finite(f.values, "hou_li_filter input")
-    fh = np.fft.rfft2(f.values)
+    fh = _rfft2(f.values)
     fh *= _hou_li(f.grid, a)
-    return ScalarField(f.grid, _irfft2(fh, f.values.shape))
+    return ScalarField(f.grid, _irfft2(fh, f.values.shape, tmp=fh))
 
 
 def _resample_modes(coeffs, n_new, axis):

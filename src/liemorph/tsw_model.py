@@ -36,9 +36,11 @@ own ring, seeded from a typed step's history list: one (order, ...)
 array whose slots the tendencies are written into, so the plain AB sum
 is a single pass, the coefficient vector times the slots viewed as an
 (order, n) float matrix, and the Lawson step's Horner sum takes turns
-between the ring's next slot and one spare spectrum.  Inverse transforms
-call np.fft.irfftn through `spectral_core._irfft2`: np.fft.irfft2 drops
-its `out` argument (numpy 2.4).
+between the ring's next slot and one spare spectrum.  The transforms go
+through `spectral_core._rfft2` and `_irfft2`, which call numpy's
+pocketfft gufuncs straight; each inverse runs its complex pass in a
+spectrum the step no longer needs (the AB sum, the free ring slot or the
+spare), so a step allocates no spectrum-sized temporary.
 """
 
 import functools
@@ -49,7 +51,7 @@ import numpy as np
 
 from .forms import DisplacementField
 from .spectral_core import (ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _is_int, _is_real,
-                            _scratch, curl_2d)
+                            _rfft2, _scratch, curl_2d)
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -223,15 +225,18 @@ def _rfft_all(vals):
     # the spectrum of each field
     out = np.empty((*vals.shape[:-1], vals.shape[-1] // 2 + 1), dtype=complex)
     for v, o in zip(vals, out):
-        np.fft.rfft2(v, out=o)
+        _rfft2(v, o)
     return out
 
 
-def _irfft_all(spec, grid, out=None):
-    # the values of each field, written into `out` when given
+def _irfft_all(spec, grid, out=None, tmp=None):
+    # the values of each field, written into `out` when given; tmp, when
+    # given, is a scratch array of spec's shape for the inverses, and may
+    # be spec itself when the caller no longer needs it
     out = np.empty((*spec.shape[:-2], *grid.shape)) if out is None else out
-    for s, o in zip(spec, out):
-        _irfft2(s, grid.shape, o)
+    tmp = np.empty_like(spec) if tmp is None else tmp
+    for s, o, t in zip(spec, out, tmp):
+        _irfft2(s, grid.shape, o, t)
     return out
 
 
@@ -248,8 +253,10 @@ def _vorticity(spec, grid, out=None, tmp=None):
     # `out` when given; tmp, when given, is a spectrum-shaped scratch array
     w, wh = (None, None) if out is None else out
     wh = np.multiply(grid._ikx_odd[:, None], spec[3], out=wh)
-    wh -= np.multiply(grid._iky_odd[None, :], spec[2], out=tmp)
-    return _irfft2(wh, grid.shape, w), wh
+    tmp = np.multiply(grid._iky_odd[None, :], spec[2], out=tmp)
+    wh -= tmp
+    # tmp, free once subtracted, takes the inverse's complex pass
+    return _irfft2(wh, grid.shape, w, tmp), wh
 
 
 def _grad_theta(spec, grid, out=None, tmp=None):
@@ -295,12 +302,12 @@ def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None, 
     bern *= h
     for v in (v1, v2):
         bern += np.multiply(np.multiply(v, 0.5, out=r[1]), v, out=r[1])
-    p_hat = np.fft.rfft2(bern, out=c[1])
+    p_hat = _rfft2(bern, c[1])
     # -div((h - h0) v)
     eta = np.subtract(h, params.h0, out=r[0])
-    flux = np.fft.rfft2(np.multiply(eta, v1, out=r[1]), out=out[0])
+    flux = _rfft2(np.multiply(eta, v1, out=r[1]), out[0])
     flux *= ikx
-    flux += np.multiply(iky, np.fft.rfft2(np.multiply(eta, v2, out=r[1]), out=c[0]), out=c[0])
+    flux += np.multiply(iky, _rfft2(np.multiply(eta, v2, out=r[1]), c[0]), out=c[0])
     np.negative(flux, out=flux)
     # -(v . grad Theta) - kappa (h Theta - h0 Theta0)
     dth = np.multiply(v1, thx, out=r[0])
@@ -309,15 +316,15 @@ def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None, 
     relax -= params.h0 * params.theta0
     relax *= params.kappa
     np.negative(dth, out=dth)
-    np.fft.rfft2(np.subtract(dth, relax, out=dth), out=out[1])
+    _rfft2(np.subtract(dth, relax, out=dth), out[1])
     # omega v2 + (h/2) dTheta/dx - d/dx(Bernoulli), and the v2 row alike
     dv1 = np.multiply(omega, v2, out=r[0])
     dv1 += np.multiply(np.multiply(h, 0.5, out=r[1]), thx, out=r[1])
-    np.fft.rfft2(dv1, out=out[2])
+    _rfft2(dv1, out[2])
     out[2] -= np.multiply(ikx, p_hat, out=c[0])
     dv2 = np.multiply(np.multiply(h, 0.5, out=r[0]), thy, out=r[0])
     dv2 -= np.multiply(omega, v1, out=r[1])
-    np.fft.rfft2(dv2, out=out[3])
+    _rfft2(dv2, out[3])
     out[3] -= np.multiply(iky, p_hat, out=c[0])
     return out
 
@@ -490,16 +497,18 @@ def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
         weights *= size
         rows, ab_sum = ring[: len(slots)], ws.c[0]
         # (spec + size * AB sum) * multiplier, then the inverse transform,
-        # field by field: each field's arrays are still in cache
+        # field by field: each field's arrays are still in cache.  ab_sum,
+        # free once added, takes the inverse's complex pass.
         for f, (s, v) in enumerate(zip(spec, vals)):
             _ab_sum(weights, rows[:, f], ab_sum)
             np.add(ab_sum, s, out=s)
             s *= filt
-            _irfft2(s, grid.shape, v)
+            _irfft2(s, grid.shape, v, ab_sum)
     else:
         # size sum_j c_j E^j N_{n-j} by Horner's rule from the oldest entry,
         # in two buffers that take turns: the ring's next slot, free once
-        # the oldest entry is read, and ws.spare
+        # the oldest entry is read, and ws.spare; both are free again for
+        # the inverse transforms' complex pass
         prop = _propagator(grid, model.f, model.h0, model.theta0, size)
         acc, other = ws.slot(), ws.spare
         weights = [size * c for c in coeffs[::-1]]
@@ -512,7 +521,7 @@ def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
         _propagate(prop, acc, spec)
         _hermitian(spec, other[..., 0])
         spec *= filt
-        _irfft_all(spec, grid, vals)
+        _irfft_all(spec, grid, vals, acc)
     # per member; the lowest failing member is reported, with its own minima
     finite = np.isfinite(vals).all(axis=(0, -2, -1))
     hmin, thmin = vals[0].min(axis=(-2, -1)), vals[1].min(axis=(-2, -1))
@@ -532,7 +541,7 @@ def tendency(state, params):
     spec = _rfft_all(vals)
     tend = _tendency_hat(vals, spec, params, state.grid)
     _add_rest_wave(tend, spec, params, state.grid)
-    return TSWTendency(*_irfft_all(tend, state.grid))
+    return TSWTendency(*_irfft_all(tend, state.grid, tmp=tend))
 
 
 def _model_step(ws, params, grid, step):

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from liemorph import GridSpec
+from liemorph import GridSpec, spectral_core
 
 
 @pytest.fixture
@@ -32,24 +34,25 @@ def count_ffts(monkeypatch):
     """Call it to start counting 2-D real transforms; it returns the dict of
     counts, which the rest of the test updates.
 
-    Forward calls are counted under "rfft2" and inverse ones under
-    "irfft2".  The kernel makes its inverse transforms through
-    numpy.fft.irfftn, since irfft2 ignores `out`, so irfftn and rfftn are
-    counted too.  numpy's own irfft2 reaches irfftn by a module-internal
-    name, not through numpy.fft, so no transform is counted twice.
+    Every real 2-D transform of the package goes through the pair
+    `spectral_core._rfft2` and `_irfft2`; forward calls are counted under
+    "rfft2" and inverse ones under "irfft2".  Each liemorph module that
+    holds a helper by name gets the counting one.
     """
 
     def start():
         counts = {"rfft2": 0, "irfft2": 0}
-        for name, key in (("rfft2", "rfft2"), ("rfftn", "rfft2"),
-                          ("irfft2", "irfft2"), ("irfftn", "irfft2")):
-            fn = getattr(np.fft, name)
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "liemorph"]
+        for name, key in (("_rfft2", "rfft2"), ("_irfft2", "irfft2")):
+            fn = getattr(spectral_core, name)
 
             def counted(*args, _fn=fn, _key=key, **kwargs):
                 counts[_key] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(np.fft, name, counted)
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
         return counts
 
     return start

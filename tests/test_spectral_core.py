@@ -27,16 +27,21 @@ from liemorph import (
     curl_2d,
     divergence,
     domain_integral,
+    double_vortex_ic,
     generate_ensemble,
     gradient,
     hou_li_filter,
     hou_li_multiplier,
     integrate,
     inverse_helmholtz,
+    nudge,
     refine,
+    vorticity_of,
 )
 from liemorph.forms import DisplacementField
-from liemorph.spectral_core import _deriv, _h1_weight, _hou_li, _is_int, _is_real
+from liemorph.morph_engine import _run_morph_batch
+from liemorph.spectral_core import _deriv, _h1_weight, _hou_li, _irfft2, _is_int, _is_real, _rfft2
+from liemorph.tsw_model import _integrate_batch
 
 from oracles import (
     dense_dx,
@@ -116,8 +121,8 @@ PARAMETER_CLASSES = {
 NON_REALS = (True, "1", float("nan"), float("inf"))
 NON_COUNTS = (True, 2.0, "2")
 
-# Library functions with a count or an exponent argument, each called over
-# valid defaults, with that argument and its bad values
+# Library functions with a count, an exponent or a strength argument, each
+# called over valid defaults, with that argument and its bad values
 LIBRARY_FUNCTIONS = {
     "generate_ensemble": (
         lambda workers: generate_ensemble(VortexIC(), OBS_GRID, 2, 0, 0, ModelParams(),
@@ -127,6 +132,11 @@ LIBRARY_FUNCTIONS = {
         lambda n_steps: integrate(TSWState.rest(OBS_GRID, ModelParams()), n_steps, ModelParams()),
         "n_steps", (*NON_COUNTS, -1)),
     "hou_li_multiplier": (lambda a: hou_li_multiplier(OBS_GRID, a), "a", (*NON_REALS, 0.0)),
+    "nudge": (
+        lambda strength: nudge(TSWState.rest(OBS_GRID, ModelParams()),
+                               {"h": ScalarField.constant(OBS_GRID, 1.0)}, ModelParams(),
+                               strength, 1),
+        "strength", NON_REALS),
 }
 
 
@@ -134,7 +144,7 @@ class TestParameterTypes:
     """Every parameter class takes a finite real number or an integer count
     for each numeric argument, numpy scalars too, and raises a ValueError
     naming the argument for anything else; so do the library functions
-    that take a count or an exponent."""
+    that take a count, an exponent or a strength."""
 
     @pytest.mark.parametrize("cls, arg, value", [
         pytest.param(cls, arg, value, id=f"{cls}-{arg}-{value!r}")
@@ -496,3 +506,55 @@ def test_deriv_nyquist_mode_is_zeroed(grid_small):
     nyq = np.cos(np.pi * g.nx * x / g.lx)  # (-1)^i pattern along x
     d = _deriv(nyq, g, 0)
     assert np.max(np.abs(d)) <= 1e-12
+
+
+class TestTransformPair:
+    """`_rfft2` and `_irfft2` call numpy's private pocketfft gufuncs as
+    np.fft.rfftn and irfftn do, with the same factors and axes, so their
+    results equal numpy's public 2-D transforms bit for bit; on each numpy
+    the project runs on, this is what guards the private module."""
+
+    SHAPES = [(16, 12), (3, 16, 12), (2, 3, 64, 64)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_equals_rfft2(self, shape):
+        x = np.random.default_rng(1).standard_normal(shape)
+        ref = np.fft.rfft2(x)
+        assert _rfft2(x).tobytes() == ref.tobytes()
+        out = np.empty_like(ref)
+        assert _rfft2(x, out) is out
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inverse_equals_irfft2(self, shape):
+        xh = np.fft.rfft2(np.random.default_rng(2).standard_normal(shape))
+        ref = np.fft.irfft2(xh, s=shape[-2:])
+        kept = xh.copy()
+        assert _irfft2(xh, shape[-2:]).tobytes() == ref.tobytes()
+        out, tmp = np.empty(shape), np.empty_like(xh)
+        assert _irfft2(xh, shape[-2:], out, tmp) is out
+        assert out.tobytes() == ref.tobytes()
+        assert xh.tobytes() == kept.tobytes()
+        # the spectrum itself as the scratch: consumed, with the same result
+        assert _irfft2(xh, shape[-2:], tmp=xh).tobytes() == ref.tobytes()
+
+    def test_step_loops_call_no_numpy_nd_wrapper(self, monkeypatch):
+        """The morph loop (tensor and naive), the model loop and the nudge
+        make no call to np.fft's real n-D wrappers."""
+        grid, params = GridSpec(16, 16, 5000.0, 5000.0), ModelParams(dt=5.0)
+        truth = double_vortex_ic(VortexIC(), grid, params)
+        states = [double_vortex_ic(VortexIC(ox=0.1 * i), grid, params) for i in (1, 2)]
+        targets = {"h": truth.h, "omega": vorticity_of(truth)}
+        calls = []
+        for name in ("rfft2", "rfftn", "irfft2", "irfftn"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        morph = MorphParams(epsilon=10.0, n_steps=3)
+        _run_morph_batch(states, targets, morph)
+        _run_morph_batch(states, targets, morph, naive=True)
+        _integrate_batch(states, 3, params)
+        nudge(states[0], targets, params, 0.5, 3)
+        assert calls == []

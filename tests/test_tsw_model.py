@@ -316,10 +316,12 @@ class TestSpectralKernel:
                 assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_model_loop_memory_budget(self, grid_km, params):
-        """The model loop's workspace keeps its traced peak within 8.5x the
-        bytes of the batch's states (8 members at 64^2; measured 8.19x),
-        where the loop on fresh arrays peaked at 8.45x.  The propagator and
-        Hou-Li caches are filled first."""
+        """The model loop's workspace keeps its traced peak within 8.1x the
+        bytes of the batch's states (8 members at 64^2; measured 8.05x,
+        8.19x while each inverse transform allocated a spectrum-sized
+        temporary, 8.45x on fresh arrays every step).  The workspace is
+        7.9x of it and one numpy ufunc buffer (128 KiB, 0.13x) the rest.
+        The propagator and Hou-Li caches are filled first."""
         states = [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(8)]
         _integrate_batch(states, 2, params)
         tracemalloc.start()
@@ -330,7 +332,7 @@ class TestSpectralKernel:
         finally:
             tracemalloc.stop()
         state_bytes = sum(f.values.nbytes for s in states for f in s.fields())
-        assert peak <= 8.5 * state_bytes
+        assert peak <= 8.1 * state_bytes
 
     def test_zero_strength_nudge_equals_integrate(self, grid_km, params):
         state = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid_km, params)
