@@ -22,7 +22,6 @@ from .spectral_core import (
     refine,
 )
 from .forms import (
-    AnalyticMap,
     DiffForm,
     DisplacementField,
     codifferential,
@@ -31,9 +30,6 @@ from .forms import (
     hodge_star,
     lie_derivative,
     oneform_to_vector,
-    pushforward,
-    rotation_map,
-    translation_map,
     vector_to_oneform,
 )
 from .displacement_solver import (

@@ -43,6 +43,7 @@ from .tsw_model import (
     ModelParams,
     VortexIC,
     _state,
+    _vortex_centres,
     double_vortex_ic,
     integrate,
     vorticity_of,
@@ -299,6 +300,13 @@ def validate_config(raw):
                 f"{_largest_stable('kappa', AB3_DECAY_MAX, reach)}"
             )
 
+    if grid is not None and ic is not None and {"size", "seed"} <= e.keys():
+        # a vortex centre drawn at inf km would fill its member with nan
+        ics = _member_ics(ic, e["size"], e["seed"], i["perturb_mean"], i["perturb_std"])
+        if not np.isfinite([_vortex_centres(member, grid) for member in ics]).all():
+            errors.append("ic.perturb_mean, ic.perturb_std: a drawn centre offset times "
+                          "ic.radius puts a vortex centre out of floating-point range")
+
     steps = {}
     for key in ("truth", "spinup"):
         t = hz.get(f"{key}_time")
@@ -401,6 +409,9 @@ def run_experiment(config):
 
     obs = observe(truth, config.coarse)
     obs = dc_replace(obs, r={name: r * config.r_scale for name, r in obs.r.items()})
+    # the analysis needs positive variances; checked before the spin-up
+    if not all(0.0 < r < math.inf for r in obs.r.values()):
+        raise ConfigError([f"observation.r_scale: scaled variances {obs.r} must be finite and > 0"])
     report.fields += [FieldDump(f"{name}_obs", "obs", None, f) for name, f in obs.fields.items()]
     report.metrics_rows += [("obs", name, "r", r) for name, r in obs.r.items()]
 

@@ -24,18 +24,13 @@ from .spectral_core import (
 __all__ = [
     "DiffForm",
     "DisplacementField",
-    "AnalyticMap",
     "lie_derivative",
     "exterior_derivative",
     "hodge_star",
     "codifferential",
     "h1_norm",
-    "pushforward",
     "vector_to_oneform",
     "oneform_to_vector",
-    "rotation_map",
-    "translation_map",
-    "periodic_interpolate",
 ]
 
 _COMPONENT_COUNT = {0: 1, 1: 2, 2: 1}
@@ -277,108 +272,3 @@ def _transport_hat(vals, spec, omega, u, grid, grad_th=None, out=None, tmp=None)
     np.negative(dv2, out=dv2)
     return out
 
-
-class AnalyticMap:
-    """A closed-form diffeomorphism of the torus with its inverse.
-
-    Args:
-        forward: closure (x, y) -> (x', y').
-        inverse: closure for the inverse map.
-        jacobian_of_inverse: closure returning the 2x2 matrix entries
-            m[i][j] = d(T^-1)_i / dx_j as arrays.
-    """
-
-    def __init__(self, forward, inverse, jacobian_of_inverse):
-        self.forward = forward
-        self.inverse = inverse
-        self.jacobian_of_inverse = jacobian_of_inverse
-
-    def check_inverse(self, grid, tol=1e-9):
-        """Verify forward(inverse(x)) = x (mod periods) on the grid points."""
-        x, y = grid.xy()
-        xi, yi = self.inverse(x, y)
-        xf, yf = self.forward(xi, yi)
-        ex = np.abs((xf - x + grid.lx / 2) % grid.lx - grid.lx / 2)
-        ey = np.abs((yf - y + grid.ly / 2) % grid.ly - grid.ly / 2)
-        err = max(ex.max(), ey.max())
-        scale = max(grid.lx, grid.ly)
-        if err > tol * scale:
-            raise ValueError(
-                f"map inverse fails round-trip on the grid: err={err:.3e}"
-            )
-
-
-def rotation_map(angle, cx, cy):
-    """Rotation by `angle` about (cx, cy)."""
-    c, s = np.cos(angle), np.sin(angle)
-
-    def fwd(x, y):
-        dx, dy = x - cx, y - cy
-        return cx + c * dx - s * dy, cy + s * dx + c * dy
-
-    def inv(x, y):
-        dx, dy = x - cx, y - cy
-        return cx + c * dx + s * dy, cy - s * dx + c * dy
-
-    def jac(x, y):
-        one = np.ones_like(np.asarray(x, dtype=float))
-        return ((c * one, s * one), (-s * one, c * one))
-
-    return AnalyticMap(fwd, inv, jac)
-
-
-def translation_map(tx, ty):
-    def fwd(x, y):
-        return x + tx, y + ty
-
-    def inv(x, y):
-        return x - tx, y - ty
-
-    def jac(x, y):
-        one = np.ones_like(np.asarray(x, dtype=float))
-        zero = np.zeros_like(one)
-        return ((one, zero), (zero, one))
-
-    return AnalyticMap(fwd, inv, jac)
-
-
-def periodic_interpolate(f, xq, yq):
-    """Evaluate a ScalarField at off-grid points by periodic bicubic splines."""
-    # imported here: the pipeline never interpolates, and scipy.ndimage
-    # costs start-up time and memory
-    from scipy.ndimage import map_coordinates
-
-    g = f.grid
-    coords = np.stack([np.asarray(xq) / g.dx, np.asarray(yq) / g.dy])
-    return map_coordinates(f.values, coords, order=3, mode="grid-wrap")
-
-
-def pushforward(theta, amap, check=True):
-    """Push theta forward under the map: the pull-back by its inverse.
-
-    Degree 0: f(T^-1(x)).  Degree 2: f(T^-1(x)) * det J_{T^-1}(x).
-    Degree 1: b_i(x) = sum_j a_j(T^-1(x)) * d(T^-1)_j/dx_i.
-    Off-grid values come from periodic bicubic interpolation.
-    """
-    grid = theta.grid
-    if check:
-        amap.check_inverse(grid)
-    x, y = grid.xy()
-    xi, yi = amap.inverse(x, y)
-
-    def at_src(comp):
-        return periodic_interpolate(comp, xi, yi)
-
-    if theta.degree == 0:
-        return DiffForm(0, (ScalarField(grid, at_src(theta.components[0])),))
-    if theta.degree == 2:
-        m = amap.jacobian_of_inverse(x, y)
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        if np.any(det <= 0):
-            raise ValueError("map must be orientation-preserving (det J > 0)")
-        return DiffForm(2, (ScalarField(grid, at_src(theta.components[0]) * det),))
-    m = amap.jacobian_of_inverse(x, y)
-    a1, a2 = (at_src(c) for c in theta.components)
-    b1 = a1 * m[0][0] + a2 * m[1][0]
-    b2 = a1 * m[0][1] + a2 * m[1][1]
-    return DiffForm(1, (ScalarField(grid, b1), ScalarField(grid, b2)))

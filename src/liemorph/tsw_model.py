@@ -615,6 +615,12 @@ def _wrapped_gauss(x, y, cx, cy, radius, lx, ly):
     return np.exp(-(dx**2 + dy**2) / (2.0 * radius**2))
 
 
+def _vortex_centres(ic, grid):
+    """The (x, y) centres in km of the two vortices of `double_vortex_ic`."""
+    cx0, cy0 = grid.lx / 2.0 + ic.ox * ic.radius, grid.ly / 2.0 + ic.oy * ic.radius
+    return (cx0 - ic.separation / 2.0, cy0), (cx0 + ic.separation / 2.0, cy0)
+
+
 def double_vortex_ic(ic, grid, params):
     """Two Gaussian height anomalies in geostrophic balance.
 
@@ -625,11 +631,8 @@ def double_vortex_ic(ic, grid, params):
     gravity Theta0: v = (Theta0/f) * (-deta/dy, deta/dx).
     """
     x, y = grid.xy()
-    cx0 = grid.lx / 2.0 + ic.ox * ic.radius
-    cy0 = grid.ly / 2.0 + ic.oy * ic.radius
-    bumps = _wrapped_gauss(
-        x, y, cx0 - ic.separation / 2.0, cy0, ic.radius, grid.lx, grid.ly
-    ) + _wrapped_gauss(x, y, cx0 + ic.separation / 2.0, cy0, ic.radius, grid.lx, grid.ly)
+    bumps = sum(_wrapped_gauss(x, y, cx, cy, ic.radius, grid.lx, grid.ly)
+                for cx, cy in _vortex_centres(ic, grid))
 
     h = params.h0 + ic.amplitude * bumps
     th = params.theta0 * (1.0 + ic.theta_amplitude * bumps)

@@ -251,7 +251,9 @@ def with_value(path, value):
 # billion workers asked a process pool for a billion processes; a negative
 # seed raised ValueError in default_rng after the truth run; a grid count
 # of 10^6 allocated its GridSpec before the divisibility check and, with
-# both counts that large, died with a MemoryError.
+# both counts that large, died with a MemoryError; a perturb_mean or
+# perturb_std that puts a vortex centre at inf km filled the spin-up's
+# members with nan.
 MALFORMED = [
     ("workers", True),
     ("workers", 10**9),
@@ -272,6 +274,8 @@ MALFORMED = [
     ("ensemble.obs_noise_seed", -1),
     ("grid.nx", 10**6),
     ("grid.coarse_nx", 10**6),
+    ("ic.perturb_mean", 1e308),
+    ("ic.perturb_std", 1e306),
 ]
 
 
@@ -581,36 +585,41 @@ class TestCommandLine:
         assert main(["validate", path]) == 0
         assert "OK" in capsys.readouterr().out
 
-    def test_validate_imports_no_scipy(self, tmp_path):
-        """scipy is imported only by the solvers the pipeline never calls
-        (CG optical flow, spline pushforward), so set-up skips its cost."""
-        path = self.write_config(tmp_path, small_raw())
+    @staticmethod
+    def modules_after(argv):
+        """The names in sys.modules once main(argv) has returned 0 in a
+        fresh interpreter."""
         code = (
-            "import sys, liemorph\n"
+            "import json, sys, liemorph\n"
             "from liemorph.cli_experiments import main\n"
-            f"assert main(['validate', {path!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
         )
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
-        assert out.splitlines()[-1] == "[]"
+        return json.loads(out.splitlines()[-1])
+
+    def test_validate_imports_no_scipy(self, tmp_path):
+        """scipy is imported only by generalized_optical_flow (CG), which
+        nothing in the command line calls, so set-up skips its cost."""
+        path = self.write_config(tmp_path, small_raw())
+        mods = self.modules_after(["validate", path])
+        assert [m for m in mods if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("pipeline", cli_experiments.PIPELINES)
+    def test_run_imports_no_scipy(self, tmp_path, pipeline):
+        """No pipeline reaches the one scipy import, generalized_optical_flow's."""
+        path = self.write_config(tmp_path, small_raw(pipeline=pipeline))
+        mods = self.modules_after(["run", path, "--out", str(tmp_path / "out")])
+        assert [m for m in mods if m.split(".")[0] == "scipy"] == []
 
     def test_validate_imports_no_multiprocessing(self, tmp_path):
         """Parallel batches run on threads, so no process pool is loaded."""
         path = self.write_config(tmp_path, small_raw())
-        code = (
-            "import sys, liemorph\n"
-            "from liemorph.cli_experiments import main\n"
-            f"assert main(['validate', {path!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if 'multiprocessing' in m.split('.')[0]))\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        assert out.splitlines()[-1] == "[]"
+        mods = self.modules_after(["validate", path])
+        assert [m for m in mods if "multiprocessing" in m.split(".")[0]] == []
 
     def test_validate_reports_each_error_with_exit_2(self, tmp_path, capsys):
         raw = small_raw()
@@ -724,6 +733,23 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "numerical instability" in err
         assert "morph of member 0: step 4: positivity lost during morph" in err
+
+    def test_run_rejects_an_r_scale_that_zeroes_the_variances(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """r_scale = 5e-324 passes validate, but times each observation
+        variance it rounds to 0: run exits 2 naming the key, after the
+        truth run and before the spin-up."""
+        def spin_up(*args, **kwargs):
+            raise AssertionError("the spin-up ran")
+
+        monkeypatch.setattr(cli_experiments, "generate_ensemble", spin_up)
+        raw = small_raw(pipeline="plain-enkf", observation={"r_scale": 5e-324})
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: observation.r_scale:"), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputDirectory:

@@ -19,6 +19,16 @@ def run_demo(name, *args, returncode=0):
     return out.stdout if returncode == 0 else out.stderr
 
 
+def test_readme_lists_exactly_the_demos():
+    """The README's demo block names each script in demos/ once, and no
+    other, so adding or deleting a demo cannot leave it stale."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Demos", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    listed = re.findall(r"^python3 demos/(\S+\.py)\b", block, re.M)
+    on_disk = [n for n in os.listdir(os.path.join(ROOT, "demos")) if n.endswith(".py")]
+    assert sorted(listed) == sorted(on_disk)
+
+
 def test_morph_two_bumps_tensor_keeps_mass_naive_leaks():
     out = run_demo("morph_two_bumps.py")
     drift = dict(re.findall(r"^(tensor|naive): .*relative mass drift (\S+)$", out, re.M))
@@ -34,14 +44,6 @@ def test_desk_twin_prints_each_variable_and_keeps_mass():
     assert rows == ["h", "theta", "v", "omega"], out
     drift = re.search(r"^worst member mass drift across 8 morphs of 500 steps: (\S+)$", out, re.M)
     assert drift and float(drift.group(1)) <= 1e-10, out
-
-
-def test_pushforward_orders_are_two():
-    out = run_demo("pushforward_orders.py")
-    # rows "eps  gap  order"; the first row of each case has no order
-    orders = re.findall(r"^\s+\S+\s+\S+\s+(\d\.\d{3})$", out, re.M)
-    assert len(orders) == 6, out
-    assert orders == ["2.000"] * 6
 
 
 def test_timestep_error_preset_is_a_tenth_of_the_spread():

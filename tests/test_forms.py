@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liemorph import (
-    AnalyticMap,
     DiffForm,
     DisplacementField,
     GridSpec,
@@ -26,15 +25,21 @@ from liemorph import (
     hodge_star,
     lie_derivative,
     oneform_to_vector,
-    pushforward,
-    rotation_map,
-    translation_map,
     vector_to_oneform,
 )
-from liemorph.forms import _transport_hat, form_inner_integral, periodic_interpolate
+from liemorph.forms import _transport_hat, form_inner_integral
 from liemorph.spectral_core import _h1_weight
 
-from oracles import quadrature_h1_norm, random_band_limited, shear_map_x
+from oracles import (
+    AnalyticMap,
+    periodic_interpolate,
+    pushforward,
+    quadrature_h1_norm,
+    random_band_limited,
+    rotation_map,
+    shear_map_x,
+    translation_map,
+)
 
 TWO_PI = 2.0 * np.pi
 
