@@ -26,6 +26,7 @@ kernel's own error.
 
 import math
 import threading
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -45,6 +46,7 @@ __all__ = [
     "observe",
     "generate_ensemble",
     "draw_center_offsets",
+    "CENTER_OFFSET",
     "kalman_gain",
     "enkf_analysis",
 ]
@@ -106,7 +108,12 @@ def observe(truth, coarse):
     return ObsSet(coarse, fields, r)
 
 
-def draw_center_offsets(rng, ne, mean=0.1, std=0.1):
+# The reference draw of the members' vortex center offsets (ox, oy), in
+# units of VortexIC.radius: N(mean, std^2) in each coordinate.
+CENTER_OFFSET = namedtuple("CenterOffset", "mean std")(mean=0.1, std=0.1)
+
+
+def draw_center_offsets(rng, ne, mean=CENTER_OFFSET.mean, std=CENTER_OFFSET.std):
     """Per-member (ox, oy) draws from N(mean, std^2); shape (ne, 2)."""
     return rng.normal(mean, std, size=(ne, 2))
 
@@ -218,8 +225,8 @@ def generate_ensemble(
     seed,
     spinup_steps,
     params,
-    perturb_mean=0.1,
-    perturb_std=0.1,
+    perturb_mean=CENTER_OFFSET.mean,
+    perturb_std=CENTER_OFFSET.std,
     workers=1,
 ):
     """Spin up ne members from center-perturbed initial conditions.

@@ -23,11 +23,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import asdict, dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from .assimilation import (
+    CENTER_OFFSET,
     _member_ics,
     _spin_up,
     _targets_from_obs,
@@ -37,7 +38,7 @@ from .assimilation import (
     observe,
 )
 from .morph_engine import _TOTALS, MorphParams, _mse, _totals, nudge
-from .spectral_core import GridSpec, ScalarField, _is_int, _is_real
+from .spectral_core import GridSpec, ScalarField, _check_coarse, _is_int, _is_real
 from .tsw_model import (
     InstabilityError,
     ModelParams,
@@ -69,10 +70,10 @@ PIPELINES = (
     "naive-morphed-enkf",
     "nudging-run",
 )
-# AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72, and on
-# the negative real axis down to lambda dt = -6/11.  The model step
-# propagates the rest-state gravity waves exactly, so these bound only
-# what its AB3 remainder carries.
+# AB3, the model step's order, is stable on the imaginary axis up to
+# |lambda dt| ~ 0.72, and on the negative real axis down to lambda dt =
+# -6/11.  The model step propagates the rest-state gravity waves exactly,
+# so these bound only what its AB3 remainder carries.
 AB3_COURANT_MAX = 0.72
 AB3_DECAY_MAX = 6 / 11
 # A horizon time is a whole number of steps up to this relative error.
@@ -93,49 +94,39 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-PRESETS = {
-    "desk": {
-        "schema_version": SCHEMA_VERSION,
-        "name": "desk",
-        "pipeline": "morphed-enkf",
-        "grid": {"nx": 64, "ny": 64, "lx": 5000.0, "ly": 5000.0,
-                 "coarse_nx": 16, "coarse_ny": 16},
-        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 5.0},
-        "ic": {"amplitude": 0.1, "radius": 400.0, "separation": 1250.0,
-               "theta_amplitude": 0.05, "perturb_mean": 0.1, "perturb_std": 0.1},
-        "horizons": {"truth_time": 220.0, "spinup_time": 200.0},
-        "ensemble": {"size": 8, "seed": 1234, "obs_noise_seed": 5678},
-        "morph": {"epsilon": 10.0, "n_steps": 500, "filter_a": 36.0,
-                  "ab_order": 5, "early_stop_patience": None},
-        "nudging": {"steps": 10, "strength": 1.0},
-        "output_dir": "runs/desk",
-        "workers": 2,
-    },
-    "paper": {
-        "schema_version": SCHEMA_VERSION,
-        "name": "paper",
-        "pipeline": "morphed-enkf",
-        "grid": {"nx": 256, "ny": 256, "lx": 5000.0, "ly": 5000.0,
-                 "coarse_nx": 64, "coarse_ny": 64},
-        "model": {"f": 0.01, "kappa": 0.001, "h0": 1.0, "theta0": 98.0, "dt": 2.0},
-        "ic": {"amplitude": 0.1, "radius": 400.0, "separation": 1250.0,
-               "theta_amplitude": 0.05, "perturb_mean": 0.1, "perturb_std": 0.1},
-        "horizons": {"truth_time": 2750.0, "spinup_time": 2000.0},
-        "ensemble": {"size": 20, "seed": 1234, "obs_noise_seed": 5678},
-        "morph": {"epsilon": 0.000033, "n_steps": 10000, "filter_a": 36.0,
-                  "ab_order": 5, "early_stop_patience": None},
-        "nudging": {"steps": 25, "strength": 1.0},
-        "output_dir": "runs/paper",
-        "workers": 2,
-    },
-}
+def _with(base, **changes):
+    """A copy of the preset `base` with `changes`; a section's changes
+    replace only the keys they name."""
+    return {key: {**value, **changes.get(key, {})} if isinstance(value, dict)
+            else changes.get(key, value) for key, value in base.items()}
 
-PRESET_NOTES = {
-    "desk": "64x64 fine / 16x16 coarse, 8 members, 500 morph steps, 2 workers; "
-            "the CI-gated scale",
-    "paper": "256x256 fine / 64x64 coarse, 20 members, full-scale horizons, 2 workers; "
-             "not CI-gated",
-}
+
+# The two presets run the reference model, vortex and morph, the defaults
+# of ModelParams, VortexIC (less the member offsets, drawn as CENTER_OFFSET)
+# and MorphParams; each states only what it changes.
+PRESETS = {"desk": {
+    "schema_version": SCHEMA_VERSION,
+    "name": "desk",
+    "pipeline": "morphed-enkf",
+    "grid": {"nx": 64, "ny": 64, "lx": 5000.0, "ly": 5000.0,
+             "coarse_nx": 16, "coarse_ny": 16},
+    "model": {**asdict(ModelParams()), "dt": 5.0},
+    "ic": {**{k: v for k, v in asdict(VortexIC()).items() if k not in ("ox", "oy")},
+           "perturb_mean": CENTER_OFFSET.mean, "perturb_std": CENTER_OFFSET.std},
+    "horizons": {"truth_time": 220.0, "spinup_time": 200.0},
+    "ensemble": {"size": 8, "seed": 1234, "obs_noise_seed": 5678},
+    "morph": {**asdict(MorphParams()), "epsilon": 10.0, "n_steps": 500},
+    "nudging": {"steps": 10, "strength": 1.0},
+    "output_dir": "runs/desk",
+    "workers": 2,
+}}
+# the full-scale run, with the reference morph's epsilon and steps
+PRESETS["paper"] = _with(
+    PRESETS["desk"], name="paper", output_dir="runs/paper",
+    grid={"nx": 256, "ny": 256, "coarse_nx": 64, "coarse_ny": 64},
+    model={"dt": 2.0}, horizons={"truth_time": 2750.0, "spinup_time": 2000.0},
+    ensemble={"size": 20}, nudging={"steps": 25},
+    morph={"epsilon": MorphParams.epsilon, "n_steps": MorphParams.n_steps})
 
 
 # A kind is (what a value must be, its test); the tests keep out JSON's
@@ -261,11 +252,14 @@ def validate_config(raw):
                 errors.append(f"{name}: {err}")
         return None
 
-    grid, coarse = build("grid", g, lambda s: (
-        GridSpec(s["nx"], s["ny"], s["lx"], s["ly"]),
-        GridSpec(s["coarse_nx"], s["coarse_ny"], s["lx"], s["ly"]))) or (None, None)
-    if grid is not None and (grid.nx % coarse.nx or grid.ny % coarse.ny):
-        errors.append("grid: coarse resolutions must divide fine resolutions")
+    def grids(s):
+        # the fine grid and its coarse grid, the same extents
+        fine = GridSpec(s["nx"], s["ny"], s["lx"], s["ly"])
+        coarse = GridSpec(s["coarse_nx"], s["coarse_ny"], s["lx"], s["ly"])
+        _check_coarse(fine, coarse)
+        return fine, coarse
+
+    grid, coarse = build("grid", g, grids) or (None, None)
     model = build("model", m, lambda s: ModelParams(**s))
     ic = build("ic", i, lambda s: VortexIC(**{k: v for k, v in s.items() if "perturb" not in k}))
     morph = build("morph", mo, lambda s: MorphParams(**s))
@@ -322,6 +316,17 @@ def validate_config(raw):
                           f"{np.floor(r) * model.dt:.10g} and {np.ceil(r) * model.dt:.10g}")
         else:
             steps[key] = round(r)
+
+    if ic is not None and ic.amplitude == 0:
+        # The initial velocity balances the height anomaly, so none leaves
+        # v = 0.  A Theta anomaly then drives a flow with vorticity; the
+        # truth has none without one, or without steps.
+        why = ("ic.theta_amplitude 0 leaves the truth at rest" if ic.theta_amplitude == 0 else
+               "horizons.truth_time 0 makes the truth the initial state, whose velocity is 0"
+               if steps.get("truth") == 0 else None)
+        if why:
+            errors.append(f"ic.amplitude: 0 with {why}, so its vorticity observations "
+                          f"would be identically zero")
 
     if errors:
         raise ConfigError(errors)
@@ -408,10 +413,22 @@ def run_experiment(config):
     report.fields += _dumps("truth", None, truth_fields)
 
     obs = observe(truth, config.coarse)
-    obs = dc_replace(obs, r={name: r * config.r_scale for name, r in obs.r.items()})
     # the analysis needs positive variances; checked before the spin-up
-    if not all(0.0 < r < math.inf for r in obs.r.values()):
-        raise ConfigError([f"observation.r_scale: scaled variances {obs.r} must be finite and > 0"])
+    r, errors = {}, []
+    for name, r0 in obs.r.items():
+        r[name] = r0 * config.r_scale
+        if 0.0 < r[name] < math.inf:
+            continue
+        if r0:
+            errors.append(f"observation.r_scale: the {name} variance {r0!r} times r_scale "
+                          f"{config.r_scale!r} is {r[name]!r}, not finite and > 0")
+        else:
+            errors.append(f"observations: the {name} observations' variance is 0 before "
+                          f"observation.r_scale scales it (the truth's {name} is zero or too "
+                          f"small to square), so no r_scale makes it positive")
+    if errors:
+        raise ConfigError(errors)
+    obs = dc_replace(obs, r=r)
     report.fields += [FieldDump(f"{name}_obs", "obs", None, f) for name, f in obs.fields.items()]
     report.metrics_rows += [("obs", name, "r", r) for name, r in obs.r.items()]
 
@@ -499,7 +516,15 @@ def _csv(header, rows):
 
 
 def _check_out_dir(out_dir):
-    """Refuse an existing out_dir unless it is empty or its manifest.json lists it all."""
+    """Refuse an existing out_dir unless it is empty or its manifest.json
+    lists it all, and an out_dir whose nearest existing ancestor is not a
+    directory."""
+    ancestor = os.path.dirname(os.path.abspath(out_dir))
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ConfigError([f"output_dir {out_dir} lies under {ancestor}, which is not a "
+                           f"directory; choose another --out"])
     try:
         with open(os.path.join(out_dir, "manifest.json")) as fh:
             listed = {"manifest.json", *(e["path"] for e in json.load(fh)["files"])}
@@ -604,8 +629,11 @@ def _cmd_validate(args):
 
 def _cmd_presets(args):
     if args.name is None:
-        for name in PRESETS:
-            print(f"{name}: {PRESET_NOTES[name]}")
+        for name, preset in PRESETS.items():
+            g = preset["grid"]
+            print(f"{name}: {g['nx']}x{g['ny']} fine / {g['coarse_nx']}x{g['coarse_ny']} "
+                  f"coarse, {preset['ensemble']['size']} members, "
+                  f"{preset['morph']['n_steps']} morph steps, {preset['workers']} workers")
         return 0
     print(json.dumps(preset_config(args.name), sort_keys=True, indent=2))
     return 0

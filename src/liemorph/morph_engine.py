@@ -46,7 +46,9 @@ from .displacement_solver import _combined_displacement_hat
 from .forms import DisplacementField, _advect_hat, _transport_hat
 from .spectral_core import ScalarField, _is_int, _is_real, _rfft2
 from .tsw_model import (
+    _MODEL_AB_ORDER,
     _MODEL_ERRORS,
+    _MODEL_FILTER_A,
     AB_COEFFS,
     InstabilityError,
     _ab_advance,
@@ -96,9 +98,10 @@ _TOTALS = ("mass", "vorticity_total", "buoyancy_integral")
 class MorphParams:
     """Virtual-time morph controls.
 
-    The reference experiment uses epsilon = 0.000033 with N = 10000 on the
-    full-scale grid; epsilon trades off against the H1 normalization of the
-    combined displacement, so scaled-down presets use larger values.
+    The defaults are the reference morph of the full-scale grid, which the
+    paper preset of `cli_experiments.PRESETS` takes as it is.  epsilon
+    trades off against the H1 normalization of the combined displacement,
+    so the scaled-down desk preset takes a larger one and fewer steps.
     n_steps = 0 is allowed as the degenerate no-op (pipelines reduce to the
     plain filter).
     """
@@ -390,5 +393,6 @@ def nudge(state, targets, model, strength, n_steps):
     """
     if not _is_real(strength):
         raise ValueError(f"strength must be a finite number, got {strength!r}")
-    params = MorphParams(epsilon=model.dt, n_steps=n_steps, filter_a=12.0, ab_order=3)
+    params = MorphParams(epsilon=model.dt, n_steps=n_steps, filter_a=_MODEL_FILTER_A,
+                         ab_order=_MODEL_AB_ORDER)
     return _run_morph_batch([state], targets, params, drift=(model, strength))[0]

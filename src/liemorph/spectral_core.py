@@ -72,13 +72,12 @@ class GridSpec:
         # physical wavenumbers (rad / length unit), FFT ordering
         self.kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=self.dx)
         self.ky = 2.0 * np.pi * np.fft.fftfreq(ny, d=self.dy)
-        # rfft2 layout: full modes along x, nonnegative modes along y
-        self._kx_r = self.kx.copy()
+        # rfft2 layout: full modes along x (kx), nonnegative modes along y
         self._ky_r = 2.0 * np.pi * np.fft.rfftfreq(ny, d=self.dy)
-        self._k2_r = self._kx_r[:, None] ** 2 + self._ky_r[None, :] ** 2
+        self._k2_r = self.kx[:, None] ** 2 + self._ky_r[None, :] ** 2
         # odd derivatives drop the Nyquist mode (avoids asymmetric
         # imaginary leakage)
-        self._ikx_odd = 1j * self._kx_r
+        self._ikx_odd = 1j * self.kx
         self._ikx_odd[nx // 2] = 0.0
         self._iky_odd = 1j * self._ky_r
         self._iky_odd[-1] = 0.0
@@ -278,7 +277,7 @@ def hou_li_multiplier(grid, a):
     """
     if not (_is_real(a) and a > 0):
         raise ValueError(f"filter exponent a must be positive and finite, got {a!r}")
-    rx = np.abs(grid._kx_r) / np.abs(grid.kx).max()
+    rx = np.abs(grid.kx) / np.abs(grid.kx).max()
     ry = grid._ky_r / grid._ky_r.max()
     return np.exp(-36.0 * (rx[:, None] ** a + ry[None, :] ** a))
 
@@ -302,7 +301,7 @@ def _h1_weight(grid):
 
 
 def hou_li_filter(f, a):
-    """Apply the Hou-Li filter (model steps use a = 12, morphing a = 36)."""
+    """Apply the Hou-Li filter of exponent a (see `hou_li_multiplier`)."""
     _check_finite(f.values, "hou_li_filter input")
     fh = _rfft2(f.values)
     fh *= _hou_li(f.grid, a)
@@ -341,28 +340,27 @@ def _resample_values(values, grid, new_grid):
     return np.fft.ifft2(fh * (new_grid.nx * new_grid.ny)).real
 
 
+def _check_coarse(fine, coarse):
+    """Raise ValueError unless `coarse` is a coarse grid of `fine`: the same
+    extents, and grid counts that divide fine's."""
+    if (coarse.lx, coarse.ly) != (fine.lx, fine.ly):
+        raise ValueError(f"coarse extents {coarse.lx} x {coarse.ly} must equal "
+                         f"fine extents {fine.lx} x {fine.ly}")
+    if fine.nx % coarse.nx or fine.ny % coarse.ny:
+        raise ValueError(f"coarse counts {coarse.nx} x {coarse.ny} must divide "
+                         f"fine counts {fine.nx} x {fine.ny}")
+
+
 def coarsen(f, coarse):
-    """Spectral truncation of f onto a coarser grid with the same extents."""
-    g = f.grid
-    if (coarse.lx, coarse.ly) != (g.lx, g.ly):
-        raise ValueError("coarse grid must share the physical extents")
-    if g.nx % coarse.nx or g.ny % coarse.ny:
-        raise ValueError(
-            f"coarse resolutions must divide fine: {coarse.shape} vs {g.shape}"
-        )
-    return ScalarField(coarse, _resample_values(f.values, g, coarse))
+    """Spectral truncation of f onto `coarse`, a coarse grid of f's (see `_check_coarse`)."""
+    _check_coarse(f.grid, coarse)
+    return ScalarField(coarse, _resample_values(f.values, f.grid, coarse))
 
 
 def refine(f, fine):
-    """Spectral zero-padding of f onto a finer grid with the same extents."""
-    g = f.grid
-    if (fine.lx, fine.ly) != (g.lx, g.ly):
-        raise ValueError("fine grid must share the physical extents")
-    if fine.nx % g.nx or fine.ny % g.ny:
-        raise ValueError(
-            f"coarse resolutions must divide fine: {g.shape} vs {fine.shape}"
-        )
-    return ScalarField(fine, _resample_values(f.values, g, fine))
+    """Spectral zero-padding of f onto `fine`, of which f's grid is a coarse grid."""
+    _check_coarse(fine, f.grid)
+    return ScalarField(fine, _resample_values(f.values, f.grid, fine))
 
 
 def domain_integral(f):

@@ -7,11 +7,12 @@ Prognostic fields h (height), Theta (buoyancy), v1, v2 (velocity) obey
     dv/dt     = -(v . grad) v - f zhat x v - grad(h Theta) + (h/2) grad(Theta)
 
 in km / 100 s units.  Time stepping is Lawson's integrating-factor
-Adams-Bashforth up to order 3 with a lower-order bootstrap, followed by
-the Hou-Li filter (a = 12) on every prognostic field.  The inertia-gravity
-waves about the rest state (h0, Theta0, v = 0), linear and per Fourier
-mode a 3 x 3 system in (h, v1, v2), are propagated exactly by exp(L dt);
-only the remainder N = tendency - L spec goes through the AB history.
+Adams-Bashforth of order `_MODEL_AB_ORDER` with a lower-order bootstrap,
+followed by the Hou-Li filter of exponent `_MODEL_FILTER_A` on every
+prognostic field.  The inertia-gravity waves about the rest state (h0,
+Theta0, v = 0), linear and per Fourier mode a 3 x 3 system in (h, v1,
+v2), are propagated exactly by exp(L dt); only the remainder N =
+tendency - L spec goes through the AB history.
 `_tendency_hat` forms N in grid space, before the forward transforms:
 the mass flux is (h - h0) v, the Bernoulli term h (Theta - Theta0) +
 |v|^2 / 2 and the momentum's vorticity omega, not omega + f; so no L
@@ -86,6 +87,11 @@ AB_COEFFS = {
     ),
 }
 
+# The model step, named once: Lawson AB of this order, then the Hou-Li
+# filter of this exponent.  `morph_engine.nudge` takes the same step.
+_MODEL_AB_ORDER = 3
+_MODEL_FILTER_A = 12
+
 
 class InstabilityError(RuntimeError):
     """A time step produced non-finite or non-positive prognostic fields.
@@ -104,13 +110,14 @@ class InstabilityError(RuntimeError):
 class ModelParams:
     """Physical and numerical model parameters.
 
-    Defaults are documented stand-ins sized to keep the double vortex
-    coherent over the spin-up horizon: h0 = 1 km depth, Theta0 = 98
-    km/(100s)^2 (i.e. g), so the gravity wave speed is ~9.9 km per time
-    unit; f matches 1e-4 1/s in the 100 s time unit.  The step propagates
-    those waves exactly, so dt is bounded by the flow: the desk preset
-    runs dt = 5 on its 64^2 grid and the paper preset dt = 2 on its 256^2
-    grid.
+    The defaults are the reference model, which both presets of
+    `cli_experiments.PRESETS` take, all but dt.  They are documented
+    stand-ins sized to keep the double vortex coherent over the spin-up
+    horizon: h0 = 1 km depth, Theta0 = 98 km/(100s)^2 (i.e. g), so the
+    gravity wave speed is ~9.9 km per time unit; f matches 1e-4 1/s in the
+    100 s time unit.  The step propagates those waves exactly, so dt is
+    bounded by the flow: the desk preset runs dt = 5 on its 64^2 grid and
+    the paper preset dt = 2 on its 256^2 grid.
     """
 
     f: float = 0.01
@@ -135,8 +142,10 @@ class ModelParams:
 class VortexIC:
     """Double-vortex initial condition shape.
 
-    ox, oy are the perturbed center offsets, measured in units of `radius`
-    so that offsets drawn from N(0.1, 0.01) displace the vortices by a
+    The defaults but ox, oy are the reference vortex, which both presets
+    of `cli_experiments.PRESETS` take.  ox, oy are the perturbed center
+    offsets, measured in units of `radius` so that offsets drawn from
+    `assimilation.CENTER_OFFSET`, N(0.1, 0.1^2), displace the vortices by a
     physically meaningful fraction of their size.  amplitude is the height
     anomaly relative to h0; separation is the center-to-center distance.
     """
@@ -351,12 +360,18 @@ def _propagator(grid, f, h0, theta0, dt):
     At k = 0 the h row is (1, 0, 0): the mean of h never moves.
     """
     a, b = np.broadcast_arrays(grid._ikx_odd[:, None], grid._iky_odd[None, :])
-    zero, fs = np.zeros(a.shape), np.full(a.shape, f)
-    lin = np.array([[zero, -h0 * a, -h0 * b], [-theta0 * a, zero, fs], [-theta0 * b, -fs, zero]])
+    # L, filled in place; c L^2 and then s L are formed in the result's own
+    # buffer, so the only full-size arrays are L and the result
+    lin = np.zeros((3, 3, *a.shape), dtype=complex)
+    lin[0, 1], lin[0, 2], lin[1, 0], lin[2, 0] = -h0 * a, -h0 * b, -theta0 * a, -theta0 * b
+    lin[1, 2], lin[2, 1] = f, -f
     w = np.sqrt(f * f + h0 * theta0 * (a.imag**2 + b.imag**2))
     s = np.sin(w * dt) / w
     c = 2.0 * (np.sin(0.5 * w * dt) / w) ** 2  # (1 - cos(w dt)) / w^2 without cancellation
-    prop = s * lin + c * np.einsum("ikxy,kjxy->ijxy", lin, lin)
+    prop = np.einsum("ikxy,kjxy->ijxy", lin, lin)
+    prop *= c
+    lin *= s
+    prop += lin
     for i in range(3):
         prop[i, i] += 1.0
     prop.flags.writeable = False
@@ -546,26 +561,27 @@ def tendency(state, params):
 
 def _model_step(ws, params, grid, step):
     """One model step of the _Workspace `ws`, in place: the remainder
-    tendency into the ring's slot, then the Lawson AB3 step."""
+    tendency into the ring's slot, then the Lawson AB step."""
     omega, _ = _vorticity(ws.spec, grid, (ws.omega, ws.c[0]), ws.c[1])
     grad_th = _grad_theta(ws.spec, grid, ws.grad_th, ws.c[0])
     _tendency_hat(ws.vals, ws.spec, params, grid, omega, grad_th, ws.slot(), (ws.r, ws.c))
-    _ab_advance(ws, params.dt, 12, grid, step, _MODEL_ERRORS, params)
+    _ab_advance(ws, params.dt, _MODEL_FILTER_A, grid, step, _MODEL_ERRORS, params)
 
 
 def ab3_step(state, history, params, step=None):
     """Advance one dt by integrating-factor Adams-Bashforth (order =
-    len(history)+1, capped at 3).
+    len(history)+1, capped at `_MODEL_AB_ORDER`).
 
     The rest-state gravity waves are propagated exactly, and the rest of
     the tendency goes through the AB history (see `_ab_advance`).
     `history` holds the previous remainders as opaque spectra, oldest
     first; it is updated in place (current remainder appended, stale
-    entries dropped), so repeated calls bootstrap AB1 -> AB2 -> AB3.  The
-    Hou-Li filter (a = 12) is applied to every prognostic field after the
-    update.  It is one step of `_integrate_batch` with a batch of one.
+    entries dropped), so repeated calls bootstrap the order up to its cap.
+    The Hou-Li filter of exponent `_MODEL_FILTER_A` is applied to every
+    prognostic field after the update.  It is one step of
+    `_integrate_batch` with a batch of one.
     """
-    ws = _Workspace([state], 3, model=True, history=history)
+    ws = _Workspace([state], _MODEL_AB_ORDER, model=True, history=history)
     _model_step(ws, params, state.grid, step)
     ws.save(history)
     return _state(ws.vals[:, 0], state.grid, state.time + params.dt)
@@ -597,7 +613,7 @@ def _integrate_batch(states, n_steps, params, stop=None):
     if not (_is_int(n_steps) and n_steps >= 0):
         raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     g = states[0].grid
-    ws = _Workspace(states, 3, model=True)
+    ws = _Workspace(states, _MODEL_AB_ORDER, model=True)
     times = np.array([s.time for s in states])
     for k in range(n_steps):
         if stop is not None and stop.is_set():

@@ -461,6 +461,21 @@ def rest_wave_matrix(a, b, params):
     return np.array([[0.0, -h0 * a, -h0 * b], [-th0 * a, 0.0, f], [-th0 * b, -f, 0.0]])
 
 
+def stacked_propagator(grid, f, h0, theta0, dt):
+    """`tsw_model._propagator` as first written: L stacked from its nine
+    blocks, then I + s L + c L^2 from full-size temporaries."""
+    a, b = np.broadcast_arrays(grid._ikx_odd[:, None], grid._iky_odd[None, :])
+    zero, fs = np.zeros(a.shape), np.full(a.shape, f)
+    lin = np.array([[zero, -h0 * a, -h0 * b], [-theta0 * a, zero, fs], [-theta0 * b, -fs, zero]])
+    w = np.sqrt(f * f + h0 * theta0 * (a.imag**2 + b.imag**2))
+    s = np.sin(w * dt) / w
+    c = 2.0 * (np.sin(0.5 * w * dt) / w) ** 2
+    prop = s * lin + c * np.einsum("ikxy,kjxy->ijxy", lin, lin)
+    for i in range(3):
+        prop[i, i] += 1.0
+    return prop
+
+
 @functools.lru_cache(maxsize=4)
 def _expm_table(grid, f, h0, theta0, dt):
     from scipy.linalg import expm

@@ -221,8 +221,35 @@ class TestValidateConfig:
     def test_coarse_grid_must_divide_fine(self):
         raw = small_raw()
         raw["grid"]["coarse_nx"] = 12
-        with pytest.raises(ConfigError, match="divide"):
+        with pytest.raises(ConfigError) as exc:
             validate_config(raw)
+        assert exc.value.errors == ["grid: coarse counts 12 x 8 must divide fine counts 32 x 32"]
+
+    @pytest.mark.parametrize("key, value, why", [
+        ("theta_amplitude", 0.0, "ic.theta_amplitude 0 leaves the truth at rest"),
+        ("truth_time", 0.0, "horizons.truth_time 0 makes the truth the initial state"),
+    ], ids=["no-theta-anomaly", "no-truth-steps"])
+    def test_zero_amplitude_without_vorticity_rejected(self, key, value, why):
+        """ic.amplitude 0 starts from v = 0.  Without a Theta anomaly to
+        drive a flow, or without truth steps, the truth's vorticity is
+        identically zero; run used to integrate the truth and then blame
+        observation.r_scale."""
+        raw = small_raw(pipeline="plain-enkf")
+        raw["ic"]["amplitude"] = 0.0
+        (raw["ic"] if key in raw["ic"] else raw["horizons"])[key] = value
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        (error,) = exc.value.errors
+        assert error.startswith(f"ic.amplitude: 0 with {why}"), error
+        assert error.endswith("so its vorticity observations would be identically zero")
+
+    def test_zero_amplitude_with_a_theta_anomaly_validates(self):
+        """A Theta anomaly drives a flow whose vorticity the truth run
+        builds up (a variance of 2e-11 on the desk grid), so ic.amplitude
+        0 alone is a valid experiment."""
+        raw = small_raw(pipeline="plain-enkf")
+        raw["ic"]["amplitude"] = 0.0
+        assert validate_config(raw).ic.amplitude == 0.0
 
     def test_r_scale_parsed_with_default(self):
         assert validate_config(small_raw()).r_scale == 1.0
@@ -573,12 +600,35 @@ class TestCommandLine:
 
     def test_presets_listing(self, capsys):
         assert main(["presets"]) == 0
-        out = capsys.readouterr().out
-        assert "desk" in out and "paper" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "desk: 64x64 fine / 16x16 coarse, 8 members, 500 morph steps, 2 workers",
+            "paper: 256x256 fine / 64x64 coarse, 20 members, 10000 morph steps, 2 workers",
+        ]
+
+    def test_presets_listing_reads_the_presets(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli_experiments.PRESETS["paper"]["ensemble"], "size", 3)
+        monkeypatch.setitem(cli_experiments.PRESETS["paper"], "workers", 1)
+        assert main(["presets"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "paper: 256x256 fine / 64x64 coarse, 3 members, 10000 morph steps, 1 workers")
 
     def test_presets_json_dump(self, capsys):
         assert main(["presets", "desk"]) == 0
         assert json.loads(capsys.readouterr().out) == preset_config("desk")
+
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    def test_presets_print_their_pinned_bytes(self, capsys, name):
+        """The presets are built from the parameter classes' defaults; a
+        changed default must show here, not as a silently changed preset."""
+        golden = os.path.join(os.path.dirname(__file__), "golden", f"presets_{name}.json")
+        assert main(["presets", name]) == 0
+        with open(golden, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+    def test_presets_share_no_sections(self):
+        """paper is built from desk; editing one preset leaves the other."""
+        desk, paper = (cli_experiments.PRESETS[name] for name in ("desk", "paper"))
+        assert all(desk[key] is not paper[key] for key in desk if isinstance(desk[key], dict))
 
     def test_validate_accepts_good_config(self, tmp_path, capsys):
         path = self.write_config(tmp_path, small_raw())
@@ -737,8 +787,8 @@ class TestCommandLine:
     def test_run_rejects_an_r_scale_that_zeroes_the_variances(self, tmp_path, capsys,
                                                               monkeypatch):
         """r_scale = 5e-324 passes validate, but times each observation
-        variance it rounds to 0: run exits 2 naming the key, after the
-        truth run and before the spin-up."""
+        variance it rounds to 0: run exits 2 naming the key and each
+        field, after the truth run and before the spin-up."""
         def spin_up(*args, **kwargs):
             raise AssertionError("the spin-up ran")
 
@@ -749,6 +799,42 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("config error: observation.r_scale:"), err
         assert "Traceback" not in err
+        lines = err.splitlines()
+        assert [line.split(" variance ")[0] for line in lines] == [
+            f"config error: observation.r_scale: the {name}" for name in ("h", "omega")]
+        assert all(line.endswith("times r_scale 5e-324 is 0.0, not finite and > 0")
+                   for line in lines), lines
+        assert not (tmp_path / "out").exists()
+
+    def test_run_rejects_an_r_scale_that_overflows_a_variance(self, tmp_path, capsys):
+        """r_scale 1e308 times the h variance 4.0 of h0 = 20 is inf; the
+        scaled observation set used to raise a ValueError, exit 1."""
+        raw = small_raw(pipeline="plain-enkf", observation={"r_scale": 1e308})
+        raw["model"]["h0"] = 20.0
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: observation.r_scale: the h variance 4.0"), line
+        assert line.endswith("times r_scale 1e+308 is inf, not finite and > 0")
+
+    def test_run_names_a_field_whose_variance_is_zero_before_scaling(
+            self, tmp_path, capsys, monkeypatch):
+        """A vortex of amplitude 1e-300 without a Theta anomaly passes
+        validate, but its vorticity is too small to square: the omega
+        variance is 0 whatever the r_scale.  The error names omega alone
+        and says so, where it used to blame observation.r_scale."""
+        def spin_up(*args, **kwargs):
+            raise AssertionError("the spin-up ran")
+
+        monkeypatch.setattr(cli_experiments, "generate_ensemble", spin_up)
+        raw = small_raw(pipeline="plain-enkf")
+        raw["ic"].update(amplitude=1e-300, theta_amplitude=0.0)
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config error: observations: the omega observations' variance is 0 "
+                         "before observation.r_scale scales it (the truth's omega is zero or "
+                         "too small to square), so no r_scale makes it positive"]
         assert not (tmp_path / "out").exists()
 
 
@@ -807,6 +893,24 @@ class TestOutputDirectory:
         (out / "fields" / "extra.f64").write_bytes(b"")
         assert self.run(tmp_path, "plain-enkf", out) == 2
         assert self.present(out) == ["fields/extra.f64", "manifest.json", "metrics.csv"]
+
+    @pytest.mark.parametrize("below", ["out", "a/b/out"])
+    def test_refuses_an_out_under_a_regular_file_before_any_compute(
+            self, tmp_path, capsys, monkeypatch, below):
+        """An --out under a regular file used to pass every check, run the
+        whole pipeline and die in emit_outputs' makedirs (exit 1)."""
+        blocker = tmp_path / "f"
+        blocker.write_text("a file")
+
+        def no_truth(*args, **kwargs):
+            raise AssertionError("the truth run started")
+
+        monkeypatch.setattr(cli_experiments, "integrate", no_truth)
+        assert self.run(tmp_path, "plain-enkf", blocker / below) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: output_dir {blocker / below} lies under {blocker}, "
+                       f"which is not a directory; choose another --out\n")
+        assert blocker.read_text() == "a file"
 
     def test_writes_into_an_empty_directory(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -476,12 +476,12 @@ class TestResampling:
 
     def test_incompatible_grids_rejected(self):
         fine = GridSpec(64, 64, 2.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coarse counts 24 x 24 must divide fine counts 64"):
             coarsen(ScalarField.zeros(fine), GridSpec(24, 24, 2.0, 2.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coarse extents 3.0 x 2.0 must equal fine extents"):
             coarsen(ScalarField.zeros(fine), GridSpec(16, 16, 3.0, 2.0))
         coarse = GridSpec(16, 16, 2.0, 2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coarse counts 16 x 16 must divide fine counts 40"):
             refine(ScalarField.zeros(coarse), GridSpec(40, 40, 2.0, 2.0))
 
 

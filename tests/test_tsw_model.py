@@ -54,6 +54,7 @@ from oracles import (
     expm_propagate,
     expm_wave_table,
     random_band_limited,
+    stacked_propagator,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -401,6 +402,18 @@ class TestPropagator:
         assert err.max() <= 1e-12
         # the mean of h never moves
         assert np.array_equal(got[0, 0, 0], [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("nx, ny, f, dt", [(16, 16, 0.01, 5.0), (32, 8, -0.02, 0.25),
+                                               (64, 64, 0.01, 2.0)])
+    def test_in_place_construction_matches_the_stacked_one(self, nx, ny, f, dt):
+        """The propagator built in its own buffer equals, bit for bit, the
+        one stacked from full-size temporaries (`oracles.stacked_propagator`):
+        only the order of a commutative addition differs."""
+        g = GridSpec(nx, ny, 5000.0, 3000.0)
+        prop = _propagator(g, f, 1.0, 98.0, dt)
+        ref = stacked_propagator(g, f, 1.0, 98.0, dt)
+        assert np.array_equal(prop, ref)
+        assert prop.tobytes() == ref.tobytes()
 
     def test_linear_waves_propagate_exactly(self, grid_km):
         """A bump of 1e-6 h0 at rest, 10 steps at 20x the plain-AB3
