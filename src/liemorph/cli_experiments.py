@@ -40,6 +40,9 @@ from .assimilation import (
 from .morph_engine import _TOTALS, MorphParams, _mse, _totals, nudge
 from .spectral_core import GridSpec, ScalarField, _check_coarse, _is_int, _is_real
 from .tsw_model import (
+    _MODEL_AB_ORDER,
+    _MODEL_COURANT_MAX,
+    _MODEL_DECAY_MAX,
     InstabilityError,
     ModelParams,
     VortexIC,
@@ -70,12 +73,6 @@ PIPELINES = (
     "naive-morphed-enkf",
     "nudging-run",
 )
-# AB3, the model step's order, is stable on the imaginary axis up to
-# |lambda dt| ~ 0.72, and on the negative real axis down to lambda dt =
-# -6/11.  The model step propagates the rest-state gravity waves exactly,
-# so these bound only what its AB3 remainder carries.
-AB3_COURANT_MAX = 0.72
-AB3_DECAY_MAX = 6 / 11
 # A horizon time is a whole number of steps up to this relative error.
 STEP_RTOL = 1e-9
 # Ceilings on the counts a run loops over or allocates, far above the
@@ -176,14 +173,16 @@ CEILINGS = {
 }
 
 
-def _largest_stable(name, bound, rate):
-    # "; the largest stable <name> is <bound / rate>", rounded down to 4
-    # significant digits, a limit that passes; nothing when that is not
-    # finite, as when an infinite rate floors 0 to nan
+def _unstable(key, number, value, bound, rate):
+    # "<key>: <number> = <value> exceeds the AB<order> bound <bound>", then
+    # "; the largest stable <name> is <bound / rate>" rounded down to 4
+    # significant digits, a limit that passes, unless that is not finite
+    # (an infinite rate floors 0 to nan)
     with np.errstate(all="ignore"):
         scale = 10.0 ** (np.floor(np.log10(bound / rate)) - 3)
         limit = np.floor(bound / rate / scale) * scale
-    return f"; the largest stable {name} is {limit:.4g}" if _is_real(limit) else ""
+    largest = f"; the largest stable {key.split('.')[-1]} is {limit:.4g}" if _is_real(limit) else ""
+    return f"{key}: {number} = {value:.3g} exceeds the AB{_MODEL_AB_ORDER} bound {bound}{largest}"
 
 
 def _read(section, name, errors):
@@ -266,7 +265,7 @@ def validate_config(raw):
 
     if grid is not None and model is not None and ic is not None:
         # The step carries the gravity waves about the rest state exactly;
-        # its AB3 remainder moves at most the peak flow speed plus the rise
+        # its remainder moves at most the peak flow speed plus the rise
         # of the gravity wave speed sqrt(h Theta) over the rest state's at
         # the vortex peak.  |grad(eta)| of a Gaussian bump peaks at
         # amplitude / (radius * sqrt(e)), and the geostrophic speed with it;
@@ -276,23 +275,17 @@ def validate_config(raw):
         rest = math.sqrt(model.h0 * model.theta0)
         peak = math.sqrt((model.h0 + ic.amplitude) * model.theta0 * (1.0 + ic.theta_amplitude))
         rate = (vmax + peak - rest) * math.pi / min(grid.dx, grid.dy)
-        if not rate * model.dt <= AB3_COURANT_MAX:
-            errors.append(
-                f"model.dt: remainder Courant number (max|v| + dc)*k_max*dt = "
-                f"{rate * model.dt:.3g} exceeds the AB3 bound {AB3_COURANT_MAX}"
-                f"{_largest_stable('dt', AB3_COURANT_MAX, rate)}"
-            )
+        if not rate * model.dt <= _MODEL_COURANT_MAX:
+            errors.append(_unstable("model.dt", "remainder Courant number (max|v| + dc)*k_max*dt",
+                                    rate * model.dt, _MODEL_COURANT_MAX, rate))
     if model is not None and ic is not None:
         # the Theta relaxation decays at rate kappa*h, and h peaks near
         # h0 + amplitude; kappa = 0 relaxes nothing however high h gets
         reach = (model.h0 + ic.amplitude) * model.dt
         relax = model.kappa * reach if model.kappa else 0.0
-        if not relax <= AB3_DECAY_MAX:
-            errors.append(
-                f"model.kappa: relaxation number kappa*(h0 + ic.amplitude)*dt = "
-                f"{relax:.3g} exceeds the AB3 bound 6/11"
-                f"{_largest_stable('kappa', AB3_DECAY_MAX, reach)}"
-            )
+        if not relax <= _MODEL_DECAY_MAX:
+            errors.append(_unstable("model.kappa", "relaxation number kappa*(h0 + ic.amplitude)*dt",
+                                    relax, _MODEL_DECAY_MAX, reach))
 
     if grid is not None and ic is not None and {"size", "seed"} <= e.keys():
         # a vortex centre drawn at inf km would fill its member with nan
@@ -492,8 +485,11 @@ def _run_nudging(config, truth, obs, report):
     """Member 0 of the ensemble, spun up and nudged toward the observations."""
     ics = _member_ics(config.ic, 1, config.seed, config.perturb_mean, config.perturb_std)
     (state,) = _spin_up(ics, config.grid, config.spinup_steps, config.model, workers=1)
-    state, trace = nudge(state, _targets_from_obs(obs, config.grid), config.model,
-                         config.nudging_strength, config.nudging_steps)
+    try:
+        state, trace = nudge(state, _targets_from_obs(obs, config.grid), config.model,
+                             config.nudging_strength, config.nudging_steps)
+    except InstabilityError as err:
+        raise InstabilityError(f"nudge of member 0: {err}") from err
     report.traces = [(0, trace)]
     _stage_outputs("nudged", [state], truth, report)
 

@@ -30,8 +30,8 @@ where results are stored and the order of the AB sum differ from a loop
 on fresh arrays, so each member's result is the same bit for bit
 wherever it sits in the batch.
 
-`nudge` adds the same transport, times a strength, to the model tendency
-and runs through the same batch loop.
+`nudge` runs the same batch loop with the model step in place of `_step`:
+`tsw_model._model_step` with a push, this transport times a strength.
 """
 
 import csv
@@ -47,15 +47,12 @@ from .forms import DisplacementField, _advect_hat, _transport_hat
 from .spectral_core import ScalarField, _is_int, _is_real, _rfft2
 from .tsw_model import (
     _MODEL_AB_ORDER,
-    _MODEL_ERRORS,
-    _MODEL_FILTER_A,
     AB_COEFFS,
     InstabilityError,
     _ab_advance,
-    _grad_theta,
     _irfft_all,
+    _model_step,
     _state,
-    _tendency_hat,
     _vorticity,
     _Workspace,
     vorticity_of,
@@ -193,7 +190,6 @@ def conserved_totals(state):
 # as its values `u` (2, B, nx, ny).  The vorticity is computed once per
 # state, by `_record`, and shared by the velocity, the v-transport and the
 # trace.
-_MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
 
 
 def _target_spectra(targets, grid):
@@ -236,31 +232,22 @@ def _record(traces, k, observed, grid, ws):
     return mses
 
 
-def _step(ws, u, params, naive, step, grid, drift=None):
+def _step(ws, u, params, naive, step, grid):
     """One AB epsilon-step of d(theta)/ds = -L_u theta on the state of the
     _Workspace ws, whose omega holds the values of its vorticity.
 
     The tendency is written into the ring's slot and the new state over
-    ws.vals and ws.spec.  The naive comparator drags every field as a
-    0-form, d(theta)/ds = -u . grad(theta).  A drift (model, strength)
-    adds the model tendency: see `nudge`.
+    ws.vals and ws.spec, by the plain branch of `_ab_advance`.  The naive
+    comparator drags every field as a 0-form, d(theta)/ds = -u . grad(theta).
     """
     vals, spec, tend, tmp = ws.vals, ws.spec, ws.slot(), (ws.r, ws.c)
-    model, errors = None, _MORPH_ERRORS
-    if drift is not None:
-        (model, strength), errors = drift, _MODEL_ERRORS
-        grad_th = _grad_theta(spec, grid, ws.grad_th, ws.c[0])
-        push = _transport_hat(vals, spec, ws.omega, u, grid, grad_th, ws.spare, tmp)
-        push *= strength
-        _tendency_hat(vals, spec, model, grid, ws.omega, grad_th, tend, tmp)
-        tend += push
-    elif naive:
+    if naive:
         for s, t in zip(spec, tend):
             _advect_hat(s, u, grid, None, t, tmp)
         np.negative(tend, out=tend)
     else:
         _transport_hat(vals, spec, ws.omega, u, grid, out=tend, tmp=tmp)
-    _ab_advance(ws, params.epsilon, params.filter_a, grid, step, errors, model)
+    _ab_advance(ws, params.epsilon, params.filter_a, grid, step)
 
 
 def morph_velocity(state, targets):
@@ -334,8 +321,8 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
     axis.  An InstabilityError names the first failing step across the
     batch; its `member` is the lowest failing index in `states`.  Once the
     threading.Event `stop` is set, the next step raises CancelledError.
-    With drift = (model, strength) each step is `nudge`'s model step (see
-    `_step`), and member time advances by model.dt per step.
+    With drift = (model, strength) each step is `nudge`'s, the model step
+    pushed along u, and member time advances by model.dt per step.
     """
     g = states[0].grid
     observed = _target_spectra(targets, g)
@@ -356,12 +343,14 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
             raise CancelledError
         u = _velocity(observed, g, ws)
         try:
-            _step(ws, u, params, naive, k, g, drift)
+            if drift is None:
+                _step(ws, u, params, naive, k, g)
+            else:
+                _model_step(ws, drift[0], g, k, push=(u, drift[1]))
+                times[active] += drift[0].dt
         except InstabilityError as err:
             err.member = int(active[err.member])
             raise
-        if drift is not None:
-            times[active] += drift[0].dt
         prev = cur
         cur = _record([traces[i] for i in active], k + 1, observed, g, ws)
         if params.early_stop_patience is not None:
@@ -383,16 +372,14 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
 def nudge(state, targets, model, strength, n_steps):
     """Integrate the model n_steps, nudged along the morph velocity.
 
-    Each step adds strength times the morph's -L_u transport (the tensor
-    types of morph_step) to the model tendency and takes ab3_step's update,
-    through `_run_morph_batch` as a batch of one; strength = 0 is
-    `integrate` bit for bit.  The tendency and the transport share the
-    trace's vorticity and one grad(Theta): a step makes 16 rfft2 + 13
-    irfft2 with h and omega targets.  Returns (final state, MorphTrace), a
-    trace row per step plus the first.  strength must be a finite number.
+    Each step is `tsw_model._model_step` with a push, strength times the
+    morph's -L_u transport (the tensor types of morph_step), run by
+    `_run_morph_batch` as a batch of one; strength = 0 is `integrate` bit
+    for bit.  A step makes 16 rfft2 + 13 irfft2 with h and omega targets.
+    Returns (final state, MorphTrace), a trace row per step plus the
+    first.  strength must be a finite number.
     """
     if not _is_real(strength):
         raise ValueError(f"strength must be a finite number, got {strength!r}")
-    params = MorphParams(epsilon=model.dt, n_steps=n_steps, filter_a=_MODEL_FILTER_A,
-                         ab_order=_MODEL_AB_ORDER)
+    params = MorphParams(n_steps=n_steps, ab_order=_MODEL_AB_ORDER)
     return _run_morph_batch([state], targets, params, drift=(model, strength))[0]

@@ -26,8 +26,8 @@ shares `_ab_advance` with the morph, which has no linear part and takes
 the plain AB step; the AB history holds opaque spectra.  The kernel carries a
 member axis: `_integrate_batch` advances a batch of states in lockstep
 with the same 13 FFT calls per step, and `integrate` is its batch of one.
-The nudged model, this tendency plus the morph's tensor transport, is
-`morph_engine.nudge`.
+The nudged model, `morph_engine.nudge`, is the same step, `_model_step`,
+with a push: the morph's tensor transport added to this tendency.
 
 Every step runs on a `_Workspace`: arrays allocated once per batch and
 reused every step, into which the kernel helpers write through their
@@ -47,10 +47,11 @@ spare), so a step allocates no spectrum-sized temporary.
 import functools
 from concurrent.futures import CancelledError
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .forms import DisplacementField
+from .forms import DisplacementField, _transport_hat
 from .spectral_core import (ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _is_int, _is_real,
                             _rfft2, _scratch, curl_2d)
 
@@ -91,6 +92,12 @@ AB_COEFFS = {
 # filter of this exponent.  `morph_engine.nudge` takes the same step.
 _MODEL_AB_ORDER = 3
 _MODEL_FILTER_A = 12
+# The order's stability bounds on the remainder, which `validate_config`
+# checks: AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72 and
+# on the negative real axis down to -6/11 (a Fraction: it prints so, and
+# compares with a float as 6 / 11 does).  The waves are propagated exactly.
+_MODEL_COURANT_MAX = 0.72
+_MODEL_DECAY_MAX = Fraction(6, 11)
 
 
 class InstabilityError(RuntimeError):
@@ -161,8 +168,9 @@ class VortexIC:
         for name, v in vars(self).items():
             if not _is_real(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        # `double_vortex_ic` squares the radius; a float's ** raises OverflowError
+        if not 0 < self.radius <= np.sqrt(np.finfo(float).max):
+            raise ValueError(f"radius must be positive and its square finite, got {self.radius!r}")
 
 
 class TSWState:
@@ -228,6 +236,7 @@ class TSWTendency:
 # arithmetic broadcasts over it, each FFT call transforms one field of all
 # members, and reductions run over the last two axes only.
 _MODEL_ERRORS = ("non-finite field after AB step", "positivity lost")
+_MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
 
 
 def _rfft_all(vals):
@@ -476,7 +485,7 @@ def _ab_sum(weights, rows, out):
     np.einsum("i,ij->j", weights, mat, out=out.view(float).reshape(-1, copy=False))
 
 
-def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
+def _ab_advance(ws, size, filter_a, grid, step, model=None):
     """One Adams-Bashforth step on the spectra of the _Workspace `ws`,
     shared by the model and the morph, and by the batch loops and the
     typed functions, which are batch-of-one runs.
@@ -495,9 +504,9 @@ def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
         spec_new = E [spec + size sum_j c_j E^j N_{n-j}],
 
     so the gravity waves do not bound `size`.  Raises InstabilityError at
-    `step`, with the message prefixes `errors`, when a field turns
-    non-finite or h or Theta non-positive; it names the lowest failing
-    member.
+    `step` when a field turns non-finite or h or Theta non-positive, with
+    the message prefixes `_MODEL_ERRORS` for the model's step and
+    `_MORPH_ERRORS` for the morph's; it names the lowest failing member.
     """
     ring, spec, vals = ws.ring, ws.spec, ws.vals
     ws.count += 1
@@ -543,7 +552,7 @@ def _ab_advance(ws, size, filter_a, grid, step, errors, model=None):
     failed = ~finite | (hmin <= 0) | (thmin <= 0)
     if failed.any():
         b = int(np.flatnonzero(failed)[0])
-        nonfinite, positivity = errors
+        nonfinite, positivity = _MORPH_ERRORS if model is None else _MODEL_ERRORS
         if not finite.flat[b]:
             raise InstabilityError(nonfinite, step=step, member=b)
         raise InstabilityError(f"{positivity}: min h={hmin.flat[b]:.4g}, "
@@ -559,13 +568,21 @@ def tendency(state, params):
     return TSWTendency(*_irfft_all(tend, state.grid, tmp=tend))
 
 
-def _model_step(ws, params, grid, step):
+def _model_step(ws, params, grid, step, push=None):
     """One model step of the _Workspace `ws`, in place: the remainder
-    tendency into the ring's slot, then the Lawson AB step."""
-    omega, _ = _vorticity(ws.spec, grid, (ws.omega, ws.c[0]), ws.c[1])
-    grad_th = _grad_theta(ws.spec, grid, ws.grad_th, ws.c[0])
-    _tendency_hat(ws.vals, ws.spec, params, grid, omega, grad_th, ws.slot(), (ws.r, ws.c))
-    _ab_advance(ws, params.dt, _MODEL_FILTER_A, grid, step, _MODEL_ERRORS, params)
+    tendency into the ring's slot, then the Lawson AB step.  With push =
+    (u, strength) it is `morph_engine.nudge`'s step: strength times the
+    morph's transport along the displacement values u joins the tendency,
+    and both read the vorticity ws.omega holds and one grad(Theta)."""
+    vals, spec, tend, tmp = ws.vals, ws.spec, ws.slot(), (ws.r, ws.c)
+    if push is None:
+        _vorticity(spec, grid, (ws.omega, ws.c[0]), ws.c[1])
+    grad_th = _grad_theta(spec, grid, ws.grad_th, ws.c[0])
+    _tendency_hat(vals, spec, params, grid, ws.omega, grad_th, tend, tmp)
+    if push is not None:
+        moved = _transport_hat(vals, spec, ws.omega, push[0], grid, grad_th, ws.spare, tmp)
+        tend += np.multiply(moved, push[1], out=moved)
+    _ab_advance(ws, params.dt, _MODEL_FILTER_A, grid, step, params)
 
 
 def ab3_step(state, history, params, step=None):

@@ -344,6 +344,15 @@ def random_band_limited(grid, seed, modes=3, amplitude=1.0, offset=0.0):
     return vals
 
 
+def interior_weight(grid):
+    """A valid localization weight, strictly inside [0, 1]."""
+    from liemorph import ScalarField
+
+    x, y = grid.xy()
+    vals = 0.5 + 0.35 * np.cos(2.0 * np.pi * x / grid.lx) * np.cos(2.0 * np.pi * y / grid.ly)
+    return ScalarField(grid, vals)
+
+
 def quadrature_h1_norm(u):
     """H1 norm by the mean-value quadrature of the spectral curl and
     divergence, the formula `h1_norm` evaluates by Parseval."""

@@ -59,6 +59,7 @@ from oracles import (
     dense_el_displacement,
     dense_gof_solve,
     explicit_covariance_gain,
+    interior_weight,
     pushforward,
     random_band_limited,
     shear_map_x,
@@ -71,12 +72,6 @@ def verdict(tag, failures, detail):
     status = "FAIL" if failures else "PASS"
     print(f"[{status}] {tag}: {detail}")
     assert not failures, "; ".join(failures)
-
-
-def interior_weight(grid):
-    x, y = grid.xy()
-    vals = 0.5 + 0.35 * np.cos(TWO_PI * x / grid.lx) * np.cos(TWO_PI * y / grid.ly)
-    return ScalarField(grid, vals)
 
 
 def random_form(grid, degree, seed, amplitude=0.3, offset=0.0):

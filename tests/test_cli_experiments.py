@@ -22,6 +22,7 @@ from liemorph import (
     MorphParams,
     ScalarField,
     TSWState,
+    VortexIC,
     coarsen,
     conserved_totals,
     double_vortex_ic,
@@ -38,7 +39,7 @@ from liemorph.cli_experiments import (
     run_experiment,
     validate_config,
 )
-from liemorph.tsw_model import AB_COEFFS
+from liemorph.tsw_model import _MODEL_AB_ORDER, _MODEL_COURANT_MAX, _MODEL_DECAY_MAX, AB_COEFFS
 from oracles import random_band_limited
 
 
@@ -350,21 +351,30 @@ class TestParameterRanges:
         with pytest.raises(ValueError):
             MorphParams(**kwargs)
 
+    def test_vortex_ic_rejects_a_radius_whose_square_overflows(self):
+        # radius 1e200 used to validate and then die in double_vortex_ic
+        # with an OverflowError at radius**2, exit 1
+        with pytest.raises(ValueError, match="radius"):
+            VortexIC(radius=1e200)
+        with pytest.raises(ConfigError) as exc:
+            validate_config(with_value("ic.radius", 1e200))
+        assert exc.value.errors == ["ic: radius must be positive and its square finite, got 1e+200"]
+
     def test_morph_params_accepts_patience_one(self):
         assert MorphParams(early_stop_patience=1).early_stop_patience == 1
 
     @staticmethod
     def ab3_amplification(z):
-        # largest root modulus of rho(xi) - z sigma(xi) for AB3's
-        # xi^3 = xi^2 + z (c0 xi^2 + c1 xi + c2)
-        c = AB_COEFFS[3]
-        return max(abs(np.roots([1.0, -1.0 - z * c[0], -z * c[1], -z * c[2]])))
+        # largest root modulus of rho(xi) - z sigma(xi) for the model
+        # step's AB order p: xi^p = xi^(p-1) + z (c0 xi^(p-1) + ... + c_(p-1))
+        c = AB_COEFFS[_MODEL_AB_ORDER]
+        return max(abs(np.roots([1.0, -1.0 - z * c[0], *(-z * cj for cj in c[1:])])))
 
     def test_ab3_bounds_lie_in_the_stability_region(self):
-        assert self.ab3_amplification(1j * cli_experiments.AB3_COURANT_MAX) <= 1 + 1e-12
-        assert self.ab3_amplification(-cli_experiments.AB3_DECAY_MAX) <= 1 + 1e-12
+        assert self.ab3_amplification(1j * _MODEL_COURANT_MAX) <= 1 + 1e-12
+        assert self.ab3_amplification(-_MODEL_DECAY_MAX) <= 1 + 1e-12
         # and the real-axis bound is the edge of the region
-        assert self.ab3_amplification(-1.01 * cli_experiments.AB3_DECAY_MAX) > 1
+        assert self.ab3_amplification(-1.01 * _MODEL_DECAY_MAX) > 1
 
     def test_zero_nudging_strength_validates(self):
         assert validate_config(with_value("nudging.strength", 0)).nudging_strength == 0
@@ -783,6 +793,15 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "numerical instability" in err
         assert "morph of member 0: step 4: positivity lost during morph" in err
+
+    def test_nudge_instability_names_the_stage(self, tmp_path, capsys):
+        # a blow-up in the nudge used to name no stage, where the truth
+        # run, the spin-up and the morph each name theirs
+        raw = small_raw(pipeline="nudging-run", nudging={"steps": 5, "strength": 1e6})
+        cfg = self.write_config(tmp_path, raw)
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical instability: nudge of member 0: step 0: "), err
 
     def test_run_rejects_an_r_scale_that_zeroes_the_variances(self, tmp_path, capsys,
                                                               monkeypatch):

@@ -35,7 +35,7 @@ from liemorph.displacement_solver import (
 )
 from liemorph.spectral_core import _scratch
 from liemorph.forms import form_inner_integral
-from oracles import dense_el_displacement, dense_gof_solve, random_band_limited
+from oracles import dense_el_displacement, dense_gof_solve, interior_weight, random_band_limited
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,13 +68,6 @@ def vec_inner(u, v):
     g = u.grid
     prod = u.u1.values * v.u1.values + u.u2.values * v.u2.values
     return domain_integral(ScalarField(g, prod))
-
-
-def interior_weight(grid):
-    """A valid localization weight, strictly inside [0, 1]."""
-    x, y = grid.xy()
-    vals = 0.5 + 0.35 * np.cos(TWO_PI * x / grid.lx) * np.cos(TWO_PI * y / grid.ly)
-    return ScalarField(grid, vals)
 
 
 class TestClosedFormDegree0:
