@@ -20,13 +20,14 @@ FFT plans: a fresh process, as each benchmark run is, pays it once.  The
 its voluntary context switches per step, from getrusage, each the median
 over the repeats: at 2 workers, CPU time above the wall time is the
 second thread's work, and the switches count the waits, mostly for the
-GIL.  The `ffts` and `fft%` columns come from one more pass, of the run
-and of a run of no steps, with the kernel's transform pair
+GIL.  The `ffts`, `calls` and `fft%` columns come from one more pass, of
+the run and of a run of no steps, with the kernel's transform pair
 `spectral_core._rfft2` / `_irfft2` wrapped as
-`tests/conftest.py::count_ffts` does: the transforms per step, of every
-batch, and their share of the step time, of every thread, the set-up's
-transforms excluded.  The other columns time unwrapped runs.  --grid and
---steps shrink the run.
+`tests/conftest.py::count_ffts` does: per step, of every batch, the 2-D
+transforms (one per field and member, however they are stacked), the
+calls that make them (one call transforms a whole stack) and their share
+of the step time, of every thread, the set-up's excluded.  The other
+columns time unwrapped runs.  --grid and --steps shrink the run.
 
     python3 demos/kernel_timing.py [--grid N M] [--steps S] [--repeats R]
 """
@@ -58,8 +59,8 @@ FFT_HELPERS = ("_rfft2", "_irfft2")
 
 
 def time_grid(n, members, steps, repeats):
-    """(kernel, n, members, workers, steps, ffts, fft share, cpu ms, csw,
-    cold ms, [ms per repeat]) of both kernels on an n^2 grid, per step, and
+    """(kernel, n, members, workers, steps, ffts, calls, fft share, cpu ms,
+    csw, cold ms, [ms per repeat]) of both kernels on an n^2 grid, per step, and
     of both at WORKERS workers when there are members to share out."""
     desk = validate_config(preset_config("desk"))
     grid = GridSpec(n, n, desk.grid.lx, desk.grid.ly)
@@ -104,21 +105,23 @@ def time_grid(n, members, steps, repeats):
 
 
 def fft_profile(run, steps, workers):
-    """(FFT calls per step, share of step time in them) of run(steps),
-    less those of run(0), the set-up's, with the kernel's transform pair
-    wrapped in every liemorph module that holds it.  The share is of the
-    time of `workers` threads, which run(steps) may use."""
-    calls, spent = [0], [0.0]
+    """(2-D transforms per step, calls per step, share of step time in
+    them) of run(steps), less those of run(0), the set-up's, with the
+    kernel's transform pair wrapped in every liemorph module that holds
+    it.  The share is of the time of `workers` threads, which run(steps)
+    may use."""
+    ffts, calls, spent = [0], [0], [0.0]
     lock = threading.Lock()
 
     def wrapped(fn):
-        def timed(*args, **kwargs):
+        def timed(x, *args, **kwargs):
             t0 = time.perf_counter()
             try:
-                return fn(*args, **kwargs)
+                return fn(x, *args, **kwargs)
             finally:
                 with lock:
                     spent[0] += time.perf_counter() - t0
+                    ffts[0] += x.size // (x.shape[-2] * x.shape[-1])
                     calls[0] += 1
         return timed
 
@@ -131,15 +134,15 @@ def fft_profile(run, steps, workers):
         for module, name, fn in held:
             setattr(module, name, wrapped(fn))
         for k in (steps, 0):
-            calls[0], spent[0] = 0, 0.0
+            ffts[0], calls[0], spent[0] = 0, 0, 0.0
             t0 = time.perf_counter()
             run(k)
-            totals.append((calls[0], spent[0], time.perf_counter() - t0))
+            totals.append((ffts[0], calls[0], spent[0], time.perf_counter() - t0))
     finally:
         for module, name, fn in held:
             setattr(module, name, fn)
-    (c1, f1, w1), (c0, f0, w0) = totals
-    return (c1 - c0) / steps, (f1 - f0) / (workers * (w1 - w0))
+    (n1, c1, f1, w1), (n0, c0, f0, w0) = totals
+    return (n1 - n0) / steps, (c1 - c0) / steps, (f1 - f0) / (workers * (w1 - w0))
 
 
 def main(argv=None):
@@ -159,11 +162,11 @@ def main(argv=None):
     for n, members, steps in zip(args.grid, MEMBERS, DEFAULT_STEPS):
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
             rows += pool.submit(time_grid, n, members, args.steps or steps, args.repeats).result()
-    print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'workers':>7} {'steps':>5} {'ffts':>5} "
-          f"{'fft%':>5} {'cpu':>8} {'csw':>6} {'cold':>8}  ms/step median [min, max]")
-    for kernel, n, members, workers, steps, ffts, share, cpu, csw, first, row in rows:
-        print(f"{kernel:<17} {f'{n}^2':>7} {members:>7} {workers:>7} {steps:>5} {ffts:>5.1f} "
-              f"{100 * share:>5.1f} {cpu:>8.3f} {csw:>6.1f} {first:>8.3f}  "
+    print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'workers':>7} {'steps':>5} {'ffts':>6} "
+          f"{'calls':>5} {'fft%':>5} {'cpu':>8} {'csw':>6} {'cold':>8}  ms/step median [min, max]")
+    for kernel, n, members, workers, steps, ffts, calls, share, cpu, csw, first, row in rows:
+        print(f"{kernel:<17} {f'{n}^2':>7} {members:>7} {workers:>7} {steps:>5} {ffts:>6.1f} "
+              f"{calls:>5.1f} {100 * share:>5.1f} {cpu:>8.3f} {csw:>6.1f} {first:>8.3f}  "
               f"{np.median(row):.3f} [{min(row):.3f}, {max(row):.3f}]")
     return 0
 

@@ -13,7 +13,7 @@ values, and no n x d or d x d matrix is ever formed.
 Both per-member stages, the spin-up and the morph, run members in batches:
 contiguous runs of members that advance in lockstep through the spectral
 kernels (`tsw_model._integrate_batch`, `morph_engine._run_morph_batch`),
-one FFT call per field for the whole batch.  The batches are shared out
+whose FFT calls each transform a stack of the whole batch's fields.  The batches are shared out
 among min(workers, batch count) threads of the calling process: the
 calling thread runs one share and a pool thread each other share, so
 workers = 1 runs them one after another in the calling thread.  Results
@@ -119,14 +119,14 @@ def draw_center_offsets(rng, ne, mean=CENTER_OFFSET.mean, std=CENTER_OFFSET.std)
 
 
 # Largest batched field, in bytes: a batch holds at most this many bytes
-# per (B, nx, ny) float64 field.  Measured on 2 vCPUs (numpy 2.4.6), in ms
-# per member-step at B = 1 / 2 / 4 / 8: at 64^2 the morph took 3.03 / 2.15 /
-# 1.98 / 1.92 and the model 1.34 / 1.20 / 0.93 / 1.07, as members share the
-# per-call overhead; at 128^2 the morph took 8.58 / 8.95 / 9.02 / 9.63 and
-# the model 4.21 / 4.12 / 4.29 / 4.76; at 256^2 (B = 1 / 2 / 4) the morph
-# took 38.0 / 38.8 / 39.7 and the model 17.4 / 19.1 / 20.6, as larger
-# batches fall out of cache.  So 8 members batch at 64^2, 2 at 128^2
-# (within 4% of B = 1) and 1, the per-member kernel, at 256^2 and above.
+# per (B, nx, ny) float64 field.  Measured on 2 vCPUs (numpy 2.4.6), one
+# thread, median ms per member-step over 10 interleaved rounds at B = 1 /
+# 2 / 4 / 8: 64^2 morph 1.03 / 1.24 / 0.96 / 0.99, model 0.72 / 0.67 /
+# 0.63 / 0.69; 128^2 morph 4.46 / 5.09 / 4.95 / 4.77, model 2.93 / 3.95 /
+# 3.44 / 3.68; 256^2 (B = 1 / 2 / 4) morph 21.3 / 25.7 / 22.3, model 17.1
+# / 18.9 / 18.3.  Quartiles spread 10-30%, and 12 alternating pairs a
+# size found no other size better for both kernels.  So 8 members batch
+# at 64^2, 2 at 128^2 and 1, the per-member kernel, at 256^2 and above.
 _BATCH_BYTES = 2**18
 
 

@@ -248,14 +248,20 @@ def validate_config(raw):
             try:
                 return make(section)
             except ValueError as err:
-                errors.append(f"{name}: {err}")
+                # each class's error begins with the argument it rejects,
+                # which is the section's key
+                errors.append(f"{name}.{err}")
         return None
 
     def grids(s):
-        # the fine grid and its coarse grid, the same extents
+        # the fine grid and its coarse grid, the same extents; the coarse
+        # grid's errors name its counts nx and ny
         fine = GridSpec(s["nx"], s["ny"], s["lx"], s["ly"])
-        coarse = GridSpec(s["coarse_nx"], s["coarse_ny"], s["lx"], s["ly"])
-        _check_coarse(fine, coarse)
+        try:
+            coarse = GridSpec(s["coarse_nx"], s["coarse_ny"], s["lx"], s["ly"])
+            _check_coarse(fine, coarse)
+        except ValueError as err:
+            raise ValueError(f"coarse_{err}") from None
         return fine, coarse
 
     grid, coarse = build("grid", g, grids) or (None, None)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DiffForm, DisplacementField, _h1_norm_hat, h1_norm, lie_derivative
-from .spectral_core import (ScalarField, _deriv, _deriv_hat, _irfft2, _is_int, _is_real, _rfft2,
-                            _scratch)
+from .spectral_core import ScalarField, _deriv, _grad_hat, _irfft2, _is_int, _is_real, _rfft2
 
 __all__ = [
     "SolverParams",
@@ -116,22 +115,21 @@ def _closed_form(theta1, theta2, degree, params):
     else:
         f, gh = t2, _rfft2(t1) - _rfft2(t2)
     uh = _closed_form_hat(f, gh, g, params or _DEFAULT_PARAMS)
-    return DisplacementField(*(ScalarField(g, _irfft2(c, g.shape, tmp=c)) for c in uh))
+    return DisplacementField(*(ScalarField(g, c) for c in _irfft2(uh, g.shape, tmp=uh)))
 
 
 def _closed_form_hat(f, gh, grid, params, out=None, tmp=None):
     # stacked spectra of PREFACTOR (a0 - a1*Lap)^-1 [W f grad(g)] from f's
     # values and g's spectrum (f and g by degree as in _closed_form),
     # written into `out` when given; tmp is the scratch of `_scratch`, of
-    # which it uses r[0] and c[1]
-    r, c = _scratch(f.shape) if tmp is None else tmp
-    # W f, with f itself when no weight is set: 1.0 * f would copy it
-    wf = f if params.weight is None else _weight_values(params, grid) * f
+    # which it uses r.  The gradient goes into r with `out` as its complex
+    # scratch, then one forward transform of W f grad(g) into `out`.
+    r = np.empty((2, *f.shape)) if tmp is None else tmp[0]
     out = np.empty((2, *gh.shape), dtype=complex) if out is None else out
-    for axis in (0, 1):
-        prod = _deriv_hat(gh, grid, axis, r[0], c[1])
-        prod *= wf
-        _rfft2(prod, out[axis])
+    forcing = _grad_hat(gh, grid, r, out)
+    # W f, with f itself when no weight is set: 1.0 * f would copy it
+    forcing *= f if params.weight is None else _weight_values(params, grid) * f
+    _rfft2(forcing, out)
     # PREFACTOR * forcing / (a0 + a1 k^2), as one real multiplier: numpy's
     # complex division by a real divisor multiplies by its reciprocal too,
     # and with a power-of-two PREFACTOR the product rounds the same

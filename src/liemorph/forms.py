@@ -12,7 +12,7 @@ from .spectral_core import (
     ScalarField,
     _check_finite,
     _deriv,
-    _deriv_hat,
+    _grad_hat,
     _h1_weight,
     _rfft2,
     _scratch,
@@ -199,7 +199,7 @@ def h1_norm(u):
     Evaluated by Parseval from the two spectra, which equals the quadrature
     of the spectral curl and divergence up to rounding.
     """
-    uh = np.stack([_rfft2(u.u1.values), _rfft2(u.u2.values)])
+    uh = _rfft2(np.stack([u.u1.values, u.u2.values]))
     return float(_h1_norm_hat(uh, u.grid))
 
 
@@ -225,9 +225,10 @@ def _h1_norm_hat(uh, grid, tmp=None):
 def _advect_hat(fh, u, grid, grad, out, tmp):
     # spectrum of u . grad f, i.e. L_u of the 0-form f with spectrum fh,
     # written into `out`; grad, when not None, holds the values of grad f.
-    # Of the scratch tmp = (r, c) of `_scratch` it uses r and c[1].
+    # Of the scratch tmp = (r, c) of `_scratch` it uses r, and c too
+    # without grad.
     r, c = tmp
-    fx, fy = (_deriv_hat(fh, grid, a, r[a], c[1]) for a in (0, 1)) if grad is None else grad
+    fx, fy = _grad_hat(fh, grid, r, c) if grad is None else grad
     prod = np.multiply(u[0], fx, out=r[0])
     prod += np.multiply(u[1], fy, out=r[1])
     return _rfft2(prod, out)
@@ -246,29 +247,30 @@ def _transport_hat(vals, spec, omega, u, grid, grad_th=None, out=None, tmp=None)
     vorticity, and a step needs no derivative of u or v.  vals are the
     values of (h, Theta, v1, v2) and spec their spectra (spec[0] is not
     read), omega the values of curl v and u the displacement's two
-    components; grad_th, when given, holds the values of grad Theta.
-    6 rfft2, plus 2 irfft2 without grad_th.  The rows are written into
-    `out` and the temporaries into the scratch `tmp` (see `_scratch`) when
-    these are given.
+    components, stacked; grad_th, when given, holds the values of
+    grad Theta.  6 rfft2 in 4 calls, since h u and omega (u2, u1) are
+    each transformed as one stack; plus 2 irfft2 in 1 call without
+    grad_th.  The rows are written into `out` and the temporaries into
+    the scratch `tmp` (see `_scratch`) when these are given.
     """
     h, _, v1, v2 = vals
     u1, u2 = u
     ikx, iky = grid._ikx_odd[:, None], grid._iky_odd[None, :]
     out = np.empty_like(spec) if out is None else out
     r, c = _scratch(h.shape) if tmp is None else tmp
+    # the Theta row first, while all of the scratch is free
+    np.negative(_advect_hat(spec[1], u, grid, grad_th, out[1], (r, c)), out=out[1])
+    # -(ikx rfft(h u1) + iky rfft(h u2))
+    hu = _rfft2(np.multiply(h, u, out=r), c)
+    dh = np.multiply(ikx, hu[0], out=out[0])
+    dh += np.multiply(iky, hu[1], out=c[1])
+    np.negative(dh, out=dh)
     uv = np.multiply(u1, v1, out=r[0])
     uv += np.multiply(u2, v2, out=r[1])
     uv_hat = _rfft2(uv, c[0])
-    # -(ikx rfft(h u1) + iky rfft(h u2))
-    dh = _rfft2(np.multiply(h, u1, out=r[0]), out[0])
-    np.multiply(ikx, dh, out=dh)
-    dh += np.multiply(iky, _rfft2(np.multiply(h, u2, out=r[0]), c[1]), out=c[1])
-    np.negative(dh, out=dh)
-    np.negative(_advect_hat(spec[1], u, grid, grad_th, out[1], (r, c)), out=out[1])
-    _rfft2(np.multiply(omega, u2, out=r[0]), out[2])
+    # rfft(omega u2) - ikx uv_hat and -(rfft(omega u1) + iky uv_hat)
+    _rfft2(np.multiply(omega, u[::-1], out=r), out[2:])
     out[2] -= np.multiply(ikx, uv_hat, out=c[1])
-    dv2 = _rfft2(np.multiply(omega, u1, out=r[0]), out[3])
-    dv2 += np.multiply(iky, uv_hat, out=c[1])
-    np.negative(dv2, out=dv2)
+    out[3] += np.multiply(iky, uv_hat, out=c[1])
+    np.negative(out[3], out=out[3])
     return out
-

@@ -56,13 +56,14 @@ class GridSpec:
     """
 
     def __init__(self, nx, ny, lx, ly):
-        if not (_is_int(nx) and _is_int(ny)):
-            raise ValueError(f"grid counts nx, ny must be integers, got {nx!r} x {ny!r}")
+        # each error begins with the argument it rejects
+        for name, n in (("nx", nx), ("ny", ny)):
+            if not (_is_int(n) and n >= 4 and n % 2 == 0):
+                raise ValueError(f"{name} must be an even integer >= 4, got {n!r}")
+        for name, v in (("lx", lx), ("ly", ly)):
+            if not (_is_real(v) and v > 0):
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
         nx, ny = int(nx), int(ny)
-        if nx < 4 or ny < 4 or nx % 2 or ny % 2:
-            raise ValueError(f"grid counts must be even and >= 4, got {nx} x {ny}")
-        if not (_is_real(lx) and _is_real(ly) and lx > 0 and ly > 0):
-            raise ValueError(f"extents lx, ly must be positive and finite, got {lx!r} x {ly!r}")
         self.nx = nx
         self.ny = ny
         self.lx = float(lx)
@@ -196,6 +197,8 @@ def _rfft2(x, out=None):
     # `out` when given: the real transform along y (even ny), then the
     # complex one along x in place.  Going straight to the gufuncs skips
     # the n-D wrapper's Python work, which each call pays under the GIL.
+    # A stack (..., nx, ny) is transformed in one call, each 2-D slice bit
+    # for bit as on its own, so the kernels make one call per stack.
     if out is None:
         out = np.empty((*x.shape[:-1], x.shape[-1] // 2 + 1), dtype=complex)
     _pfu.rfft_n_even(x, 1.0, out=out)
@@ -223,27 +226,29 @@ def _scratch(shape):
     return np.empty((2, *shape)), np.empty((2, *spec_shape), dtype=complex)
 
 
-def _deriv_hat(fh, grid, axis, out=None, tmp=None):
-    # d/dx or d/dy of the field with rfft2 spectrum fh, Nyquist zeroed;
-    # tmp, when given, receives fh * ik, which the inverse consumes
-    ik = grid._ikx_odd[:, None] if axis == 0 else grid._iky_odd[None, :]
-    prod = np.multiply(fh, ik, out=tmp)
-    return _irfft2(prod, grid.shape, out, prod)
+def _grad_hat(fh, grid, out=None, tmp=None):
+    # values (2, ..., nx, ny) of d/dx and d/dy of the field with rfft2
+    # spectrum fh, Nyquist zeroed, written into `out` when given; tmp, when
+    # given, is a complex array of shape (2, *fh.shape) that receives
+    # fh * ik and takes the one inverse's complex pass
+    tmp = np.empty((2, *fh.shape), dtype=complex) if tmp is None else tmp
+    np.multiply(fh, grid._ikx_odd[:, None], out=tmp[0])
+    np.multiply(fh, grid._iky_odd[None, :], out=tmp[1])
+    return _irfft2(tmp, grid.shape, out, tmp)
 
 
 def _deriv(values, grid, axis):
+    # d/dx (axis 0) or d/dy (axis 1) of the values, Nyquist zeroed
     fh = _rfft2(values)
-    return _deriv_hat(fh, grid, axis, tmp=fh)
+    fh *= grid._ikx_odd[:, None] if axis == 0 else grid._iky_odd[None, :]
+    return _irfft2(fh, grid.shape, tmp=fh)
 
 
 def gradient(f):
     """Spectral gradient (df/dx, df/dy) of a ScalarField."""
     _check_finite(f.values, "gradient input")
     g = f.grid
-    return (
-        ScalarField(g, _deriv(f.values, g, 0)),
-        ScalarField(g, _deriv(f.values, g, 1)),
-    )
+    return tuple(ScalarField(g, d) for d in _grad_hat(_rfft2(f.values), g))
 
 
 def divergence(u):
@@ -342,13 +347,16 @@ def _resample_values(values, grid, new_grid):
 
 def _check_coarse(fine, coarse):
     """Raise ValueError unless `coarse` is a coarse grid of `fine`: the same
-    extents, and grid counts that divide fine's."""
-    if (coarse.lx, coarse.ly) != (fine.lx, fine.ly):
-        raise ValueError(f"coarse extents {coarse.lx} x {coarse.ly} must equal "
-                         f"fine extents {fine.lx} x {fine.ly}")
-    if fine.nx % coarse.nx or fine.ny % coarse.ny:
-        raise ValueError(f"coarse counts {coarse.nx} x {coarse.ny} must divide "
-                         f"fine counts {fine.nx} x {fine.ny}")
+    extents, and grid counts that divide fine's.  Each error begins with
+    the coarse grid's attribute it rejects."""
+    for name in ("lx", "ly"):
+        if getattr(coarse, name) != getattr(fine, name):
+            raise ValueError(f"{name} {getattr(coarse, name)} must equal the fine grid's "
+                             f"{name} {getattr(fine, name)}")
+    for name in ("nx", "ny"):
+        if getattr(fine, name) % getattr(coarse, name):
+            raise ValueError(f"{name} {getattr(coarse, name)} must divide the fine grid's "
+                             f"{name} {getattr(fine, name)}")
 
 
 def coarsen(f, coarse):

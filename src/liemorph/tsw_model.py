@@ -21,11 +21,12 @@ than the flow, do not bound dt: the remainder's Courant number does (see
 `cli_experiments.validate_config`).  The momentum is evaluated in
 vector-invariant form, (v . grad) v + f zhat x v = grad(|v|^2 / 2) +
 (omega + f) zhat x v, which needs the vorticity omega but no derivative
-of v.  The step runs in Fourier space (6 rfft2 + 7 irfft2 per step) and
-shares `_ab_advance` with the morph, which has no linear part and takes
-the plain AB step; the AB history holds opaque spectra.  The kernel carries a
-member axis: `_integrate_batch` advances a batch of states in lockstep
-with the same 13 FFT calls per step, and `integrate` is its batch of one.
+of v.  The step runs in Fourier space (6 rfft2 + 7 irfft2 per member,
+in 9 calls) and shares `_ab_advance` with the morph, which has no linear
+part and takes the plain AB step; the AB history holds opaque spectra.
+The kernel carries a member axis: `_integrate_batch` advances a batch of
+states in lockstep with the same 9 FFT calls per step, and `integrate`
+is its batch of one.
 The nudged model, `morph_engine.nudge`, is the same step, `_model_step`,
 with a push: the morph's tensor transport added to this tendency.
 
@@ -52,8 +53,8 @@ from fractions import Fraction
 import numpy as np
 
 from .forms import DisplacementField, _transport_hat
-from .spectral_core import (ScalarField, _deriv, _deriv_hat, _hou_li, _irfft2, _is_int, _is_real,
-                            _rfft2, _scratch, curl_2d)
+from .spectral_core import (ScalarField, _grad_hat, _hou_li, _irfft2, _is_int, _is_real, _rfft2,
+                            _scratch, curl_2d)
 
 # Not called here: perfbench/tracing.py wraps it at this module's
 # attribute, which is kept so that its span still resolves.
@@ -137,10 +138,9 @@ class ModelParams:
         for name, v in vars(self).items():
             if not _is_real(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.h0 <= 0 or self.theta0 <= 0:
-            raise ValueError("h0 and theta0 must be positive")
+        for name in ("dt", "h0", "theta0"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.f == 0:
             raise ValueError("f must be nonzero: the initial velocity is Theta0/f * grad(eta)")
 
@@ -233,29 +233,11 @@ class TSWTendency:
 # and their rfft2 spectra `spec` (4, nx, ny//2+1), in the order h, Theta,
 # v1, v2; a tendency is a spectrum of the same shape.  A batch of members
 # adds a member axis after the field axis, vals (4, B, nx, ny): the
-# arithmetic broadcasts over it, each FFT call transforms one field of all
-# members, and reductions run over the last two axes only.
+# arithmetic broadcasts over it, each FFT call transforms a whole stack
+# (one field of all members, or all fields, or a derivative pair), and
+# reductions run over the last two axes only.
 _MODEL_ERRORS = ("non-finite field after AB step", "positivity lost")
 _MORPH_ERRORS = ("non-finite field during morph", "positivity lost during morph")
-
-
-def _rfft_all(vals):
-    # the spectrum of each field
-    out = np.empty((*vals.shape[:-1], vals.shape[-1] // 2 + 1), dtype=complex)
-    for v, o in zip(vals, out):
-        _rfft2(v, o)
-    return out
-
-
-def _irfft_all(spec, grid, out=None, tmp=None):
-    # the values of each field, written into `out` when given; tmp, when
-    # given, is a scratch array of spec's shape for the inverses, and may
-    # be spec itself when the caller no longer needs it
-    out = np.empty((*spec.shape[:-2], *grid.shape)) if out is None else out
-    tmp = np.empty_like(spec) if tmp is None else tmp
-    for s, o, t in zip(spec, out, tmp):
-        _irfft2(s, grid.shape, o, t)
-    return out
 
 
 def _fields(state):
@@ -277,13 +259,6 @@ def _vorticity(spec, grid, out=None, tmp=None):
     return _irfft2(wh, grid.shape, w, tmp), wh
 
 
-def _grad_theta(spec, grid, out=None, tmp=None):
-    # values of dTheta/dx and dTheta/dy, written into the pair `out` when
-    # given; tmp, when given, is a spectrum-shaped scratch array
-    out = (None, None) if out is None else out
-    return tuple(_deriv_hat(spec[1], grid, a, out[a], tmp) for a in (0, 1))
-
-
 def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None, tmp=None):
     """rfft2 spectra (4, nx, ny//2+1) of the remainder N = tendency - L spec
     of (h, Theta, v1, v2).
@@ -302,8 +277,9 @@ def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None, 
 
     so it needs only the vorticity omega, not the four derivatives of v:
     N_v = -grad(h (Theta - Theta0) + |v|^2 / 2) + omega (v2, -v1) + (h/2) grad(Theta).
-    A call makes 6 rfft2 + 3 irfft2 (omega, grad Theta); a caller that
-    holds omega or grad(Theta) as values passes them in and saves those.
+    A call makes 6 rfft2 + 3 irfft2 (omega, grad Theta) in 8 calls; a
+    caller that holds omega or grad(Theta) as values passes them in and
+    saves those.
     The rows are written into `out` and the temporaries into the scratch
     `tmp` (see `_scratch`) when these are given; omega and grad_th are
     only read.
@@ -313,7 +289,7 @@ def _tendency_hat(vals, spec, params, grid, omega=None, grad_th=None, out=None, 
     r, c = _scratch(h.shape) if tmp is None else tmp
     if omega is None:
         omega, _ = _vorticity(spec, grid, tmp=c[0])
-    thx, thy = _grad_theta(spec, grid, tmp=c[0]) if grad_th is None else grad_th
+    thx, thy = _grad_hat(spec[1], grid, tmp=c) if grad_th is None else grad_th
     out = np.empty_like(spec) if out is None else out
     # the Bernoulli term's spectrum, kept in c[1] for both momentum rows
     bern = np.subtract(th, params.theta0, out=r[0])
@@ -438,7 +414,7 @@ class _Workspace:
 
     def __init__(self, states, order, model=False, n_observed=None, history=()):
         self.vals = np.stack([_fields(s) for s in states], axis=1)
-        self.spec = _rfft_all(self.vals)
+        self.spec = _rfft2(self.vals)
         members = self.vals.shape[1:]
         self.omega = np.empty(members)
         self.r, self.c = _scratch(members)
@@ -494,8 +470,10 @@ def _ab_advance(ws, size, filter_a, grid, step, model=None):
     it as the ring's newest entry, so repeated calls bootstrap the order up
     to the ring's length.  It advances ws.spec by `size` times the AB sum,
     applies the Hou-Li multiplier `filter_a` and transforms each field
-    back once into ws.vals, both overwritten.  The plain step forms
-    size sum_j c_j T_{n-j} in one pass over the ring (`_ab_sum`).
+    back once into ws.vals, both overwritten: one call per field in the
+    plain step, one for the whole stack in the Lawson step.  The plain
+    step forms size sum_j c_j T_{n-j} in one pass over the ring
+    (`_ab_sum`).
     With the ModelParams `model` the step is Lawson's integrating-factor AB
     (Cox & Matthews 2002): the tendency is the remainder N = tendency -
     L spec of `_tendency_hat`, and the exact propagator E = exp(L size)
@@ -545,7 +523,7 @@ def _ab_advance(ws, size, filter_a, grid, step, model=None):
         _propagate(prop, acc, spec)
         _hermitian(spec, other[..., 0])
         spec *= filt
-        _irfft_all(spec, grid, vals, acc)
+        _irfft2(spec, grid.shape, vals, acc)
     # per member; the lowest failing member is reported, with its own minima
     finite = np.isfinite(vals).all(axis=(0, -2, -1))
     hmin, thmin = vals[0].min(axis=(-2, -1)), vals[1].min(axis=(-2, -1))
@@ -562,10 +540,10 @@ def _ab_advance(ws, size, filter_a, grid, step, model=None):
 def tendency(state, params):
     """Instantaneous tendencies of (h, Theta, v1, v2), spectral derivatives."""
     vals = _fields(state)
-    spec = _rfft_all(vals)
+    spec = _rfft2(vals)
     tend = _tendency_hat(vals, spec, params, state.grid)
     _add_rest_wave(tend, spec, params, state.grid)
-    return TSWTendency(*_irfft_all(tend, state.grid, tmp=tend))
+    return TSWTendency(*_irfft2(tend, state.grid.shape, tmp=tend))
 
 
 def _model_step(ws, params, grid, step, push=None):
@@ -577,7 +555,7 @@ def _model_step(ws, params, grid, step, push=None):
     vals, spec, tend, tmp = ws.vals, ws.spec, ws.slot(), (ws.r, ws.c)
     if push is None:
         _vorticity(spec, grid, (ws.omega, ws.c[0]), ws.c[1])
-    grad_th = _grad_theta(spec, grid, ws.grad_th, ws.c[0])
+    grad_th = _grad_hat(spec[1], grid, ws.grad_th, ws.c)
     _tendency_hat(vals, spec, params, grid, ws.omega, grad_th, tend, tmp)
     if push is not None:
         moved = _transport_hat(vals, spec, ws.omega, push[0], grid, grad_th, ws.spare, tmp)
@@ -607,10 +585,10 @@ def ab3_step(state, history, params, step=None):
 def integrate(state, n_steps, params):
     """Run n_steps of the ab3_step scheme from a fresh tendency history.
 
-    The loop runs on spectra: 6 rfft2 + 7 irfft2 per step (the vorticity
-    and grad(Theta) back, six products forward, each field back once); the
-    wave propagator is a per-mode multiplier, computed once per grid and
-    ModelParams.  It is `_integrate_batch` with a batch of one, and runs
+    The loop runs on spectra: 6 rfft2 + 7 irfft2 per step in 9 calls (the
+    vorticity and grad(Theta) back, one call each, six products forward,
+    and the four fields back in one call); the wave propagator is a
+    per-mode multiplier, computed once per grid and ModelParams.  It is `_integrate_batch` with a batch of one, and runs
     on that loop's workspace, allocated once per call.
     """
     return _integrate_batch([state], n_steps, params)[0]
@@ -619,9 +597,9 @@ def integrate(state, n_steps, params):
 def _integrate_batch(states, n_steps, params, stop=None):
     """integrate for states on one grid, advanced in lockstep; a list.
 
-    The members share every FFT call, so a step makes 6 rfft2 + 7 irfft2
-    whatever their number, and each member's result equals its own
-    `integrate` bit for bit.  An InstabilityError names the first failing
+    The members share every FFT call, so a step makes 9 calls, of 6 rfft2
+    + 7 irfft2 per member, whatever their number, and each member's
+    result equals its own `integrate` bit for bit.  An InstabilityError names the first failing
     step across the batch; its `member` is the lowest failing index in
     `states`.  Once the threading.Event `stop` is set, the next step raises
     CancelledError.  The arrays of the loop are one `_Workspace`, which
@@ -672,10 +650,10 @@ def double_vortex_ic(ic, grid, params):
     if h.min() <= 0 or th.min() <= 0:
         raise ValueError("initial condition must keep h and Theta positive")
 
-    eta = ScalarField(grid, h - params.h0)
+    eta_x, eta_y = _grad_hat(_rfft2(h - params.h0), grid)
     coef = params.theta0 / params.f
-    v1 = -coef * _deriv(eta.values, grid, 1)
-    v2 = coef * _deriv(eta.values, grid, 0)
+    v1 = -coef * eta_y
+    v2 = coef * eta_x
     return TSWState(
         ScalarField(grid, h),
         ScalarField(grid, th),

@@ -224,7 +224,7 @@ class TestValidateConfig:
         raw["grid"]["coarse_nx"] = 12
         with pytest.raises(ConfigError) as exc:
             validate_config(raw)
-        assert exc.value.errors == ["grid: coarse counts 12 x 8 must divide fine counts 32 x 32"]
+        assert exc.value.errors == ["grid.coarse_nx 12 must divide the fine grid's nx 32"]
 
     @pytest.mark.parametrize("key, value, why", [
         ("theta_amplitude", 0.0, "ic.theta_amplitude 0 leaves the truth at rest"),
@@ -281,7 +281,9 @@ def with_value(path, value):
 # of 10^6 allocated its GridSpec before the divisibility check and, with
 # both counts that large, died with a MemoryError; a perturb_mean or
 # perturb_std that puts a vortex centre at inf km filled the spin-up's
-# members with nan.
+# members with nan; a radius of 1e200 died in double_vortex_ic with an
+# OverflowError at radius**2.  The last eight are range errors of the
+# parameter classes, which name the key as the kind errors do.
 MALFORMED = [
     ("workers", True),
     ("workers", 10**9),
@@ -304,6 +306,15 @@ MALFORMED = [
     ("grid.coarse_nx", 10**6),
     ("ic.perturb_mean", 1e308),
     ("ic.perturb_std", 1e306),
+    ("ic.radius", 1e200),
+    ("ic.radius", -1.0),
+    ("morph.filter_a", -1.0),
+    ("morph.ab_order", 7),
+    ("model.dt", -1.0),
+    ("grid.nx", 63),
+    ("grid.ny", 2),
+    ("grid.coarse_nx", 12),
+    ("grid.coarse_ny", 6),
 ]
 
 
@@ -353,12 +364,10 @@ class TestParameterRanges:
 
     def test_vortex_ic_rejects_a_radius_whose_square_overflows(self):
         # radius 1e200 used to validate and then die in double_vortex_ic
-        # with an OverflowError at radius**2, exit 1
+        # with an OverflowError at radius**2, exit 1 (its config half is a
+        # MALFORMED case)
         with pytest.raises(ValueError, match="radius"):
             VortexIC(radius=1e200)
-        with pytest.raises(ConfigError) as exc:
-            validate_config(with_value("ic.radius", 1e200))
-        assert exc.value.errors == ["ic: radius must be positive and its square finite, got 1e+200"]
 
     def test_morph_params_accepts_patience_one(self):
         assert MorphParams(early_stop_patience=1).early_stop_patience == 1
@@ -420,12 +429,12 @@ class TestParameterRanges:
 
     @pytest.mark.parametrize("path,value,message", [
         # f = 0 used to raise ZeroDivisionError out of validate_config
-        ("model.f", 0.0, "model: f must be nonzero"),
+        ("model.f", 0.0, "model.f must be nonzero"),
         # filter_a <= 0 used to fail at the first morph step, after spin-up
-        ("morph.filter_a", 0.0, "morph: filter_a must be positive"),
+        ("morph.filter_a", 0.0, "morph.filter_a must be positive"),
         # patience < 1 used to stop every member after one step, exit 0
-        ("morph.early_stop_patience", 0, "morph: early_stop_patience must be"),
-        ("morph.early_stop_patience", -1, "morph: early_stop_patience must be"),
+        ("morph.early_stop_patience", 0, "morph.early_stop_patience must be"),
+        ("morph.early_stop_patience", -1, "morph.early_stop_patience must be"),
     ])
     def test_validate_exits_2(self, tmp_path, capsys, path, value, message):
         cfg = tmp_path / "config.json"
@@ -741,6 +750,12 @@ class TestCommandLine:
         pytest.param("model.kappa", 0.5, 1.0, id="model.kappa-0.5"),
         pytest.param("horizons.truth_time", 0.4, 1.0, id="horizons.truth_time-0.4"),
         pytest.param("nudging.strength", -5.0, 1.0, id="nudging.strength--5.0"),
+        pytest.param("ic.radius", -1.0, 1.0, id="ic.radius--1.0"),
+        pytest.param("morph.filter_a", -1.0, 1.0, id="morph.filter_a--1.0"),
+        pytest.param("morph.ab_order", 7, 1.0, id="morph.ab_order-7"),
+        pytest.param("model.dt", -1.0, -1.0, id="model.dt--1.0"),
+        pytest.param("grid.nx", 63, 1.0, id="grid.nx-63"),
+        pytest.param("grid.coarse_ny", 6, 1.0, id="grid.coarse_ny-6"),
     ])
     def test_run_rejects_before_compute(self, tmp_path, capsys, path, value, dt):
         # the first four used to end in a traceback and exit 1: the IC
@@ -748,7 +763,8 @@ class TestCommandLine:
         # indexed the list; the next four validated, and the run would
         # have integrated for ever or run out of memory; of the last
         # three, kappa 0.5 lost positivity at step 164 (exit 3), and
-        # truth_time 0.4 (0 truth steps) and strength -5 ran to exit 0
+        # truth_time 0.4 (0 truth steps) and strength -5 ran to exit 0; the
+        # rest are the parameter classes' range errors, which name the key
         raw = with_value(path, value)
         raw["model"]["dt"] = dt
         cfg = self.write_config(tmp_path, raw)

@@ -68,19 +68,22 @@ def test_timestep_error_marks_the_row_of_the_preset_on_its_grid(grid, time, mark
 
 
 def test_kernel_timing_prints_a_row_per_kernel_and_size():
-    """A morph step makes 10 rfft2 + 13 irfft2 with h and omega targets, a
-    model step 6 + 7, whatever the grid and batch size; at 2 workers the 8
-    members run as two batches of 4, each making its own.  Each row also
-    carries the CPU time and the voluntary context switches per step."""
+    """A morph step makes 10 rfft2 + 13 irfft2 per member with h and omega
+    targets, in 15 calls, and a model step 6 + 7 in 9, whatever the grid
+    and batch size: the 8 members' transforms share the calls of one.  At
+    2 workers the 8 members run as two batches of 4, each making its own
+    calls.  Each row also carries the CPU time and the voluntary context
+    switches per step."""
     out = run_demo("kernel_timing.py", "--grid", "8", "16", "--steps", "2", "--repeats", "2")
     rows = re.findall(r"^(\S+)\s+(\d+)\^2\s+(\d+)\s+(\d+)\s+(\d+)\s+(\S+)\s+(\S+)\s+(\S+)"
-                      r"\s+(\S+)\s+(\S+)\s+(\S+) \[(\S+), (\S+)\]$", out, re.M)
+                      r"\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+) \[(\S+), (\S+)\]$", out, re.M)
     assert [r[:5] for r in rows] == [
         ("_run_morph_batch", "8", "8", "1", "2"), ("_integrate_batch", "8", "8", "1", "2"),
         ("_run_morph_batch", "8", "8", "2", "2"), ("_integrate_batch", "8", "8", "2", "2"),
         ("_run_morph_batch", "16", "1", "1", "2"), ("_integrate_batch", "16", "1", "1", "2"),
     ], out
-    assert [float(r[5]) for r in rows] == [23, 13, 46, 26, 23, 13], out
+    assert [float(r[5]) for r in rows] == [184, 104, 184, 104, 23, 13], out
+    assert [float(r[6]) for r in rows] == [15, 9, 30, 18, 15, 9], out
     for *_, cpu, csw, cold, median, low, high in rows:
         assert float(cpu) > 0 and float(csw) >= 0
         assert float(cold) > 0

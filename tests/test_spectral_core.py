@@ -40,7 +40,8 @@ from liemorph import (
 )
 from liemorph.forms import DisplacementField
 from liemorph.morph_engine import _run_morph_batch
-from liemorph.spectral_core import _deriv, _h1_weight, _hou_li, _irfft2, _is_int, _is_real, _rfft2
+from liemorph.spectral_core import (_deriv, _grad_hat, _h1_weight, _hou_li, _irfft2, _is_int,
+                                    _is_real, _rfft2)
 from liemorph.tsw_model import _integrate_batch
 
 from oracles import (
@@ -80,9 +81,9 @@ class TestGridSpec:
     @pytest.mark.parametrize("count", [64.5, 64.0, "64"], ids=repr)
     def test_rejects_non_integer_counts(self, count):
         """A count is never truncated or parsed: 64.5 would build 64 points."""
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="nx must be an even integer"):
             GridSpec(count, 64, 5000.0, 5000.0)
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="ny must be an even integer"):
             GridSpec(64, count, 5000.0, 5000.0)
 
     def test_accepts_numpy_integer_counts(self):
@@ -476,12 +477,12 @@ class TestResampling:
 
     def test_incompatible_grids_rejected(self):
         fine = GridSpec(64, 64, 2.0, 2.0)
-        with pytest.raises(ValueError, match="coarse counts 24 x 24 must divide fine counts 64"):
+        with pytest.raises(ValueError, match="nx 24 must divide the fine grid's nx 64"):
             coarsen(ScalarField.zeros(fine), GridSpec(24, 24, 2.0, 2.0))
-        with pytest.raises(ValueError, match="coarse extents 3.0 x 2.0 must equal fine extents"):
+        with pytest.raises(ValueError, match="lx 3.0 must equal the fine grid's lx 2.0"):
             coarsen(ScalarField.zeros(fine), GridSpec(16, 16, 3.0, 2.0))
         coarse = GridSpec(16, 16, 2.0, 2.0)
-        with pytest.raises(ValueError, match="coarse counts 16 x 16 must divide fine counts 40"):
+        with pytest.raises(ValueError, match="nx 16 must divide the fine grid's nx 40"):
             refine(ScalarField.zeros(coarse), GridSpec(40, 40, 2.0, 2.0))
 
 
@@ -537,6 +538,36 @@ class TestTransformPair:
         assert xh.tobytes() == kept.tobytes()
         # the spectrum itself as the scratch: consumed, with the same result
         assert _irfft2(xh, shape[-2:], tmp=xh).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3, 16, 16), (4, 4, 64, 64), (4, 1, 256, 256)])
+    def test_a_stack_equals_its_slices(self, shape):
+        """One call on a stack (4, B, nx, ny) transforms each field of each
+        member bit for bit as a call on that slice alone, both ways; the
+        kernels make one call per stack on this."""
+        x = np.random.default_rng(3).standard_normal(shape)
+        xh = _rfft2(x)
+        back = _irfft2(xh, shape[-2:])
+        for i in np.ndindex(shape[:-2]):
+            assert xh[i].tobytes() == _rfft2(x[i]).tobytes()
+            assert back[i].tobytes() == _irfft2(xh[i], shape[-2:]).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_grad_hat_equals_two_derivatives(self, n):
+        """`_grad_hat`, the two odd derivatives of one spectrum from one
+        inverse call, equals `_deriv` along each axis bit for bit, for a
+        single field and for a stack of members."""
+        g = GridSpec(n, n, 5000.0, 5000.0)
+        f = np.random.default_rng(4).standard_normal((3, n, n))
+        for x in (f[0], f):
+            grad = _grad_hat(_rfft2(x), g)
+            for axis in (0, 1):
+                ref = np.stack([_deriv(v, g, axis) for v in x.reshape(-1, n, n)])
+                assert grad[axis].tobytes() == ref.reshape(x.shape).tobytes()
+        # into `out`, with the scratch `tmp`
+        fh = _rfft2(f)
+        out, tmp = np.empty((2, *f.shape)), np.empty((2, *fh.shape), dtype=complex)
+        assert _grad_hat(fh, g, out, tmp) is out
+        assert out.tobytes() == _grad_hat(fh, g).tobytes()
 
     def test_step_loops_call_no_numpy_nd_wrapper(self, monkeypatch):
         """The morph loop (tensor and naive), the model loop and the nudge

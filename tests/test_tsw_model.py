@@ -32,15 +32,14 @@ from liemorph import (
 )
 from liemorph.forms import _transport_hat
 from liemorph.morph_engine import _run_morph_batch
+from liemorph.spectral_core import _irfft2, _rfft2
 from liemorph.tsw_model import (
     AB_COEFFS,
     TSWTendency,
     _add_rest_wave,
     _fields,
     _integrate_batch,
-    _irfft_all,
     _propagator,
-    _rfft_all,
     _tendency_hat,
     _vorticity,
     ab3_step,
@@ -155,12 +154,12 @@ def nudged_tendency(state, params, u):
     rest-state waves that the step propagates exactly added back."""
     g = state.grid
     vals = _fields(state)
-    spec = _rfft_all(vals)
+    spec = _rfft2(vals)
     uv = np.stack([u.u1.values, u.u2.values])
     omega, _ = _vorticity(spec, g)
     tend = _tendency_hat(vals, spec, params, g) + _transport_hat(vals, spec, omega, uv, g)
     _add_rest_wave(tend, spec, params, g)
-    return TSWTendency(*_irfft_all(tend, g))
+    return TSWTendency(*_irfft2(tend, g.shape))
 
 
 def vortex_targets(grid, params):
@@ -226,21 +225,27 @@ class TestNudgedTendency:
 
 class TestSpectralKernel:
     def test_integrate_fft_count(self, grid_km, params, count_ffts):
-        """4 rfft2 once, then 6 rfft2 + 7 irfft2 (6.5 pairs) per step."""
+        """4 rfft2 once, in one call, then 6 rfft2 + 7 irfft2 (6.5 pairs)
+        per step in 9 calls: the vorticity's irfft2 (1 call), grad(Theta)'s
+        2 irfft2 (1 call, `_grad_hat`), the six products' rfft2 (6 calls)
+        and the 4 fields back (1 call, the whole stack)."""
         state = double_vortex_ic(VortexIC(), grid_km, params)
         counts = count_ffts()
         integrate(state, 5, params)
         assert (counts["rfft2"], counts["irfft2"]) == (4 + 6 * 5, 7 * 5)
+        assert counts["calls"] == 1 + 9 * 5
 
     def test_batch_fft_count_equals_one_member(self, grid_km, params, count_ffts):
-        """A batch of 8 shares every call: one model step makes the
-        4 + 6 rfft2 and 7 irfft2 of a batch of one."""
+        """A batch of 8 shares every call: one model step makes the 1 + 9
+        calls of a batch of one, each transforming the 8 members' slices
+        where the batch of one transforms one."""
         states = [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(8)]
         counts = count_ffts()
         for batch in (states[:1], states):
             _integrate_batch(batch, 1, params)
-            assert (counts["rfft2"], counts["irfft2"]) == (10, 7)
-            counts.update(rfft2=0, irfft2=0)
+            b = len(batch)
+            assert (counts["rfft2"], counts["irfft2"], counts["calls"]) == (10 * b, 7 * b, 10)
+            counts.update(rfft2=0, irfft2=0, calls=0)
 
     def test_nudge_fft_count(self, grid_km, params, count_ffts):
         """Per step, with h and omega targets: the velocity solve's 4 rfft2
@@ -248,12 +253,18 @@ class TestSpectralKernel:
         6, one grad(Theta) (2 irfft2) shared by both, the AB update's 4
         irfft2 and the trace vorticity's 1, which the tendency and the
         v-transport reuse: 16 + 13 in all; plus 6 rfft2 of the state and
-        targets and one vorticity irfft2 at the start."""
+        targets and one vorticity irfft2 at the start.  In calls, per step:
+        the velocity's 5 (per observable one `_grad_hat` and one forcing
+        stack, then u's stack back), grad(Theta)'s 1, the tendency's 6,
+        the transport's 4 (h u and omega (u2, u1) each one stack), the
+        AB update's 1 and the vorticity's 1, 18 in all; at the start 2 for
+        the targets, 1 for the state's stack and 1 for its vorticity."""
         state = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid_km, params)
         targets = vortex_targets(grid_km, params)
         counts = count_ffts()
         nudge(state, targets, params, 1.0, 5)
         assert (counts["rfft2"], counts["irfft2"]) == (6 + 16 * 5, 1 + 13 * 5)
+        assert counts["calls"] == 4 + 18 * 5
 
     def test_nudge_batch_equals_single_nudges(self, grid_km, params):
         """A drift batch of 3 in `_run_morph_batch` advances each member as
@@ -307,7 +318,7 @@ class TestSpectralKernel:
             v2=0.5 * random_band_limited(grid_km, 123),
         )
         vals = _fields(state)
-        got = _irfft_all(_tendency_hat(vals, _rfft_all(vals), params, grid_km), grid_km)
+        got = _irfft2(_tendency_hat(vals, _rfft2(vals), params, grid_km), grid_km.shape)
         full = tendency(state, params)
         rest = composed_rest_wave(state, params)
         for total in ((full.dh, full.dtheta, full.dv1, full.dv2),
@@ -447,11 +458,12 @@ class TestPropagator:
 class TestTimeStepping:
     def test_ab3_step_fft_count(self, grid_km, params, count_ffts):
         """From a typed state: 4 rfft2 of the state, then 3 irfft2 of
-        omega and grad(Theta), 6 rfft2 of the products and 4 irfft2 back."""
+        omega and grad(Theta), 6 rfft2 of the products and 4 irfft2 back;
+        in calls, 1 for the state's stack and the model step's 9."""
         state = double_vortex_ic(VortexIC(), grid_km, params)
         counts = count_ffts()
         ab3_step(state, [], params)
-        assert (counts["rfft2"], counts["irfft2"]) == (10, 7)
+        assert (counts["rfft2"], counts["irfft2"], counts["calls"]) == (10, 7, 10)
 
     def test_rest_is_exact_fixed_point(self, grid_km, params):
         out = integrate(TSWState.rest(grid_km, params), 100, params)
