@@ -26,8 +26,11 @@ the run and of a run of no steps, with the kernel's transform pair
 `tests/conftest.py::count_ffts` does: per step, of every batch, the 2-D
 transforms (one per field and member, however they are stacked), the
 calls that make them (one call transforms a whole stack) and their share
-of the step time, of every thread, the set-up's excluded.  The other
-columns time unwrapped runs.  --grid and --steps shrink the run.
+of the step time, of every thread, the set-up's excluded.  The same pass
+gives the `ws MiB` column, the summed bytes of the arrays of the
+kernel's `tsw_model._Workspace`, per batch: the memory a batch holds for
+its whole run.  The other columns time unwrapped runs.  --grid and
+--steps shrink the run.
 
     python3 demos/kernel_timing.py [--grid N M] [--steps S] [--repeats R]
 """
@@ -43,7 +46,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from liemorph import GridSpec, double_vortex_ic, spectral_core, vorticity_of
+from liemorph import GridSpec, double_vortex_ic, spectral_core, tsw_model, vorticity_of
 from liemorph.assimilation import _member_ics, _run_batches
 from liemorph.cli_experiments import preset_config, validate_config
 from liemorph.morph_engine import _run_morph_batch
@@ -59,9 +62,10 @@ FFT_HELPERS = ("_rfft2", "_irfft2")
 
 
 def time_grid(n, members, steps, repeats):
-    """(kernel, n, members, workers, steps, ffts, calls, fft share, cpu ms,
-    csw, cold ms, [ms per repeat]) of both kernels on an n^2 grid, per step, and
-    of both at WORKERS workers when there are members to share out."""
+    """(kernel, n, members, workers, steps, ffts, calls, fft share, workspace
+    MiB, cpu ms, csw, cold ms, [ms per repeat]) of both kernels on an n^2
+    grid, per step but for the workspace, and of both at WORKERS workers
+    when there are members to share out."""
     desk = validate_config(preset_config("desk"))
     grid = GridSpec(n, n, desk.grid.lx, desk.grid.ly)
     model = replace(desk.model, dt=desk.model.dt * grid.dx / desk.grid.dx)
@@ -97,21 +101,29 @@ def time_grid(n, members, steps, repeats):
     for _ in range(repeats):
         for row, (*_, run) in zip(runs, timed):
             row.append(per_step(run))
-    ffts = [fft_profile(run, steps, workers) for _, workers, run in timed]
-    return [(kernel, n, members, workers, steps, *fft,
+    profiles = [profile(run, steps, workers) for _, workers, run in timed]
+    return [(kernel, n, members, workers, steps, *prof,
              np.median([r[1] for r in row]), np.median([r[2] for r in row]),
              first, [r[0] for r in row])
-            for (kernel, workers, _), fft, first, row in zip(timed, ffts, cold, runs)]
+            for (kernel, workers, _), prof, first, row in zip(timed, profiles, cold, runs)]
 
 
-def fft_profile(run, steps, workers):
+def profile(run, steps, workers):
     """(2-D transforms per step, calls per step, share of step time in
-    them) of run(steps), less those of run(0), the set-up's, with the
-    kernel's transform pair wrapped in every liemorph module that holds
-    it.  The share is of the time of `workers` threads, which run(steps)
-    may use."""
-    ffts, calls, spent = [0], [0], [0.0]
+    them, MiB of the largest workspace) of run(steps), the first three less
+    those of run(0), the set-up's, with the kernel's transform pair and
+    its workspace class wrapped in every liemorph module that holds them.
+    The share is of the time of `workers` threads, which run(steps) may
+    use."""
+    ffts, calls, spent, held_bytes = [0], [0], [0.0], []
     lock = threading.Lock()
+
+    class Workspace(tsw_model._Workspace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            with lock:
+                held_bytes.append(sum(a.nbytes for a in vars(self).values()
+                                      if isinstance(a, np.ndarray)))
 
     def wrapped(fn):
         def timed(x, *args, **kwargs):
@@ -125,24 +137,28 @@ def fft_profile(run, steps, workers):
                     calls[0] += 1
         return timed
 
-    # (module, name, helper) of each module attribute that holds a helper
-    held = [(module, name, getattr(spectral_core, name))
+    # (name, original, stand-in) of each wrapped attribute, and (module,
+    # name, original, stand-in) of each liemorph module attribute holding one
+    swaps = [(name, getattr(spectral_core, name), wrapped(getattr(spectral_core, name)))
+             for name in FFT_HELPERS] + [("_Workspace", tsw_model._Workspace, Workspace)]
+    held = [(module, name, fn, stand_in)
             for key, module in list(sys.modules.items()) if key.split(".")[0] == "liemorph"
-            for name in FFT_HELPERS if getattr(module, name, None) is getattr(spectral_core, name)]
+            for name, fn, stand_in in swaps if getattr(module, name, None) is fn]
     totals = []
     try:
-        for module, name, fn in held:
-            setattr(module, name, wrapped(fn))
+        for module, name, _, stand_in in held:
+            setattr(module, name, stand_in)
         for k in (steps, 0):
             ffts[0], calls[0], spent[0] = 0, 0, 0.0
             t0 = time.perf_counter()
             run(k)
             totals.append((ffts[0], calls[0], spent[0], time.perf_counter() - t0))
     finally:
-        for module, name, fn in held:
+        for module, name, fn, _ in held:
             setattr(module, name, fn)
     (n1, c1, f1, w1), (n0, c0, f0, w0) = totals
-    return (n1 - n0) / steps, (c1 - c0) / steps, (f1 - f0) / (workers * (w1 - w0))
+    return ((n1 - n0) / steps, (c1 - c0) / steps, (f1 - f0) / (workers * (w1 - w0)),
+            max(held_bytes) / 2**20)
 
 
 def main(argv=None):
@@ -163,10 +179,12 @@ def main(argv=None):
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
             rows += pool.submit(time_grid, n, members, args.steps or steps, args.repeats).result()
     print(f"{'kernel':<17} {'grid':>7} {'members':>7} {'workers':>7} {'steps':>5} {'ffts':>6} "
-          f"{'calls':>5} {'fft%':>5} {'cpu':>8} {'csw':>6} {'cold':>8}  ms/step median [min, max]")
-    for kernel, n, members, workers, steps, ffts, calls, share, cpu, csw, first, row in rows:
+          f"{'calls':>5} {'fft%':>5} {'ws MiB':>7} {'cpu':>8} {'csw':>6} {'cold':>8}  "
+          f"ms/step median [min, max]")
+    for kernel, n, members, workers, steps, ffts, calls, share, mib, cpu, csw, first, row in rows:
         print(f"{kernel:<17} {f'{n}^2':>7} {members:>7} {workers:>7} {steps:>5} {ffts:>6.1f} "
-              f"{calls:>5.1f} {100 * share:>5.1f} {cpu:>8.3f} {csw:>6.1f} {first:>8.3f}  "
+              f"{calls:>5.1f} {100 * share:>5.1f} {mib:>7.3f} {cpu:>8.3f} {csw:>6.1f} "
+              f"{first:>8.3f}  "
               f"{np.median(row):.3f} [{min(row):.3f}, {max(row):.3f}]")
     return 0
 

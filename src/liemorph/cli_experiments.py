@@ -294,9 +294,13 @@ def validate_config(raw):
                                     relax, _MODEL_DECAY_MAX, reach))
 
     if grid is not None and ic is not None and {"size", "seed"} <= e.keys():
-        # a vortex centre drawn at inf km would fill its member with nan
-        ics = _member_ics(ic, e["size"], e["seed"], i["perturb_mean"], i["perturb_std"])
-        if not np.isfinite([_vortex_centres(member, grid) for member in ics]).all():
+        # a vortex centre drawn at inf km would fill its member with nan,
+        # and VortexIC rejects an offset drawn at inf
+        try:
+            ics = _member_ics(ic, e["size"], e["seed"], i["perturb_mean"], i["perturb_std"])
+        except ValueError:
+            ics = None
+        if ics is None or not np.isfinite([_vortex_centres(m, grid) for m in ics]).all():
             errors.append("ic.perturb_mean, ic.perturb_std: a drawn centre offset times "
                           "ic.radius puts a vortex centre out of floating-point range")
 

@@ -137,48 +137,50 @@ def _closed_form_hat(f, gh, grid, params, out=None, tmp=None):
     return out
 
 
-def _combined_displacement_hat(pairs, grid, out, fields, tmp, dens):
+def _combined_displacement_hat(pairs, grid, out, field, tmp):
     """Stacked spectra of the combined displacement toward 2-form targets.
 
     The Fourier-space equivalent of `combine_displacements` over
     `displacement_from_2forms(theta1, theta2)` for each pair, with the H1
     norms taken by Parseval; theta2 may carry a member axis, and each
     member is normalized and averaged on its own.  The result goes into
-    `out`, each pair's displacement into `fields[i]`, the temporaries into
-    the scratch `tmp` (see `_scratch`) and the H1 densities into `dens`
-    (see `_h1_norm_hat`).
+    `out` and the temporaries into the scratch `tmp` (see `_scratch`).
+    Each pair is solved into `field`, normed and added before the next is
+    solved into it, and its H1 densities go into the start of tmp's r,
+    free once the solve's forcing is transformed; so the combination
+    holds one displacement, whatever the number of pairs.
 
     Args:
         pairs: (theta1 spectrum, theta2 values, theta2 spectrum) per
             observable, rfft2 layout.
     """
-    for (t1h, t2, t2h), f in zip(pairs, fields):
-        _closed_form_hat(t2, np.subtract(t1h, t2h, out=tmp[1][0]), grid, _DEFAULT_PARAMS, f, tmp)
-    return _normalized_mean(
-        fields, [_h1_norm_hat(u, grid, dens) for u in fields], _TOL_NORM_PER_AREA * grid.area, out
-    )
+    dens = tmp[0].reshape(-1)[: field.size].reshape(field.shape)
+    solved = (_closed_form_hat(t2, np.subtract(t1h, t2h, out=tmp[1][0]), grid, _DEFAULT_PARAMS,
+                               field, tmp) for t1h, t2, t2h in pairs)
+    return _normalized_mean(((u, _h1_norm_hat(u, grid, dens)) for u in solved),
+                            _TOL_NORM_PER_AREA * grid.area, out)
 
 
-def _normalized_mean(fields, norms, tol_norm, out=None):
-    """(1/m) sum u_i / n_i over the m fields with n_i >= tol_norm, per member.
+def _normalized_mean(pairs, tol_norm, out):
+    """(1/m) sum u_i / n_i over the m (u_i, n_i) pairs with n_i >= tol_norm,
+    per member, written into `out`.
 
-    fields are stacked (2, ..., nx, ny) arrays, scaled in place by 1 / n_i,
-    and norms hold one value per member; a member with m = 0 gets zeros.
-    Each member sees the serial order of operations: u * (1/n), a
-    sequential sum from zero, then * (1/m).  The mean is written into
-    `out` when given.
+    Each u_i is a stacked (2, ..., nx, ny) array, scaled in place by 1 /
+    n_i, and n_i holds one value per member; the pairs are taken one at a
+    time, so the next u may be made in the buffer of the last.  A member
+    with m = 0 gets zeros.  Each member sees the serial order of
+    operations: u * (1/n), a sequential sum from zero, then * (1/m).
     """
-    acc = np.empty_like(fields[0]) if out is None else out
-    acc.fill(0.0)
-    count = np.zeros(np.shape(norms[0]))
-    for u, n in zip(fields, norms):
+    out.fill(0.0)
+    count = np.zeros(out.shape[1:-2])
+    for u, n in pairs:
         kept = n >= tol_norm
         u *= (1.0 / np.where(kept, n, 1.0))[..., None, None]
         # a mask costs twice an unmasked add, so none when every member is kept
-        np.add(acc, u, out=acc, where=True if kept.all() else kept[..., None, None])
+        np.add(out, u, out=out, where=True if kept.all() else kept[..., None, None])
         count += kept
-    acc *= (1.0 / np.maximum(count, 1.0))[..., None, None]
-    return acc
+    out *= (1.0 / np.maximum(count, 1.0))[..., None, None]
+    return out
 
 
 def combine_displacements(fields, tol_norm=None):
@@ -198,11 +200,8 @@ def combine_displacements(fields, tol_norm=None):
             raise ValueError("displacements on mismatched grids")
     if tol_norm is None:
         tol_norm = _TOL_NORM_PER_AREA * grid.area
-    mean = _normalized_mean(
-        [np.stack([u.u1.values, u.u2.values]) for u in fields],
-        [np.float64(h1_norm(u)) for u in fields],
-        tol_norm,
-    )
+    pairs = ((np.stack([u.u1.values, u.u2.values]), np.float64(h1_norm(u))) for u in fields)
+    mean = _normalized_mean(pairs, tol_norm, np.empty((2, *grid.shape)))
     return DisplacementField(ScalarField(grid, mean[0]), ScalarField(grid, mean[1]))
 
 

@@ -20,7 +20,8 @@ model's batch loop shares): arrays allocated once per batch and reused
 by every step, into which the kernel helpers write through their `out=`
 and scratch arguments.  The AB history is the workspace's own ring, an
 array of shape (order, 4, B, nx, ny//2+1): each tendency is written
-straight into its slot, and the AB sum is one pass over the ring.
+straight into its slot, and the AB sum is one pass over the ring; until
+then the velocity borrows that slot, so it holds no array of its own.
 The transforms go through `spectral_core._rfft2` and `_irfft2`, which
 call numpy's pocketfft gufuncs straight, and each inverse runs its
 complex pass in a workspace spectrum that is free at that point.  The
@@ -209,12 +210,15 @@ def _velocity(observed, grid, ws):
 
     observed holds (name, target values, target spectrum); ws.omega and
     ws.omega_hat hold the state's vorticity.  The displacement solves and
-    H1 norms stay in Fourier space, per member, in the arrays of ws; only
-    u itself is transformed back.
+    H1 norms stay in Fourier space, per member; only u itself is
+    transformed back.  The spectra borrow the ring's slot, which the step's
+    tendency overwrites next: the combined displacement takes its first
+    two rows, which also take the inverse's complex pass, and each
+    observable's displacement in turn its last two.
     """
     pairs = [(th, *_OBSERVABLES[name].in_workspace(ws)) for name, _, th in observed]
-    uh = _combined_displacement_hat(pairs, grid, ws.uh, ws.forcing, (ws.r, ws.c), ws.dens)
-    # uh, read by nothing after u is formed, takes the inverse's complex pass
+    slot = ws.slot()
+    uh = _combined_displacement_hat(pairs, grid, slot[:2], slot[2:], (ws.r, ws.c))
     return _irfft2(uh, grid.shape, ws.u, uh)
 
 
@@ -262,7 +266,7 @@ def morph_velocity(state, targets):
     """
     g = state.grid
     observed = _target_spectra(targets, g)
-    ws = _Workspace([state], 1, n_observed=len(observed))
+    ws = _Workspace([state], 1, morph=True)
     _vorticity(ws.spec, g, (ws.omega, ws.omega_hat), ws.c[0])
     u = _velocity(observed, g, ws)
     return DisplacementField(ScalarField(g, u[0, 0]), ScalarField(g, u[1, 0]))
@@ -326,7 +330,7 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
     """
     g = states[0].grid
     observed = _target_spectra(targets, g)
-    ws = _Workspace(states, params.ab_order, drift is not None, len(observed))
+    ws = _Workspace(states, params.ab_order, drift is not None, morph=True)
     active = np.arange(len(states))
     times = np.array([s.time for s in states])
     traces = [MorphTrace() for _ in states]

@@ -52,7 +52,8 @@ class GridSpec:
     Args:
         nx, ny: grid counts, integers (numpy integers too), even and
             >= 4 (spectral symmetry of real transforms).
-        lx, ly: physical extents in length units (km), finite and > 0.
+        lx, ly: physical extents in length units (km), finite and > 0,
+            and large enough that the squared wavenumbers are finite.
     """
 
     def __init__(self, nx, ny, lx, ly):
@@ -60,9 +61,14 @@ class GridSpec:
         for name, n in (("nx", nx), ("ny", ny)):
             if not (_is_int(n) and n >= 4 and n % 2 == 0):
                 raise ValueError(f"{name} must be an even integer >= 4, got {n!r}")
-        for name, v in (("lx", lx), ("ly", ly)):
+        for name, n, v in (("lx", nx, lx), ("ly", ny, ly)):
             if not (_is_real(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            # every mode's |k|^2 = kx^2 + ky^2 must be finite: the axis's
+            # Nyquist pi n / l, its largest, squared takes half the range
+            k = math.pi * int(n) / float(v)
+            if not math.isfinite(2.0 * k * k):
+                raise ValueError(f"{name} is too small for finite squared wavenumbers, got {v!r}")
         nx, ny = int(nx), int(ny)
         self.nx = nx
         self.ny = ny
@@ -104,12 +110,7 @@ class GridSpec:
     def __eq__(self, other):
         if not isinstance(other, GridSpec):
             return NotImplemented
-        return (self.nx, self.ny, self.lx, self.ly) == (
-            other.nx,
-            other.ny,
-            other.lx,
-            other.ly,
-        )
+        return (self.nx, self.ny, self.lx, self.ly) == (other.nx, other.ny, other.lx, other.ly)
 
     def __hash__(self):
         return hash((self.nx, self.ny, self.lx, self.ly))

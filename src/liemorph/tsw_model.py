@@ -80,13 +80,7 @@ AB_COEFFS = {
     2: (3.0 / 2.0, -1.0 / 2.0),
     3: (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0),
     4: (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0),
-    5: (
-        1901.0 / 720.0,
-        -2774.0 / 720.0,
-        2616.0 / 720.0,
-        -1274.0 / 720.0,
-        251.0 / 720.0,
-    ),
+    5: (1901.0 / 720.0, -2774.0 / 720.0, 2616.0 / 720.0, -1274.0 / 720.0, 251.0 / 720.0),
 }
 
 # The model step, named once: Lawson AB of this order, then the Hou-Li
@@ -405,14 +399,14 @@ class _Workspace:
     of earlier tendencies (oldest first), fill the first slots.  A loop that
     takes the model's Lawson step (`model`) also holds grad_th, the values
     of grad(Theta), and spare, a spectrum of the state's shape for the
-    Horner sum (and the nudge's transport).  The morph's loop (`n_observed`
-    not None) also holds omega_hat, the vorticity's spectrum, u and uh the
-    displacement, forcing the displacement of each observable and dens the
-    H1 densities.  Every array ends in the axes (member, x, y), so `keep`
-    slices them all alike.
+    Horner sum (and the nudge's transport).  The morph's loop (`morph`)
+    also holds omega_hat, the vorticity's spectrum, and u, the values of
+    the displacement; its spectra borrow `slot()`, free until the step's
+    tendency, and its H1 densities r.  Every array ends in the axes
+    (member, x, y), so `keep` slices them all alike.
     """
 
-    def __init__(self, states, order, model=False, n_observed=None, history=()):
+    def __init__(self, states, order, model=False, morph=False, history=()):
         self.vals = np.stack([_fields(s) for s in states], axis=1)
         self.spec = _rfft2(self.vals)
         members = self.vals.shape[1:]
@@ -426,12 +420,9 @@ class _Workspace:
         if model:
             self.grad_th = np.empty((2, *members))
             self.spare = np.empty_like(self.spec)
-        if n_observed is not None:
+        if morph:
             self.omega_hat = np.empty_like(self.spec[0])
             self.u = np.empty((2, *members))
-            self.uh = np.empty_like(self.spec[:2])
-            self.forcing = np.empty((n_observed, *self.uh.shape), dtype=complex)
-            self.dens = np.empty(self.uh.shape)
 
     def slot(self):
         """The ring slot the next tendency is written into."""

@@ -315,6 +315,9 @@ MALFORMED = [
     ("grid.ny", 2),
     ("grid.coarse_nx", 12),
     ("grid.coarse_ny", 6),
+    ("grid.lx", 5e-324),
+    ("grid.ly", 1e-300),
+    ("ic.perturb_std", 1e308),
 ]
 
 
@@ -756,6 +759,7 @@ class TestCommandLine:
         pytest.param("model.dt", -1.0, -1.0, id="model.dt--1.0"),
         pytest.param("grid.nx", 63, 1.0, id="grid.nx-63"),
         pytest.param("grid.coarse_ny", 6, 1.0, id="grid.coarse_ny-6"),
+        pytest.param("grid.lx", 5e-324, 1.0, id="grid.lx-5e-324"),
     ])
     def test_run_rejects_before_compute(self, tmp_path, capsys, path, value, dt):
         # the first four used to end in a traceback and exit 1: the IC
@@ -765,6 +769,7 @@ class TestCommandLine:
         # three, kappa 0.5 lost positivity at step 164 (exit 3), and
         # truth_time 0.4 (0 truth steps) and strength -5 ran to exit 0; the
         # rest are the parameter classes' range errors, which name the key
+        # (lx 5e-324 used to end in a ZeroDivisionError, exit 1)
         raw = with_value(path, value)
         raw["model"]["dt"] = dt
         cfg = self.write_config(tmp_path, raw)

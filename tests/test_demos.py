@@ -72,11 +72,13 @@ def test_kernel_timing_prints_a_row_per_kernel_and_size():
     targets, in 15 calls, and a model step 6 + 7 in 9, whatever the grid
     and batch size: the 8 members' transforms share the calls of one.  At
     2 workers the 8 members run as two batches of 4, each making its own
-    calls.  Each row also carries the CPU time and the voluntary context
-    switches per step."""
+    calls.  The workspace column is the bytes of one batch's arrays: the
+    morph's 9 value fields and 27 spectra per member (AB5), the model's 9
+    and 22 (AB3).  Each row also carries the CPU time and the voluntary
+    context switches per step."""
     out = run_demo("kernel_timing.py", "--grid", "8", "16", "--steps", "2", "--repeats", "2")
     rows = re.findall(r"^(\S+)\s+(\d+)\^2\s+(\d+)\s+(\d+)\s+(\d+)\s+(\S+)\s+(\S+)\s+(\S+)"
-                      r"\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+) \[(\S+), (\S+)\]$", out, re.M)
+                      r"\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+) \[(\S+), (\S+)\]$", out, re.M)
     assert [r[:5] for r in rows] == [
         ("_run_morph_batch", "8", "8", "1", "2"), ("_integrate_batch", "8", "8", "1", "2"),
         ("_run_morph_batch", "8", "8", "2", "2"), ("_integrate_batch", "8", "8", "2", "2"),
@@ -84,6 +86,13 @@ def test_kernel_timing_prints_a_row_per_kernel_and_size():
     ], out
     assert [float(r[5]) for r in rows] == [184, 104, 184, 104, 23, 13], out
     assert [float(r[6]) for r in rows] == [15, 9, 30, 18, 15, 9], out
+    # (members per batch, n) of each row, and the bytes of a value field
+    # and of a spectrum per member
+    batches = [(8, 8), (8, 8), (4, 8), (4, 8), (1, 16), (1, 16)]
+    fields = [(9, 27), (9, 22)] * 3
+    expected = [b * (v * 8 * n * n + s * 16 * n * (n // 2 + 1)) / 2**20
+                for (b, n), (v, s) in zip(batches, fields)]
+    assert [float(r[8]) for r in rows] == [round(x, 3) for x in expected], out
     for *_, cpu, csw, cold, median, low, high in rows:
         assert float(cpu) > 0 and float(csw) >= 0
         assert float(cold) > 0

@@ -25,6 +25,7 @@ from liemorph import (
     conserved_totals,
     domain_integral,
     double_vortex_ic,
+    morph_engine,
     morph_step,
     morph_velocity,
     run_morph,
@@ -32,6 +33,7 @@ from liemorph import (
 )
 from liemorph.displacement_solver import SolverParams, _closed_form_hat
 from liemorph.morph_engine import MorphTrace, _run_morph_batch
+from liemorph.tsw_model import _MODEL_AB_ORDER, _Workspace
 from oracles import (
     composed_morph_step,
     composed_morph_velocity,
@@ -386,13 +388,14 @@ class TestSpectralKernel:
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_morph_loop_memory_budget(self, grid_km, params, naive):
-        """The morph loop's workspace keeps its traced peak within 11.3x the
+        """The morph loop's workspace keeps its traced peak within 9.5x the
         bytes of the batch's states (8 members at 64^2, h and omega
-        targets, AB5; measured 11.22x either way, 11.35x while each
-        inverse transform allocated a spectrum-sized temporary).  The
-        workspace is 11.0x of it, and one numpy ufunc buffer (128 KiB,
-        0.13x) and the targets' spectra most of the rest.  The per-grid
-        caches are filled first."""
+        targets, AB5; measured 9.42x either way, 11.22x while the velocity
+        held its spectra and H1 densities in arrays of its own, 11.35x
+        while each inverse transform also allocated a spectrum-sized
+        temporary).  The workspace is 9.21x of it, and one numpy ufunc
+        buffer (128 KiB, 0.13x) and the targets' spectra most of the rest.
+        The per-grid caches are filled first."""
         member, targets = vortex_morph_case(grid_km, params)
         states = [member] + [
             double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(7)
@@ -411,7 +414,63 @@ class TestSpectralKernel:
         finally:
             tracemalloc.stop()
         state_bytes = sum(f.values.nbytes for s in states for f in s.fields())
-        assert peak <= 11.3 * state_bytes
+        assert peak <= 9.5 * state_bytes
+
+    @pytest.mark.parametrize("nudged", [False, True])
+    def test_morph_workspace_holds_its_budget(self, grid_km, params, nudged):
+        """A morph workspace holds the states' values and spectra, the
+        vorticity's, the displacement's values u, the scratch (r, c) and
+        the AB ring, plus grad(Theta) and a spare spectrum for the nudge's
+        Lawson step: at B = 4, 64^2 and order 5, 9 (11) value fields and 27
+        (31) spectra, each per member.  The velocity's spectra borrow the
+        ring's slot and its H1 densities r; its own arrays, a displacement
+        per observable, their mean and the densities, held 946,176 B more."""
+        member, _ = vortex_morph_case(grid_km, params)
+        ws = _Workspace([member] * 4, 5, model=nudged, morph=True)
+        arrays = {name: a for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        names = {"vals", "spec", "omega", "omega_hat", "u", "r", "c", "ring"}
+        assert arrays.keys() == names | ({"grad_th", "spare"} if nudged else set())
+        values, spectrum = 8 * 4 * 64 * 64, 16 * 4 * 64 * 33
+        expected = (9 + 2 * nudged) * values + (7 + 4 * 5 + 4 * nudged) * spectrum
+        assert sum(a.nbytes for a in arrays.values()) == expected
+
+    @pytest.mark.parametrize("naive, nudged", [(False, False), (True, False), (False, True)])
+    def test_velocity_leaves_the_history_and_the_state(self, grid_km, params, monkeypatch,
+                                                       naive, nudged):
+        """Every step, the velocity writes no ring slot but `slot()`, whose
+        entry the AB sum no longer reads, and none of vals, spec, omega and
+        omega_hat; and its traced peak stays within numpy's ufunc buffer, so
+        it allocates no array.  For the tensor and the naive morph at B = 4
+        and the nudge's model ring, past the steps that fill the ring."""
+        member, targets = vortex_morph_case(grid_km, params)
+        states = [member] + [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params)
+                             for i in range(1, 1 if nudged else 4)]
+        velocity, full = morph_engine._velocity, []
+
+        def checked(observed, grid, ws):
+            free, order = ws.count % len(ws.ring), len(ws.ring)
+            held = [ws.ring[i] for i in range(order) if i != free]
+            held += [ws.vals, ws.spec, ws.omega, ws.omega_hat]
+            before = [a.copy() for a in held]
+            tracemalloc.start()
+            try:
+                u = velocity(observed, grid, ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(np.array_equal(a, b) for a, b in zip(held, before))
+            assert peak <= 16 * np.getbufsize() + 4096
+            full.append(ws.count >= order)
+            return u
+
+        drift = (params, 0.5) if nudged else None
+        order = _MODEL_AB_ORDER if nudged else 5
+        # the per-grid caches are filled first
+        _run_morph_batch(states, targets, MorphParams(n_steps=1, ab_order=order), naive, drift=drift)
+        monkeypatch.setattr(morph_engine, "_velocity", checked)
+        mp = MorphParams(epsilon=1.0, n_steps=order + 3, ab_order=order)
+        _run_morph_batch(states, targets, mp, naive, drift=drift)
+        assert full == [False] * order + [True] * 3
 
     @pytest.mark.parametrize("naive, n_steps, patience, lengths", [
         (False, 20, None, [21, 21, 21]),
