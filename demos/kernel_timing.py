@@ -49,7 +49,7 @@ import numpy as np
 from liemorph import GridSpec, double_vortex_ic, spectral_core, tsw_model, vorticity_of
 from liemorph.assimilation import _member_ics, _run_batches
 from liemorph.cli_experiments import preset_config, validate_config
-from liemorph.morph_engine import _run_morph_batch
+from liemorph.morph_engine import _run_morph_batch, _target_spectra
 from liemorph.tsw_model import _integrate_batch
 
 # members and default steps per run of the two grid sizes
@@ -73,10 +73,10 @@ def time_grid(n, members, steps, repeats):
                       desk.perturb_std)
     states = [double_vortex_ic(ic, grid, model) for ic in ics[:members]]
     truth = double_vortex_ic(desk.ic, grid, model)
-    targets = {"h": truth.h, "omega": vorticity_of(truth)}
+    observed = _target_spectra({"h": truth.h, "omega": vorticity_of(truth)}, grid)
     # each kernel, run for a given number of steps on a batch and its stop event
     kernels = [("_run_morph_batch", lambda batch, k, stop: _run_morph_batch(
-                   batch, targets, replace(desk.morph, n_steps=k), stop=stop)),
+                   batch, observed, replace(desk.morph, n_steps=k), stop=stop)),
                ("_integrate_batch", lambda batch, k, stop: _integrate_batch(
                    batch, k, model, stop=stop))]
     # (kernel, workers, run of k steps) of each case

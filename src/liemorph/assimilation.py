@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .morph_engine import _OBSERVABLES, _run_morph_batch
+from .morph_engine import _OBSERVABLES, _run_morph_batch, _target_spectra
 from .spectral_core import GridSpec, ScalarField, _is_int, _is_real, coarsen, refine
 from .tsw_model import InstabilityError, TSWState, _integrate_batch, double_vortex_ic
 
@@ -332,13 +332,15 @@ def morph_ensemble(ensemble, obs, morph_params, naive=False, workers=1):
 
     Member morphs are independent and run in batches (see the module
     docstring); each member's state and trace equal its own `run_morph`.
-    workers > 1 runs the batches on up to that many threads with identical
-    results.  Returns the morphed ensemble, which the morphed EnKF passes
-    to `enkf_analysis`, and the per-member traces.
+    The targets are refined and transformed once, and every batch reads
+    that one copy of their spectra.  workers > 1 runs the batches on up to
+    that many threads with identical results.  Returns the morphed
+    ensemble, which the morphed EnKF passes to `enkf_analysis`, and the
+    per-member traces.
     """
-    targets = _targets_from_obs(obs, ensemble.grid)
+    observed = _target_spectra(_targets_from_obs(obs, ensemble.grid), ensemble.grid)
     results = _run_batches(
-        lambda batch, stop: _run_morph_batch(batch, targets, morph_params, naive, stop),
+        lambda batch, stop: _run_morph_batch(batch, observed, morph_params, naive, stop),
         ensemble.members, ensemble.grid, workers, "morph of member {}: {}",
     )
     morphed = Ensemble([st for st, _ in results], rng_seed=ensemble.rng_seed)

@@ -46,6 +46,7 @@ from .tsw_model import (
     InstabilityError,
     ModelParams,
     VortexIC,
+    _propagator,
     _state,
     _vortex_centres,
     double_vortex_ic,
@@ -446,6 +447,10 @@ def run_experiment(config):
         perturb_mean=config.perturb_mean, perturb_std=config.perturb_std,
         workers=config.workers,
     )
+    # The model stages end here: the truth run and the spin-up shared one
+    # build of the wave propagator, which the morph and the analysis never
+    # read.  Dropped any earlier, the spin-up would rebuild it.
+    _propagator.cache_clear()
     _stage_outputs("prior", ensemble.members, truth_fields, report)
 
     if config.pipeline == "plain-enkf":

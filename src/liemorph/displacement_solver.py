@@ -3,9 +3,10 @@
 The closed-form path solves the boundary-free Euler-Lagrange equation
 (a0 - a1*Lap) u = W f grad(g) on spectra, for 0-form and 2-form pairs
 alike: only f and g depend on the degree.  The generalized optical flow
-path handles any degree by conjugate gradients on the normal equations.  The sign convention everywhere is that u points from theta2
-toward theta1, i.e. transporting theta2 one infinitesimal step along u
-decreases the residual against theta1.
+path handles any degree by conjugate gradients on the normal equations.
+The sign convention everywhere is that u points from theta2 toward theta1,
+i.e. transporting theta2 one infinitesimal step along u decreases the
+residual against theta1.
 """
 
 import functools

@@ -8,12 +8,14 @@ as 0-forms.  The displacement map itself is never materialized; each step
 applies one epsilon-increment of the transport.
 
 The targets are a dict, observed name -> ScalarField on the state's grid
-(the shape of `ObsSet.fields`), checked once per run.  The kernel carries
-a member axis: `_run_morph_batch` morphs a batch of states toward the
-same targets in lockstep, with the FFT calls of one member per step (10
-rfft2 + 13 irfft2 per member in 15 calls with h and omega targets), and
-`run_morph` is its batch of one.  A batch reports the first failing step
-across its members (serial code would report the first failing member).
+(the shape of `ObsSet.fields`), checked and transformed once per run by
+`_target_spectra`, whose list `assimilation.morph_ensemble` hands to
+every batch.  The kernel carries a member axis: `_run_morph_batch`
+morphs a batch of states toward the same targets in lockstep, with the
+FFT calls of one member per step (10 rfft2 + 13 irfft2 per member in 15
+calls with h and omega targets), and `run_morph` is its batch of one.  A
+batch reports the first failing step across its members (serial code
+would report the first failing member).
 
 The batch loop runs on one workspace (`tsw_model._Workspace`, which the
 model's batch loop shares): arrays allocated once per batch and reused
@@ -194,7 +196,12 @@ def conserved_totals(state):
 
 
 def _target_spectra(targets, grid):
-    # (name, values, spectrum) of each target, in the order of the dict
+    """(name, values, spectrum) of each target, in the order of the dict.
+
+    The checked, transformed form of the targets that `_run_morph_batch`
+    takes: a caller that runs several batches toward the same targets
+    builds it once and hands it to each.
+    """
     if not targets:
         raise ValueError("a morph needs at least one target")
     if not targets.keys() <= _OBSERVABLES.keys():
@@ -311,12 +318,15 @@ def run_morph(state, targets, params, naive=False):
         (final state, MorphTrace); the trace has one row per executed step
         plus the initial row.
     """
-    return _run_morph_batch([state], targets, params, naive)[0]
+    return _run_morph_batch([state], _target_spectra(targets, state.grid), params, naive)[0]
 
 
-def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None):
+def _run_morph_batch(states, observed, params, naive=False, stop=None, drift=None):
     """run_morph for states on one grid, advanced in lockstep; a list of
     (final state, MorphTrace) in the order of `states`.
+
+    observed is `_target_spectra` of the targets on the states' grid, so
+    batches toward the same targets share one transform of them.
 
     The members share every FFT call, so a step makes as many calls as
     one member's, and each member's state and trace equal its own `run_morph`
@@ -329,7 +339,6 @@ def _run_morph_batch(states, targets, params, naive=False, stop=None, drift=None
     pushed along u, and member time advances by model.dt per step.
     """
     g = states[0].grid
-    observed = _target_spectra(targets, g)
     ws = _Workspace(states, params.ab_order, drift is not None, morph=True)
     active = np.arange(len(states))
     times = np.array([s.time for s in states])
@@ -387,4 +396,5 @@ def nudge(state, targets, model, strength, n_steps):
     if not _is_real(strength):
         raise ValueError(f"strength must be a finite number, got {strength!r}")
     params = MorphParams(n_steps=n_steps, ab_order=_MODEL_AB_ORDER)
-    return _run_morph_batch([state], targets, params, drift=(model, strength))[0]
+    observed = _target_spectra(targets, state.grid)
+    return _run_morph_batch([state], observed, params, drift=(model, strength))[0]

@@ -340,10 +340,24 @@ def _resample_modes(coeffs, n_new, axis):
 
 
 def _resample_values(values, grid, new_grid):
+    """values on grid resampled onto new_grid through the complex fft2 and
+    ifft2, as an array that owns its memory.
+
+    The ifft2 result's real part is copied out, so the field does not pin
+    that complex array, twice its size.  The copy keeps the array's memory
+    order, F when the y axis is resampled (`_resample_modes` returns that
+    axis moved back) and C otherwise: np.mean sums in memory order, and a
+    C-order copy moves the observation variances of `assimilation.observe`
+    by an ulp.  The copy is allocated before the transforms' temporaries,
+    so a long-lived field does not sit above them on the heap and keep it
+    from shrinking.
+    """
+    out = np.empty(new_grid.shape, order="F" if new_grid.ny != grid.ny else "C")
     fh = np.fft.fft2(values) / (grid.nx * grid.ny)
     fh = _resample_modes(fh, new_grid.nx, 0)
     fh = _resample_modes(fh, new_grid.ny, 1)
-    return np.fft.ifft2(fh * (new_grid.nx * new_grid.ny)).real
+    np.copyto(out, np.fft.ifft2(fh * (new_grid.nx * new_grid.ny)).real)
+    return out
 
 
 def _check_coarse(fine, coarse):

@@ -579,8 +579,9 @@ def integrate(state, n_steps, params):
     The loop runs on spectra: 6 rfft2 + 7 irfft2 per step in 9 calls (the
     vorticity and grad(Theta) back, one call each, six products forward,
     and the four fields back in one call); the wave propagator is a
-    per-mode multiplier, computed once per grid and ModelParams.  It is `_integrate_batch` with a batch of one, and runs
-    on that loop's workspace, allocated once per call.
+    per-mode multiplier, computed once per grid and ModelParams.  It is
+    `_integrate_batch` with a batch of one, and runs on that loop's
+    workspace, allocated once per call.
     """
     return _integrate_batch([state], n_steps, params)[0]
 

@@ -44,7 +44,7 @@ from liemorph.assimilation import (
     draw_center_offsets,
     morph_ensemble,
 )
-from liemorph.morph_engine import _run_morph_batch
+from liemorph.morph_engine import _run_morph_batch, _target_spectra
 from liemorph.tsw_model import _integrate_batch
 from oracles import explicit_covariance_gain, random_band_limited
 
@@ -485,6 +485,18 @@ class TestMemberBatches:
             assert_same_state(got, ref)
             assert trace.rows == ref_trace.rows
 
+    def test_batches_share_one_transform_of_the_targets(self, ensemble, truth, count_ffts):
+        """8 members at 64^2 make as many 2-D transforms as one batch of 8
+        when they run as two batches of 4 on 2 workers: the targets are
+        transformed once per morph, not once per batch."""
+        obs, mp = observe(truth, COARSE), MorphParams(epsilon=10.0, n_steps=2)
+        counts, seen = count_ffts(), []
+        for workers in (1, 2):
+            morph_ensemble(ensemble, obs, mp, workers=workers)
+            seen.append(counts["rfft2"] + counts["irfft2"])
+            counts.update(rfft2=0, irfft2=0, calls=0)
+        assert seen[0] == seen[1]
+
     def test_early_stopped_members_leave_the_batch(self, ensemble, truth):
         """An overshooting epsilon stops the members at different steps;
         each one's state and trace still equal its own run_morph."""
@@ -627,9 +639,9 @@ class TestMemberBatches:
         stop.set()
         with pytest.raises(CancelledError):
             _integrate_batch(ensemble.members[:2], 2, params, stop=stop)
-        targets = _targets_from_obs(observe(truth, COARSE), FINE)
+        observed = _target_spectra(_targets_from_obs(observe(truth, COARSE), FINE), FINE)
         with pytest.raises(CancelledError):
-            _run_morph_batch(ensemble.members[:2], targets,
+            _run_morph_batch(ensemble.members[:2], observed,
                              MorphParams(epsilon=10.0, n_steps=2), stop=stop)
 
     def test_first_error_stops_the_running_batches(self):

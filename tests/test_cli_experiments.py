@@ -39,7 +39,8 @@ from liemorph.cli_experiments import (
     run_experiment,
     validate_config,
 )
-from liemorph.tsw_model import _MODEL_AB_ORDER, _MODEL_COURANT_MAX, _MODEL_DECAY_MAX, AB_COEFFS
+from liemorph.tsw_model import (_MODEL_AB_ORDER, _MODEL_COURANT_MAX, _MODEL_DECAY_MAX, AB_COEFFS,
+                                _propagator)
 from oracles import random_band_limited
 
 
@@ -503,6 +504,34 @@ class TestRunExperiment:
         assert len(trace) == 6
         mass = trace.column("mass")
         assert abs(mass[-1] - mass[0]) / abs(mass[0]) <= 1e-10
+
+    @pytest.mark.parametrize("pipeline", ["plain-enkf", "morphed-enkf"])
+    def test_ensemble_pipelines_drop_the_propagator_after_the_spin_up(self, pipeline,
+                                                                        monkeypatch):
+        """The truth run and the spin-up share one build of the model's wave
+        propagator, which no later stage reads, and the run ends with it
+        dropped."""
+        _propagator.cache_clear()
+        spin_up, built = cli_experiments.generate_ensemble, []
+
+        def recorded(*args, **kwargs):
+            ensemble = spin_up(*args, **kwargs)
+            built.append(_propagator.cache_info())
+            return ensemble
+
+        monkeypatch.setattr(cli_experiments, "generate_ensemble", recorded)
+        run_experiment(validate_config(small_raw(pipeline=pipeline)))
+        (info,) = built
+        assert info.misses == 1 and info.hits > 0
+        assert _propagator.cache_info().currsize == 0
+
+    def test_nudging_run_reuses_the_spin_ups_propagator(self):
+        """The nudge's model steps read the propagator that the truth run
+        and the spin-up built, which the run keeps."""
+        _propagator.cache_clear()
+        run_experiment(validate_config(small_raw(pipeline="nudging-run")))
+        info = _propagator.cache_info()
+        assert info.misses == 1 and info.currsize == 1
 
     def test_naive_pipeline_leaks_mass_tensor_pipeline_keeps_it(self):
         """naive-morphed-enkf transports h as a 0-form, so each member's

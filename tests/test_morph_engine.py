@@ -32,7 +32,7 @@ from liemorph import (
     vorticity_of,
 )
 from liemorph.displacement_solver import SolverParams, _closed_form_hat
-from liemorph.morph_engine import MorphTrace, _run_morph_batch
+from liemorph.morph_engine import MorphTrace, _run_morph_batch, _target_spectra
 from liemorph.tsw_model import _MODEL_AB_ORDER, _Workspace
 from oracles import (
     composed_morph_step,
@@ -380,7 +380,8 @@ class TestSpectralKernel:
         counts = count_ffts()
         seen = []
         for batch in (states[:1], states):
-            _run_morph_batch(batch, targets, MorphParams(epsilon=10.0, n_steps=1), naive=naive)
+            observed = _target_spectra(targets, grid_km)
+            _run_morph_batch(batch, observed, MorphParams(epsilon=10.0, n_steps=1), naive=naive)
             seen.append((counts["rfft2"], counts["irfft2"], counts["calls"]))
             counts.update(rfft2=0, irfft2=0, calls=0)
         assert seen[0] == expected
@@ -402,8 +403,8 @@ class TestSpectralKernel:
         ]
 
         def run(n_steps):
-            _run_morph_batch(states, targets, MorphParams(epsilon=10.0, n_steps=n_steps),
-                             naive=naive)
+            _run_morph_batch(states, _target_spectra(targets, grid_km),
+                             MorphParams(epsilon=10.0, n_steps=n_steps), naive=naive)
 
         run(2)
         tracemalloc.start()
@@ -443,6 +444,7 @@ class TestSpectralKernel:
         it allocates no array.  For the tensor and the naive morph at B = 4
         and the nudge's model ring, past the steps that fill the ring."""
         member, targets = vortex_morph_case(grid_km, params)
+        observed = _target_spectra(targets, grid_km)
         states = [member] + [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params)
                              for i in range(1, 1 if nudged else 4)]
         velocity, full = morph_engine._velocity, []
@@ -466,10 +468,11 @@ class TestSpectralKernel:
         drift = (params, 0.5) if nudged else None
         order = _MODEL_AB_ORDER if nudged else 5
         # the per-grid caches are filled first
-        _run_morph_batch(states, targets, MorphParams(n_steps=1, ab_order=order), naive, drift=drift)
+        _run_morph_batch(states, observed, MorphParams(n_steps=1, ab_order=order), naive,
+                         drift=drift)
         monkeypatch.setattr(morph_engine, "_velocity", checked)
         mp = MorphParams(epsilon=1.0, n_steps=order + 3, ab_order=order)
-        _run_morph_batch(states, targets, mp, naive, drift=drift)
+        _run_morph_batch(states, observed, mp, naive, drift=drift)
         assert full == [False] * order + [True] * 3
 
     @pytest.mark.parametrize("naive, n_steps, patience, lengths", [
@@ -487,7 +490,7 @@ class TestSpectralKernel:
         truth = small_bump_state(grid_small, params, 1.6)
         targets = {"h": truth.h, "omega": vorticity_of(truth)}
         mp = MorphParams(epsilon=0.01, n_steps=n_steps, early_stop_patience=patience)
-        batch = _run_morph_batch(states, targets, mp, naive)
+        batch = _run_morph_batch(states, _target_spectra(targets, grid_small), mp, naive)
         assert [len(trace) for _, trace in batch] == lengths
         for state, (got, trace) in zip(states, batch):
             ref, ref_trace = run_morph(state, targets, mp, naive)

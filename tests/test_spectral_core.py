@@ -35,13 +35,14 @@ from liemorph import (
     integrate,
     inverse_helmholtz,
     nudge,
+    observe,
     refine,
     vorticity_of,
 )
 from liemorph.forms import DisplacementField
-from liemorph.morph_engine import _run_morph_batch
+from liemorph.morph_engine import _run_morph_batch, _target_spectra
 from liemorph.spectral_core import (_deriv, _grad_hat, _h1_weight, _hou_li, _irfft2, _is_int,
-                                    _is_real, _rfft2)
+                                    _is_real, _resample_modes, _rfft2)
 from liemorph.tsw_model import _integrate_batch
 
 from oracles import (
@@ -485,6 +486,40 @@ class TestResampling:
         with pytest.raises(ValueError, match="nx 16 must divide the fine grid's nx 40"):
             refine(ScalarField.zeros(coarse), GridSpec(40, 40, 2.0, 2.0))
 
+    @staticmethod
+    def ifft2_real(values, grid, new_grid):
+        # the resampling as a view: the real part of the complex ifft2 array
+        fh = np.fft.fft2(values) / (grid.nx * grid.ny)
+        fh = _resample_modes(_resample_modes(fh, new_grid.nx, 0), new_grid.ny, 1)
+        return np.fft.ifft2(fh * (new_grid.nx * new_grid.ny)).real
+
+    @pytest.mark.parametrize("down", [True, False])
+    @pytest.mark.parametrize("cnx, cny", [(16, 12), (16, 48), (64, 12), (64, 48)])
+    def test_resampled_values_own_their_memory(self, down, cnx, cny):
+        """coarsen and refine return values that own their memory, so a
+        field does not pin the complex ifft2 array, twice its size; they
+        are that array's real part bit for bit, laid out in its stride
+        order (np.mean sums in memory order), whichever axes change."""
+        fine, coarse = GridSpec(64, 48, 2.0, 1.5), GridSpec(cnx, cny, 2.0, 1.5)
+        src, dst = (fine, coarse) if down else (coarse, fine)
+        f = ScalarField(src, random_band_limited(src, 41, modes=5))
+        got = (coarsen if down else refine)(f, dst).values
+        ref = self.ifft2_real(f.values, src, dst)
+        assert got.base is None and got.shape == dst.shape
+        assert np.array_equal(got, ref)
+        assert list(np.argsort(got.strides)) == list(np.argsort(ref.strides))
+
+    def test_observation_variances_are_unchanged(self):
+        """observe's variances, means over the coarsened values, equal
+        those of the ifft2 array's real part bit for bit."""
+        fine, coarse = GridSpec(64, 64, 5000.0, 5000.0), GridSpec(16, 16, 5000.0, 5000.0)
+        params = ModelParams()
+        truth = double_vortex_ic(VortexIC(ox=0.12, oy=0.08), fine, params)
+        obs = observe(truth, coarse)
+        for name, f in (("h", truth.h), ("omega", vorticity_of(truth))):
+            ref = self.ifft2_real(f.values, fine, coarse)
+            assert obs.r[name] == 0.01 * float(np.mean(ref**2))
+
 
 def test_domain_integral_is_mean_times_area(grid_small):
     f = ScalarField.constant(grid_small, 3.0)
@@ -584,8 +619,9 @@ class TestTransformPair:
 
             monkeypatch.setattr(np.fft, name, counted)
         morph = MorphParams(epsilon=10.0, n_steps=3)
-        _run_morph_batch(states, targets, morph)
-        _run_morph_batch(states, targets, morph, naive=True)
+        observed = _target_spectra(targets, grid)
+        _run_morph_batch(states, observed, morph)
+        _run_morph_batch(states, observed, morph, naive=True)
         _integrate_batch(states, 3, params)
         nudge(states[0], targets, params, 0.5, 3)
         assert calls == []

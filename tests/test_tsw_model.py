@@ -31,7 +31,7 @@ from liemorph import (
     vorticity_of,
 )
 from liemorph.forms import _transport_hat
-from liemorph.morph_engine import _run_morph_batch
+from liemorph.morph_engine import _run_morph_batch, _target_spectra
 from liemorph.spectral_core import _irfft2, _rfft2
 from liemorph.tsw_model import (
     AB_COEFFS,
@@ -274,7 +274,8 @@ class TestSpectralKernel:
                   for i in range(3)]
         targets, strength = vortex_targets(grid_km, params), 100.0
         mp = MorphParams(epsilon=params.dt, n_steps=4, filter_a=12.0, ab_order=3)
-        batch = _run_morph_batch(states, targets, mp, drift=(params, strength))
+        observed = _target_spectra(targets, grid_km)
+        batch = _run_morph_batch(states, observed, mp, drift=(params, strength))
         for state, (got, trace) in zip(states, batch):
             ref, ref_trace = nudge(state, targets, params, strength, 4)
             assert got.time == ref.time == 4 * params.dt
@@ -284,7 +285,7 @@ class TestSpectralKernel:
         stop = threading.Event()
         stop.set()
         with pytest.raises(CancelledError):
-            _run_morph_batch(states, targets, mp, stop=stop, drift=(params, strength))
+            _run_morph_batch(states, observed, mp, stop=stop, drift=(params, strength))
 
     def test_vector_invariant_tendency_matches_composed(self, grid_km, params):
         """On a band-limited state, where no product aliases, the
