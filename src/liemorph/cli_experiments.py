@@ -40,13 +40,11 @@ from .assimilation import (
 from .morph_engine import _TOTALS, MorphParams, _mse, _totals, nudge
 from .spectral_core import GridSpec, ScalarField, _check_coarse, _is_int, _is_real
 from .tsw_model import (
-    _MODEL_AB_ORDER,
-    _MODEL_COURANT_MAX,
-    _MODEL_DECAY_MAX,
     InstabilityError,
     ModelParams,
     VortexIC,
     _propagator,
+    _stability_errors,
     _state,
     _vortex_centres,
     double_vortex_ic,
@@ -148,8 +146,7 @@ SCHEMA = {
         "workers": ("a positive integer", lambda v: _is_int(v) and v >= 1, 1),
     },
     "grid": {"nx": INT, "ny": INT, "lx": NUM, "ly": NUM, "coarse_nx": INT, "coarse_ny": INT},
-    # a negative kappa drives Theta away from Theta0 until it turns negative
-    "model": {"f": NUM, "kappa": SPAN, "h0": NUM, "theta0": NUM, "dt": NUM},
+    "model": {"f": NUM, "kappa": NUM, "h0": NUM, "theta0": NUM, "dt": NUM},
     # a nonnegative amplitude keeps h and Theta of the vortex IC positive
     "ic": {"amplitude": SPAN, "radius": NUM, "separation": NUM, "theta_amplitude": SPAN,
            "perturb_mean": NUM, "perturb_std": SPAN},
@@ -172,18 +169,6 @@ CEILINGS = {
     "ensemble.size": MAX_MEMBERS,
     "workers": MAX_MEMBERS,
 }
-
-
-def _unstable(key, number, value, bound, rate):
-    # "<key>: <number> = <value> exceeds the AB<order> bound <bound>", then
-    # "; the largest stable <name> is <bound / rate>" rounded down to 4
-    # significant digits, a limit that passes, unless that is not finite
-    # (an infinite rate floors 0 to nan)
-    with np.errstate(all="ignore"):
-        scale = 10.0 ** (np.floor(np.log10(bound / rate)) - 3)
-        limit = np.floor(bound / rate / scale) * scale
-    largest = f"; the largest stable {key.split('.')[-1]} is {limit:.4g}" if _is_real(limit) else ""
-    return f"{key}: {number} = {value:.3g} exceeds the AB{_MODEL_AB_ORDER} bound {bound}{largest}"
 
 
 def _read(section, name, errors):
@@ -270,29 +255,9 @@ def validate_config(raw):
     ic = build("ic", i, lambda s: VortexIC(**{k: v for k, v in s.items() if "perturb" not in k}))
     morph = build("morph", mo, lambda s: MorphParams(**s))
 
-    if grid is not None and model is not None and ic is not None:
-        # The step carries the gravity waves about the rest state exactly;
-        # its remainder moves at most the peak flow speed plus the rise
-        # of the gravity wave speed sqrt(h Theta) over the rest state's at
-        # the vortex peak.  |grad(eta)| of a Gaussian bump peaks at
-        # amplitude / (radius * sqrt(e)), and the geostrophic speed with it;
-        # the sign of f only turns the flow around.  Python floats overflow
-        # to inf and nan without a warning, and `not x <= bound` rejects both.
-        vmax = model.theta0 / abs(model.f) * ic.amplitude / (ic.radius * math.sqrt(math.e))
-        rest = math.sqrt(model.h0 * model.theta0)
-        peak = math.sqrt((model.h0 + ic.amplitude) * model.theta0 * (1.0 + ic.theta_amplitude))
-        rate = (vmax + peak - rest) * math.pi / min(grid.dx, grid.dy)
-        if not rate * model.dt <= _MODEL_COURANT_MAX:
-            errors.append(_unstable("model.dt", "remainder Courant number (max|v| + dc)*k_max*dt",
-                                    rate * model.dt, _MODEL_COURANT_MAX, rate))
     if model is not None and ic is not None:
-        # the Theta relaxation decays at rate kappa*h, and h peaks near
-        # h0 + amplitude; kappa = 0 relaxes nothing however high h gets
-        reach = (model.h0 + ic.amplitude) * model.dt
-        relax = model.kappa * reach if model.kappa else 0.0
-        if not relax <= _MODEL_DECAY_MAX:
-            errors.append(_unstable("model.kappa", "relaxation number kappa*(h0 + ic.amplitude)*dt",
-                                    relax, _MODEL_DECAY_MAX, reach))
+        # the model's stability pre-flight; with no grid it checks kappa only
+        errors += [f"model.{err}" for err in _stability_errors(model, ic, grid)]
 
     if grid is not None and ic is not None and {"size", "seed"} <= e.keys():
         # a vortex centre drawn at inf km would fill its member with nan,

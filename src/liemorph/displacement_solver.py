@@ -33,7 +33,7 @@ __all__ = [
 # downstream; we keep the literal 2 and test the invariance.
 PREFACTOR = 2.0
 
-# default H1-norm threshold below which a displacement counts as zero
+# H1-norm threshold per unit area below which a displacement counts as zero
 _TOL_NORM_PER_AREA = 1e-14
 
 
@@ -184,13 +184,13 @@ def _normalized_mean(pairs, tol_norm, out):
     return out
 
 
-def combine_displacements(fields, tol_norm=None):
+def combine_displacements(fields):
     """Mean of the H1-normalized inputs: (1/m) sum u_i / ||u_i||_1.
 
-    Inputs with ||u||_1 below tol_norm (default 1e-14 * domain area)
-    contribute nothing and are excluded from the count m; if all inputs are
-    below it the result is the zero field, so perfect alignment is a fixed
-    point.
+    Inputs with ||u||_1 below `_TOL_NORM_PER_AREA` (1e-14) times the
+    domain area contribute nothing and are excluded from the count m; if
+    all inputs are below it the result is the zero field, so perfect
+    alignment is a fixed point.
     """
     fields = list(fields)
     if not fields:
@@ -199,10 +199,8 @@ def combine_displacements(fields, tol_norm=None):
     for u in fields:
         if u.grid != grid:
             raise ValueError("displacements on mismatched grids")
-    if tol_norm is None:
-        tol_norm = _TOL_NORM_PER_AREA * grid.area
     pairs = ((np.stack([u.u1.values, u.u2.values]), np.float64(h1_norm(u))) for u in fields)
-    mean = _normalized_mean(pairs, tol_norm, np.empty((2, *grid.shape)))
+    mean = _normalized_mean(pairs, _TOL_NORM_PER_AREA * grid.area, np.empty((2, *grid.shape)))
     return DisplacementField(ScalarField(grid, mean[0]), ScalarField(grid, mean[1]))
 
 

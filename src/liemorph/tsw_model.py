@@ -18,7 +18,7 @@ the mass flux is (h - h0) v, the Bernoulli term h (Theta - Theta0) +
 |v|^2 / 2 and the momentum's vorticity omega, not omega + f; so no L
 spec is computed and subtracted again.  The gravity waves, ~7x faster
 than the flow, do not bound dt: the remainder's Courant number does (see
-`cli_experiments.validate_config`).  The momentum is evaluated in
+`_stability_errors`).  The momentum is evaluated in
 vector-invariant form, (v . grad) v + f zhat x v = grad(|v|^2 / 2) +
 (omega + f) zhat x v, which needs the vorticity omega but no derivative
 of v.  The step runs in Fourier space (6 rfft2 + 7 irfft2 per member,
@@ -46,6 +46,7 @@ spare), so a step allocates no spectrum-sized temporary.
 """
 
 import functools
+import math
 from concurrent.futures import CancelledError
 from dataclasses import dataclass
 from fractions import Fraction
@@ -87,12 +88,58 @@ AB_COEFFS = {
 # filter of this exponent.  `morph_engine.nudge` takes the same step.
 _MODEL_AB_ORDER = 3
 _MODEL_FILTER_A = 12
-# The order's stability bounds on the remainder, which `validate_config`
-# checks: AB3 is stable on the imaginary axis up to |lambda dt| ~ 0.72 and
-# on the negative real axis down to -6/11 (a Fraction: it prints so, and
-# compares with a float as 6 / 11 does).  The waves are propagated exactly.
+# The order's stability bounds on the remainder, which `_stability_errors`
+# tests a model against: AB3 is stable on the imaginary axis up to
+# |lambda dt| ~ 0.72 and on the negative real axis down to -6/11 (a
+# Fraction: it prints so, and compares with a float as 6 / 11 does).  The
+# waves are propagated exactly.
 _MODEL_COURANT_MAX = 0.72
 _MODEL_DECAY_MAX = Fraction(6, 11)
+
+
+def _stability_errors(params, ic, grid=None):
+    """The model step's pre-flight, a list of messages: one per parameter
+    of the ModelParams `params` that breaks one of the bounds above on the
+    vortices of the VortexIC `ic` (amplitudes nonnegative).  Each begins
+    with the parameter it names (`dt: ...`, `kappa: ...`), as the
+    classes' own errors do, and names its largest stable value.  dt is
+    checked on the GridSpec `grid`; with none, only kappa is.
+    """
+    # (parameter, its number, its value, its rate, the bound): the number,
+    # value * rate or 0 when the value is 0, must not exceed the bound
+    checks = []
+    if grid is not None:
+        # The step carries the gravity waves about the rest state exactly;
+        # its remainder moves at most the peak flow speed plus the rise
+        # of the gravity wave speed sqrt(h Theta) over the rest state's at
+        # the vortex peak.  |grad(eta)| of a Gaussian bump peaks at
+        # amplitude / (radius * sqrt(e)), and the geostrophic speed with it;
+        # the sign of f only turns the flow around.  Python floats overflow
+        # to inf and nan without a warning, and `not x <= bound` rejects both.
+        vmax = params.theta0 / abs(params.f) * ic.amplitude / (ic.radius * math.sqrt(math.e))
+        rest = math.sqrt(params.h0 * params.theta0)
+        peak = math.sqrt((params.h0 + ic.amplitude) * params.theta0 * (1.0 + ic.theta_amplitude))
+        rate = (vmax + peak - rest) * math.pi / min(grid.dx, grid.dy)
+        checks.append(("dt", "remainder Courant number (max|v| + dc)*k_max*dt", params.dt, rate,
+                       _MODEL_COURANT_MAX))
+    # the Theta relaxation decays at rate kappa*h, and h peaks near
+    # h0 + amplitude; kappa = 0 relaxes nothing however high h gets
+    checks.append(("kappa", "relaxation number kappa*(h0 + ic.amplitude)*dt", params.kappa,
+                   (params.h0 + ic.amplitude) * params.dt, _MODEL_DECAY_MAX))
+    errors = []
+    for name, number, value, rate, bound in checks:
+        product = value * rate if value else 0.0
+        if not product <= bound:
+            # the largest stable value, bound / rate rounded down to 4
+            # significant digits so that it passes, unless that is not
+            # finite (an infinite rate floors 0 to nan)
+            with np.errstate(all="ignore"):
+                scale = 10.0 ** (np.floor(np.log10(bound / rate)) - 3)
+                limit = np.floor(bound / rate / scale) * scale
+            largest = f"; the largest stable {name} is {limit:.4g}" if _is_real(limit) else ""
+            errors.append(f"{name}: {number} = {product:.3g} exceeds the AB{_MODEL_AB_ORDER} "
+                          f"bound {bound}{largest}")
+    return errors
 
 
 class InstabilityError(RuntimeError):
@@ -132,6 +179,9 @@ class ModelParams:
         for name, v in vars(self).items():
             if not _is_real(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
+        # a negative kappa drives Theta away from Theta0 until it turns negative
+        if self.kappa < 0:
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa!r}")
         for name in ("dt", "h0", "theta0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -175,12 +225,10 @@ class TSWState:
         for fld, name in ((theta, "theta"), (v1, "v1"), (v2, "v2")):
             if fld.grid != grid:
                 raise ValueError(f"{name} grid mismatch")
-        if h.values.min() <= 0:
-            raise InstabilityError(f"h must be strictly positive, min={h.values.min():.4g}")
-        if theta.values.min() <= 0:
-            raise InstabilityError(
-                f"Theta must be strictly positive, min={theta.values.min():.4g}"
-            )
+        for fld, name in ((h, "h"), (theta, "Theta")):
+            low = fld.values.min()
+            if low <= 0:
+                raise InstabilityError(f"{name} must be strictly positive, min={low:.4g}")
         self.h = h
         self.theta = theta
         self.v1 = v1

@@ -393,10 +393,11 @@ class TestParameterRanges:
         assert validate_config(with_value("nudging.strength", 0)).nudging_strength == 0
 
     def test_negative_kappa_is_reported(self):
-        # a negative kappa validated and lost positivity at step 132
+        # a negative kappa validated and lost positivity at step 132;
+        # ModelParams rejects it, and validation names the key
         with pytest.raises(ConfigError) as exc:
             validate_config(with_value("model.kappa", -0.05))
-        assert exc.value.errors == ["model.kappa must be a nonnegative number"]
+        assert exc.value.errors == ["model.kappa must be nonnegative, got -0.05"]
 
     def test_kappa_bound_names_a_kappa_that_passes(self):
         # kappa*(h0 + amplitude)*dt = 0.55 on small_raw, above 6/11
@@ -843,6 +844,19 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert "numerical instability" in err
         assert "morph of member 0: step 4: positivity lost during morph" in err
+
+    def test_truth_instability_names_the_stage(self, tmp_path, capsys, monkeypatch):
+        # the pre-flight rejects dt = 1e5; without it, the truth run's
+        # first step loses positivity
+        monkeypatch.setattr(cli_experiments, "_stability_errors", lambda *args: [])
+        raw = small_raw(horizons={"truth_time": 5e5, "spinup_time": 3e5})
+        raw["model"]["dt"] = 1e5
+        cfg = self.write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical instability: truth run: step 0: positivity lost"), err
+        assert not out.exists()
 
     def test_nudge_instability_names_the_stage(self, tmp_path, capsys):
         # a blow-up in the nudge used to name no stage, where the truth

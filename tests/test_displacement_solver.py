@@ -421,10 +421,15 @@ class TestCombineDisplacements:
         ref = combine_displacements([ua])
         assert np.allclose(out.u1.values, ref.u1.values, atol=1e-15)
 
-    def test_tol_norm_override(self, grid16):
+    def test_threshold_is_per_domain_area(self, grid16):
+        """An input whose norm is half of 1e-14 times the domain area
+        counts as zero, and one at twice that is normalized."""
         ua = random_displacement(grid16, 75)
-        out = combine_displacements([ua], tol_norm=1e9)
-        assert np.max(np.abs(out.u1.values)) == 0.0
+        tol = 1e-14 * grid16.area
+        below = combine_displacements([ua * (0.5 * tol / h1_norm(ua))])
+        assert np.max(np.abs(below.u1.values)) == 0.0
+        above = combine_displacements([ua * (2.0 * tol / h1_norm(ua))])
+        assert h1_norm(above) == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_mismatched_grids(self, grid16):
         other = GridSpec(16, 16, 2.0, 2.0)

@@ -5,7 +5,10 @@ against the dense differentiation matrices in oracles.py, which never
 touch an FFT.
 """
 
+import importlib
+import os
 import pickle
+import subprocess
 import sys
 import threading
 
@@ -53,6 +56,26 @@ from oracles import (
 )
 
 TWO_PI = 2.0 * np.pi
+MODULES = ("spectral_core", "forms", "displacement_solver", "tsw_model", "morph_engine",
+           "assimilation")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_package_exports_each_module_all(module):
+    """`liemorph` exports every public name of every library module."""
+    import liemorph
+
+    names = importlib.import_module(f"liemorph.{module}").__all__
+    assert [name for name in names if not hasattr(liemorph, name)] == []
+
+
+def test_package_import_leaves_out_the_cli():
+    """`import liemorph` loads the library modules and not the CLI."""
+    code = "import sys, liemorph; print(sorted(m for m in sys.modules if 'liemorph' in m))"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert "'liemorph.assimilation'" in out and "cli_experiments" not in out
 
 
 class TestGridSpec:
@@ -122,6 +145,8 @@ PARAMETER_CLASSES = {
 }
 NON_REALS = (True, "1", float("nan"), float("inf"))
 NON_COUNTS = (True, 2.0, "2")
+# values of the right type that a class's range rejects: (class, argument, value)
+OUT_OF_RANGE = (("ModelParams", "kappa", -0.05),)
 
 # Library functions with a count, an exponent or a strength argument, each
 # called over valid defaults, with that argument and its bad values
@@ -145,15 +170,16 @@ LIBRARY_FUNCTIONS = {
 class TestParameterTypes:
     """Every parameter class takes a finite real number or an integer count
     for each numeric argument, numpy scalars too, and raises a ValueError
-    naming the argument for anything else; so do the library functions
-    that take a count, an exponent or a strength."""
+    naming the argument for anything else or for a value out of its range;
+    so do the library functions that take a count, an exponent or a
+    strength."""
 
     @pytest.mark.parametrize("cls, arg, value", [
         pytest.param(cls, arg, value, id=f"{cls}-{arg}-{value!r}")
         for cls, (_, reals, counts) in PARAMETER_CLASSES.items()
         for args, values in ((reals, NON_REALS), (counts, NON_COUNTS))
         for arg in args for value in values
-    ])
+    ] + [pytest.param(*case, id="{}-{}-{!r}".format(*case)) for case in OUT_OF_RANGE])
     def test_rejects_naming_the_argument(self, cls, arg, value):
         with pytest.raises(ValueError, match=rf"\b{arg}\b"):
             PARAMETER_CLASSES[cls][0](**{arg: value})

@@ -8,6 +8,7 @@ the spectral kernel against the typed composition in oracles.py.
 import threading
 import tracemalloc
 from concurrent.futures import CancelledError
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,18 +31,24 @@ from liemorph import (
     nudge,
     vorticity_of,
 )
+from liemorph.cli_experiments import preset_config
 from liemorph.forms import _transport_hat
 from liemorph.morph_engine import _run_morph_batch, _target_spectra
 from liemorph.spectral_core import _irfft2, _rfft2
 from liemorph.tsw_model import (
+    _MODEL_AB_ORDER,
+    _MODEL_FILTER_A,
     AB_COEFFS,
     TSWTendency,
+    _ab_advance,
     _add_rest_wave,
     _fields,
     _integrate_batch,
     _propagator,
+    _stability_errors,
     _tendency_hat,
     _vorticity,
+    _Workspace,
     ab3_step,
     tendency,
 )
@@ -554,6 +561,21 @@ class TestTimeStepping:
             integrate(base, 50, ModelParams(dt=1e5))
         assert exc.value.step is not None
 
+    @pytest.mark.parametrize("model", [True, False], ids=["model", "morph"])
+    def test_non_finite_field_names_step_and_member(self, grid_km, params, model):
+        """A tendency that has turned non-finite in members 1 and 2 of
+        three stops the AB step with the stage's message, naming the step
+        and the lowest failing member."""
+        ws = _Workspace([TSWState.rest(grid_km, params)] * 3, _MODEL_AB_ORDER,
+                        model=model, morph=not model)
+        ws.slot()[...] = 0.0
+        ws.slot()[:, 1:] = np.nan
+        with pytest.raises(InstabilityError) as exc:
+            _ab_advance(ws, params.dt, _MODEL_FILTER_A, grid_km, 7, params if model else None)
+        stage = "after AB step" if model else "during morph"
+        assert str(exc.value) == f"step 7: non-finite field {stage}"
+        assert (exc.value.step, exc.value.member) == (7, 1)
+
     def test_ab_coefficients_are_consistent(self):
         """Every Adams-Bashforth rule reproduces constants exactly."""
         for order, coeffs in AB_COEFFS.items():
@@ -606,14 +628,17 @@ class TestStateAndDiagnostics:
                 ScalarField.zeros(grid_km),
             )
 
-    def test_state_rejects_nonpositive_h(self, grid_km):
-        with pytest.raises(InstabilityError):
+    @pytest.mark.parametrize("h, theta, name, low", [(0.0, 1.0, "h", 0), (1.0, -0.5, "Theta", -0.5)])
+    def test_state_rejects_nonpositive_fields(self, grid_km, h, theta, name, low):
+        with pytest.raises(InstabilityError) as exc:
             TSWState(
-                ScalarField.zeros(grid_km),
-                ScalarField.constant(grid_km, 1.0),
+                ScalarField.constant(grid_km, h),
+                ScalarField.constant(grid_km, theta),
                 ScalarField.zeros(grid_km),
                 ScalarField.zeros(grid_km),
             )
+        assert str(exc.value) == f"{name} must be strictly positive, min={low}"
+        assert exc.value.step is None
 
     def test_copy_is_independent(self, grid_km, params):
         a = TSWState.rest(grid_km, params)
@@ -667,3 +692,34 @@ class TestModelParams:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+
+def preset_model(name):
+    """The ModelParams, VortexIC and GridSpec of a preset's config."""
+    raw = preset_config(name)
+    ic = VortexIC(**{k: v for k, v in raw["ic"].items() if "perturb" not in k})
+    g = raw["grid"]
+    return ModelParams(**raw["model"]), ic, GridSpec(g["nx"], g["ny"], g["lx"], g["ly"])
+
+
+class TestStabilityPreflight:
+    """`_stability_errors` tests a model and its vortices against the
+    model step's AB3 bounds, one message per rejected parameter."""
+
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    def test_presets_pass(self, name):
+        assert _stability_errors(*preset_model(name)) == []
+
+    def test_desk_at_dt_20_names_the_largest_stable_dt(self):
+        model, ic, grid = preset_model("desk")
+        assert _stability_errors(replace(model, dt=20.0), ic, grid) == [
+            "dt: remainder Courant number (max|v| + dc)*k_max*dt = 1.79 exceeds the AB3 "
+            "bound 0.72; the largest stable dt is 8.045"]
+
+    def test_without_a_grid_only_kappa_is_checked(self):
+        model, ic, grid = preset_model("desk")
+        model = replace(model, dt=1e5)
+        assert [e.split(":")[0] for e in _stability_errors(model, ic, grid)] == ["dt", "kappa"]
+        assert _stability_errors(model, ic) == [
+            "kappa: relaxation number kappa*(h0 + ic.amplitude)*dt = 110 exceeds the AB3 "
+            "bound 6/11; the largest stable kappa is 4.958e-06"]
