@@ -147,8 +147,7 @@ SCHEMA = {
     },
     "grid": {"nx": INT, "ny": INT, "lx": NUM, "ly": NUM, "coarse_nx": INT, "coarse_ny": INT},
     "model": {"f": NUM, "kappa": NUM, "h0": NUM, "theta0": NUM, "dt": NUM},
-    # a nonnegative amplitude keeps h and Theta of the vortex IC positive
-    "ic": {"amplitude": SPAN, "radius": NUM, "separation": NUM, "theta_amplitude": SPAN,
+    "ic": {"amplitude": NUM, "radius": NUM, "separation": NUM, "theta_amplitude": NUM,
            "perturb_mean": NUM, "perturb_std": SPAN},
     "horizons": {"truth_time": SPAN, "spinup_time": SPAN},
     # numpy's default_rng takes only nonnegative seeds
@@ -566,14 +565,15 @@ def emit_outputs(report, out_dir):
 
 
 def _apply_overrides(raw, args):
-    # a section that is not an object is left for validate_config to report
-    if args.seed is not None and isinstance(raw, dict) and isinstance(
-            raw.setdefault("ensemble", {}), dict):
+    # a config or section that is not an object is left for validate_config
+    if not isinstance(raw, dict):
+        return raw
+    if args.seed is not None and isinstance(raw.setdefault("ensemble", {}), dict):
         raw["ensemble"]["seed"] = args.seed
         raw["ensemble"]["obs_noise_seed"] = args.seed + 1
-    if args.workers is not None and isinstance(raw, dict):
+    if args.workers is not None:
         raw["workers"] = args.workers
-    if args.out is not None and isinstance(raw, dict):
+    if args.out is not None:
         raw["output_dir"] = args.out
     return raw
 

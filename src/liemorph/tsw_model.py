@@ -49,7 +49,6 @@ import functools
 import math
 from concurrent.futures import CancelledError
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,17 +89,17 @@ _MODEL_AB_ORDER = 3
 _MODEL_FILTER_A = 12
 # The order's stability bounds on the remainder, which `_stability_errors`
 # tests a model against: AB3 is stable on the imaginary axis up to
-# |lambda dt| ~ 0.72 and on the negative real axis down to -6/11 (a
-# Fraction: it prints so, and compares with a float as 6 / 11 does).  The
+# |lambda dt| ~ 0.72 and on the negative real axis down to -6/11.  The
 # waves are propagated exactly.
 _MODEL_COURANT_MAX = 0.72
-_MODEL_DECAY_MAX = Fraction(6, 11)
+_MODEL_DECAY_MAX = 6 / 11
 
 
 def _stability_errors(params, ic, grid=None):
     """The model step's pre-flight, a list of messages: one per parameter
     of the ModelParams `params` that breaks one of the bounds above on the
-    vortices of the VortexIC `ic` (amplitudes nonnegative).  Each begins
+    vortices of the VortexIC `ic`, whose amplitudes VortexIC keeps
+    nonnegative, so h and Theta peak at the vortices.  Each begins
     with the parameter it names (`dt: ...`, `kappa: ...`), as the
     classes' own errors do, and names its largest stable value.  dt is
     checked on the GridSpec `grid`; with none, only kappa is.
@@ -138,7 +137,7 @@ def _stability_errors(params, ic, grid=None):
                 limit = np.floor(bound / rate / scale) * scale
             largest = f"; the largest stable {name} is {limit:.4g}" if _is_real(limit) else ""
             errors.append(f"{name}: {number} = {product:.3g} exceeds the AB{_MODEL_AB_ORDER} "
-                          f"bound {bound}{largest}")
+                          f"bound {bound:.4g}{largest}")
     return errors
 
 
@@ -198,7 +197,9 @@ class VortexIC:
     offsets, measured in units of `radius` so that offsets drawn from
     `assimilation.CENTER_OFFSET`, N(0.1, 0.1^2), displace the vortices by a
     physically meaningful fraction of their size.  amplitude is the height
-    anomaly relative to h0; separation is the center-to-center distance.
+    anomaly relative to h0 and theta_amplitude Theta's relative to Theta0,
+    both nonnegative; separation is the center-to-center distance, and
+    radius^2, which the Gaussian profile divides by, is positive and finite.
     """
 
     ox: float = 0.0
@@ -212,9 +213,15 @@ class VortexIC:
         for name, v in vars(self).items():
             if not _is_real(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
-        # `double_vortex_ic` squares the radius; a float's ** raises OverflowError
-        if not 0 < self.radius <= np.sqrt(np.finfo(float).max):
-            raise ValueError(f"radius must be positive and its square finite, got {self.radius!r}")
+        for name in ("amplitude", "theta_amplitude"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        # `double_vortex_ic` divides by the radius's square: 0 makes 0/0 at
+        # the vortex centres, and a float's ** raises OverflowError (* gives inf)
+        square = float(self.radius) * float(self.radius)
+        if not (self.radius > 0 and 0 < square < math.inf):
+            raise ValueError(f"radius must be positive and its square positive and finite, "
+                             f"got {self.radius!r}")
 
 
 class TSWState:
@@ -679,7 +686,8 @@ def double_vortex_ic(ic, grid, params):
     interface (ox, oy): vortices sit at the domain center +- separation/2
     along x, both shifted by (ox, oy) * radius; Theta carries co-located
     anomalies; the velocity balances the height field with effective
-    gravity Theta0: v = (Theta0/f) * (-deta/dy, deta/dx).
+    gravity Theta0: v = (Theta0/f) * (-deta/dy, deta/dx).  VortexIC keeps
+    the amplitudes nonnegative, so h >= h0 > 0 and Theta >= Theta0 > 0.
     """
     x, y = grid.xy()
     bumps = sum(_wrapped_gauss(x, y, cx, cy, ic.radius, grid.lx, grid.ly)
@@ -687,19 +695,9 @@ def double_vortex_ic(ic, grid, params):
 
     h = params.h0 + ic.amplitude * bumps
     th = params.theta0 * (1.0 + ic.theta_amplitude * bumps)
-    if h.min() <= 0 or th.min() <= 0:
-        raise ValueError("initial condition must keep h and Theta positive")
-
     eta_x, eta_y = _grad_hat(_rfft2(h - params.h0), grid)
     coef = params.theta0 / params.f
-    v1 = -coef * eta_y
-    v2 = coef * eta_x
-    return TSWState(
-        ScalarField(grid, h),
-        ScalarField(grid, th),
-        ScalarField(grid, v1),
-        ScalarField(grid, v2),
-    )
+    return _state((h, th, -coef * eta_y, coef * eta_x), grid, 0.0)
 
 
 def vorticity_of(state):

@@ -200,7 +200,7 @@ class TestValidateConfig:
             "model.dt: remainder Courant number (max|v| + dc)*k_max*dt = inf "
             "exceeds the AB3 bound 0.72; the largest stable dt is 7.324e-149",
             "model.kappa: relaxation number kappa*(h0 + ic.amplitude)*dt = inf "
-            "exceeds the AB3 bound 6/11",
+            "exceeds the AB3 bound 0.5455",
             "horizons.truth_time: 220.0 is not a whole number of model.dt = 1e+300 "
             "steps; the nearest valid times are 0 and 1e+300",
             "horizons.spinup_time: 200.0 is not a whole number of model.dt = 1e+300 "
@@ -263,14 +263,16 @@ class TestValidateConfig:
             validate_config(["not", "a", "config"])
 
 
-def with_value(path, value):
-    """small_raw() with the dotted key path set to value."""
+def with_value(path, value, others=None):
+    """small_raw() with the dotted key path set to value, and each dotted
+    key of the dict `others` to its value."""
     raw = small_raw()
-    *sections, key = path.split(".")
-    node = raw
-    for name in sections:
-        node = node.setdefault(name, {})
-    node[key] = value
+    for dotted, v in {path: value, **(others or {})}.items():
+        *sections, key = dotted.split(".")
+        node = raw
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = v
     return raw
 
 
@@ -283,8 +285,9 @@ def with_value(path, value):
 # both counts that large, died with a MemoryError; a perturb_mean or
 # perturb_std that puts a vortex centre at inf km filled the spin-up's
 # members with nan; a radius of 1e200 died in double_vortex_ic with an
-# OverflowError at radius**2.  The last eight are range errors of the
-# parameter classes, which name the key as the kind errors do.
+# OverflowError at radius**2, and one of 1e-300, whose square underflows
+# to 0, with a ValueError at its non-finite h.  The last eight are range
+# errors of the parameter classes, which name the key as the kind errors do.
 MALFORMED = [
     ("workers", True),
     ("workers", 10**9),
@@ -308,6 +311,7 @@ MALFORMED = [
     ("ic.perturb_mean", 1e308),
     ("ic.perturb_std", 1e306),
     ("ic.radius", 1e200),
+    ("ic.radius", 1e-300),
     ("ic.radius", -1.0),
     ("morph.filter_a", -1.0),
     ("morph.ab_order", 7),
@@ -320,13 +324,17 @@ MALFORMED = [
     ("grid.ly", 1e-300),
     ("ic.perturb_std", 1e308),
 ]
+# The other keys a MALFORMED key is set with: on small_raw, the Courant
+# pre-flight rejects a radius of 1e-300 first, but with ic.amplitude 0 it
+# has no flow to bound, and the radius alone is judged
+ALONGSIDE = {"ic.radius": {"ic.amplitude": 0.0}}
 
 
 class TestMalformedValues:
     @pytest.mark.parametrize("path,value", MALFORMED)
     def test_validate_exits_2_naming_the_key(self, tmp_path, capsys, path, value):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(with_value(path, value)))
+        cfg.write_text(json.dumps(with_value(path, value, ALONGSIDE.get(path))))
         assert main(["validate", str(cfg)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert any(line.startswith("config error:") and path in line for line in lines), lines
@@ -373,6 +381,28 @@ class TestParameterRanges:
         with pytest.raises(ValueError, match="radius"):
             VortexIC(radius=1e200)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"amplitude": -0.5}, "amplitude must be nonnegative, got -0.5"),
+        ({"theta_amplitude": -2}, "theta_amplitude must be nonnegative, got -2"),
+        ({"radius": 1e-300},
+         "radius must be positive and its square positive and finite, got 1e-300"),
+    ], ids=["amplitude", "theta_amplitude", "radius-1e-300"])
+    def test_vortex_ic_rejects_out_of_range(self, kwargs, message):
+        # a negative amplitude passed the model's pre-flight and lost
+        # positivity at desk step 16, a negative theta_amplitude crashed the
+        # pre-flight with a math domain error, and a radius whose square
+        # underflows to 0 made double_vortex_ic divide 0 by 0
+        with pytest.raises(ValueError) as exc:
+            VortexIC(**kwargs)
+        assert str(exc.value) == message
+
+    def test_negative_amplitude_is_reported(self):
+        # the class's message with the key's section, where SCHEMA used to
+        # state the range itself
+        with pytest.raises(ConfigError) as exc:
+            validate_config(with_value("ic.amplitude", -0.5))
+        assert exc.value.errors == ["ic.amplitude must be nonnegative, got -0.5"]
+
     def test_morph_params_accepts_patience_one(self):
         assert MorphParams(early_stop_patience=1).early_stop_patience == 1
 
@@ -400,7 +430,7 @@ class TestParameterRanges:
         assert exc.value.errors == ["model.kappa must be nonnegative, got -0.05"]
 
     def test_kappa_bound_names_a_kappa_that_passes(self):
-        # kappa*(h0 + amplitude)*dt = 0.55 on small_raw, above 6/11
+        # kappa*(h0 + amplitude)*dt = 0.55 on small_raw, above 6/11 = 0.5455
         with pytest.raises(ConfigError) as exc:
             validate_config(with_value("model.kappa", 0.5))
         (error,) = exc.value.errors
@@ -771,27 +801,30 @@ class TestCommandLine:
         assert saved["output_dir"] == out_dir
         assert (tmp_path / "out" / "manifest.json").exists()
 
-    @pytest.mark.parametrize("path,value,dt", [
-        pytest.param("ic.amplitude", -1.1, 1.0, id="ic.amplitude--1.1"),
-        pytest.param("ic.theta_amplitude", -30.0, 1.0, id="ic.theta_amplitude--30.0"),
-        pytest.param("horizons.truth_time", 1e308, 0.25, id="horizons.truth_time-1e+308"),
-        pytest.param("ensemble", [], 1.0, id="ensemble-value3"),
-        pytest.param("horizons.truth_time", 1e308, 1.0, id="horizons.truth_time-1e+308-dt1"),
-        pytest.param("morph.n_steps", 10**18, 1.0, id="morph.n_steps-1e18"),
-        pytest.param("nudging.steps", 10**18, 1.0, id="nudging.steps-1e18"),
-        pytest.param("ensemble.size", 10**9, 1.0, id="ensemble.size-1e9"),
-        pytest.param("model.kappa", 0.5, 1.0, id="model.kappa-0.5"),
-        pytest.param("horizons.truth_time", 0.4, 1.0, id="horizons.truth_time-0.4"),
-        pytest.param("nudging.strength", -5.0, 1.0, id="nudging.strength--5.0"),
-        pytest.param("ic.radius", -1.0, 1.0, id="ic.radius--1.0"),
-        pytest.param("morph.filter_a", -1.0, 1.0, id="morph.filter_a--1.0"),
-        pytest.param("morph.ab_order", 7, 1.0, id="morph.ab_order-7"),
-        pytest.param("model.dt", -1.0, -1.0, id="model.dt--1.0"),
-        pytest.param("grid.nx", 63, 1.0, id="grid.nx-63"),
-        pytest.param("grid.coarse_ny", 6, 1.0, id="grid.coarse_ny-6"),
-        pytest.param("grid.lx", 5e-324, 1.0, id="grid.lx-5e-324"),
+    @pytest.mark.parametrize("path,value,others", [
+        pytest.param("ic.amplitude", -1.1, {}, id="ic.amplitude--1.1"),
+        pytest.param("ic.theta_amplitude", -30.0, {}, id="ic.theta_amplitude--30.0"),
+        pytest.param("horizons.truth_time", 1e308, {"model.dt": 0.25},
+                     id="horizons.truth_time-1e+308"),
+        pytest.param("ensemble", [], {}, id="ensemble-value3"),
+        pytest.param("horizons.truth_time", 1e308, {}, id="horizons.truth_time-1e+308-dt1"),
+        pytest.param("morph.n_steps", 10**18, {}, id="morph.n_steps-1e18"),
+        pytest.param("nudging.steps", 10**18, {}, id="nudging.steps-1e18"),
+        pytest.param("ensemble.size", 10**9, {}, id="ensemble.size-1e9"),
+        pytest.param("model.kappa", 0.5, {}, id="model.kappa-0.5"),
+        pytest.param("horizons.truth_time", 0.4, {}, id="horizons.truth_time-0.4"),
+        pytest.param("nudging.strength", -5.0, {}, id="nudging.strength--5.0"),
+        pytest.param("ic.radius", -1.0, {}, id="ic.radius--1.0"),
+        pytest.param("ic.radius", 1e-300, {"ic.amplitude": 0.0}, id="ic.radius-1e-300"),
+        pytest.param("morph.filter_a", -1.0, {}, id="morph.filter_a--1.0"),
+        pytest.param("morph.ab_order", 7, {}, id="morph.ab_order-7"),
+        pytest.param("model.dt", -1.0, {}, id="model.dt--1.0"),
+        pytest.param("grid.nx", 63, {}, id="grid.nx-63"),
+        pytest.param("grid.coarse_ny", 6, {}, id="grid.coarse_ny-6"),
+        pytest.param("grid.lx", 5e-324, {}, id="grid.lx-5e-324"),
     ])
-    def test_run_rejects_before_compute(self, tmp_path, capsys, path, value, dt):
+    def test_run_rejects_before_compute(self, tmp_path, capsys, monkeypatch, path, value,
+                                        others):
         # the first four used to end in a traceback and exit 1: the IC
         # construction raised ValueError, t / dt overflowed and --seed
         # indexed the list; the next four validated, and the run would
@@ -799,10 +832,14 @@ class TestCommandLine:
         # three, kappa 0.5 lost positivity at step 164 (exit 3), and
         # truth_time 0.4 (0 truth steps) and strength -5 ran to exit 0; the
         # rest are the parameter classes' range errors, which name the key
-        # (lx 5e-324 used to end in a ZeroDivisionError, exit 1)
-        raw = with_value(path, value)
-        raw["model"]["dt"] = dt
-        cfg = self.write_config(tmp_path, raw)
+        # (lx 5e-324 used to end in a ZeroDivisionError, exit 1, and a
+        # radius of 1e-300 with amplitude 0 in a ValueError at its
+        # non-finite h)
+        def no_truth(*args, **kwargs):
+            raise AssertionError("the truth run started")
+
+        monkeypatch.setattr(cli_experiments, "integrate", no_truth)
+        cfg = self.write_config(tmp_path, with_value(path, value, others))
         out = tmp_path / "out"
         assert main(["run", cfg, "--seed", "3", "--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()

@@ -42,7 +42,9 @@ from liemorph import (
     refine,
     vorticity_of,
 )
-from liemorph.forms import DisplacementField
+from liemorph.displacement_solver import displacement_from_0forms, lie_operator_adjoint
+from liemorph.forms import DiffForm, DisplacementField, form_inner_integral, oneform_to_vector
+from liemorph.morph_engine import morph_step
 from liemorph.morph_engine import _run_morph_batch, _target_spectra
 from liemorph.spectral_core import (_deriv, _grad_hat, _h1_weight, _hou_li, _irfft2, _is_int,
                                     _is_real, _resample_modes, _rfft2)
@@ -146,7 +148,8 @@ PARAMETER_CLASSES = {
 NON_REALS = (True, "1", float("nan"), float("inf"))
 NON_COUNTS = (True, 2.0, "2")
 # values of the right type that a class's range rejects: (class, argument, value)
-OUT_OF_RANGE = (("ModelParams", "kappa", -0.05),)
+OUT_OF_RANGE = (("ModelParams", "kappa", -0.05), ("VortexIC", "amplitude", -0.5),
+                ("VortexIC", "theta_amplitude", -2.0))
 
 # Library functions with a count, an exponent or a strength argument, each
 # called over valid defaults, with that argument and its bad values
@@ -216,6 +219,51 @@ class TestParameterTypes:
     def test_predicates(self, value, real, count):
         # under the suite's warnings-as-errors: no overflow warning either
         assert (_is_real(value), _is_int(value)) == (real, count)
+
+
+# A field on OBS_GRID and one on another grid, for the typed API's checks
+# that its arguments share a grid or a degree
+def _on(grid):
+    return ScalarField.constant(grid, 1.0)
+
+
+OTHER_GRID = GridSpec(8, 8, 5000.0, 5000.0)
+TYPED_API_ERRORS = {
+    "solver-weight-grid": (
+        lambda: displacement_from_0forms(DiffForm.from_scalar(0, _on(OBS_GRID)),
+                                         DiffForm.from_scalar(0, _on(OBS_GRID)),
+                                         SolverParams(weight=_on(OTHER_GRID))),
+        "weight on mismatched grid"),
+    "adjoint-grid": (
+        lambda: lie_operator_adjoint(DiffForm.from_scalar(0, _on(OBS_GRID)),
+                                     DiffForm.from_scalar(0, _on(OTHER_GRID))),
+        "adjoint needs matching grid and degree"),
+    "diffform-grids": (lambda: DiffForm(1, (_on(OBS_GRID), _on(OTHER_GRID))),
+                       "components on mismatched grids"),
+    "from-scalar-degree-1": (lambda: DiffForm.from_scalar(1, _on(OBS_GRID)),
+                             "from_scalar builds degree 0 or 2 only"),
+    "sharp-of-a-0-form": (lambda: oneform_to_vector(DiffForm.from_scalar(0, _on(OBS_GRID))),
+                          "oneform_to_vector needs a 1-form"),
+    "inner-integral-degrees": (
+        lambda: form_inner_integral(DiffForm.from_scalar(0, _on(OBS_GRID)),
+                                    DiffForm.from_scalar(2, _on(OBS_GRID))),
+        "degree mismatch"),
+    "morph-step-grid": (
+        lambda: morph_step(TSWState.rest(OBS_GRID, ModelParams()),
+                           DisplacementField.zeros(OTHER_GRID), MorphParams()),
+        "displacement grid mismatch"),
+    "scalar-field-grids": (lambda: _on(OBS_GRID) + _on(OTHER_GRID), "grid mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", TYPED_API_ERRORS)
+def test_typed_api_rejects_mismatched_arguments(case):
+    """The typed API checks that its arguments share a grid, and a degree
+    where it needs one, and raises a ValueError that says which."""
+    call, message = TYPED_API_ERRORS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestScalarField:

@@ -722,4 +722,4 @@ class TestStabilityPreflight:
         assert [e.split(":")[0] for e in _stability_errors(model, ic, grid)] == ["dt", "kappa"]
         assert _stability_errors(model, ic) == [
             "kappa: relaxation number kappa*(h0 + ic.amplitude)*dt = 110 exceeds the AB3 "
-            "bound 6/11; the largest stable kappa is 4.958e-06"]
+            "bound 0.5455; the largest stable kappa is 4.958e-06"]
