@@ -6,7 +6,7 @@ the desk ensemble's initial conditions: an 8-member batch on the desk
 grid (64^2) and one member on a 256^2 grid of the same extents.  The 8
 members are also timed at 2 workers through `assimilation._run_batches`,
 as the desk preset runs them: two batches of 4, one on the calling
-thread and one on a pool thread.  The morph runs the desk morph settings
+thread and one on another.  The morph runs the desk morph settings
 toward h and omega targets of the truth; the model runs the desk dt,
 scaled with the grid spacing.  Each grid size is timed in a fresh
 process of its own, so the allocator state and FFT plans one size leaves

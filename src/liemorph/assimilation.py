@@ -15,9 +15,10 @@ contiguous runs of members that advance in lockstep through the spectral
 kernels (`tsw_model._integrate_batch`, `morph_engine._run_morph_batch`),
 whose FFT calls each transform a stack of the whole batch's fields.  The batches are shared out
 among min(workers, batch count) threads of the calling process: the
-calling thread runs one share and a pool thread each other share, so
-workers = 1 runs them one after another in the calling thread.  Results
-do not depend on the batching or the worker count.  When batches fail,
+calling thread runs one share and a plain `threading.Thread` each other
+share, with no pool, so workers = 1 runs them one after another in the
+calling thread.  Results do not depend on the batching or the worker
+count.  When batches fail,
 the error is that of the lowest-index failing batch; it names the
 lowest-index member that failed at the batch's first failing step, where
 serial code named the first failing member, and is chained to the
@@ -25,10 +26,9 @@ kernel's own error.
 """
 
 import math
-import threading
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from threading import Event, Thread
 
 import numpy as np
 
@@ -141,29 +141,30 @@ def _run_batches(kernel, items, grid, workers, failure):
 
     The batches are dealt into T = min(workers, batch count) shares, share
     t taking batches t, t + T, ... in order.  The calling thread runs share
-    0 and one pool thread each of the others, so one share starts no
-    thread.  The kernels spend their time in numpy FFTs and ufuncs, which
-    release the GIL at these array sizes, so threads run batches in
-    parallel without a second interpreter.  Batches share no mutable
+    0 and starts one thread for each of the others, which it joins, so one
+    share starts no thread.  The kernels spend their time in numpy FFTs
+    and ufuncs, which release the GIL at these array sizes, so threads run
+    batches in parallel without a second interpreter.  Batches share no mutable
     state; the per-grid multiplier caches they share are deterministic
     and read-only.  An InstabilityError of batch member j is re-raised as
     failure.format(start + j, error), chained to it.
 
     Each batch has its own stop event.  A failing batch sets the events
     of the batches after it, which then end at their next step with a
-    CancelledError that no one reads, or never start; the batches before
-    it run to their end, and the error raised is that of the lowest-index
-    failing batch.  Only the calling thread receives an interrupt, and the
-    pool waits for its threads, so the calling thread sets every event on
-    its way out: after an interrupt the other shares end at their next
-    step, not at their last.
+    `tsw_model.Cancelled` that no one reads, or never start; the batches
+    before it run to their end, and the error raised in the calling thread,
+    once every thread has ended, is that of the lowest-index failing batch,
+    whichever share ran it.  Only the calling thread receives an interrupt,
+    so on its way out it sets every event before it joins the threads:
+    after an interrupt the other shares end at their next step, not at
+    their last.
     """
     if not (_is_int(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     size = _batch_size(len(items), workers, grid)
     starts = range(0, len(items), size)
     shares = min(workers, len(starts))
-    stops = [threading.Event() for _ in starts]
+    stops = [Event() for _ in starts]
     results, errors = [None] * len(starts), {}
 
     def job(b):
@@ -185,17 +186,20 @@ def _run_batches(kernel, items, grid, workers, failure):
                     later.set()
                 return
 
-    if shares > 1:
-        with ThreadPoolExecutor(max_workers=shares - 1) as pool:
-            try:
-                others = pool.map(run_share, range(1, shares))
-                run_share(0)
-                list(others)
-            finally:
-                for stop in stops:
-                    stop.set()
-    else:
+    threads = []
+    try:
+        for first in range(1, shares):
+            thread = Thread(target=run_share, args=(first,))
+            thread.start()
+            threads.append(thread)
         run_share(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        for stop in stops:
+            stop.set()
+        for thread in threads:
+            thread.join()
     if errors:
         raise errors[min(errors)]
     return [r for batch in results for r in batch]
@@ -205,8 +209,8 @@ def _spin_up(ics, grid, spinup_steps, params, workers):
     """Spin up one member from each initial condition, in batches."""
 
     def kernel(batch, stop):
-        states = [double_vortex_ic(ic, grid, params) for ic in batch]
-        return _integrate_batch(states, spinup_steps, params, stop=stop)
+        return _integrate_batch([double_vortex_ic(ic, grid, params) for ic in batch],
+                                spinup_steps, params, stop=stop)
 
     return _run_batches(kernel, ics, grid, workers, "member {} spin-up failed: {}")
 

@@ -415,9 +415,13 @@ def run_experiment(config):
     # build of the wave propagator, which the morph and the analysis never
     # read.  Dropped any earlier, the spin-up would rebuild it.
     _propagator.cache_clear()
-    _stage_outputs("prior", ensemble.members, truth_fields, report)
 
+    # Each stage's outputs are formed once its members exist and before the
+    # next heavy stage.  The prior's wait for the morph, so that its
+    # vorticity and mean dumps are not held through it; the rows keep the
+    # order prior, morphed, posterior.
     if config.pipeline == "plain-enkf":
+        _stage_outputs("prior", ensemble.members, truth_fields, report)
         analysis = enkf_analysis(ensemble, obs, config.obs_noise_seed)
     else:
         morphed, traces = morph_ensemble(
@@ -426,6 +430,7 @@ def run_experiment(config):
             workers=config.workers,
         )
         report.traces = list(enumerate(traces))
+        _stage_outputs("prior", ensemble.members, truth_fields, report)
         _stage_outputs("morphed", morphed.members, truth_fields, report)
         analysis = enkf_analysis(morphed, obs, config.obs_noise_seed)
 
@@ -436,28 +441,36 @@ def run_experiment(config):
 
 def _stage_outputs(stage, members, truth, report):
     """Dumps, MSE rows and conserved totals of one stage's members, with
-    dumps of an ensemble's mean state; truth is _with_vorticity(truth)."""
-    fields = [_with_vorticity(m) for m in members]
-    for i, member_fields in enumerate(fields):
-        report.fields += _dumps(stage, i, member_fields)
-    # (B, 5, nx, ny), freed on return: the dumps keep the members' own fields
-    vals = np.array([[f.values for f in member_fields] for member_fields in fields])
+    dumps of an ensemble's mean state; truth is _with_vorticity(truth).
+
+    The members are taken one at a time, so no stack of the stage is
+    held: each member's dumps, per-field MSEs and totals, and its share of
+    the mean, a running sum from zero divided once by the member count,
+    which is what np.mean over a member axis computes, in its order.
+    """
+    grid, time = members[0].grid, members[0].time
+    sq, total = np.empty(grid.shape), np.zeros((4, *grid.shape))
+    mses = []
+    for i, member in enumerate(members):
+        fields = _with_vorticity(member)
+        report.fields += _dumps(stage, i, fields)
+        mses.append([float(_mse(f.values, t.values, sq)) for f, t in zip(fields, truth)])
+        totals = _totals([f.values for f in fields[:2]], fields[4].values, grid.area)
+        report.totals_rows.append((stage, i, *map(float, totals.values())))
+        for acc, f in zip(total, fields):
+            acc += f.values
     # every member has h, Theta > 0, so their mean passes TSWState's checks
-    mean = _with_vorticity(_state(vals[:, :4].mean(axis=0), members[0].grid, members[0].time))
+    mean = _with_vorticity(_state(np.divide(total, len(members), out=total), grid, time))
     if len(members) > 1:
         report.fields += _dumps(stage + "_mean", None, mean)
-    truth_vals = np.array([f.values for f in truth])
-    # each field's B member MSEs as one contiguous row, so their mean sums
-    # in the same order as np.mean of a list
-    member_mean = [float(row.mean()) for row in np.ascontiguousarray(_mse(vals, truth_vals).T)]
-    mean_field = [float(x) for x in _mse(np.array([f.values for f in mean]), truth_vals)]
-    for mses in (member_mean, mean_field):
-        mses.append(0.5 * (mses[2] + mses[3]))  # v, from v1 and v2
+    # np.mean of each field's member MSEs, in member order
+    member_mean = [float(np.mean(column)) for column in zip(*mses)]
+    mean_field = [float(_mse(f.values, t.values, sq)) for f, t in zip(mean, truth)]
+    for field_mses in (member_mean, mean_field):
+        field_mses.append(0.5 * (field_mses[2] + field_mses[3]))  # v, from v1 and v2
     for name, mm, mf in zip(FIELD_NAMES + ("v",), member_mean, mean_field):
         report.metrics_rows += [(stage, name, "member_mean_mse", mm),
                                 (stage, name, "mean_field_mse", mf)]
-    totals = _totals(vals.swapaxes(0, 1), vals[:, 4], members[0].grid.area)
-    report.totals_rows += [(stage, i, *map(float, t)) for i, t in enumerate(zip(*totals.values()))]
 
 
 def _run_nudging(config, truth, obs, report):

@@ -41,7 +41,6 @@ wherever it sits in the batch.
 import csv
 import io
 from collections import namedtuple
-from concurrent.futures import CancelledError
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,7 @@ from .spectral_core import ScalarField, _irfft2, _is_int, _is_real, _rfft2
 from .tsw_model import (
     _MODEL_AB_ORDER,
     AB_COEFFS,
+    Cancelled,
     InstabilityError,
     _ab_advance,
     _model_step,
@@ -275,8 +275,9 @@ def morph_velocity(state, targets):
     observed = _target_spectra(targets, g)
     ws = _Workspace([state], 1, morph=True)
     _vorticity(ws.spec, g, (ws.omega, ws.omega_hat), ws.c[0])
-    u = _velocity(observed, g, ws)
-    return DisplacementField(ScalarField(g, u[0, 0]), ScalarField(g, u[1, 0]))
+    # a copy, so that the displacement holds none of the workspace's map
+    u = _velocity(observed, g, ws)[:, 0].copy()
+    return DisplacementField(ScalarField(g, u[0]), ScalarField(g, u[1]))
 
 
 def morph_step(state, u, params, history=None, step=None, naive=False):
@@ -334,7 +335,7 @@ def _run_morph_batch(states, observed, params, naive=False, stop=None, drift=Non
     batch: its values, spectra and AB history are sliced off the member
     axis.  An InstabilityError names the first failing step across the
     batch; its `member` is the lowest failing index in `states`.  Once the
-    threading.Event `stop` is set, the next step raises CancelledError.
+    threading.Event `stop` is set, the next step raises Cancelled.
     With drift = (model, strength) each step is `nudge`'s, the model step
     pushed along u, and member time advances by model.dt per step.
     """
@@ -353,7 +354,7 @@ def _run_morph_batch(states, observed, params, naive=False, stop=None, drift=Non
     worse_streak = np.zeros(len(states), dtype=int)
     for k in range(params.n_steps):
         if stop is not None and stop.is_set():
-            raise CancelledError
+            raise Cancelled
         u = _velocity(observed, g, ws)
         try:
             if drift is None:

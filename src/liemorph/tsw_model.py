@@ -32,8 +32,9 @@ with a push: the morph's tensor transport added to this tendency.
 
 Every step runs on a `_Workspace`: arrays allocated once per batch and
 reused every step, into which the kernel helpers write through their
-`out=` and scratch arguments.  The typed step functions are batch-of-one
-runs on a workspace of their own.  The AB history is the workspace's
+`out=` and scratch arguments.  All but the states' values lie in one
+memory map, which is released whole when the batch ends.  The typed
+step functions are batch-of-one runs on a workspace of their own.  The AB history is the workspace's
 own ring, seeded from a typed step's history list: one (order, ...)
 array whose slots the tendencies are written into, so the plain AB sum
 is a single pass, the coefficient vector times the slots viewed as an
@@ -46,8 +47,9 @@ spare), so a step allocates no spectrum-sized temporary.
 """
 
 import functools
+import itertools
 import math
-from concurrent.futures import CancelledError
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,6 +154,11 @@ class InstabilityError(RuntimeError):
         super().__init__(message if step is None else f"step {step}: {message}")
         self.step = step
         self.member = member
+
+
+class Cancelled(Exception):
+    """A batch loop's stop event was set before a step (see
+    `assimilation._run_batches`); the batch has no result."""
 
 
 @dataclass
@@ -439,18 +446,37 @@ def _propagate(prop, x, out):
     return out
 
 
+def _mapped(layout):
+    """The arrays of `layout`, a dict of name -> (shape, dtype), as views
+    of one private anonymous memory map at offsets that are multiples of
+    64 bytes; a dict of name -> array.
+
+    The map is unmapped whole once its last view is freed, where freed
+    heap blocks would stay with the allocator; tracemalloc does not count
+    it.
+    """
+    sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+             for shape, dtype in layout.values()]
+    buf = np.frombuffer(mmap.mmap(-1, sum(sizes), flags=mmap.MAP_PRIVATE), np.uint8)
+    offsets = itertools.accumulate(sizes, initial=0)
+    return {name: buf[at:].view(dtype)[: math.prod(shape)].reshape(shape)
+            for (name, (shape, dtype)), at in zip(layout.items(), offsets)}
+
+
 class _Workspace:
     """The arrays of one batch loop, allocated once and reused every step.
 
     vals and spec hold the states (4, B, nx, ny) and their spectra, which
     each step overwrites; omega holds the vorticity's values and (r, c) the
-    kernel's scratch (see `spectral_core._scratch`).  The AB history is
-    ring, an (order, 4, B, nx, ny//2+1) array of the last `order` tendency
-    spectra, and count, the number of tendencies written.  The caller writes
-    the tendency of step n in place into `slot()`, slot n % order, and
-    `_ab_advance` counts it; so keeping the history copies nothing, and once
-    a step has read its oldest entry, `slot()` is free until the next
-    tendency.  The newest `order` entries of `history`, a typed step's list
+    kernel's scratch (see `spectral_core._scratch`).  Every array but vals
+    is a view of one memory map (`_mapped`), released whole when the batch
+    ends; vals is a plain array, since the states a batch returns are views
+    of it.  The AB history is ring, an (order, 4, B, nx, ny//2+1) array of
+    the last `order` tendency spectra, and count, the number of tendencies
+    written.  The caller writes the tendency of step n in place into
+    `slot()`, slot n % order, and `_ab_advance` counts it; so keeping the
+    history copies nothing, and once a step has read its oldest entry,
+    `slot()` is free until the next tendency.  The newest `order` entries of `history`, a typed step's list
     of earlier tendencies (oldest first), fill the first slots.  A loop that
     takes the model's Lawson step (`model`) also holds grad_th, the values
     of grad(Theta), and spare, a spectrum of the state's shape for the
@@ -463,21 +489,21 @@ class _Workspace:
 
     def __init__(self, states, order, model=False, morph=False, history=()):
         self.vals = np.stack([_fields(s) for s in states], axis=1)
-        self.spec = _rfft2(self.vals)
         members = self.vals.shape[1:]
-        self.omega = np.empty(members)
-        self.r, self.c = _scratch(members)
-        self.ring = np.empty((order, *self.spec.shape), dtype=complex)
+        spec = (*self.vals.shape[:-1], members[-1] // 2 + 1)
+        layout = {"spec": (spec, complex), "omega": (members, float),
+                  "r": ((2, *members), float), "c": ((2, *spec[1:]), complex),
+                  "ring": ((order, *spec), complex)}
+        if model:
+            layout.update(grad_th=((2, *members), float), spare=(spec, complex))
+        if morph:
+            layout.update(omega_hat=(spec[1:], complex), u=((2, *members), float))
+        vars(self).update(_mapped(layout))
+        _rfft2(self.vals, self.spec)
         self.count = 0
         for tend in history[-order:]:
             self.ring[self.count] = tend
             self.count += 1
-        if model:
-            self.grad_th = np.empty((2, *members))
-            self.spare = np.empty_like(self.spec)
-        if morph:
-            self.omega_hat = np.empty_like(self.spec[0])
-            self.u = np.empty((2, *members))
 
     def slot(self):
         """The ring slot the next tendency is written into."""
@@ -490,11 +516,17 @@ class _Workspace:
         del history[: -len(self.ring)]
 
     def keep(self, mask):
-        """Keep the members where `mask` is true, in every array, once; the
-        copies are contiguous, as `_ab_sum` needs."""
-        for name, arr in list(vars(self).items()):
-            if isinstance(arr, np.ndarray):
-                setattr(self, name, np.compress(mask, arr, axis=-3))
+        """Keep the members where `mask` is true, in every array, once: vals
+        in a new array and the others in a new map, so that the old map is
+        released whole.  The copies are contiguous, as `_ab_sum` needs."""
+        mapped = {name: a for name, a in vars(self).items()
+                  if isinstance(a, np.ndarray) and name != "vals"}
+        kept = int(np.count_nonzero(mask))
+        vars(self).update(_mapped({name: ((*a.shape[:-3], kept, *a.shape[-2:]), a.dtype)
+                                   for name, a in mapped.items()}))
+        for name, a in mapped.items():
+            np.compress(mask, a, axis=-3, out=getattr(self, name))
+        self.vals = np.compress(mask, self.vals, axis=-3)
 
 
 def _ab_sum(weights, rows, out):
@@ -649,7 +681,7 @@ def _integrate_batch(states, n_steps, params, stop=None):
     result equals its own `integrate` bit for bit.  An InstabilityError names the first failing
     step across the batch; its `member` is the lowest failing index in
     `states`.  Once the threading.Event `stop` is set, the next step raises
-    CancelledError.  The arrays of the loop are one `_Workspace`, which
+    Cancelled.  The arrays of the loop are one `_Workspace`, which
     each step overwrites; the states returned are views of its values.
     """
     if not (_is_int(n_steps) and n_steps >= 0):
@@ -657,9 +689,13 @@ def _integrate_batch(states, n_steps, params, stop=None):
     g = states[0].grid
     ws = _Workspace(states, _MODEL_AB_ORDER, model=True)
     times = np.array([s.time for s in states])
+    # The loop reads only the workspace.  CPython 3.11 and later hand a
+    # call's arguments to the callee, so a list built in the call, such as
+    # the spin-up's initial conditions, is freed here.
+    del states
     for k in range(n_steps):
         if stop is not None and stop.is_set():
-            raise CancelledError
+            raise Cancelled
         _model_step(ws, params, g, k)
         times = times + params.dt
     return [_state(ws.vals[:, b], g, t) for b, t in enumerate(times)]
@@ -667,10 +703,13 @@ def _integrate_batch(states, n_steps, params, stop=None):
 
 def _wrapped_gauss(x, y, cx, cy, radius, lx, ly):
     # periodized Gaussian via wrapped displacement; tails at the seam are
-    # exponentially negligible for radius << domain
+    # exponentially negligible for radius << domain.  For a radius tiny
+    # against the grid the exponent overflows to -inf, whose exp is the 0
+    # the profile has there.
     dx = (x - cx + lx / 2.0) % lx - lx / 2.0
     dy = (y - cy + ly / 2.0) % ly - ly / 2.0
-    return np.exp(-(dx**2 + dy**2) / (2.0 * radius**2))
+    with np.errstate(over="ignore"):
+        return np.exp(-(dx**2 + dy**2) / (2.0 * radius**2))
 
 
 def _vortex_centres(ic, grid):

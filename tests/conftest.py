@@ -1,9 +1,11 @@
 import sys
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from liemorph import GridSpec, spectral_core
+from liemorph import GridSpec, morph_engine, spectral_core, tsw_model
 
 
 @pytest.fixture
@@ -59,5 +61,50 @@ def count_ffts(monkeypatch):
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, counted)
         return counts
+
+    return start
+
+
+def base_map(array):
+    """The memory map an array is a view of, or None: the last link of the
+    array's base chain, when it is a memoryview, exposes the map as .obj."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else None
+
+
+@pytest.fixture
+def workspace_maps(monkeypatch):
+    """Call it to record the memory map of every `tsw_model._Workspace`
+    made from then on, the batch loops' included, and of each `keep`; it
+    returns the list that receives (weakref to the map, its bytes, traced
+    peak).  tracemalloc does not see a map, so while it traces, the peak
+    it has traced up to the map's making is recorded and then reset: the
+    memory's peak is the larger of that one and the map's bytes plus the
+    traced peak after it."""
+
+    def start():
+        maps = []
+
+        class Recorded(tsw_model._Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self._record()
+
+            def keep(self, mask):
+                super().keep(mask)
+                self._record()
+
+            def _record(self):
+                mapped, peak = base_map(self.spec), None
+                if tracemalloc.is_tracing():
+                    peak = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.reset_peak()
+                maps.append((weakref.ref(mapped), len(mapped), peak))
+
+        for module in (tsw_model, morph_engine):
+            monkeypatch.setattr(module, "_Workspace", Recorded)
+        return maps
 
     return start

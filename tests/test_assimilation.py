@@ -7,7 +7,6 @@ covariance oracle, including the perturbed-observation noise draw.
 import os
 import threading
 import tracemalloc
-from concurrent.futures import CancelledError
 
 import numpy as np
 import pytest
@@ -45,7 +44,7 @@ from liemorph.assimilation import (
     morph_ensemble,
 )
 from liemorph.morph_engine import _run_morph_batch, _target_spectra
-from liemorph.tsw_model import _integrate_batch
+from liemorph.tsw_model import Cancelled, _integrate_batch
 from oracles import explicit_covariance_gain, random_band_limited
 
 TWO_PI = 2.0 * np.pi
@@ -606,41 +605,34 @@ class TestMemberBatches:
         assert [t.rows for t in traces] == [t.rows for t in serial_traces]
         assert [m.time for m in parallel.members] == [0.0, 1.0, 2.0, 3.0]
 
-    def test_pool_has_no_more_workers_than_batches(self, monkeypatch):
+    def test_starts_no_more_threads_than_batches(self, monkeypatch):
         """The calling thread runs one share of the batches, so 3 batches
-        ask a pool for 2 threads, however many workers are allowed."""
-        asked = []
+        start 2 threads, however many workers are allowed, and one worker
+        starts none."""
+        started = []
 
-        class Inline:
-            """Records the pool size and runs the jobs in the calling thread."""
+        class Counted(threading.Thread):
+            """Records each thread started."""
 
-            def __init__(self, max_workers):
-                asked.append(max_workers)
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(assimilation, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(assimilation, "Thread", Counted)
         out = _run_batches(lambda batch, stop: [2 * x for x in batch], [0, 1, 2], FINE,
                            10**9, "member {}: {}")
         assert out == [0, 2, 4]
-        assert asked == [2]
+        assert len(started) == 2
         assert _run_batches(lambda batch, stop: batch, [0, 1, 2], FINE, 1, "{}{}") == [0, 1, 2]
-        assert asked == [2]
+        assert len(started) == 2
 
     def test_set_stop_ends_the_kernels_before_a_step(self, ensemble, truth, params):
         stop = threading.Event()
         stop.set()
-        with pytest.raises(CancelledError):
+        with pytest.raises(Cancelled):
             _integrate_batch(ensemble.members[:2], 2, params, stop=stop)
         observed = _target_spectra(_targets_from_obs(observe(truth, COARSE), FINE), FINE)
-        with pytest.raises(CancelledError):
+        with pytest.raises(Cancelled):
             _run_morph_batch(ensemble.members[:2], observed,
                              MorphParams(epsilon=10.0, n_steps=2), stop=stop)
 
@@ -655,11 +647,28 @@ class TestMemberBatches:
                 raise InstabilityError("blown up", step=1, member=0)
             started.set()
             seen.append(stop.wait(timeout=30))
-            raise CancelledError
+            raise Cancelled
 
         with pytest.raises(InstabilityError, match="member 0: step 1: blown up"):
             _run_batches(kernel, [0, 1], FINE, 2, "member {}: {}")
         assert seen == [True]
+
+    def test_error_of_a_started_thread_reaches_the_caller(self, monkeypatch):
+        """One member a batch on 2 workers: batch 1 runs on the started
+        thread and alone fails, and its error is raised in the calling
+        thread."""
+        monkeypatch.setattr(assimilation, "_BATCH_BYTES", 8 * FINE.nx * FINE.ny)
+        ran = {}
+
+        def kernel(batch, stop):
+            ran[batch[0]] = threading.get_ident()
+            if batch == [1]:
+                raise ValueError("batch 1 failed")
+            return batch
+
+        with pytest.raises(ValueError, match="batch 1 failed"):
+            _run_batches(kernel, [0, 1], FINE, 2, "member {}: {}")
+        assert ran[0] == threading.get_ident() != ran[1]
 
     def test_lowest_failing_batch_wins_over_an_earlier_failure(self, monkeypatch):
         """One member a batch, 4 batches on 2 workers: the pool thread's

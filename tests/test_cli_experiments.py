@@ -4,8 +4,10 @@ Small grids keep every run under a second; the full-size presets are only
 validated here, not executed.
 """
 
+import functools
 import hashlib
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -30,17 +32,22 @@ from liemorph import (
 )
 from liemorph import cli_experiments
 from liemorph.cli_experiments import (
+    FIELD_NAMES,
     ConfigError,
     ExperimentReport,
     FieldDump,
+    _dumps,
+    _stage_outputs,
+    _with_vorticity,
     emit_outputs,
     main,
     preset_config,
     run_experiment,
     validate_config,
 )
+from liemorph.morph_engine import _mse, _totals
 from liemorph.tsw_model import (_MODEL_AB_ORDER, _MODEL_COURANT_MAX, _MODEL_DECAY_MAX, AB_COEFFS,
-                                _propagator)
+                                _propagator, _state)
 from oracles import random_band_limited
 
 
@@ -72,6 +79,28 @@ def member_fields(report, stage):
         if dump.stage == stage and dump.member is not None:
             out[(dump.member, dump.name)] = dump.field
     return out
+
+
+def stacked_stage_outputs(stage, members, truth, report):
+    """`_stage_outputs` as numpy's reductions over a stack of the members
+    form it: the per-member code must equal this bit for bit."""
+    fields = [_with_vorticity(m) for m in members]
+    for i, member_fields in enumerate(fields):
+        report.fields += _dumps(stage, i, member_fields)
+    vals = np.array([[f.values for f in member_fields] for member_fields in fields])
+    mean = _with_vorticity(_state(vals[:, :4].mean(axis=0), members[0].grid, members[0].time))
+    if len(members) > 1:
+        report.fields += _dumps(stage + "_mean", None, mean)
+    truth_vals = np.array([f.values for f in truth])
+    member_mean = [float(row.mean()) for row in np.ascontiguousarray(_mse(vals, truth_vals).T)]
+    mean_field = [float(x) for x in _mse(np.array([f.values for f in mean]), truth_vals)]
+    for mses in (member_mean, mean_field):
+        mses.append(0.5 * (mses[2] + mses[3]))
+    for name, mm, mf in zip(FIELD_NAMES + ("v",), member_mean, mean_field):
+        report.metrics_rows += [(stage, name, "member_mean_mse", mm),
+                                (stage, name, "mean_field_mse", mf)]
+    totals = _totals(vals.swapaxes(0, 1), vals[:, 4], members[0].grid.area)
+    report.totals_rows += [(stage, i, *map(float, t)) for i, t in enumerate(zip(*totals.values()))]
 
 
 class TestValidateConfig:
@@ -497,6 +526,71 @@ class TestRunExperiment:
             )
         assert all(len(trace) == 1 for _, trace in report.traces)
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stage_outputs_equal_a_stacked_reference(self, n):
+        """The per-member stage outputs equal `stacked_stage_outputs` bit
+        for bit: metrics rows, totals rows and every dump's values, the
+        mean's included.  v1 is -0.0 at one point of every member, where
+        a mean summed from 0, as np.mean's is, reads +0.0 and one started
+        from the first member would keep -0.0; and at 8 members numpy's
+        pairwise sum of the member MSEs differs from a running sum, which
+        the data here tell apart."""
+        grid, params = GridSpec(32, 32, 5000.0, 5000.0), ModelParams()
+        truth = _with_vorticity(double_vortex_ic(VortexIC(), grid, params))
+        members = []
+        for i in range(n):
+            state = double_vortex_ic(VortexIC(ox=0.1 * i, oy=-0.05 * i), grid, params)
+            v1 = state.v1.values + 0.01 * random_band_limited(grid, 10 + i)
+            v1[0, 0] = -0.0
+            members.append(TSWState(state.h, state.theta, ScalarField(grid, v1), state.v2,
+                                    time=3.0))
+        got, ref = ExperimentReport(), ExperimentReport()
+        _stage_outputs("prior", members, truth, got)
+        stacked_stage_outputs("prior", members, truth, ref)
+        assert [list(map(repr, row)) for row in got.metrics_rows] == (
+            [list(map(repr, row)) for row in ref.metrics_rows])
+        assert [list(map(repr, row)) for row in got.totals_rows] == (
+            [list(map(repr, row)) for row in ref.totals_rows])
+        assert [(d.name, d.stage, d.member) for d in got.fields] == (
+            [(d.name, d.stage, d.member) for d in ref.fields])
+        for a, b in zip(got.fields, ref.fields):
+            assert a.field.values.tobytes() == b.field.values.tobytes()
+        if n > 1:
+            mean_v1 = next(d.field.values for d in got.fields if d.stage == "prior_mean"
+                           and d.name == "v1")
+            assert np.signbit(mean_v1[0, 0]) == np.False_
+        if n == 8:
+            mses = [[float(_mse(f.values, t.values)) for f, t in zip(_with_vorticity(m), truth)]
+                    for m in members]
+            running = [functools.reduce(operator.add, column) / n for column in zip(*mses)]
+            assert running != [got.metric("prior", name, "member_mean_mse")
+                               for name in FIELD_NAMES]
+
+    @pytest.mark.parametrize("pipeline", cli_experiments.PIPELINES[:3])
+    def test_stage_outputs_follow_the_stages(self, pipeline, monkeypatch):
+        """The prior's outputs are formed before the plain analysis, and in
+        the morphed pipelines after the morph, so that its dumps are not
+        held through it; the rows keep the order prior, morphed,
+        posterior."""
+        calls = []
+        for name in ("_stage_outputs", "morph_ensemble", "enkf_analysis"):
+            fn = getattr(cli_experiments, name)
+
+            def recorded(*args, _fn=fn, _name=name, **kwargs):
+                calls.append(args[0] if _name == "_stage_outputs" else _name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli_experiments, name, recorded)
+        report = run_experiment(validate_config(small_raw(pipeline=pipeline)))
+        if pipeline == "plain-enkf":
+            stages = ["prior", "posterior"]
+            assert calls == ["prior", "enkf_analysis", "posterior"]
+        else:
+            stages = ["prior", "morphed", "posterior"]
+            assert calls == ["morph_ensemble", "prior", "morphed", "enkf_analysis", "posterior"]
+        assert list(dict.fromkeys(row[0] for row in report.metrics_rows)) == ["obs", *stages]
+        assert list(dict.fromkeys(row[0] for row in report.totals_rows)) == stages
+
     def test_plain_enkf_with_inflated_r_keeps_prior(self):
         """observation.r_scale = 1e12 drives the gain toward zero; the
         coarse state vector moves by less than 1e-6 relative."""
@@ -746,6 +840,14 @@ class TestCommandLine:
         path = self.write_config(tmp_path, small_raw(pipeline=pipeline))
         mods = self.modules_after(["run", path, "--out", str(tmp_path / "out")])
         assert [m for m in mods if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("pipeline", cli_experiments.PIPELINES)
+    def test_run_imports_no_thread_pool_or_logging(self, tmp_path, pipeline):
+        """The batches run on plain threads, so no pipeline loads
+        concurrent.futures, nor the logging module it imports."""
+        path = self.write_config(tmp_path, small_raw(pipeline=pipeline, workers=2))
+        mods = self.modules_after(["run", path, "--out", str(tmp_path / "out")])
+        assert [m for m in mods if m.split(".")[0] in ("concurrent", "logging")] == []
 
     def test_validate_imports_no_multiprocessing(self, tmp_path):
         """Parallel batches run on threads, so no process pool is loaded."""

@@ -5,9 +5,10 @@ stepper is checked by self-convergence against a finer-dt reference, and
 the spectral kernel against the typed composition in oracles.py.
 """
 
+import mmap
 import threading
 import tracemalloc
-from concurrent.futures import CancelledError
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from liemorph.tsw_model import (
     _MODEL_AB_ORDER,
     _MODEL_FILTER_A,
     AB_COEFFS,
+    Cancelled,
     TSWTendency,
     _ab_advance,
     _add_rest_wave,
@@ -52,6 +54,7 @@ from liemorph.tsw_model import (
     ab3_step,
     tendency,
 )
+from conftest import base_map
 from oracles import (
     composed_ab3_step,
     composed_morph_velocity,
@@ -291,7 +294,7 @@ class TestSpectralKernel:
             assert trace.rows == ref_trace.rows and len(trace) == 5
         stop = threading.Event()
         stop.set()
-        with pytest.raises(CancelledError):
+        with pytest.raises(Cancelled):
             _run_morph_batch(states, observed, mp, stop=stop, drift=(params, strength))
 
     def test_vector_invariant_tendency_matches_composed(self, grid_km, params):
@@ -335,24 +338,72 @@ class TestSpectralKernel:
                 ref = t - lin
                 assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_model_loop_memory_budget(self, grid_km, params):
-        """The model loop's workspace keeps its traced peak within 8.1x the
-        bytes of the batch's states (8 members at 64^2; measured 8.05x,
-        8.19x while each inverse transform allocated a spectrum-sized
-        temporary, 8.45x on fresh arrays every step).  The workspace is
-        7.9x of it and one numpy ufunc buffer (128 KiB, 0.13x) the rest.
-        The propagator and Hou-Li caches are filled first."""
+    def test_model_loop_memory_budget(self, grid_km, params, workspace_maps):
+        """The model loop keeps its peak within 8.1x the bytes of the
+        batch's states (8 members at 64^2; measured 8.05x, 8.19x while each
+        inverse transform allocated a spectrum-sized temporary, 8.45x on
+        fresh arrays every step).  The workspace is 7.9x of it and one
+        numpy ufunc buffer (128 KiB, 0.13x) the rest.  tracemalloc does not
+        see the workspace's memory map, which holds every array but the
+        values (6.92x), so `workspace_maps` adds its bytes to the peak
+        traced in the loop (1.13x); the peak traced while the workspace is
+        made, before its map, is 2.0x.  The propagator and Hou-Li caches
+        are filled first."""
         states = [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(8)]
         _integrate_batch(states, 2, params)
+        maps = workspace_maps()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             _integrate_batch(states, 5, params)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            loop_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        ((_, map_bytes, made_peak),) = maps
+        peak = max(made_peak, map_bytes + loop_peak) - base
         state_bytes = sum(f.values.nbytes for s in states for f in s.fields())
         assert peak <= 8.1 * state_bytes
+
+    def test_workspace_arrays_but_vals_lie_in_one_map(self, grid_km, params):
+        """Every array of a workspace but vals is a view of one memory map,
+        each at an address that is a multiple of 64 bytes, and vals is a
+        plain array, since the states a batch returns are views of it.
+        `keep` copies the kept members into a new map and releases the old
+        one whole."""
+        states = [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(3)]
+        ws = _Workspace(states, 5, model=True, morph=True)
+        arrays = {name: a for name, a in vars(ws).items() if isinstance(a, np.ndarray)}
+        mapped = base_map(ws.spec)
+        assert isinstance(mapped, mmap.mmap) and base_map(ws.vals) is None
+        for name, a in arrays.items():
+            if name != "vals":
+                assert base_map(a) is mapped
+                assert a.ctypes.data % 64 == 0
+            a[...] = np.arange(a.size).reshape(a.shape)
+        assert sum(a.nbytes for a in arrays.values()) - ws.vals.nbytes == len(mapped)
+        before = {name: a.copy() for name, a in arrays.items()}
+        old = weakref.ref(mapped)
+        del mapped, arrays, a
+        keep = np.array([True, False, True])
+        ws.keep(keep)
+        assert old() is None
+        kept = base_map(ws.spec)
+        for name, a in before.items():
+            assert np.array_equal(getattr(ws, name), np.compress(keep, a, axis=-3))
+            assert base_map(getattr(ws, name)) is (None if name == "vals" else kept)
+
+    def test_batch_releases_its_map(self, grid_km, params, workspace_maps):
+        """Once `_integrate_batch` returns, its workspace's map is gone, and
+        the states it returned, views of the plain values, still equal
+        each member's own `integrate`."""
+        states = [double_vortex_ic(VortexIC(ox=0.1 * i), grid_km, params) for i in range(3)]
+        maps = workspace_maps()
+        got = _integrate_batch(states, 3, params)
+        assert len(maps) == 1 and maps[0][0]() is None
+        for state, member in zip(states, got):
+            ref = integrate(state, 3, params)
+            for a, b in zip(member.fields(), ref.fields()):
+                assert np.array_equal(a.values, b.values)
 
     def test_zero_strength_nudge_equals_integrate(self, grid_km, params):
         state = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid_km, params)
@@ -584,6 +635,20 @@ class TestTimeStepping:
 
 
 class TestInitialCondition:
+    def test_tiny_radius_profile_is_zero_off_the_centres(self):
+        """A radius that VortexIC accepts but that is tiny against the grid
+        overflows the Gaussian's exponent to -inf off the vortex centres,
+        where the profile is 0; no warning is raised (the suite turns
+        warnings into errors).  The centres fall on grid points here, so
+        Theta's anomaly is one point per vortex."""
+        grid, params = GridSpec(64, 64, 5000.0, 5000.0), ModelParams(dt=5.0)
+        ic = VortexIC(amplitude=0.0, radius=1.6e-162)
+        state = double_vortex_ic(ic, grid, params)
+        assert np.all(state.h.values == params.h0)
+        anomaly = state.theta.values - params.theta0
+        assert np.count_nonzero(anomaly) == 2
+        assert anomaly.max() == params.theta0 * (1.0 + ic.theta_amplitude) - params.theta0
+
     def test_double_vortex_mass_and_buoyancy(self, grid_km, params):
         ic = VortexIC()
         state = double_vortex_ic(ic, grid_km, params)
