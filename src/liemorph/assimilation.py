@@ -36,8 +36,7 @@ from .morph_engine import _OBSERVABLES, _run_morph_batch, _target_spectra
 from .spectral_core import GridSpec, ScalarField, _is_int, _is_real, coarsen, refine
 from .tsw_model import InstabilityError, TSWState, _integrate_batch, double_vortex_ic
 
-# Not called here: perfbench/tracing.py wraps it at this module's
-# attribute, which is kept so that its span still resolves.
+# A perfbench span's attribute (tests/test_reachability.py, REFERENCE)
 from .morph_engine import run_morph  # noqa: F401
 
 __all__ = [

@@ -61,8 +61,7 @@ from .tsw_model import (
     vorticity_of,
 )
 
-# Not called here: perfbench/tracing.py wraps these at this module's
-# attributes, which are kept so that its spans still resolve.
+# perfbench spans' attributes (tests/test_reachability.py, REFERENCE)
 from .displacement_solver import combine_displacements, displacement_from_2forms  # noqa: F401
 from .forms import lie_derivative  # noqa: F401
 from .spectral_core import hou_li_filter  # noqa: F401

@@ -162,19 +162,10 @@ class ScalarField:
     def __add__(self, other):
         return self._binop(other, np.add)
 
-    def __radd__(self, other):
-        return self._binop(other, np.add)
-
     def __sub__(self, other):
         return self._binop(other, np.subtract)
 
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: np.subtract(b, a))
-
     def __mul__(self, other):
-        return self._binop(other, np.multiply)
-
-    def __rmul__(self, other):
         return self._binop(other, np.multiply)
 
     def __neg__(self):

@@ -58,8 +58,7 @@ from .forms import DisplacementField, _transport_hat
 from .spectral_core import (ScalarField, _grad_hat, _hou_li, _irfft2, _is_int, _is_real, _rfft2,
                             _scratch, curl_2d)
 
-# Not called here: perfbench/tracing.py wraps it at this module's
-# attribute, which is kept so that its span still resolves.
+# A perfbench span's attribute (tests/test_reachability.py, REFERENCE)
 from .spectral_core import hou_li_filter  # noqa: F401
 
 __all__ = [
@@ -266,10 +265,6 @@ class TSWState:
         return TSWState(
             self.h.copy(), self.theta.copy(), self.v1.copy(), self.v2.copy(), self.time
         )
-
-    def min_diagnostics(self):
-        """Positivity diagnostics: (min h, min Theta)."""
-        return float(self.h.values.min()), float(self.theta.values.min())
 
     def __repr__(self):
         return f"TSWState(grid={self.grid!r}, time={self.time:.4g})"

@@ -555,3 +555,44 @@ def composed_ab3_step(state, history, params, u=None):
     vals = expm_propagate(vals, table)
     new = [hou_li_filter(ScalarField(state.grid, v), a=12) for v in vals]
     return TSWState(*new, time=state.time + params.dt)
+
+
+def grid_symmetry(name):
+    """A symmetry of the square periodic grid about the origin, by index
+    permutation alone: "rotation", the quarter turn (x, y) -> (-y, x), or
+    "reflection", x -> -x; cell (i, j) sits at (i dx, j dy).
+
+    Returns (state map, targets map, sign).  A field f becomes f o T^-1
+    and the velocity turns as a vector.  The reflection reverses the
+    orientation, so sign is -1: it multiplies the vorticity, and the
+    Coriolis parameter f under which the moved state evolves.
+    """
+    from liemorph import ScalarField, TSWState
+
+    if name == "rotation":
+        def move(a):  # f(y, -x): [i, j] <- [j, -i]
+            return np.roll(np.rot90(a), 1, axis=0)
+
+        def turn(v1, v2):
+            return -move(v2), move(v1)
+
+        sign = 1.0
+    else:
+        def move(a):  # f(-x, y): [i, j] <- [-i, j]
+            return np.roll(a[::-1], 1, axis=0)
+
+        def turn(v1, v2):
+            return -move(v1), move(v2)
+
+        sign = -1.0
+
+    def state(s):
+        h, th, v1, v2 = (f.values for f in s.fields())
+        moved = (move(h), move(th), *turn(v1, v2))
+        return TSWState(*(ScalarField(s.grid, a) for a in moved), time=s.time)
+
+    def targets(t):
+        return {k: ScalarField(f.grid, (sign if k == "omega" else 1.0) * move(f.values))
+                for k, f in t.items()}
+
+    return state, targets, sign

@@ -9,8 +9,6 @@ import hashlib
 import json
 import operator
 import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -810,50 +808,6 @@ class TestCommandLine:
         path = self.write_config(tmp_path, small_raw())
         assert main(["validate", path]) == 0
         assert "OK" in capsys.readouterr().out
-
-    @staticmethod
-    def modules_after(argv):
-        """The names in sys.modules once main(argv) has returned 0 in a
-        fresh interpreter."""
-        code = (
-            "import json, sys, liemorph\n"
-            "from liemorph.cli_experiments import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print(json.dumps(sorted(sys.modules)))\n"
-        )
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=60).stdout
-        return json.loads(out.splitlines()[-1])
-
-    def test_validate_imports_no_scipy(self, tmp_path):
-        """scipy is imported only by generalized_optical_flow (CG), which
-        nothing in the command line calls, so set-up skips its cost."""
-        path = self.write_config(tmp_path, small_raw())
-        mods = self.modules_after(["validate", path])
-        assert [m for m in mods if m.split(".")[0] == "scipy"] == []
-
-    @pytest.mark.parametrize("pipeline", cli_experiments.PIPELINES)
-    def test_run_imports_no_scipy(self, tmp_path, pipeline):
-        """No pipeline reaches the one scipy import, generalized_optical_flow's."""
-        path = self.write_config(tmp_path, small_raw(pipeline=pipeline))
-        mods = self.modules_after(["run", path, "--out", str(tmp_path / "out")])
-        assert [m for m in mods if m.split(".")[0] == "scipy"] == []
-
-    @pytest.mark.parametrize("pipeline", cli_experiments.PIPELINES)
-    def test_run_imports_no_thread_pool_or_logging(self, tmp_path, pipeline):
-        """The batches run on plain threads, so no pipeline loads
-        concurrent.futures, nor the logging module it imports."""
-        path = self.write_config(tmp_path, small_raw(pipeline=pipeline, workers=2))
-        mods = self.modules_after(["run", path, "--out", str(tmp_path / "out")])
-        assert [m for m in mods if m.split(".")[0] in ("concurrent", "logging")] == []
-
-    def test_validate_imports_no_multiprocessing(self, tmp_path):
-        """Parallel batches run on threads, so no process pool is loaded."""
-        path = self.write_config(tmp_path, small_raw())
-        mods = self.modules_after(["validate", path])
-        assert [m for m in mods if "multiprocessing" in m.split(".")[0]] == []
 
     def test_validate_reports_each_error_with_exit_2(self, tmp_path, capsys):
         raw = small_raw()

@@ -39,6 +39,7 @@ from oracles import (
     composed_morph_step,
     composed_morph_velocity,
     composed_run_morph,
+    grid_symmetry,
     random_band_limited,
 )
 
@@ -557,6 +558,25 @@ class TestSpectralKernel:
         for a, b in zip(got.fields(), ref.fields()):
             scale = np.max(np.abs(b.values))
             assert np.max(np.abs(a.values - b.values)) <= 1e-12 * scale
+
+
+    @pytest.mark.parametrize("naive", [False, True])
+    @pytest.mark.parametrize("symmetry", ["rotation", "reflection"])
+    def test_commutes_with_the_grid_symmetry(self, grid_km, params, symmetry, naive):
+        """A member and its targets moved together by a quarter turn or a
+        reflection (omega negated under the reflection) morph into the
+        moved morph, per field, to 1e-13 relative over 50 steps on the
+        desk grid.  Measured: 1.0e-15 (turn) and 4.0e-16 (reflection) for
+        the tensor morph, 1.4e-15 and 3.0e-16 for the naive one.  The
+        turn without the vector's sign misses by 2, and the reflection
+        with omega's target not negated by 5e-3."""
+        move, move_targets, _ = grid_symmetry(symmetry)
+        member, targets = vortex_morph_case(grid_km, params)
+        mp = MorphParams(epsilon=10.0, n_steps=50)
+        got, _ = run_morph(move(member), move_targets(targets), mp, naive=naive)
+        ref = move(run_morph(member, targets, mp, naive=naive)[0])
+        for a, b in zip(got.fields(), ref.fields()):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
 
 
 class TestMorphTrace:

@@ -62,6 +62,7 @@ from oracles import (
     composed_tendency,
     expm_propagate,
     expm_wave_table,
+    grid_symmetry,
     random_band_limited,
     stacked_propagator,
 )
@@ -456,6 +457,28 @@ def raised_cosine_bump(grid, cx, cy):
             * (1 + np.cos(TWO_PI * (y - cy) / grid.ly)) / 4) ** 4
 
 
+class TestGridSymmetry:
+    @pytest.mark.parametrize("symmetry, n_steps", [("rotation", 1), ("rotation", 10),
+                                                   ("rotation", 44), ("reflection", 10),
+                                                   ("reflection", 44)])
+    def test_integrate_commutes_with_the_grid_symmetry(self, grid_km, symmetry, n_steps):
+        """On the desk grid at the desk dt, from a vortex pair off the
+        centre, the model moved by a quarter turn or a reflection (and
+        under -f for the reflection) equals the moved model, per field, to
+        1e-13 relative.  Measured: 3e-15, 5e-15 and 8e-15 for the turn
+        over 1, 10 and 44 steps (the desk truth run), 6e-16 and 1.1e-15
+        for the reflection over 10 and 44.  The turn without the vector's
+        sign misses by 2 after one step, and the reflection under +f by
+        0.1."""
+        params = ModelParams(dt=5.0)
+        move, _, sign = grid_symmetry(symmetry)
+        state = double_vortex_ic(VortexIC(ox=0.3, oy=-0.2), grid_km, params)
+        got = integrate(move(state), n_steps, replace(params, f=sign * params.f))
+        ref = move(integrate(state, n_steps, params))
+        for a, b in zip(got.fields(), ref.fields()):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-13 * np.max(np.abs(b.values))
+
+
 class TestPropagator:
     def test_matches_expm_per_mode(self, params):
         """At 5x the plain-AB3 gravity-wave dt, where omega dt reaches 3.6,
@@ -710,10 +733,6 @@ class TestStateAndDiagnostics:
         b = a.copy()
         b.h.values[3, 4] += 0.5
         assert a.h.values[3, 4] == params.h0
-
-    def test_min_diagnostics(self, grid_km, params):
-        state = TSWState.rest(grid_km, params)
-        assert state.min_diagnostics() == (params.h0, params.theta0)
 
     def test_conserved_totals_at_rest(self, grid_km, params):
         tot = conserved_totals(TSWState.rest(grid_km, params))
